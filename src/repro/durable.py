@@ -1,0 +1,122 @@
+"""Durable files: the one crash discipline every persisted byte follows.
+
+:func:`atomic_write` replaces whole files (manifests, compacted
+journals, model artifacts, the lint cache); :class:`AppendLog` appends
+JSONL lines (campaign journal, tsdb, span traces).  A leaf module
+(stdlib plus :mod:`repro.errors`), so every layer can build on it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+from typing import Any, Iterator, Optional, Tuple, Union
+
+from .errors import CorruptLogError
+
+#: One decoded log line: (line number, JSON value).
+LogEntry = Tuple[int, Any]
+
+
+def _fsync_directory(directory: Union[str, Path]) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def atomic_write(path: Union[str, Path], data: Union[str, bytes]) -> None:
+    """Fsync ``data`` into a temp file, replace ``path``, fsync the
+    directory: after a crash readers see the old or the new bytes.
+
+    The temp is per process, so concurrent writers never rename each
+    other's half-written file; a crash may leave one behind, and no
+    reader looks at ``*.tmp``.
+    """
+    target = Path(path)
+    temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    view = memoryview(data.encode("utf-8") if isinstance(data, str) else data)
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    os.replace(temp, target)
+    _fsync_directory(target.parent)
+
+
+class AppendLog:
+    """An append-only JSONL file; ``kind`` names it in errors.
+
+    A crash tears at most the last line: reads stop before it and the
+    next append truncates it.  A bad line anywhere else raises
+    :class:`~repro.errors.CorruptLogError`.
+    """
+
+    def __init__(self, path: Union[str, Path], kind: str) -> None:
+        self.path = Path(path)
+        self.kind = kind
+        #: Byte offset past the valid prefix seen by the last read.
+        self.end = 0
+        self._torn_at: Optional[int] = None
+
+    def read(self, start: int = 0) -> Iterator[LogEntry]:
+        """Yield the non-blank complete lines from byte ``start`` on (a
+        line boundary), numbered from the top of the file.
+
+        Stops at a torn tail (an unterminated last line, even one that
+        parses, or an undecodable last line) and, once exhausted, keeps
+        it for :meth:`heal`.  A missing file reads as "nothing yet".
+        A generator, so a long journal is never decoded all at once.
+        """
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            self.end, self._torn_at = start, None
+            return
+        if start > len(data):
+            raise CorruptLogError(
+                f"{self.kind} {self.path} shrank below byte {start}: "
+                f"it was rewritten, not appended to"
+            )
+        pos, line = start, data.count(b"\n", 0, start)
+        while (newline := data.find(b"\n", pos)) >= 0:
+            end, line = newline + 1, line + 1
+            chunk = data[pos:end]
+            if not chunk.isspace():
+                try:
+                    value = json.loads(chunk.decode("utf-8"))
+                except ValueError as exc:
+                    if end == len(data):
+                        break
+                    raise CorruptLogError(
+                        f"corrupt {self.kind} line {line} in {self.path}: {exc}"
+                    )
+                yield line, value
+            pos = end
+        self.end = pos
+        self._torn_at = pos if pos < len(data) else None
+
+    def heal(self) -> None:
+        """Truncate the torn tail the last :meth:`read` found, if any."""
+        if self._torn_at is not None:
+            with open(self.path, "r+b") as handle:
+                handle.truncate(self._torn_at)
+                os.fsync(handle.fileno())
+            self._torn_at = None
+
+    def append(self, line: str) -> None:
+        """Heal, then write ``line`` + newline, flush and fsync; a newly
+        created file also gets its directory fsynced."""
+        self.heal()
+        created = not self.path.exists()
+        with open(self.path, "ab") as handle:
+            handle.write(line.encode("utf-8") + b"\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        if created:
+            _fsync_directory(self.path.parent)

@@ -62,6 +62,12 @@ class StoreError(CampaignError):
     and catch this one."""
 
 
+class CorruptLogError(StoreError, ValueError):
+    """An append-only JSONL log has a bad line before its last one: real
+    corruption, not a torn tail.  Also a :class:`ValueError`, which the
+    tsdb and trace readers used to raise."""
+
+
 class ParseError(ReproError):
     """A characterization log could not be parsed."""
 

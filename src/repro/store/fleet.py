@@ -40,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -56,6 +55,7 @@ from typing import (
 
 from ..core.framework import FrameworkConfig
 from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
+from ..durable import atomic_write
 from ..errors import StoreError
 from ..machines import MachineSpec
 from .index import StoreIndexes
@@ -316,9 +316,7 @@ class FleetStore:
         payload = json.dumps(
             self.manifest.to_json_dict(), indent=2, sort_keys=True
         )
-        temp = self.manifest_path.with_name(FLEET_MANIFEST_NAME + ".tmp")
-        temp.write_text(payload + "\n")
-        os.replace(temp, self.manifest_path)
+        atomic_write(self.manifest_path, payload + "\n")
 
     # -- shard routing -----------------------------------------------------
 
@@ -442,7 +440,7 @@ class FleetStore:
           (``0 < journal_offset < grid total``) blocks compaction --
           reordering would silently re-train that cursor on wrong
           records -- unless ``force=True`` discards the concern.
-        * The rewrite is atomic (tmp + fsync + ``os.replace``): a crash
+        * The rewrite is a :func:`~repro.durable.atomic_write`: a crash
           leaves the old or the new journal, never a mix.
 
         Returns the names of the shards that were rewritten.
@@ -465,13 +463,9 @@ class FleetStore:
                 json.dumps(by_key[key].to_json_dict(), sort_keys=True)
                 for key in store.expected_keys()
             ]
-            journal = self.shard_path(entry) / JOURNAL_NAME
-            temp = journal.with_name(JOURNAL_NAME + ".tmp")
-            with temp.open("w") as handle:
-                handle.write("\n".join(lines) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp, journal)
+            atomic_write(
+                self.shard_path(entry) / JOURNAL_NAME, "\n".join(lines) + "\n"
+            )
             # The cached store object ordered its records pre-rewrite;
             # drop it so the next reader sees the canonical order.
             del self._stores[entry.spec_digest]

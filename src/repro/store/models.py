@@ -8,9 +8,9 @@ so a later ``repro train`` resumes from the artifact without replaying
 consumed journal records.
 
 Artifacts live under ``<store>/models/`` next to the journal, one JSON
-file per (target, core, version), written with the same
-atomic-replace + fsync discipline as the journal: a crash leaves
-either the previous version set or the new one, never a torn file.
+file per (target, core, version), written with
+:func:`~repro.durable.atomic_write`: a crash leaves either the
+previous version set or the new one, never a torn file.
 Versions are monotonically assigned by :meth:`ModelStore.save`; older
 versions are never rewritten.  This module is the *only* sanctioned
 serialization path for fitted-model state (reprolint RPR010).
@@ -21,13 +21,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import re
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from ..durable import atomic_write
 from ..errors import CampaignError
 
 #: Format tag of the model-artifact schema.
@@ -242,8 +242,7 @@ class ModelStore:
         """Persist as the next version of its (target, core) series.
 
         The version is assigned here (monotonic, never reused) and the
-        file is written atomically: payload to a temp file, fsync, then
-        ``os.replace`` -- the journal's crash discipline.
+        file is written with :func:`~repro.durable.atomic_write`.
         """
         self._check_digest(artifact.spec_digest, "save")
         known = self.versions(artifact.target, artifact.core)
@@ -251,12 +250,7 @@ class ModelStore:
         stamped = dataclasses.replace(artifact, version=version)
         self.models_path.mkdir(parents=True, exist_ok=True)
         path = self.path_for(artifact.target, artifact.core, version)
-        temp = path.with_suffix(".json.tmp")
-        with temp.open("w", encoding="utf-8") as handle:
-            handle.write(stamped.serialize())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
+        atomic_write(path, stamped.serialize())
         return stamped
 
     def load(

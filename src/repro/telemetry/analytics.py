@@ -302,8 +302,8 @@ def _summarize_task(
 def analyze_trace_dir(directory: Union[str, Path]) -> TraceAnalysis:
     """Analyze every ``trace-*.jsonl`` file under ``directory``.
 
-    Files load with ``strict=False`` -- a trace torn by a killed run
-    still analyzes.  Raises :class:`ValueError` when the directory
+    A trace torn by a killed run still analyzes (see
+    :func:`~repro.telemetry.tracing.load_spans`).  Raises :class:`ValueError` when the directory
     holds no trace files at all.
     """
     root = Path(directory)
@@ -312,7 +312,7 @@ def analyze_trace_dir(directory: Union[str, Path]) -> TraceAnalysis:
         raise ValueError(f"no trace-*.jsonl files under {root}")
     by_trace: Dict[str, List[SpanRecord]] = {}
     for path in paths:
-        for record in load_spans(path, strict=False):
+        for record in load_spans(path):
             by_trace.setdefault(record.trace_id, []).append(record)
 
     session_spans = by_trace.get(SESSION_TRACE_ID, [])

@@ -23,8 +23,9 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
+from ..durable import AppendLog
 from .clock import MONOTONIC_CLOCK, Clock
 
 SPAN_FORMAT = "repro-span/v1"
@@ -252,51 +253,46 @@ _UNSAFE_TRACE_CHARS = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 class TraceWriter:
-    """Span sink appending JSONL trace files, one file per trace id."""
+    """Span sink appending JSONL trace files, one file per trace id.
+
+    Appends skip fsync (spans are diagnostics); a torn last line left
+    by a killed run is healed when this writer first touches the file.
+    """
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._healed: Set[Path] = set()
 
     def path_for(self, trace_id: str) -> Path:
         safe = _UNSAFE_TRACE_CHARS.sub("_", trace_id) or "trace"
         return self.directory / f"trace-{safe}.jsonl"
 
     def __call__(self, record: SpanRecord) -> None:
+        path = self.path_for(record.trace_id)
+        if path not in self._healed:
+            log = AppendLog(path, "trace")
+            for _entry in log.read():
+                pass
+            log.heal()
+            self._healed.add(path)
         line = json.dumps(record.to_json_dict(), sort_keys=True)
-        with open(self.path_for(record.trace_id), "a", encoding="utf-8") as handle:
+        with open(path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
 
 
-def load_spans(path: Union[str, Path], strict: bool = True) -> List[SpanRecord]:
+def load_spans(path: Union[str, Path]) -> List[SpanRecord]:
     """Parse one JSONL trace file back into validated records.
 
-    With ``strict=False`` a torn *trailing* line -- the scar of a
-    writer killed mid-append -- is dropped instead of raising, under
-    the same rules the campaign journal heals by: only the last line
-    may fail to decode, and a last line without a terminating newline
-    is a stub even when it happens to parse.  Corruption anywhere else
-    always raises, in either mode.
+    A torn trailing line -- the scar of a writer killed mid-append --
+    is dropped; an undecodable line anywhere else raises
+    :class:`~repro.errors.CorruptLogError` (see
+    :class:`~repro.durable.AppendLog`).
     """
-    entries = Path(path).read_bytes().splitlines(keepends=True)
     records: List[SpanRecord] = []
-    for index, entry in enumerate(entries):
-        is_last = index == len(entries) - 1
-        if not entry.strip():
-            continue
-        try:
-            data = json.loads(entry.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            if is_last and not strict:
-                break  # torn tail of an interrupted append
-            raise ValueError(
-                f"corrupt trace line {index + 1} in {path}: {exc}"
-            )
-        if is_last and not entry.endswith(b"\n") and not strict:
-            # Parseable but unterminated: still an interrupted append.
-            break
+    for _line, data in AppendLog(path, "trace").read():
         if not isinstance(data, dict):
-            raise ValueError(f"trace line is not an object: {entry!r}")
+            raise ValueError(f"trace line is not an object: {data!r}")
         records.append(SpanRecord.from_json_dict(data))
     return records
 

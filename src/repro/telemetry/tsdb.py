@@ -8,9 +8,8 @@ watchdog pressure, fsync latency, throughput, model drift over time --
 that ``repro dash`` and the health rules read without ever touching
 the campaign journal.
 
-Durability rules mirror the campaign journal exactly: a crash can tear
-at most the trailing line, loading tolerates (and the next append
-heals) that one scar, and corruption anywhere else raises.
+Like the campaign journal, the file is a
+:class:`~repro.durable.AppendLog`.
 
 The read side is :class:`TsdbCursor`, a warm incremental reader with
 the same contract as the store's query indexes: its serialized state
@@ -22,10 +21,10 @@ point.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..durable import AppendLog
 from .clock import MONOTONIC_CLOCK, Clock
 from .metrics import M_TSDB_SNAPSHOTS, MetricsRegistry
 
@@ -44,49 +43,22 @@ def _canonical(payload: Dict[str, Any]) -> str:
 class TsdbWriter:
     """Append-only, fsynced snapshot journal for one directory.
 
-    Opening an existing file resumes its sequence numbering; a torn
-    trailing line (killed mid-append) is noted by byte offset and
-    truncated away before the next append, exactly like
-    ``CampaignStore.append_campaign`` heals its journal.
+    Opening an existing file resumes its sequence numbering; the
+    :class:`~repro.durable.AppendLog` underneath heals a torn tail.
     """
 
     def __init__(self, path: Union[str, Path], shard: Optional[str] = None) -> None:
         self.path = Path(path)
         self.shard = shard if shard is not None else self.path.parent.name
+        self._log = AppendLog(self.path, "tsdb")
         self._next_seq = 1
-        self._torn_tail_bytes: Optional[int] = None
-        self._load_tail()
-
-    def _load_tail(self) -> None:
-        """Scan an existing file for the resume seq and any torn tail."""
-        if not self.path.exists():
-            return
-        entries = self.path.read_bytes().splitlines(keepends=True)
-        offset = 0
-        for index, entry in enumerate(entries):
-            is_last = index == len(entries) - 1
-            if not entry.strip():
-                offset += len(entry)
-                continue
-            try:
-                data = json.loads(entry.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                if is_last:
-                    self._torn_tail_bytes = offset
-                    return
-                raise ValueError(
-                    f"corrupt tsdb line {index + 1} in {self.path}: {exc}"
-                )
-            if is_last and not entry.endswith(b"\n"):
-                self._torn_tail_bytes = offset
-                return
+        for line, data in self._log.read():
             if not isinstance(data, dict) or data.get("format") != TSDB_FORMAT:
                 raise ValueError(
-                    f"tsdb line {index + 1} in {self.path} is not a "
+                    f"tsdb line {line} in {self.path} is not a "
                     f"{TSDB_FORMAT} snapshot"
                 )
             self._next_seq = int(data["seq"]) + 1
-            offset += len(entry)
 
     def append(self, registry: MetricsRegistry, t_s: float) -> int:
         """Snapshot ``registry`` and append it durably; returns the seq.
@@ -104,16 +76,7 @@ class TsdbWriter:
             "shard": self.shard,
             "metrics": snapshot["metrics"],
         }
-        if self._torn_tail_bytes is not None:
-            with self.path.open("r+b") as handle:
-                handle.truncate(self._torn_tail_bytes)
-                os.fsync(handle.fileno())
-            self._torn_tail_bytes = None
-        line = json.dumps(record, sort_keys=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._log.append(json.dumps(record, sort_keys=True))
         seq = self._next_seq
         self._next_seq += 1
         return seq
@@ -198,36 +161,12 @@ class TsdbCursor:
         Returns the number of new snapshots folded in.  Missing file
         means "nothing yet", never an error -- the sampler is opt-in.
         """
-        target = Path(path)
-        if not target.exists():
-            return 0
-        payload = target.read_bytes()
-        if len(payload) < self.consumed_bytes:
-            raise ValueError(
-                f"tsdb {target} shrank below the cursor's consumed "
-                f"prefix ({len(payload)} < {self.consumed_bytes} bytes); "
-                f"the file was rewritten, not appended to"
-            )
-        entries = payload[self.consumed_bytes:].splitlines(keepends=True)
+        log = AppendLog(path, "tsdb")
         consumed = 0
-        for index, entry in enumerate(entries):
-            if not entry.endswith(b"\n"):
-                break  # unterminated tail: not durable yet, leave it
-            if not entry.strip():
-                self.consumed_bytes += len(entry)
-                continue
-            try:
-                data = json.loads(entry.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                if index == len(entries) - 1:
-                    break  # torn tail the writer will truncate away
-                raise ValueError(
-                    f"corrupt tsdb line in {target} at byte "
-                    f"{self.consumed_bytes}: {exc}"
-                )
-            self._fold_snapshot(data, target)
-            self.consumed_bytes += len(entry)
+        for _line, data in log.read(self.consumed_bytes):
+            self._fold_snapshot(data, log.path)
             consumed += 1
+        self.consumed_bytes = log.end
         return consumed
 
     def _fold_snapshot(self, data: Any, source: Path) -> None:

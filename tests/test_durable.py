@@ -1,0 +1,369 @@
+"""One crash harness for every durable writer (``repro.durable``).
+
+Whole-file writers go through :func:`repro.durable.atomic_write`; each
+is crashed at every step of its discipline (before the first write,
+mid-write, after the write, after the fsync, after the replace) by
+swapping ``repro.durable``'s ``os`` for one that raises there.  Append
+logs (:class:`repro.durable.AppendLog`) are cut at every byte.  Either
+way a reader sees the old complete state or the new one, a leftover
+``*.tmp`` never breaks it, and the next write or append succeeds.
+"""
+
+import os
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, List
+
+import pytest
+
+import repro.durable as durable
+from repro.analysis.lint.cache import FileAnalysis, load_cache, save_cache
+from repro.core import FrameworkConfig
+from repro.core.campaign import CampaignResult
+from repro.core.runs import CharacterizationSetup, RunRecord
+from repro.effects import EffectType
+from repro.machines import MachineSpec
+from repro.store import (
+    JOURNAL_NAME,
+    MANIFEST_NAME,
+    CampaignStore,
+    FleetStore,
+    ModelArtifact,
+    ModelStore,
+)
+from repro.telemetry import (
+    TSDB_NAME,
+    MetricsRegistry,
+    SpanRecord,
+    TraceWriter,
+    TsdbCursor,
+    TsdbWriter,
+    load_spans,
+)
+
+SPEC = MachineSpec(chip="TTT", seed=2017)
+OTHER_SPEC = MachineSpec(chip="TTT", seed=2018)
+CFG = FrameworkConfig(start_mv=905, campaigns=3, runs_per_level=1)
+GRID = (["bwaves"], [0])
+
+
+def campaign(index):
+    """A one-run campaign: journal lines stay short enough to cut at
+    every byte."""
+    record = RunRecord(
+        chip="TTT", benchmark="bwaves",
+        setup=CharacterizationSetup(voltage_mv=905, freq_mhz=2400, core=0),
+        campaign_index=index, run_index=1,
+        effects=frozenset({EffectType.NO}), exit_code=0, output_matches=True,
+    )
+    return CampaignResult(chip="TTT", benchmark="bwaves", core=0,
+                          freq_mhz=2400, campaign_index=index,
+                          records=(record,))
+
+
+def journal(store, *indexes):
+    for index in indexes:
+        store.append_campaign(campaign(index), "log\n", seed=index,
+                              interventions=0)
+
+
+def artifact(offset):
+    return ModelArtifact(
+        target="vmin", core=0, version=0, journal_offset=offset,
+        spec_digest=SPEC.digest(), feature_names=("a",),
+        selected_features=("a",), dropped_constant=(),
+        coefficients={"a": 1.0}, intercept=0.5, naive_mean=0.5,
+        n_samples=offset, train_digest="0" * 16, metrics={"rmse": 0.1},
+        trainer_state={},
+    )
+
+
+def span(span_id):
+    return SpanRecord(trace_id="t", name="task", span_id=span_id,
+                      parent_id=None, start_s=0.0, end_s=1.0)
+
+
+# ---------------------------------------------------------------------------
+# writers
+# ---------------------------------------------------------------------------
+
+@dataclass
+class AtomicCase:
+    """A whole-file writer: ``prepare`` lays down the old state,
+    ``write`` moves it to the new one, ``observe`` is what readers see."""
+
+    prepare: Callable[[Path], None]
+    write: Callable[[Path], None]
+    observe: Callable[[Path], Any]
+
+
+def _store_manifest(d):
+    if not (d / MANIFEST_NAME).exists():
+        return None  # not a store (yet)
+    return CampaignStore.open(d).manifest.to_json_dict()
+
+
+def _fleet_prepare(d):
+    fleet = FleetStore.create(d, [SPEC, OTHER_SPEC], CFG, *GRID)
+    journal(fleet.shard_for(SPEC), 1)
+
+
+def _compaction_prepare(d):
+    fleet = FleetStore.create(d, [SPEC], CFG, *GRID)
+    journal(fleet.shard_for(SPEC), 3, 1, 2)  # complete, out of grid order
+
+
+def _compacted_order(d):
+    fleet = FleetStore.open(d)
+    return [c.campaign_index for c in fleet.shard_for(SPEC).campaigns()]
+
+
+def _models(d):
+    return ModelStore(d, expected_spec_digest=SPEC.digest())
+
+
+def _model_bytes(d):
+    store = _models(d)
+    return [store.load("vmin", 0, v).serialize()
+            for v in store.versions("vmin", 0)]
+
+
+def _lint_cache(d):
+    entries, usable = load_cache(d / "cache.json", "fp")
+    return usable, {k: v.to_json_dict() for k, v in entries.items()}
+
+
+def _save_lint(d, *names):
+    save_cache(d / "cache.json", "fp",
+               {n: FileAnalysis(path=n, sha=n * 8) for n in names})
+
+
+ATOMIC = {
+    "campaign-manifest": AtomicCase(
+        prepare=lambda d: None,
+        write=lambda d: CampaignStore.create(d, SPEC, CFG, *GRID),
+        observe=_store_manifest,
+    ),
+    "fleet-json": AtomicCase(
+        prepare=_fleet_prepare,
+        write=lambda d: FleetStore.open(d).refresh_watermarks(),
+        observe=lambda d: FleetStore.open(d).manifest.to_json_dict(),
+    ),
+    "compaction": AtomicCase(
+        prepare=_compaction_prepare,
+        write=lambda d: FleetStore.open(d).compact(),
+        observe=_compacted_order,
+    ),
+    "model-artifact": AtomicCase(
+        prepare=lambda d: _models(d).save(artifact(1)),
+        write=lambda d: _models(d).save(artifact(2)),
+        observe=_model_bytes,
+    ),
+    "lint-cache": AtomicCase(
+        prepare=lambda d: _save_lint(d, "a.py"),
+        write=lambda d: _save_lint(d, "a.py", "b.py"),
+        observe=_lint_cache,
+    ),
+}
+
+
+@dataclass
+class LogCase:
+    """An append log: ``build`` writes two records through the real
+    writer and returns the file, ``records`` is what its reader sees,
+    ``append`` adds one more through a fresh writer and ``after`` is
+    the reader's view of that for a given prefix."""
+
+    build: Callable[[Path], Path]
+    records: Callable[[Path], List[Any]]
+    append: Callable[[Path], None]
+    after: Callable[[List[Any]], List[Any]]
+
+
+def _journal_build(d):
+    journal(CampaignStore.create(d, SPEC, CFG, *GRID), 1, 2)
+    return d / JOURNAL_NAME
+
+
+def _tsdb_build(d):
+    writer = TsdbWriter(d / TSDB_NAME)
+    for t_s in (1.0, 2.0):
+        writer.append(MetricsRegistry(), t_s)
+    return d / TSDB_NAME
+
+
+def _tsdb_records(d):
+    cursor = TsdbCursor.from_reparse(d / TSDB_NAME)
+    assert cursor.last_seq == cursor.snapshots  # seqs run 1..n, no gap
+    return list(range(1, cursor.snapshots + 1))
+
+
+def _spans_build(d):
+    writer = TraceWriter(d)
+    writer(span(1))
+    writer(span(2))
+    return writer.path_for("t")
+
+
+LOGS = {
+    "campaign-journal": LogCase(
+        build=_journal_build,
+        records=lambda d: [c.campaign_index
+                           for c in CampaignStore.open(d).campaigns()],
+        append=lambda d: journal(CampaignStore.open(d), 3),
+        after=lambda prefix: prefix + [3],
+    ),
+    "tsdb": LogCase(
+        build=_tsdb_build,
+        records=_tsdb_records,
+        append=lambda d: TsdbWriter(d / TSDB_NAME).append(
+            MetricsRegistry(), 3.0),
+        after=lambda prefix: prefix + [len(prefix) + 1],
+    ),
+    "spans": LogCase(
+        build=_spans_build,
+        records=lambda d: [s.span_id for s in load_spans(d / "trace-t.jsonl")],
+        append=lambda d: TraceWriter(d)(span(3)),
+        after=lambda prefix: prefix + [3],
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# crash injection
+# ---------------------------------------------------------------------------
+
+ATOMIC_POINTS = ("before-write", "mid-write", "after-write", "after-fsync",
+                 "after-replace")
+
+
+class Crash(BaseException):
+    """A simulated power cut: no ``except Exception`` in the code under
+    test can swallow it."""
+
+
+class CrashingOs:
+    """``repro.durable``'s view of ``os``, crashing at one point of the
+    first atomic write.  Everything not overridden is the real ``os``."""
+
+    def __init__(self, point):
+        self.point = point
+        self.fsyncs = 0
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def write(self, fd, data):
+        if self.point == "before-write":
+            raise Crash
+        if self.point == "mid-write":
+            os.write(fd, bytes(data[: len(data) // 2]))
+            raise Crash
+        return os.write(fd, data)
+
+    def fsync(self, fd):
+        # fsync 1 is the temp file, fsync 2 the directory after replace.
+        self.fsyncs += 1
+        if (self.point, self.fsyncs) in (("after-write", 1),
+                                         ("after-replace", 2)):
+            raise Crash
+        os.fsync(fd)
+
+    def replace(self, src, dst):
+        if self.point == "after-fsync":
+            raise Crash
+        os.replace(src, dst)
+
+
+CASES = [(name, point) for name in ATOMIC for point in ATOMIC_POINTS] + [
+    (name, "torn-at-every-byte") for name in LOGS
+]
+
+
+@pytest.mark.parametrize("writer,point", CASES)
+def test_crash_leaves_old_or_new_state(tmp_path, monkeypatch, writer, point):
+    if writer in LOGS:
+        _check_append_log(LOGS[writer], tmp_path)
+        return
+    case = ATOMIC[writer]
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    case.prepare(reference)
+    case.write(reference)
+    new = case.observe(reference)
+    target = tmp_path / "crashed"
+    target.mkdir()
+    case.prepare(target)
+    old = case.observe(target)
+    assert old != new
+
+    monkeypatch.setattr(durable, "os", CrashingOs(point))
+    with pytest.raises(Crash):
+        case.write(target)
+    monkeypatch.setattr(durable, "os", os)
+
+    replaced = point == "after-replace"
+    assert bool(list(target.rglob("*.tmp"))) != replaced
+    seen = case.observe(target)  # a leftover *.tmp must not break this
+    assert seen == (new if replaced else old)
+    if not replaced:
+        case.write(target)
+    assert case.observe(target) == new
+
+
+def _check_append_log(case, tmp_path):
+    source = tmp_path / "source"
+    source.mkdir()
+    path = case.build(source)
+    data = path.read_bytes()
+    full = case.records(source)
+    assert len(full) == 2 and data.endswith(b"\n")
+    work = tmp_path / "work"
+    for cut in range(len(data) + 1):
+        work.mkdir()
+        for entry in source.iterdir():
+            if entry != path:
+                (work / entry.name).write_bytes(entry.read_bytes())
+        (work / path.name).write_bytes(data[:cut])
+        prefix = full[:data[:cut].count(b"\n")]
+        assert case.records(work) == prefix, f"kill point at byte {cut}"
+        case.append(work)
+        assert case.records(work) == case.after(prefix), (
+            f"append after kill point at byte {cut}")
+        for entry in work.iterdir():
+            entry.unlink()
+        work.rmdir()
+
+
+# ---------------------------------------------------------------------------
+# every manifest and journal creation is fsynced, file and directory
+# ---------------------------------------------------------------------------
+
+def test_creates_fsync_the_file_and_its_directory(tmp_path, monkeypatch):
+    synced = set()
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        stat = os.fstat(fd)
+        synced.add((stat.st_dev, stat.st_ino))
+        real_fsync(fd)
+
+    def identity(path):
+        stat = os.stat(path)
+        return (stat.st_dev, stat.st_ino)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    store = CampaignStore.create(tmp_path / "store", SPEC, CFG, *GRID)
+    assert identity(store.manifest_path) in synced  # the renamed temp
+    assert identity(store.directory) in synced
+
+    synced.clear()
+    fleet = FleetStore.create(tmp_path / "fleet", [SPEC], CFG, *GRID)
+    assert identity(fleet.manifest_path) in synced
+    assert identity(fleet.directory) in synced
+
+    synced.clear()
+    shard = fleet.shard_for(SPEC)
+    journal(shard, 1)
+    assert identity(shard.journal_path) in synced
+    assert identity(shard.directory) in synced

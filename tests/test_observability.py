@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.errors import CorruptLogError
 from repro.parallel import MachineSpec, ParallelCampaignEngine
 from repro.core import FrameworkConfig
 from repro.store import CampaignStore, FleetStore, JOURNAL_NAME
@@ -188,22 +189,19 @@ def _span_line(span_id, name="task", trace_id="bwaves:c0:k1",
 
 
 class TestLoadSpansTornTail:
+    """``load_spans`` drops a torn trailing line and raises on anything
+    worse; the per-byte kill points are in ``tests/test_durable.py``."""
+
     def _write(self, path, body):
         path.write_bytes(body.encode("utf-8")
                          if isinstance(body, str) else body)
         return path
 
-    def test_strict_raises_on_torn_tail(self, tmp_path):
-        path = self._write(tmp_path / "t.jsonl",
-                           _span_line(1) + '{"format": "repro-span/v1", "tr')
-        with pytest.raises(ValueError):
-            load_spans(path)
-
     def test_non_strict_drops_torn_tail(self, tmp_path):
         path = self._write(tmp_path / "t.jsonl",
                            _span_line(1) + _span_line(2)
                            + '{"format": "repro-span/v1", "tr')
-        records = load_spans(path, strict=False)
+        records = load_spans(path)
         assert [r.span_id for r in records] == [1, 2]
 
     def test_non_strict_drops_unterminated_parseable_tail(self, tmp_path):
@@ -211,31 +209,17 @@ class TestLoadSpansTornTail:
         # the writer was killed between write() and the final flush.
         path = self._write(tmp_path / "t.jsonl",
                            _span_line(1) + _span_line(2).rstrip("\n"))
-        records = load_spans(path, strict=False)
+        records = load_spans(path)
         assert [r.span_id for r in records] == [1]
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_mid_file_corruption_always_raises(self, tmp_path, strict):
+    @pytest.mark.parametrize("terminated", [True, False])
+    def test_mid_file_corruption_always_raises(self, tmp_path, terminated):
+        # Tolerating a torn last line never masks an earlier bad one.
+        tail = _span_line(2) if terminated else _span_line(2).rstrip("\n")
         path = self._write(tmp_path / "t.jsonl",
-                           _span_line(1) + "garbage\n" + _span_line(2))
-        with pytest.raises(ValueError, match="corrupt trace line 2"):
-            load_spans(path, strict=strict)
-
-    def test_every_kill_point_loads_non_strict(self, tmp_path):
-        """Truncate the file at every byte: non-strict never raises and
-        recovers exactly the fully-terminated prefix lines."""
-        lines = [_span_line(i, start=float(i), end=float(i) + 1.0)
-                 for i in (1, 2, 3)]
-        data = "".join(lines).encode("utf-8")
-        path = tmp_path / "t.jsonl"
-        offsets = [0]
-        for line in lines:
-            offsets.append(offsets[-1] + len(line.encode("utf-8")))
-        for cut in range(len(data) + 1):
-            path.write_bytes(data[:cut])
-            records = load_spans(path, strict=False)
-            expected = sum(1 for off in offsets[1:] if cut >= off)
-            assert len(records) == expected, f"kill point at byte {cut}"
+                           _span_line(1) + "garbage\n" + tail)
+        with pytest.raises(CorruptLogError, match="corrupt trace line 2"):
+            load_spans(path)
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +320,6 @@ class TestTsdbWriter:
         TsdbWriter(tmp_path / TSDB_NAME).append(reg, 1.0)
         assert TsdbWriter(tmp_path / TSDB_NAME).append(reg, 2.0) == 2
 
-    def test_torn_tail_healed_on_next_append(self, tmp_path):
-        reg = _tiny_registry()
-        path = tmp_path / TSDB_NAME
-        writer = TsdbWriter(path)
-        writer.append(reg, 1.0)
-        writer.append(reg, 2.0)
-        with path.open("ab") as handle:
-            handle.write(b'{"format": "repro-tsdb/v1", "seq": 3, "t_')
-        healed = TsdbWriter(path)
-        assert healed.append(reg, 3.0) == 3
-        seqs = [json.loads(line)["seq"]
-                for line in path.read_text().splitlines()]
-        assert seqs == [1, 2, 3]
-
     def test_mid_file_corruption_rejected(self, tmp_path):
         reg = _tiny_registry()
         path = tmp_path / TSDB_NAME
@@ -360,7 +330,7 @@ class TestTsdbWriter:
         body = path.read_bytes()
         first_end = body.index(b"\n") + 1
         path.write_bytes(body[:first_end] + b"garbage\n" + body[first_end:])
-        with pytest.raises(ValueError, match="corrupt tsdb line"):
+        with pytest.raises(CorruptLogError, match="corrupt tsdb line 2"):
             TsdbWriter(path)
 
     def test_foreign_journal_rejected(self, tmp_path):
