@@ -547,7 +547,6 @@ def _run_train(args: argparse.Namespace) -> int:
         time.sleep(args.poll)
         for trainer in trainers.values():
             trainer.refresh()
-        store = CampaignStore.open(args.store)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:

@@ -141,22 +141,44 @@ class RunRecord:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
-        """Inverse of :meth:`to_json_dict` (exact, including ``detail``)."""
+    def from_json_dict(
+        cls,
+        data: Mapping[str, Any],
+        setups: Optional[Dict[Any, CharacterizationSetup]] = None,
+        effect_sets: Optional[Dict[Any, FrozenSet[EffectType]]] = None,
+    ) -> "RunRecord":
+        """Inverse of :meth:`to_json_dict` (exact, including ``detail``).
+
+        ``setups`` / ``effect_sets`` memoize the decoded setup per raw
+        ``(voltage_mv, freq_mhz, core)`` and the effect set per raw
+        effects list across the records of one journal line: each
+        distinct value is still built (and validated) once, through the
+        same constructors.
+        """
+        setups = {} if setups is None else setups
+        effect_sets = {} if effect_sets is None else effect_sets
         try:
+            where = (data["voltage_mv"], data["freq_mhz"], data["core"])
+            setup = setups.get(where)
+            if setup is None:
+                setup = setups[where] = CharacterizationSetup(
+                    voltage_mv=int(where[0]),
+                    freq_mhz=int(where[1]),
+                    core=int(where[2]),
+                )
+            raw_effects = tuple(data["effects"])
+            effects = effect_sets.get(raw_effects)
+            if effects is None:
+                effects = effect_sets[raw_effects] = frozenset(
+                    EffectType(value) for value in raw_effects
+                )
             return cls(
                 chip=data["chip"],
                 benchmark=data["benchmark"],
-                setup=CharacterizationSetup(
-                    voltage_mv=int(data["voltage_mv"]),
-                    freq_mhz=int(data["freq_mhz"]),
-                    core=int(data["core"]),
-                ),
+                setup=setup,
                 campaign_index=int(data["campaign"]),
                 run_index=int(data["run"]),
-                effects=frozenset(
-                    EffectType(value) for value in data["effects"]
-                ),
+                effects=effects,
                 exit_code=(
                     None if data["exit_code"] is None else int(data["exit_code"])
                 ),

@@ -62,6 +62,11 @@ class AppendLog:
         self.kind = kind
         #: Byte offset past the valid prefix seen by the last read.
         self.end = 0
+        #: Lines before :attr:`end` and the (device, inode) of the file
+        #: it was measured in (``None``: no file): a read continuing
+        #: from :attr:`end` of that file seeks instead of recounting.
+        self._lines = 0
+        self._identity: Optional[Tuple[int, int]] = None
         self._torn_at: Optional[int] = None
 
     def read(self, start: int = 0) -> Iterator[LogEntry]:
@@ -72,18 +77,62 @@ class AppendLog:
         parses, or an undecodable last line) and, once exhausted, keeps
         it for :meth:`heal`.  A missing file reads as "nothing yet".
         A generator, so a long journal is never decoded all at once.
+        Continuing from :attr:`end` of the same file reads only the
+        bytes appended since.
         """
+        yield from self._scan(*self._load(start, rewind=False))
+
+    def follow(self) -> Tuple[int, Iterator[LogEntry]]:
+        """Continue where the last read stopped: ``(start, lines)``.
+
+        ``start`` is :attr:`end`, or 0 when the file was replaced (a
+        different inode, as after an :func:`atomic_write` by another
+        process) or shrank below :attr:`end` since -- a follower must
+        then rebuild from the top instead of keeping a stale order.
+        The file is opened before this returns, so ``start`` always
+        describes the bytes ``lines`` come from.
+        """
+        loaded = self._load(self.end, rewind=True)
+        return loaded[0], self._scan(*loaded)
+
+    def _load(
+        self, start: int, rewind: bool
+    ) -> Tuple[int, bytes, int, int, Optional[Tuple[int, int]]]:
+        """``(start, data, base, line, identity)``: the file's bytes from
+        offset ``base`` on, the number of lines before ``start`` and the
+        file's identity (``None`` if it is missing); ``rewind`` turns a
+        stale ``start`` into 0."""
         try:
-            data = self.path.read_bytes()
+            handle = open(self.path, "rb")
         except FileNotFoundError:
-            self.end, self._torn_at = start, None
-            return
-        if start > len(data):
-            raise CorruptLogError(
-                f"{self.kind} {self.path} shrank below byte {start}: "
-                f"it was rewritten, not appended to"
-            )
-        pos, line = start, data.count(b"\n", 0, start)
+            start = 0 if rewind else start
+            return start, b"", start, 0, None
+        with handle:
+            info = os.fstat(handle.fileno())
+            identity = (info.st_dev, info.st_ino)
+            same = identity == self._identity
+            if rewind and (not same or info.st_size < start):
+                start = 0
+            if start > info.st_size:
+                raise CorruptLogError(
+                    f"{self.kind} {self.path} shrank below byte {start}: "
+                    f"it was rewritten, not appended to"
+                )
+            if same and start and start == self.end:
+                handle.seek(start)
+                return start, handle.read(), start, self._lines, identity
+            data = handle.read()
+        return start, data, 0, data.count(b"\n", 0, start), identity
+
+    def _scan(
+        self,
+        start: int,
+        data: bytes,
+        base: int,
+        line: int,
+        identity: Optional[Tuple[int, int]],
+    ) -> Iterator[LogEntry]:
+        pos, lines = start - base, line
         while (newline := data.find(b"\n", pos)) >= 0:
             end, line = newline + 1, line + 1
             chunk = data[pos:end]
@@ -97,9 +146,9 @@ class AppendLog:
                         f"corrupt {self.kind} line {line} in {self.path}: {exc}"
                     )
                 yield line, value
-            pos = end
-        self.end = pos
-        self._torn_at = pos if pos < len(data) else None
+            pos, lines = end, line
+        self.end, self._lines, self._identity = base + pos, lines, identity
+        self._torn_at = base + pos if pos < len(data) else None
 
     def heal(self) -> None:
         """Truncate the torn tail the last :meth:`read` found, if any."""
@@ -111,12 +160,25 @@ class AppendLog:
 
     def append(self, line: str) -> None:
         """Heal, then write ``line`` + newline, flush and fsync; a newly
-        created file also gets its directory fsynced."""
+        created file also gets its directory fsynced.
+
+        When the file ended exactly at :attr:`end`, :attr:`end` moves
+        past the new line, so a later read continuing from it does not
+        see this line again.
+        """
         self.heal()
         created = not self.path.exists()
+        data = line.encode("utf-8") + b"\n"
         with open(self.path, "ab") as handle:
-            handle.write(line.encode("utf-8") + b"\n")
+            at = handle.tell()
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
+            info = os.fstat(handle.fileno())
         if created:
             _fsync_directory(self.path.parent)
+        identity = (info.st_dev, info.st_ino)
+        first = self._identity is None and self.end == 0
+        if at == self.end and (identity == self._identity or first):
+            self.end, self._identity = at + len(data), identity
+            self._lines += data.count(b"\n")

@@ -287,6 +287,8 @@ class ParallelCampaignEngine:
                 journal = CampaignStore.create(
                     directory, self.spec, self.config, workload_names, cores
                 )
+        # A store object handed in may predate appends made since.
+        journal.refresh()
         journal.validate_run(self.spec, self.config, workload_names, cores)
         if journal.completed_keys() and not resume:
             raise CampaignError(

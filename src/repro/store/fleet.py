@@ -210,8 +210,9 @@ class FleetStore:
     """A directory of per-machine campaign shards under one manifest.
 
     Construct through :meth:`create` or :meth:`open`.  Shard stores
-    open lazily and are cached per fleet-store object; every shard is
-    a full, standalone :class:`CampaignStore`.
+    open lazily, once per fleet-store object, and :meth:`refresh`
+    catches them up with their journals; every shard is a full,
+    standalone :class:`CampaignStore`.
     """
 
     def __init__(self, directory: Path, manifest: FleetManifest) -> None:
@@ -360,24 +361,36 @@ class FleetStore:
         """Re-derive every watermark from disk and rewrite the manifest.
 
         Watermarks are facts about the shard journals, not independent
-        state: each is re-read from its journal file, so concurrent
-        refreshers racing on ``fleet.json`` all write manifests that
-        agree with disk and the last writer wins harmlessly.
+        state: each cached shard store advances from its last known
+        journal end offset (:meth:`CampaignStore.refresh`).  After the
+        write every journal is checked again; if one moved (another
+        process appended meanwhile), the refresh and the write repeat.
+        A refresher that read stale offsets therefore never leaves its
+        manifest over a fresher one: the last writer wins with facts
+        at least as new as every other writer's.
         """
-        entries: List[ShardEntry] = []
-        for entry in self.manifest.shards:
-            fresh = CampaignStore.open(self.shard_path(entry))
-            entries.append(
-                dataclasses.replace(
-                    entry, watermark=len(fresh.completed_keys())
-                )
+        self.refresh()
+        while True:
+            self.manifest = dataclasses.replace(
+                self.manifest,
+                shards=tuple(
+                    dataclasses.replace(
+                        entry,
+                        watermark=len(self.shard(entry).completed_keys()),
+                    )
+                    for entry in self.manifest.shards
+                ),
             )
-            self._stores[entry.spec_digest] = fresh
-        self.manifest = dataclasses.replace(
-            self.manifest, shards=tuple(entries)
+            self._write_manifest()
+            if not self.refresh():
+                return self.manifest
+
+    def refresh(self) -> int:
+        """Catch every shard store up with its journal on disk (see
+        :meth:`CampaignStore.refresh`); returns the new records."""
+        return sum(
+            self.shard(entry).refresh() for entry in self.manifest.shards
         )
-        self._write_manifest()
-        return self.manifest
 
     def is_complete(self) -> bool:
         return all(entry.complete for entry in self.manifest.shards)
@@ -448,8 +461,8 @@ class FleetStore:
         compacted: List[str] = []
         entries: List[ShardEntry] = []
         for entry in self.manifest.shards:
-            store = CampaignStore.open(self.shard_path(entry))
-            self._stores[entry.spec_digest] = store
+            store = self.shard(entry)
+            store.refresh()
             watermark = len(store.completed_keys())
             entry = dataclasses.replace(entry, watermark=watermark)
             if entry.compacted or not store.is_complete():
@@ -466,9 +479,9 @@ class FleetStore:
             atomic_write(
                 self.shard_path(entry) / JOURNAL_NAME, "\n".join(lines) + "\n"
             )
-            # The cached store object ordered its records pre-rewrite;
-            # drop it so the next reader sees the canonical order.
-            del self._stores[entry.spec_digest]
+            # The cached store ordered its records pre-rewrite; the new
+            # inode makes it reload in the canonical order.
+            store.refresh()
             entry = dataclasses.replace(entry, compacted=True)
             compacted.append(entry.name)
             entries.append(entry)
@@ -514,9 +527,10 @@ class FleetStore:
 class FleetIndexes:
     """Warm :class:`StoreIndexes` bundles for every fleet shard.
 
-    Built over freshly opened shard stores (manifest order) so the
-    answers reflect disk at construction time; :meth:`refresh` folds in
-    later on-disk appends by re-opening shards.  ``serialize()`` is
+    Built once over the fleet's cached shard stores (manifest order),
+    each bundle subscribed to its store, so the answers reflect disk
+    at construction time; :meth:`refresh` folds in later on-disk
+    appends through :meth:`CampaignStore.refresh`.  ``serialize()`` is
     canonical and shard-ordered, so warm-vs-reparse equivalence is a
     byte comparison fleet-wide.
     """
@@ -524,16 +538,18 @@ class FleetIndexes:
     def __init__(self, fleet: FleetStore, feature_target: str = "vmin") -> None:
         self.fleet = fleet
         self.feature_target = feature_target
-        self._bundles: Dict[str, StoreIndexes] = {}
+        self._bundles: Dict[str, StoreIndexes] = {
+            entry.spec_digest: StoreIndexes(
+                fleet.shard(entry), feature_target=feature_target
+            )
+            for entry in fleet.manifest.shards
+        }
         self.refresh()
 
-    def refresh(self) -> None:
-        """Rebuild each shard bundle from the journal on disk."""
-        for entry in self.fleet.manifest.shards:
-            store = CampaignStore.open(self.fleet.shard_path(entry))
-            self._bundles[entry.spec_digest] = StoreIndexes(
-                store, feature_target=self.feature_target
-            )
+    def refresh(self) -> int:
+        """Fold in journal appends made since the last look, by this or
+        any other process; returns the number of new records."""
+        return self.fleet.refresh()
 
     def bundle(self, shard: Union[str, ShardEntry]) -> StoreIndexes:
         """The index bundle of one shard, by name or entry."""

@@ -380,9 +380,10 @@ class StoreIndexes:
     Subscribes to the store's append stream, so every journaled record
     updates the indexes before ``append_campaign`` returns; cells
     journaled before attachment are folded in by the initial
-    :meth:`refresh`.  For appends made by *other* processes, re-open
-    the store and build a fresh bundle (the from-reparse equivalence
-    guarantees identical answers).
+    :meth:`refresh`.  For appends made by *other* store objects or
+    processes, call the store's
+    :meth:`~repro.store.journal.CampaignStore.refresh`: it feeds the
+    new records through the same subscription.
     """
 
     def __init__(

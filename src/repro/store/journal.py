@@ -155,19 +155,18 @@ class CampaignStore:
     (existing store); the constructor itself is internal.
     """
 
-    def __init__(self, directory: Path, manifest: CampaignManifest,
-                 campaigns: List[StoredCampaign]) -> None:
+    def __init__(self, directory: Path, manifest: CampaignManifest) -> None:
         self.directory = directory
         self.manifest = manifest
-        self._campaigns = campaigns
+        self._campaigns: List[StoredCampaign] = []
         # The grid is fixed at manifest time and appends are per-task,
         # so membership checks run off cached sets instead of rebuilding
         # the expected/completed sets O(grid) on every append.
         self._expected: Set[TaskKey] = set(manifest.expected_keys())
-        self._completed: Set[TaskKey] = {c.key for c in campaigns}
+        self._completed: Set[TaskKey] = set()
         self._log = AppendLog(self.journal_path, "journal")
-        #: Callbacks fired after every durable append (see
-        #: :meth:`subscribe`); the warm query indexes hang off this.
+        #: Callbacks fired for every record new to this store object
+        #: (see :meth:`subscribe`); the warm query indexes hang off this.
         self._observers: List[Callable[[StoredCampaign], None]] = []
 
     # -- paths -------------------------------------------------------------
@@ -209,7 +208,7 @@ class CampaignStore:
         path.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True)
         atomic_write(path / MANIFEST_NAME, payload + "\n")
-        return cls(path, manifest, [])
+        return cls(path, manifest)
 
     @classmethod
     def open(cls, directory: Union[str, Path]) -> "CampaignStore":
@@ -225,31 +224,50 @@ class CampaignStore:
         manifest = CampaignManifest.from_json_dict(
             manifest_data, source=manifest_path
         )
-        store = cls(path, manifest, [])
-        store._campaigns = store._load_journal()
-        store._completed = {c.key for c in store._campaigns}
+        store = cls(path, manifest)
+        store.refresh()
         return store
 
-    def _load_journal(self) -> List[StoredCampaign]:
-        """Parse the journal's valid prefix (a torn tail is dropped and
-        the task simply reruns), rejecting tasks outside the manifest
-        grid and duplicates."""
+    def refresh(self) -> int:
+        """Fold in the journal lines appended since this store last
+        looked; returns how many records are new to it.
+
+        Reads from the journal's last known end offset, so appends by
+        other store objects or processes cost only their own bytes.  A
+        torn tail is left for later (the task simply reruns); a task
+        outside the manifest grid or a duplicate raises
+        :class:`~repro.errors.CampaignError`, and the store is left as
+        it was.  If the journal was replaced (compacted by another
+        process) or shrank, the store reloads it from byte 0 and takes
+        the on-disk order.  Observers see each new record once, in
+        journal order; a reload re-announces none they already saw.
+        """
+        start, lines = self._log.follow()
+        known = self._completed if start else set()
         campaigns: List[StoredCampaign] = []
-        seen: Set[TaskKey] = set()
-        for line, data in self._log.read():
+        keys: Set[TaskKey] = set()
+        for line, data in lines:
             campaign = StoredCampaign.from_json_dict(data)
             if campaign.key not in self._expected:
                 raise CampaignError(
                     f"journal line {line} records task "
                     f"{campaign.key!r}, which is not in the manifest grid"
                 )
-            if campaign.key in seen:
+            if campaign.key in keys or campaign.key in known:
                 raise CampaignError(
                     f"journal line {line} duplicates task {campaign.key!r}"
                 )
-            seen.add(campaign.key)
+            keys.add(campaign.key)
             campaigns.append(campaign)
-        return campaigns
+        new = [c for c in campaigns if c.key not in self._completed]
+        if not start:
+            self._campaigns, self._completed = [], set()
+        self._campaigns.extend(campaigns)
+        self._completed |= keys
+        for stored in new:
+            for observer in tuple(self._observers):
+                observer(stored)
+        return len(new)
 
     # -- append side -------------------------------------------------------
 
@@ -275,6 +293,9 @@ class CampaignStore:
             raise CampaignError(
                 f"task {stored.key!r} is not part of this store's grid"
             )
+        # Catch up first: the duplicate check then holds against disk,
+        # and the append lands exactly at the journal's known end.
+        self.refresh()
         if stored.key in self._completed:
             raise CampaignError(f"task {stored.key!r} is already journaled")
         line = json.dumps(stored.to_json_dict(), sort_keys=True)
@@ -303,13 +324,13 @@ class CampaignStore:
         return stored
 
     def subscribe(self, observer: Callable[[StoredCampaign], None]) -> None:
-        """Call ``observer`` after every durable append.
+        """Call ``observer`` for every record new to this store object.
 
         Observers run once the record is fsynced and accounted, so an
         incremental index updated from here can never get ahead of the
-        journal.  They see appends through *this* store object only --
-        another process appending to the same directory is picked up by
-        re-opening (or by an index's cursor-based ``refresh``).
+        journal.  Appends through this object fire them at once;
+        appends by other store objects or processes fire them when
+        :meth:`refresh` folds those lines in -- call it to see them.
         """
         self._observers.append(observer)
 

@@ -11,10 +11,11 @@ re-running or re-parsing anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, FrozenSet, Mapping, Tuple
 
 from ..core.campaign import CampaignResult
-from ..core.runs import RunRecord
+from ..core.runs import CharacterizationSetup, RunRecord
+from ..effects import EffectType
 from ..errors import CampaignError
 
 
@@ -79,7 +80,14 @@ class StoredCampaign:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "StoredCampaign":
-        """Inverse of :meth:`to_json_dict`."""
+        """Inverse of :meth:`to_json_dict`.
+
+        The run records of one line share few distinct setups and
+        effect sets, so each is decoded once per line (see
+        :meth:`RunRecord.from_json_dict`).
+        """
+        setups: Dict[Any, CharacterizationSetup] = {}
+        effect_sets: Dict[Any, FrozenSet[EffectType]] = {}
         try:
             return cls(
                 benchmark=data["benchmark"],
@@ -90,7 +98,7 @@ class StoredCampaign:
                 interventions=int(data["interventions"]),
                 raw_log=data["raw_log"],
                 records=tuple(
-                    RunRecord.from_json_dict(entry)
+                    RunRecord.from_json_dict(entry, setups, effect_sets)
                     for entry in data["records"]
                 ),
             )

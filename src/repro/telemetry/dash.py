@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .health import (
     HealthRule,
@@ -32,8 +32,11 @@ from .health import (
     render_health,
 )
 from .metrics import M_TASK_SECONDS, M_THROUGHPUT
-from .status import _format_eta, campaign_status, fleet_status
+from .status import _format_eta, campaign_status
 from .tsdb import TSDB_NAME, TsdbCursor
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..store import FleetStore
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,8 +100,8 @@ class Dashboard:
     """Warm-state aggregator behind ``repro dash``.
 
     Keep one instance alive across ``--follow`` refreshes: the tsdb
-    cursors advance incrementally instead of re-parsing the journals
-    every frame.
+    cursors and a fleet's shard stores advance incrementally instead
+    of re-parsing the journals every frame.
     """
 
     def __init__(
@@ -113,6 +116,7 @@ class Dashboard:
             else default_health_rules(baseline)
         )
         self._cursors: Dict[str, TsdbCursor] = {}
+        self._fleet: Optional["FleetStore"] = None
 
     def _is_fleet(self) -> bool:
         # Lazy: repro.store imports repro.telemetry at module level.
@@ -120,12 +124,18 @@ class Dashboard:
 
         return (self.store / FLEET_MANIFEST_NAME).exists()
 
+    def _fleet_store(self) -> "FleetStore":
+        """The fleet, opened on first use and kept across frames."""
+        if self._fleet is None:
+            from ..store import FleetStore
+
+            self._fleet = FleetStore.open(self.store)
+        return self._fleet
+
     def _tsdb_paths(self) -> Tuple[Path, ...]:
         if not self._is_fleet():
             return (self.store / TSDB_NAME,)
-        from ..store import FleetStore
-
-        fleet = FleetStore.open(self.store)
+        fleet = self._fleet_store()
         return tuple(
             fleet.tsdb_path(entry) for entry in fleet.manifest.shards
         )
@@ -152,14 +162,14 @@ class Dashboard:
 
         rows: List[Tuple[str, int, int]] = []
         if self._is_fleet():
-            fleet = fleet_status(self.store)
+            fleet = self._fleet_store()
+            fleet.refresh()
             kind = "fleet"
-            tasks_total = fleet.tasks_total
-            tasks_completed = fleet.tasks_completed
-            for shard in fleet.shards:
-                rows.append(
-                    (shard.name, shard.tasks_completed, shard.tasks_total)
-                )
+            for entry in fleet.manifest.shards:
+                done = len(fleet.shard(entry).completed_keys())
+                rows.append((entry.name, done, entry.total))
+            tasks_total = sum(total for _, _, total in rows)
+            tasks_completed = sum(done for _, done, _ in rows)
         else:
             status = campaign_status(self.store)
             kind = "campaign"

@@ -312,12 +312,12 @@ def fleet_status(
     """
     # Lazy for the same reason as campaign_status: repro.store imports
     # repro.telemetry at module level.
-    from ..store import CampaignStore, StoreIndexes, FleetStore
+    from ..store import StoreIndexes, FleetStore
 
     opened = FleetStore.open(fleet)
     shards: List[FleetShardStatus] = []
     for entry in opened.manifest.shards:
-        store = CampaignStore.open(opened.shard_path(entry))
+        store = opened.shard(entry)
         indexes = StoreIndexes(store)
         vmin = indexes.vmin
         chip = store.manifest.spec.chip

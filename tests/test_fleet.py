@@ -367,6 +367,118 @@ class TestConcurrentShardAppends:
         assert indexes.serialize() == indexes.serialize_reparse()
 
 
+class TestWatermarkRace:
+    def test_stale_refresher_never_has_the_last_word(self, complete_fleet,
+                                                     tmp_path, monkeypatch):
+        """Refresher A reads the journals, then B appends a shard's last
+        task and writes a fresh ``fleet.json`` just before A's write
+        lands: A's post-write re-check sees B's append and writes again,
+        so the manifest on disk ends equal to the journals."""
+        import repro.store.fleet as fleet_module
+
+        fleet_dir = tmp_path / "fleet"
+        _copy_fleet(complete_fleet, fleet_dir)
+        victim = FleetStore.open(fleet_dir).manifest.shards[1]
+        journal = fleet_dir / victim.path / JOURNAL_NAME
+        last = CampaignStore.open(fleet_dir / victim.path).campaigns()[-1]
+        journal.write_text(journal.read_text().splitlines(keepends=True)[0])
+
+        refresher_a = FleetStore.open(fleet_dir)
+        real_write = fleet_module.atomic_write
+        raced = []
+
+        def write_after_a_concurrent_append(path, data):
+            if not raced:
+                raced.append(path)
+                refresher_b = FleetStore.open(fleet_dir)
+                refresher_b.shard(victim).append_campaign(
+                    last.campaign_result(), last.raw_log, seed=last.seed,
+                    interventions=last.interventions)
+                refresher_b.refresh_watermarks()
+            real_write(path, data)
+
+        monkeypatch.setattr(fleet_module, "atomic_write",
+                            write_after_a_concurrent_append)
+        refresher_a.refresh_watermarks()
+        assert raced
+        on_disk = json.loads((fleet_dir / FLEET_MANIFEST_NAME).read_text())
+        for entry in on_disk["shards"]:
+            lines = (fleet_dir / entry["path"] / JOURNAL_NAME).read_bytes()
+            assert entry["watermark"] == lines.count(b"\n") == SHARD_TASKS
+
+
+def _copy_fleet(source, target):
+    target.mkdir()
+    (target / FLEET_MANIFEST_NAME).write_bytes(
+        (source / FLEET_MANIFEST_NAME).read_bytes())
+    for entry in FleetStore.open(source).manifest.shards:
+        shard_dir = target / entry.path
+        shard_dir.mkdir(parents=True)
+        for name in ("manifest.json", JOURNAL_NAME):
+            (shard_dir / name).write_bytes(
+                (source / entry.path / name).read_bytes())
+
+
+class TestCachedShards:
+    """Each fleet object opens a shard once and refreshes it after."""
+
+    def test_second_run_decodes_only_the_replayed_shard(self, tmp_path,
+                                                        monkeypatch):
+        from repro.store import StoredCampaign
+
+        make_fleet(tmp_path)
+        first = FleetStore.open(tmp_path).manifest.shards[0].name
+        run_fleet(tmp_path, shards=[first])
+        decode = StoredCampaign.from_json_dict
+        decoded = []
+
+        def counting(data):
+            decoded.append(data["campaign"])
+            return decode(data)
+
+        monkeypatch.setattr(StoredCampaign, "from_json_dict",
+                            staticmethod(counting))
+        report = run_fleet(tmp_path)
+        assert report.tasks_skipped == SHARD_TASKS
+        assert len(decoded) == SHARD_TASKS  # m00's replay, nothing more
+        assert all(e.watermark == e.total for e in report.manifest.shards)
+
+    def test_appends_by_another_fleet_object_become_visible(self, tmp_path):
+        make_fleet(tmp_path)
+        watcher = FleetStore.open(tmp_path)
+        indexes = watcher.indexes()
+        writer = FleetStore.open(tmp_path)
+        spec = SPECS[1]
+        ParallelCampaignEngine(spec, CFG).run(
+            [get_benchmark("mcf")], CORES, store=writer.shard_for(spec))
+
+        manifest = watcher.refresh_watermarks()
+        assert [e.watermark for e in manifest.shards] == [0, SHARD_TASKS, 0]
+        assert indexes.refresh() == 0  # already folded in by the refresh
+        entry = manifest.entry_for(spec.digest())
+        assert indexes.bundle(entry).records_indexed() == SHARD_TASKS
+        assert indexes.serialize() == indexes.serialize_reparse()
+        assert watcher.indexes().serialize() == indexes.serialize()
+        assert "mcf" in indexes.serialize()
+
+    def test_refresh_after_foreign_compaction_takes_disk_order(
+            self, complete_fleet, tmp_path):
+        fleet_dir = tmp_path / "fleet"
+        _copy_fleet(complete_fleet, fleet_dir)
+        entry = FleetStore.open(fleet_dir).manifest.shards[0]
+        journal = fleet_dir / entry.path / JOURNAL_NAME
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text("".join(reversed(lines)))  # off grid order
+
+        cached = FleetStore.open(fleet_dir).shard(entry)
+        assert [c.key for c in cached.campaigns()] != cached.expected_keys()
+        assert FleetStore.open(fleet_dir).compact() != []
+        assert cached.refresh() == 0
+        fresh = CampaignStore.open(fleet_dir / entry.path)
+        assert cached.campaigns() == fresh.campaigns()
+        assert [c.key for c in cached.campaigns()] == cached.expected_keys()
+
+
 class TestCompaction:
     @pytest.fixture()
     def fleet_copy(self, complete_fleet, tmp_path):

@@ -692,6 +692,23 @@ class TestDashboard:
         assert "[fleet store (1 shards)]" in text
         assert "shards:" in text
 
+    def test_fleet_dash_follows_appends_without_reopening(self, tmp_path):
+        """One dashboard kept across frames refreshes its cached shard
+        stores: a later frame decodes only the new journal lines and
+        renders the same bytes as a freshly built dashboard."""
+        fleet_dir = tmp_path / "fleet"
+        FleetStore.create(fleet_dir, [SPEC], CFG, ["bwaves"], CORES)
+        dash = Dashboard(fleet_dir)
+        first = dash.refresh()
+        assert first.rows[0][1:] == (0, TOTAL_TASKS)
+        shard = dash._fleet.shards()[0][1]
+
+        run_grid(store=fleet_dir, jobs=1)
+        second = dash.refresh()
+        assert dash._fleet.shards()[0][1] is shard
+        assert second.complete and second.rows[0][1] == TOTAL_TASKS
+        assert render_dash(second) == render_dash(Dashboard(fleet_dir).refresh())
+
     def test_render_dash_layout(self, observed):
         snapshot = Dashboard(
             observed / "store",

@@ -202,6 +202,134 @@ class TestStoredCampaign:
                 freq_mhz=2400, interventions=0, raw_log="", records=())
 
 
+class TestMemoizedDecode:
+    def test_memoized_records_equal_per_record_decode(self, full_store):
+        full_dir, _ = full_store
+        for text in (full_dir / JOURNAL_NAME).read_text().splitlines():
+            data = json.loads(text)
+            stored = StoredCampaign.from_json_dict(data)
+            assert stored.records == tuple(
+                RunRecord.from_json_dict(entry) for entry in data["records"]
+            )
+            # Equal setups are one shared object within a line.
+            assert len({id(r.setup) for r in stored.records}) == len(
+                {r.setup for r in stored.records})
+
+    def test_malformed_record_mid_line_rejected(self, full_store):
+        full_dir, _ = full_store
+        data = json.loads((full_dir / JOURNAL_NAME).read_text().splitlines()[0])
+        data["records"][3]["effects"] = ["NOT-AN-EFFECT"]
+        with pytest.raises(CampaignError, match="malformed"):
+            StoredCampaign.from_json_dict(data)
+        data["records"][3]["effects"] = data["records"][2]["effects"]
+        data["records"][5]["voltage_mv"] = "905mV"
+        with pytest.raises(CampaignError, match="malformed"):
+            StoredCampaign.from_json_dict(data)
+
+
+class TestJournalRefresh:
+    """``CampaignStore.refresh`` advances a cached store by byte offset."""
+
+    def lines(self, full_store):
+        full_dir, _ = full_store
+        return (full_dir / JOURNAL_NAME).read_text().splitlines(keepends=True)
+
+    def test_appends_by_another_object_fold_in(self, full_store, tmp_path):
+        target = truncated_copy(full_store[0], tmp_path, keep=1)
+        cached = CampaignStore.open(target)
+        seen = []
+        cached.subscribe(seen.append)
+        other = CampaignStore.open(target)
+        for stored in CampaignStore.open(full_store[0]).campaigns()[1:3]:
+            other.append_campaign(stored.campaign_result(), stored.raw_log,
+                                  seed=stored.seed,
+                                  interventions=stored.interventions)
+        assert cached.refresh() == 2
+        assert cached.refresh() == 0
+        assert cached.campaigns() == CampaignStore.open(target).campaigns()
+        assert [c.key for c in seen] == [c.key for c in cached.campaigns()[1:]]
+
+    def test_refresh_reads_only_bytes_past_the_end(self, full_store, tmp_path):
+        """Garbage written over an already-read line stays unread: the
+        refresh seeks to the known end instead of re-decoding."""
+        lines = self.lines(full_store)
+        target = truncated_copy(full_store[0], tmp_path, keep=2)
+        cached = CampaignStore.open(target)
+        journal = target / JOURNAL_NAME
+        data = bytearray(journal.read_bytes())
+        data[0:1] = b"#"  # same size, same inode
+        with journal.open("r+b") as handle:
+            handle.write(bytes(data))
+        with journal.open("a") as handle:
+            handle.write(lines[2])
+        assert cached.refresh() == 1
+        assert len(cached.completed_keys()) == 3
+        with pytest.raises(CorruptLogError, match="journal line 1"):
+            CampaignStore.open(target)
+
+    def test_continuation_errors_name_absolute_lines(self, full_store,
+                                                     tmp_path):
+        lines = self.lines(full_store)
+        target = truncated_copy(full_store[0], tmp_path, keep=2)
+        cached = CampaignStore.open(target)
+        with (target / JOURNAL_NAME).open("a") as handle:
+            handle.write("{corrupt}\n" + lines[2])
+        with pytest.raises(CorruptLogError, match="corrupt journal line 3"):
+            cached.refresh()
+
+    def test_rejected_refresh_leaves_the_store_unchanged(self, full_store,
+                                                         tmp_path):
+        lines = self.lines(full_store)
+        target = truncated_copy(full_store[0], tmp_path, keep=2)
+        cached = CampaignStore.open(target)
+        before = cached.campaigns()
+        with (target / JOURNAL_NAME).open("a") as handle:
+            handle.write(lines[2] + lines[1])
+        with pytest.raises(CampaignError, match="line 4 duplicates"):
+            cached.refresh()
+        assert cached.campaigns() == before
+
+    def test_replaced_or_shrunk_journal_reloads(self, full_store, tmp_path):
+        lines = self.lines(full_store)
+        target = truncated_copy(full_store[0], tmp_path, keep=TOTAL_TASKS)
+        cached = CampaignStore.open(target)
+        seen = []
+        cached.subscribe(seen.append)
+        journal = target / JOURNAL_NAME
+        replacement = target / "journal.new"
+        replacement.write_text("".join(reversed(lines)))
+        replacement.replace(journal)  # a new inode, same bytes reordered
+        assert cached.refresh() == 0
+        assert cached.campaigns() == CampaignStore.open(target).campaigns()
+        assert [c.key for c in cached.campaigns()][0] == lines_key(lines[-1])
+        journal.write_text("".join(lines[:1]))  # shrunk in place
+        cached.refresh()
+        assert cached.campaigns() == CampaignStore.open(target).campaigns()
+        assert seen == []
+
+    def test_failed_reload_is_retried_from_the_top(self, full_store,
+                                                   tmp_path):
+        """A reload that hits a corrupt line commits nothing, so once
+        the file is mended the next refresh reloads it again."""
+        lines = self.lines(full_store)
+        target = truncated_copy(full_store[0], tmp_path, keep=TOTAL_TASKS)
+        cached = CampaignStore.open(target)
+        journal = target / JOURNAL_NAME
+        replacement = target / "journal.new"
+        replacement.write_text(lines[0] + "{corrupt}\n" + "".join(lines[1:]))
+        replacement.replace(journal)
+        with pytest.raises(CorruptLogError, match="journal line 2"):
+            cached.refresh()
+        journal.write_text("".join(reversed(lines)))  # mended in place
+        cached.refresh()
+        assert cached.campaigns() == CampaignStore.open(target).campaigns()
+
+
+def lines_key(line):
+    data = json.loads(line)
+    return (data["benchmark"], data["core"], data["campaign"])
+
+
 class TestJournalIntegrity:
     def test_create_twice_rejected(self, tmp_path):
         CampaignStore.create(tmp_path, SPEC, CFG, ["bwaves"], CORES)
