@@ -17,7 +17,7 @@ One subcommand per workflow::
     repro fleet                       generated-fleet Vmin statistics
     repro fleet init FLEET_DIR        create a sharded fleet store
     repro fleet run FLEET_DIR         run/resume every shard of a fleet
-    repro fleet status FLEET_DIR      cross-shard progress (warm indexes)
+    repro fleet status FLEET_DIR      cross-shard progress, Vmin per cell
     repro fleet query FLEET_DIR       Vmin/severity/feature queries
                                       (--json [--reparse] for the
                                       index-equals-reparse byte check)
@@ -331,7 +331,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     """Report a campaign store's progress without touching it.
 
     Pointed at a fleet store (a directory holding ``fleet.json``), it
-    serves cross-shard status from the warm indexes instead.
+    serves cross-shard status, Vmin per cell included, instead.
     """
     from pathlib import Path
 
@@ -641,7 +641,7 @@ def _run_fleet_cmd(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    """Cross-shard progress served from the warm indexes."""
+    """Cross-shard progress and each shard's Vmin per cell."""
     try:
         status = telemetry.fleet_status(
             args.fleet_dir, metrics_path=args.metrics
@@ -982,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf_run.set_defaults(fleet_func=_cmd_fleet_run)
 
     pf_status = fleet_sub.add_parser(
-        "status", help="cross-shard progress from the warm indexes")
+        "status", help="cross-shard progress and Vmin per cell")
     pf_status.add_argument("fleet_dir", metavar="FLEET_DIR",
                            help="fleet store directory")
     pf_status.add_argument("--metrics", default=None, metavar="FILE",

@@ -37,8 +37,7 @@ from ..hardware import MachineState
 from ..machines import Machine, machine_to_spec
 from .campaign import CampaignResult, CharacterizationResult
 from .kernel import CampaignKernel
-from .parser import format_run_block, parse_log
-from .runs import CharacterizationSetup, RunRecord
+from .parser import format_run_block, parse_log, parse_records
 from .watchdog import WatchdogAction, WatchdogMonitor
 
 
@@ -302,39 +301,19 @@ class CharacterizationFramework:
     # -- phase 3: parsing ----------------------------------------------------
 
     def _parse_campaign(self, log_text: str, campaign_index: int) -> CampaignResult:
-        parsed = parse_log(log_text)
-        if not parsed:
+        records = parse_records(log_text)
+        telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(records))
+        if not records:
             raise CampaignError("campaign produced no runs")
-        records = tuple(
-            RunRecord(
-                chip=run.chip,
-                benchmark=run.benchmark,
-                setup=CharacterizationSetup(
-                    voltage_mv=run.voltage_mv,
-                    freq_mhz=run.freq_mhz,
-                    core=run.core,
-                ),
-                campaign_index=run.campaign_index,
-                run_index=run.run_index,
-                effects=run.effects,
-                exit_code=run.exit_code,
-                output_matches=run.output_matches,
-                edac_ce=run.edac_ce,
-                edac_ue=run.edac_ue,
-                watchdog_intervened=run.watchdog_action != "none",
-                detail=dict(run.edac_locations),
-            )
-            for run in parsed
-        )
         for record in records:
             for effect in record.effects:
                 telemetry.inc_counter(telemetry.M_EFFECTS, effect=effect.value)
-        first = parsed[0]
+        first = records[0]
         return CampaignResult(
             chip=first.chip,
             benchmark=first.benchmark,
-            core=first.core,
-            freq_mhz=first.freq_mhz,
+            core=first.setup.core,
+            freq_mhz=first.setup.freq_mhz,
             campaign_index=campaign_index,
             records=records,
         )

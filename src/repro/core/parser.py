@@ -16,12 +16,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import telemetry
 from ..effects import EffectType
 from ..errors import ParseError
 from .effects import classify_run
+from .runs import CharacterizationSetup, RunRecord
 
 _LOG = telemetry.get_logger("repro.core.parser")
 
@@ -104,20 +114,36 @@ def format_run_block(
     return "\n".join(lines) + "\n"
 
 
-def _parse_block(lines: List[str]) -> ParsedRun:
-    header = _HEADER_RE.match(lines[0])
+class _Body(NamedTuple):
+    """The classified fields of one run block's body (after the header)."""
+
+    effects: FrozenSet[EffectType]
+    exit_code: Optional[int]
+    output_matches: Optional[bool]
+    edac_ce: int
+    edac_ue: int
+    watchdog_action: str
+    edac_locations: Dict[str, int]
+
+
+def _parse_header(line: str) -> "re.Match[str]":
+    header = _HEADER_RE.match(line)
     if header is None:
-        _LOG.error("malformed run header", header=lines[0])
-        raise ParseError(f"malformed run header: {lines[0]!r}")
+        _LOG.error("malformed run header", header=line)
+        raise ParseError(f"malformed run header: {line!r}")
+    return header
+
+
+def _parse_body(header: str, lines: Sequence[str]) -> _Body:
     fields: Dict[str, str] = {}
-    for line in lines[1:]:
+    for line in lines:
         for key, value in _KV_RE.findall(line):
             fields[key] = value
 
     status = fields.get("status")
     if status is None:
-        _LOG.error("run block missing status line", header=lines[0])
-        raise ParseError(f"run block missing status line: {lines[0]!r}")
+        _LOG.error("run block missing status line", header=header)
+        raise ParseError(f"run block missing status line: {header!r}")
     responsive = status != "system_crash"
     exit_code = int(fields["exit_code"]) if "exit_code" in fields else None
     output = fields.get("output")
@@ -144,14 +170,7 @@ def _parse_block(lines: List[str]) -> ParsedRun:
             if not key or not count.isdigit():
                 raise ParseError(f"malformed edac_locations entry: {pair!r}")
             locations[key] = int(count)
-    return ParsedRun(
-        chip=header["chip"],
-        benchmark=header["benchmark"],
-        core=int(header["core"]),
-        voltage_mv=int(header["voltage"]),
-        freq_mhz=int(header["freq"]),
-        campaign_index=int(header["campaign"]),
-        run_index=int(header["run"]),
+    return _Body(
         effects=effects,
         exit_code=exit_code,
         output_matches=output_matches,
@@ -162,22 +181,99 @@ def _parse_block(lines: List[str]) -> ParsedRun:
     )
 
 
+def _parse_block(lines: List[str]) -> ParsedRun:
+    header = _parse_header(lines[0])
+    body = _parse_body(lines[0], lines[1:])
+    return ParsedRun(
+        chip=header["chip"],
+        benchmark=header["benchmark"],
+        core=int(header["core"]),
+        voltage_mv=int(header["voltage"]),
+        freq_mhz=int(header["freq"]),
+        campaign_index=int(header["campaign"]),
+        run_index=int(header["run"]),
+        effects=body.effects,
+        exit_code=body.exit_code,
+        output_matches=body.output_matches,
+        edac_ce=body.edac_ce,
+        edac_ue=body.edac_ue,
+        watchdog_action=body.watchdog_action,
+        edac_locations=body.edac_locations,
+    )
+
+
+def _bounds(text: str) -> Tuple[List[str], List[Tuple[int, int]]]:
+    """The log's lines and each run block's ``[start, end)`` line span:
+    a header line plus the lines below it."""
+    lines = text.splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith(RUN_HEADER)]
+    for line in lines[: starts[0] if starts else len(lines)]:
+        if line.strip():
+            raise ParseError(f"content before first run header: {line!r}")
+    return lines, list(zip(starts, starts[1:] + [len(lines)]))
+
+
 def parse_log(text: str) -> List[ParsedRun]:
     """Parse a whole campaign log into classified runs."""
-    blocks: List[List[str]] = []
-    current: List[str] = []
-    for line in text.splitlines():
-        if line.startswith(RUN_HEADER):
-            if current:
-                blocks.append(current)
-            current = [line]
-        elif current:
-            current.append(line)
-        elif line.strip():
-            raise ParseError(f"content before first run header: {line!r}")
-    if current:
-        blocks.append(current)
-    runs = [_parse_block(block) for block in blocks]
+    lines, bounds = _bounds(text)
+    runs = [_parse_block(lines[start:end]) for start, end in bounds]
     telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(runs))
     _LOG.debug("parsed campaign log", runs=len(runs))
     return runs
+
+
+def parse_records(text: str) -> Tuple[RunRecord, ...]:
+    """Parse a whole campaign log straight into :class:`RunRecord` s.
+
+    The framework's parsing phase and every campaign-journal read go
+    through here.  Blocks, header/body checks and classification are
+    :func:`parse_log`'s, so every malformed block raises as it does
+    there; but a log repeats itself, so each distinct body text is
+    parsed once, and each distinct header up to the run index (with its
+    :class:`CharacterizationSetup`) once; the run index is checked per
+    block.  Counts no metric: the framework's parsing phase books its
+    own, journal reads book none.
+    """
+    heads: Dict[str, Tuple[str, str, CharacterizationSetup, int]] = {}
+    bodies: Dict[Tuple[str, ...], _Body] = {}
+    records: List[RunRecord] = []
+    lines, bounds = _bounds(text)
+    for start, end in bounds:
+        line = lines[start]
+        prefix, _sep, tail = line.rpartition(" run=")
+        run = tail[:-4]
+        head = heads.get(prefix)
+        if head is None or not (tail.endswith(" ===") and run.isdecimal()):
+            header = _parse_header(line)
+            head = heads[prefix] = (
+                header["chip"],
+                header["benchmark"],
+                CharacterizationSetup(
+                    voltage_mv=int(header["voltage"]),
+                    freq_mhz=int(header["freq"]),
+                    core=int(header["core"]),
+                ),
+                int(header["campaign"]),
+            )
+        key = tuple(lines[start + 1:end])
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = _parse_body(line, key)
+        chip, benchmark, setup, campaign_index = head
+        records.append(
+            RunRecord(
+                chip=chip,
+                benchmark=benchmark,
+                setup=setup,
+                campaign_index=campaign_index,
+                run_index=int(run),
+                effects=body.effects,
+                exit_code=body.exit_code,
+                output_matches=body.output_matches,
+                edac_ce=body.edac_ce,
+                edac_ue=body.edac_ue,
+                watchdog_intervened=body.watchdog_action != "none",
+                detail=dict(body.edac_locations),
+            )
+        )
+    return tuple(records)

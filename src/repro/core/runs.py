@@ -11,7 +11,7 @@ aggregates over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Mapping, Optional
+from typing import FrozenSet, Mapping, Optional
 
 from ..effects import EffectType
 from ..errors import CampaignError, ConfigurationError
@@ -118,81 +118,3 @@ class RunRecord:
             )
         except (KeyError, ValueError) as exc:
             raise CampaignError(f"malformed run CSV row {dict(row)!r}: {exc}")
-
-    # -- journal (JSONL) codec --------------------------------------------
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for the campaign journal (``repro.store``)."""
-        return {
-            "chip": self.chip,
-            "benchmark": self.benchmark,
-            "core": self.setup.core,
-            "voltage_mv": self.setup.voltage_mv,
-            "freq_mhz": self.setup.freq_mhz,
-            "campaign": self.campaign_index,
-            "run": self.run_index,
-            "effects": sorted(e.value for e in self.effects),
-            "exit_code": self.exit_code,
-            "output_matches": self.output_matches,
-            "edac_ce": self.edac_ce,
-            "edac_ue": self.edac_ue,
-            "watchdog": self.watchdog_intervened,
-            "detail": dict(self.detail),
-        }
-
-    @classmethod
-    def from_json_dict(
-        cls,
-        data: Mapping[str, Any],
-        setups: Optional[Dict[Any, CharacterizationSetup]] = None,
-        effect_sets: Optional[Dict[Any, FrozenSet[EffectType]]] = None,
-    ) -> "RunRecord":
-        """Inverse of :meth:`to_json_dict` (exact, including ``detail``).
-
-        ``setups`` / ``effect_sets`` memoize the decoded setup per raw
-        ``(voltage_mv, freq_mhz, core)`` and the effect set per raw
-        effects list across the records of one journal line: each
-        distinct value is still built (and validated) once, through the
-        same constructors.
-        """
-        setups = {} if setups is None else setups
-        effect_sets = {} if effect_sets is None else effect_sets
-        try:
-            where = (data["voltage_mv"], data["freq_mhz"], data["core"])
-            setup = setups.get(where)
-            if setup is None:
-                setup = setups[where] = CharacterizationSetup(
-                    voltage_mv=int(where[0]),
-                    freq_mhz=int(where[1]),
-                    core=int(where[2]),
-                )
-            raw_effects = tuple(data["effects"])
-            effects = effect_sets.get(raw_effects)
-            if effects is None:
-                effects = effect_sets[raw_effects] = frozenset(
-                    EffectType(value) for value in raw_effects
-                )
-            return cls(
-                chip=data["chip"],
-                benchmark=data["benchmark"],
-                setup=setup,
-                campaign_index=int(data["campaign"]),
-                run_index=int(data["run"]),
-                effects=effects,
-                exit_code=(
-                    None if data["exit_code"] is None else int(data["exit_code"])
-                ),
-                output_matches=(
-                    None if data["output_matches"] is None
-                    else bool(data["output_matches"])
-                ),
-                edac_ce=int(data["edac_ce"]),
-                edac_ue=int(data["edac_ue"]),
-                watchdog_intervened=bool(data["watchdog"]),
-                detail={
-                    str(key): int(count)
-                    for key, count in dict(data.get("detail", {})).items()
-                },
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CampaignError(f"malformed journal run record: {exc}")

@@ -6,7 +6,8 @@ crashes and accumulating everything into uniform CSV artifacts
 operator runs continuously across many machines.  This package is that
 durability layer for the reproduction: a schema-versioned
 (``repro-campaign/v1``), append-only journal where every completed
-campaign lands as typed records under a manifest that pins the machine
+campaign lands as its raw log (parsed back into typed records on
+open) under a manifest that pins the machine
 spec, grid, seed material and severity weights -- plus the fleet layer
 (``repro-fleet/v1``) that shards one journal per machine under an
 atomically written fleet manifest, and warm in-memory indexes that

@@ -440,7 +440,9 @@ class FleetStore:
 
         Journal lines re-serialize byte-identically (``json.dumps(...,
         sort_keys=True)``), so compaction is a pure permutation of the
-        existing line bytes into manifest grid order -- every read-path
+        existing line bytes into manifest grid order (a line written
+        before run records left the journal loses its unread
+        ``records`` key) -- every read-path
         answer (results, indexes, exports) is append-order invariant
         and therefore unchanged; a compacted shard re-opens as if the
         grid had run serially.

@@ -258,12 +258,15 @@ class PredictionFeatureIndex:
         self._cursors: Dict[int, int] = {core: 0 for core in manifest.cores}
         self._datasets: Dict[CellKey, "RegressionDataset"] = {}
 
-    def refresh(self, store: CampaignStore) -> int:
-        """Advance every core's cursor; returns batches folded in."""
+    def refresh(
+        self, store: CampaignStore, cores: Optional[Tuple[int, ...]] = None
+    ) -> int:
+        """Advance the cursors of ``cores`` (default: every core);
+        returns batches folded in."""
         from ..prediction.dataset import iter_journal_datasets
 
         folded = 0
-        for core in self._manifest.cores:
+        for core in self._manifest.cores if cores is None else cores:
             for batch in iter_journal_datasets(
                 store, core, start=self._cursors[core], target=self.target
             ):
@@ -408,9 +411,9 @@ class StoreIndexes:
         count = self._cell_counts.get(cell, 0) + 1
         self._cell_counts[cell] = count
         if count == self._needed:
-            # A record just completed its grid cell: exactly when the
-            # JournalBatch cursors have a batch to emit.
-            self.features.refresh(self.store)
+            # A record just completed its grid cell: exactly when its
+            # core's JournalBatch cursor has a batch to emit.
+            self.features.refresh(self.store, cores=(stored.core,))
 
     def refresh(self) -> int:
         """Fold in records the bundle has not seen yet; returns count."""

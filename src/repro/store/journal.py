@@ -11,7 +11,7 @@ A campaign store is a directory with exactly two files:
   the grid and every task's derived seed -- which is what makes a
   journal resumable bit-identically.
 * ``journal.jsonl`` -- one line per completed (workload, core,
-  campaign) task, appended as tasks finish (see
+  campaign) task and its raw log, appended as tasks finish (see
   :class:`~repro.store.records.StoredCampaign`), kept as a
   :class:`~repro.durable.AppendLog`: a crash can tear at most the
   trailing line; corruption anywhere else is an error, never silently
@@ -233,11 +233,14 @@ class CampaignStore:
         looked; returns how many records are new to it.
 
         Reads from the journal's last known end offset, so appends by
-        other store objects or processes cost only their own bytes.  A
-        torn tail is left for later (the task simply reruns); a task
-        outside the manifest grid or a duplicate raises
-        :class:`~repro.errors.CampaignError`, and the store is left as
-        it was.  If the journal was replaced (compacted by another
+        other store objects or processes cost only their own bytes;
+        each new line's records are parsed from its raw log here.  A
+        torn tail is left for later (the task simply reruns); a line
+        that lacks a key or whose raw log does not parse raises
+        :class:`~repro.errors.StoreError` naming the file and line, and
+        a task outside the manifest grid or a duplicate raises
+        :class:`~repro.errors.CampaignError`; either way the store is
+        left as it was.  If the journal was replaced (compacted by another
         process) or shrank, the store reloads it from byte 0 and takes
         the on-disk order.  Observers see each new record once, in
         journal order; a reload re-announces none they already saw.
@@ -247,7 +250,12 @@ class CampaignStore:
         campaigns: List[StoredCampaign] = []
         keys: Set[TaskKey] = set()
         for line, data in lines:
-            campaign = StoredCampaign.from_json_dict(data)
+            try:
+                campaign = StoredCampaign.from_json_dict(data)
+            except CampaignError as exc:
+                raise StoreError(
+                    f"journal line {line} in {self.journal_path}: {exc}"
+                )
             if campaign.key not in self._expected:
                 raise CampaignError(
                     f"journal line {line} records task "

@@ -1,22 +1,24 @@
 """Journal payloads of the campaign store.
 
-One journal line is one completed campaign: the parsed
-:class:`~repro.core.runs.RunRecord` set plus the provenance a resume
-needs to prove bit-identity -- the derived machine seed the campaign
-ran with, the watchdog intervention count and the raw log text.  The
-line is self-contained on purpose; replaying a journal never requires
-re-running or re-parsing anything.
+One journal line is one completed campaign: the raw log text plus the
+provenance a resume needs to prove bit-identity -- the derived machine
+seed the campaign ran with and the watchdog intervention count.  The
+raw log is the only persisted form of the runs: reading a line runs the
+framework's parsing phase (:func:`repro.core.parser.parse_records`) on
+it, as the paper's framework derives every result from its raw logs.
+Replaying a journal never re-runs anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Mapping, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from ..core.campaign import CampaignResult
-from ..core.runs import CharacterizationSetup, RunRecord
-from ..effects import EffectType
-from ..errors import CampaignError
+from ..core.memo import frozen_cached_property
+from ..core.parser import parse_records
+from ..core.runs import RunRecord
+from ..errors import CampaignError, ConfigurationError, ParseError
 
 
 @dataclass(frozen=True)
@@ -33,9 +35,11 @@ class StoredCampaign:
     freq_mhz: int
     #: Watchdog recoveries performed during this campaign.
     interventions: int
-    #: Raw campaign log text, so the derived CSV/log exports of a
-    #: resumed grid equal those of an uninterrupted one.
+    #: Raw campaign log text: the journaled form of the runs, and the
+    #: source of the derived CSV/log exports of a resumed grid.
     raw_log: str
+    #: The classified runs: kept from the kernel on append, parsed from
+    #: :attr:`raw_log` on read; never journaled.
     records: Tuple[RunRecord, ...]
 
     def __post_init__(self) -> None:
@@ -52,8 +56,8 @@ class StoredCampaign:
         """Key of the raw log in the framework's log mapping."""
         return (self.benchmark, self.core, self.freq_mhz, self.campaign_index)
 
-    def campaign_result(self) -> CampaignResult:
-        """Rebuild the in-memory campaign aggregate."""
+    @frozen_cached_property
+    def _result(self) -> CampaignResult:
         return CampaignResult(
             chip=self.records[0].chip,
             benchmark=self.benchmark,
@@ -63,10 +67,15 @@ class StoredCampaign:
             records=self.records,
         )
 
+    def campaign_result(self) -> CampaignResult:
+        """The in-memory campaign aggregate, built once per line, so
+        every index over it shares one per-voltage aggregation."""
+        return self._result
+
     # -- JSONL codec -------------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, Any]:
-        """Plain-dict form of one journal line."""
+        """Plain-dict form of one journal line (no run records)."""
         return {
             "benchmark": self.benchmark,
             "core": self.core,
@@ -75,19 +84,13 @@ class StoredCampaign:
             "freq_mhz": self.freq_mhz,
             "interventions": self.interventions,
             "raw_log": self.raw_log,
-            "records": [record.to_json_dict() for record in self.records],
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "StoredCampaign":
-        """Inverse of :meth:`to_json_dict`.
-
-        The run records of one line share few distinct setups and
-        effect sets, so each is decoded once per line (see
-        :meth:`RunRecord.from_json_dict`).
-        """
-        setups: Dict[Any, CharacterizationSetup] = {}
-        effect_sets: Dict[Any, FrozenSet[EffectType]] = {}
+        """Inverse of :meth:`to_json_dict`: the records are parsed from
+        ``raw_log``.  A ``records`` key (written by older versions) is
+        never read."""
         try:
             return cls(
                 benchmark=data["benchmark"],
@@ -97,10 +100,12 @@ class StoredCampaign:
                 freq_mhz=int(data["freq_mhz"]),
                 interventions=int(data["interventions"]),
                 raw_log=data["raw_log"],
-                records=tuple(
-                    RunRecord.from_json_dict(entry, setups, effect_sets)
-                    for entry in data["records"]
-                ),
+                records=parse_records(data["raw_log"]),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except KeyError as exc:
+            raise CampaignError(f"journal campaign line lacks key {exc}")
+        except (
+            AttributeError, ValueError, TypeError, ParseError,
+            ConfigurationError,
+        ) as exc:
             raise CampaignError(f"malformed journal campaign line: {exc}")

@@ -302,24 +302,23 @@ def fleet_status(
     fleet: Union[str, Path],
     metrics_path: Optional[Union[str, Path]] = None,
 ) -> FleetStatus:
-    """Summarize a fleet store, serving Vmin from the warm indexes.
+    """Summarize a fleet store, with each shard's Vmin per cell.
 
     Progress is re-derived from the shard journals on disk (the fleet
     manifest's watermarks may lag a concurrent appender); the per-cell
-    Vmin answers come from each shard's incremental
-    :class:`~repro.store.VminIndex` -- the contract that the index is
-    answer-identical to a re-parse is what makes this safe.
+    Vmin answers come from each shard's
+    :class:`~repro.store.VminIndex`, built alone (status reads no
+    severity or feature answers).
     """
     # Lazy for the same reason as campaign_status: repro.store imports
     # repro.telemetry at module level.
-    from ..store import StoreIndexes, FleetStore
+    from ..store import FleetStore, VminIndex
 
     opened = FleetStore.open(fleet)
     shards: List[FleetShardStatus] = []
     for entry in opened.manifest.shards:
         store = opened.shard(entry)
-        indexes = StoreIndexes(store)
-        vmin = indexes.vmin
+        vmin = VminIndex.from_reparse(store)
         chip = store.manifest.spec.chip
         chip_name = (
             chip if isinstance(chip, str) else getattr(chip, "name", str(chip))

@@ -20,6 +20,7 @@ import repro.durable as durable
 from repro.analysis.lint.cache import FileAnalysis, load_cache, save_cache
 from repro.core import FrameworkConfig
 from repro.core.campaign import CampaignResult
+from repro.core.parser import format_run_block
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
 from repro.machines import MachineSpec
@@ -61,9 +62,19 @@ def campaign(index):
                           records=(record,))
 
 
+def raw_log(index):
+    """The log block :func:`campaign`'s one run parses back from."""
+    return format_run_block(
+        chip="TTT", benchmark="bwaves", core=0, voltage_mv=905,
+        freq_mhz=2400, campaign_index=index, run_index=1, exit_code=0,
+        output="ok", expected_output="ok", edac_ce=0, edac_ue=0,
+        responsive=True,
+    )
+
+
 def journal(store, *indexes):
     for index in indexes:
-        store.append_campaign(campaign(index), "log\n", seed=index,
+        store.append_campaign(campaign(index), raw_log(index), seed=index,
                               interventions=0)
 
 

@@ -622,6 +622,18 @@ class TestFleetDerived:
         assert f"({len(SPECS)} shards)" in rendered
         assert rendered.count("mcf c0: Vmin 890 mV, crash 880") == len(SPECS)
 
+    def test_fleet_status_builds_only_the_vmin_index(
+            self, complete_fleet, monkeypatch):
+        from repro import telemetry
+        from repro.store import index
+
+        def no_bundle(*_args, **_kwargs):
+            raise AssertionError("status built the whole index bundle")
+
+        monkeypatch.setattr(index.StoreIndexes, "__init__", no_bundle)
+        status = telemetry.fleet_status(complete_fleet)
+        assert all(len(shard.vmin_cells) == 1 for shard in status.shards)
+
     def test_fleet_report_covers_every_shard(self, complete_fleet):
         from repro.analysis.report import fleet_report
 

@@ -14,7 +14,12 @@ from repro.core.campaign import CharacterizationResult
 from repro.core.results import ResultStore
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
-from repro.errors import CampaignError, ConfigurationError, CorruptLogError
+from repro.errors import (
+    CampaignError,
+    ConfigurationError,
+    CorruptLogError,
+    StoreError,
+)
 from repro.machines import build_machine
 from repro.parallel import (
     MachineSpec,
@@ -149,21 +154,6 @@ class TestRunRecordCodecs:
         fields.update(overrides)
         return RunRecord(**fields)
 
-    def test_json_round_trip_is_exact(self):
-        record = self.record()
-        rebuilt = RunRecord.from_json_dict(record.to_json_dict())
-        assert rebuilt == record
-        assert rebuilt.detail == {"mismatched_lines": 12}
-
-    def test_json_survives_serialization(self):
-        record = self.record(exit_code=139, output_matches=False)
-        payload = json.dumps(record.to_json_dict(), sort_keys=True)
-        assert RunRecord.from_json_dict(json.loads(payload)) == record
-
-    def test_malformed_json_dict_rejected(self):
-        with pytest.raises(CampaignError, match="malformed"):
-            RunRecord.from_json_dict({"chip": "TTT"})
-
     def test_csv_row_round_trip(self):
         record = self.record(detail={})
         row = {key: str(value) for key, value in record.csv_row().items()}
@@ -183,17 +173,30 @@ class TestStoredCampaign:
             campaign_index=campaign.campaign_index,
             seed=derive_task_seed(SPEC.seed, "bwaves", 0, 1),
             freq_mhz=campaign.freq_mhz, interventions=3,
-            raw_log="=== RUN ...\n", records=campaign.records,
+            raw_log=reference.raw_logs[
+                ("bwaves", 0, campaign.freq_mhz, campaign.campaign_index)],
+            records=campaign.records,
         )
 
     def test_json_round_trip(self, reference):
+        """The line carries the raw log only; decoding parses the
+        records back out of it, equal to the kernel-built ones."""
         stored = self.stored(reference)
-        assert StoredCampaign.from_json_dict(stored.to_json_dict()) == stored
+        data = stored.to_json_dict()
+        assert set(data) == {"benchmark", "campaign", "core", "freq_mhz",
+                             "interventions", "raw_log", "seed"}
+        decoded = StoredCampaign.from_json_dict(json.loads(json.dumps(data)))
+        assert decoded == stored
+        assert decoded.records == stored.records
 
     def test_campaign_result_reconstruction(self, reference):
         stored = self.stored(reference)
         assert stored.campaign_result() == reference.results[
             ("bwaves", 0)].campaigns[0]
+
+    def test_campaign_result_is_built_once(self, reference):
+        stored = self.stored(reference)
+        assert stored.campaign_result() is stored.campaign_result()
 
     def test_empty_records_rejected(self, reference):
         with pytest.raises(CampaignError):
@@ -201,30 +204,178 @@ class TestStoredCampaign:
                 benchmark="bwaves", core=0, campaign_index=1, seed=1,
                 freq_mhz=2400, interventions=0, raw_log="", records=())
 
-
-class TestMemoizedDecode:
-    def test_memoized_records_equal_per_record_decode(self, full_store):
-        full_dir, _ = full_store
-        for text in (full_dir / JOURNAL_NAME).read_text().splitlines():
-            data = json.loads(text)
-            stored = StoredCampaign.from_json_dict(data)
-            assert stored.records == tuple(
-                RunRecord.from_json_dict(entry) for entry in data["records"]
-            )
-            # Equal setups are one shared object within a line.
-            assert len({id(r.setup) for r in stored.records}) == len(
-                {r.setup for r in stored.records})
-
-    def test_malformed_record_mid_line_rejected(self, full_store):
-        full_dir, _ = full_store
-        data = json.loads((full_dir / JOURNAL_NAME).read_text().splitlines()[0])
-        data["records"][3]["effects"] = ["NOT-AN-EFFECT"]
+    def test_lines_without_runs_or_keys_rejected(self, reference):
+        data = self.stored(reference).to_json_dict()
+        with pytest.raises(CampaignError, match="lacks key 'seed'"):
+            StoredCampaign.from_json_dict(
+                {k: v for k, v in data.items() if k != "seed"})
+        with pytest.raises(CampaignError, match="at least one record"):
+            StoredCampaign.from_json_dict(dict(data, raw_log=""))
         with pytest.raises(CampaignError, match="malformed"):
-            StoredCampaign.from_json_dict(data)
-        data["records"][3]["effects"] = data["records"][2]["effects"]
-        data["records"][5]["voltage_mv"] = "905mV"
-        with pytest.raises(CampaignError, match="malformed"):
-            StoredCampaign.from_json_dict(data)
+            StoredCampaign.from_json_dict(dict(data, raw_log=None))
+
+
+def legacy_line(stored):
+    """A journal line in the shape written before run records left the
+    journal: the same keys plus a ``records`` list."""
+    data = stored.to_json_dict()
+    data["records"] = [
+        {
+            "chip": r.chip, "benchmark": r.benchmark,
+            "core": r.setup.core, "voltage_mv": r.setup.voltage_mv,
+            "freq_mhz": r.setup.freq_mhz, "campaign": r.campaign_index,
+            "run": r.run_index,
+            "effects": sorted(e.value for e in r.effects),
+            "exit_code": r.exit_code, "output_matches": r.output_matches,
+            "edac_ce": r.edac_ce, "edac_ue": r.edac_ue,
+            "watchdog": r.watchdog_intervened, "detail": dict(r.detail),
+        }
+        for r in stored.records
+    ]
+    return json.dumps(data, sort_keys=True)
+
+
+class TestRawLogJournal:
+    """Journal lines hold the raw log; the records are parsed on open."""
+
+    def test_appended_records_equal_the_reopened_parse(self, tmp_path):
+        """The kernel's in-memory records (kept by the append path) equal
+        what a fresh open parses back out of the journaled raw logs, on
+        a grid whose logs hold every block shape."""
+        config = FrameworkConfig(start_mv=910, campaigns=2, runs_per_level=4)
+        names = ["bwaves", "mcf", "namd"]
+        store = CampaignStore.create(tmp_path, SPEC, config, names, CORES)
+        ParallelCampaignEngine(SPEC, config).run(
+            [get_benchmark(name) for name in names], CORES, store=store)
+        appended = store.campaigns()
+        reopened = CampaignStore.open(tmp_path).campaigns()
+        assert len(appended) == len(names) * len(CORES) * config.campaigns
+        assert [c.key for c in reopened] == [c.key for c in appended]
+        for kernel, parsed in zip(appended, reopened):
+            assert parsed == kernel
+            assert parsed.records == kernel.records
+            assert [r.detail for r in parsed.records] == [
+                r.detail for r in kernel.records]
+        records = [r for c in appended for r in c.records]
+        effects = set().union(*(r.effects for r in records))
+        assert {EffectType.SC, EffectType.AC, EffectType.SDC,
+                EffectType.CE, EffectType.UE} <= effects
+        assert any(len(r.detail) > 1 for r in records)
+
+    def test_corrupt_raw_log_mid_journal_names_file_and_line(
+            self, full_store, tmp_path):
+        target = truncated_copy(full_store[0], tmp_path, keep=TOTAL_TASKS)
+        journal = target / JOURNAL_NAME
+        lines = journal.read_text().splitlines()
+        data = json.loads(lines[1])
+        data["raw_log"] = data["raw_log"].replace("status=", "state=", 1)
+        lines[1] = json.dumps(data, sort_keys=True)
+        journal.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StoreError) as excinfo:
+            CampaignStore.open(target)
+        message = str(excinfo.value)
+        assert "line 2" in message and str(journal) in message
+        assert "missing status line" in message
+
+    def test_line_lacking_a_key_names_file_and_line(self, full_store, tmp_path):
+        target = truncated_copy(full_store[0], tmp_path, keep=TOTAL_TASKS)
+        journal = target / JOURNAL_NAME
+        lines = journal.read_text().splitlines()
+        data = json.loads(lines[2])
+        del data["raw_log"]
+        lines[2] = json.dumps(data, sort_keys=True)
+        journal.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StoreError, match="line 3 in .*lacks key 'raw_log'"):
+            CampaignStore.open(target)
+
+    def test_legacy_lines_with_records_open_identically(
+            self, full_store, tmp_path):
+        full_dir, baseline = full_store
+        target = truncated_copy(full_dir, tmp_path, keep=0)
+        current = CampaignStore.open(full_dir).campaigns()
+        (target / JOURNAL_NAME).write_text(
+            "".join(legacy_line(c) + "\n" for c in current))
+        legacy = CampaignStore.open(target)
+        assert legacy.campaigns() == current
+        assert [c.records for c in legacy.campaigns()] == [
+            c.records for c in current]
+        exported = tmp_path / "export"
+        legacy.export_csv(exported)
+        for name in ("runs.csv", "severity.csv"):
+            assert (exported / name).read_bytes() == (
+                baseline / name).read_bytes()
+
+    def test_legacy_fleet_answers_query_json_bytes(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.parallel import run_fleet
+        from repro.store import FleetStore
+
+        specs = [SPEC, MachineSpec(chip="TFF", seed=2018)]
+        FleetStore.create(tmp_path, specs, CFG, ["bwaves"], CORES)
+        run_fleet(tmp_path)
+        query = ["fleet", "query", str(tmp_path), "--json"]
+        assert main(query) == 0
+        before = capsys.readouterr().out
+        for _entry, store in FleetStore.open(tmp_path).shards():
+            store.journal_path.write_text("".join(
+                legacy_line(c) + "\n" for c in store.campaigns()))
+        assert main(query) == 0
+        assert capsys.readouterr().out == before
+        assert main(query + ["--reparse"]) == 0
+        assert capsys.readouterr().out == before
+        assert before.count("# shard ") == 2
+
+    def test_legacy_records_key_is_never_read(self, full_store, tmp_path):
+        """A pre-existing ``records`` list is ignored, even a wrong one:
+        the raw log is the only source of the runs."""
+        full_dir, _ = full_store
+        target = truncated_copy(full_dir, tmp_path, keep=0)
+        first = CampaignStore.open(full_dir).campaigns()[0]
+        data = json.loads(legacy_line(first))
+        data["records"] = [{"effects": ["NOT-AN-EFFECT"]}]
+        (target / JOURNAL_NAME).write_text(json.dumps(data) + "\n")
+        assert CampaignStore.open(target).campaigns() == [first]
+
+
+class TestWarmIndexBuild:
+    """One aggregate per journal line, one cursor walk per completed cell."""
+
+    def test_campaign_aggregates_are_built_once(self, full_store, monkeypatch):
+        from repro.core import campaign
+        from repro.store import StoreIndexes, reparse_serialization
+
+        indexed = []
+        build = campaign._index_records
+
+        def counting(records):
+            indexed.append(records)
+            return build(records)
+
+        monkeypatch.setattr(campaign, "_index_records", counting)
+        store = CampaignStore.open(full_store[0])
+        bundle = StoreIndexes(store)
+        assert len(indexed) == TOTAL_TASKS
+        store.results()
+        assert len(indexed) == TOTAL_TASKS
+        assert bundle.serialize() == reparse_serialization(store)
+
+    def test_completed_cell_walks_only_its_core(self, full_store, monkeypatch):
+        from repro.prediction import dataset
+        from repro.store import StoreIndexes, reparse_serialization
+
+        walked = []
+        walk = dataset.iter_journal_datasets
+
+        def counting(store, core, **kwargs):
+            walked.append(core)
+            return walk(store, core, **kwargs)
+
+        monkeypatch.setattr(dataset, "iter_journal_datasets", counting)
+        store = CampaignStore.open(full_store[0])
+        bundle = StoreIndexes(store)
+        assert walked == CORES  # one walk per completed cell
+        monkeypatch.undo()
+        assert bundle.serialize() == reparse_serialization(store)
 
 
 class TestJournalRefresh:
