@@ -24,7 +24,7 @@ from ..data.calibration import chip_calibration
 from ..energy.tradeoffs import TradeoffPoint
 from ..errors import CampaignError, ConfigurationError
 from ..prediction.pipeline import PredictionReport
-from ..store import CampaignStore, FleetStore
+from ..store import AnyStore, CampaignStore, open_store
 from .figures import (
     figure3_vmin_series,
     figure4_region_grid,
@@ -32,13 +32,6 @@ from .figures import (
     figure7_prediction_series,
     figure9_series,
 )
-
-
-def _as_store(store: "str | Path | CampaignStore") -> CampaignStore:
-    """Accept a CampaignStore or a store directory path."""
-    if isinstance(store, CampaignStore):
-        return store
-    return CampaignStore.open(store)
 
 
 class FigureExporter:
@@ -129,29 +122,23 @@ class FigureExporter:
             rows,
         )
 
-    # -- from a campaign store ---------------------------------------------
+    # -- from a store --------------------------------------------------------
 
-    def figure3_from_store(
-        self, store: "str | Path | CampaignStore"
-    ) -> Path:
+    def figure3_from_store(self, journal: CampaignStore) -> Path:
         """Figure 3 with the journaled measurements filled in.
 
         The figure plots each chip's *most robust* core; store cells
         for that core override the calibration anchors, every other
         (chip, benchmark) pair falls back to the model.
         """
-        journal = _as_store(store)
         measured: Dict[Tuple[str, str], CharacterizationResult] = {}
         for (bench, core), result in journal.results().items():
             if core == chip_calibration(result.chip).most_robust_core():
                 measured[(result.chip, bench)] = result
         return self.figure3(measured=measured)
 
-    def figure4_from_store(
-        self, store: "str | Path | CampaignStore"
-    ) -> Path:
+    def figure4_from_store(self, journal: CampaignStore) -> Path:
         """Figure 4 with every journaled (chip, benchmark, core) cell."""
-        journal = _as_store(store)
         measured = {
             (result.chip, bench, core): result
             for (bench, core), result in journal.results().items()
@@ -160,7 +147,7 @@ class FigureExporter:
 
     def figure5_from_store(
         self,
-        store: "str | Path | CampaignStore",
+        journal: CampaignStore,
         benchmark: Optional[str] = None,
     ) -> Path:
         """Figure 5 for one journaled benchmark across its cores.
@@ -168,7 +155,6 @@ class FigureExporter:
         ``benchmark`` defaults to the first workload of the manifest
         grid (the figure shows a single benchmark's heat-map).
         """
-        journal = _as_store(store)
         name = benchmark if benchmark is not None else journal.manifest.workloads[0]
         results_by_core = {
             core: result
@@ -182,15 +168,23 @@ class FigureExporter:
         return self.figure5(results_by_core)
 
     def export_store_figures(
-        self, store: "str | Path | CampaignStore"
-    ) -> Mapping[str, Path]:
-        """Export every measurement figure a campaign store can feed."""
-        journal = _as_store(store)
-        return {
-            "figure3": self.figure3_from_store(journal),
-            "figure4": self.figure4_from_store(journal),
-            "figure5": self.figure5_from_store(journal),
-        }
+        self, store: AnyStore
+    ) -> Mapping[str, Mapping[str, Path]]:
+        """Every measurement figure a store can feed, shard by shard.
+
+        Each shard (a standalone store is one) writes its figure 3/4/5
+        CSVs under ``<export dir>/<shard name>/``; the result maps shard
+        name to figure name to path.
+        """
+        exports: Dict[str, Mapping[str, Path]] = {}
+        for entry, journal in open_store(store).shards():
+            exporter = FigureExporter(self.directory / entry.name)
+            exports[entry.name] = {
+                "figure3": exporter.figure3_from_store(journal),
+                "figure4": exporter.figure4_from_store(journal),
+                "figure5": exporter.figure5_from_store(journal),
+            }
+        return exports
 
     def export_model_figures(self) -> Mapping[str, Path]:
         """Export every figure derivable without measurements."""
@@ -199,24 +193,3 @@ class FigureExporter:
             "figure4": self.figure4(),
             "figure9": self.figure9(),
         }
-
-    # -- from a fleet store ------------------------------------------------
-
-    def export_fleet_figures(
-        self, fleet: "str | Path | FleetStore"
-    ) -> Mapping[str, Mapping[str, Path]]:
-        """Per-shard measurement figures, one subdirectory per shard.
-
-        Each shard exports exactly what a standalone
-        :meth:`export_store_figures` over that machine's store would,
-        under ``<export dir>/<shard name>/`` -- the fleet variant adds
-        layout, not a new serialization.
-        """
-        store = (
-            fleet if isinstance(fleet, FleetStore) else FleetStore.open(fleet)
-        )
-        exports: Dict[str, Mapping[str, Path]] = {}
-        for entry, shard in store.shards():
-            exporter = FigureExporter(self.directory / entry.name)
-            exports[entry.name] = exporter.export_store_figures(shard)
-        return exports

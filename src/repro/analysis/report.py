@@ -9,7 +9,7 @@ by the benchmark harness and EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..data.calibration import chip_calibration
 from ..energy.savings import headline_savings
@@ -17,6 +17,9 @@ from ..energy.tradeoffs import figure9_ladder
 from ..units import PMD_NOMINAL_MV
 from ..workloads.spec2006 import benchmark as get_benchmark
 from ..workloads.spec2006 import figure_benchmarks
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..store import AnyStore
 
 
 def _worst_robust_saving_pct(chip: str) -> float:
@@ -157,62 +160,26 @@ def render_claims(checks: List[ClaimCheck]) -> str:
     return "\n".join(lines)
 
 
-def store_report(store: object) -> str:
-    """Markdown section describing a journaled campaign store.
+def store_report(store: "AnyStore") -> str:
+    """Markdown section describing any journaled store, shard by shard.
 
-    The measured counterpart of the model-derived report: provenance
-    from the manifest (spec digest, grid, seed) plus the per-cell grid
-    summary reconstructed from the journal.
+    The measured counterpart of the model-derived report: the header
+    summarizes population, grid and progress; each shard then renders
+    its provenance (chip, spec digest, seed) and the per-cell grid
+    summary reconstructed from its journal.  A standalone store is a
+    one-shard fleet.
     """
-    from ..store import CampaignStore
+    from ..store import open_store
     from .tables import render_table, table_store_summary
 
-    if not isinstance(store, CampaignStore):
-        store = CampaignStore.open(store)  # type: ignore[arg-type]
-    manifest = store.manifest
-    done = len(store.completed_keys())
-    total = len(store.expected_keys())
-    chip = manifest.spec.chip
-    chip_name = chip if isinstance(chip, str) else chip.name
-    lines = [
-        "## Measured campaign store",
-        "",
-        f"- chip: {chip_name} (spec digest `{manifest.spec.digest()[:12]}`)",
-        f"- seed: {manifest.spec.seed}",
-        f"- grid: {len(manifest.workloads)} workload(s) x "
-        f"{len(manifest.cores)} core(s) x {manifest.config.campaigns} "
-        f"campaign(s)",
-        f"- progress: {done}/{total} tasks journaled"
-        + ("" if store.is_complete() else " (resumable with `repro resume`)"),
-        f"- watchdog recoveries: {store.interventions()}",
-        "",
-        "```",
-        render_table(*table_store_summary(store)),
-        "```",
-    ]
-    return "\n".join(lines)
-
-
-def fleet_report(fleet: object) -> str:
-    """Markdown section describing a fleet store, shard by shard.
-
-    The fleet header summarizes population and progress from the fleet
-    manifest; each shard then renders the same per-cell grid table a
-    standalone :func:`store_report` would, so fleet and single-machine
-    reports stay comparable side by side.
-    """
-    from ..store import FleetStore
-    from .tables import render_table, table_store_summary
-
-    if not isinstance(fleet, FleetStore):
-        fleet = FleetStore.open(fleet)  # type: ignore[arg-type]
+    fleet = open_store(store)
     manifest = fleet.manifest
     done = sum(
-        len(store.completed_keys()) for _entry, store in fleet.shards()
+        len(shard.completed_keys()) for _entry, shard in fleet.shards()
     )
     total = manifest.tasks_total()
     lines = [
-        "## Fleet campaign store",
+        "## Measured campaign store",
         "",
         f"- shards: {len(manifest.shards)} machine(s), digest "
         f"`{fleet.fleet_digest()}`",
@@ -220,10 +187,10 @@ def fleet_report(fleet: object) -> str:
         f"{len(manifest.cores)} core(s) x {manifest.config.campaigns} "
         f"campaign(s)",
         f"- progress: {done}/{total} tasks journaled"
-        + ("" if done == total else " (resumable with `repro fleet run`)"),
+        + ("" if done == total else " (resumable with `repro resume`)"),
     ]
-    for entry, store in fleet.shards():
-        chip = store.manifest.spec.chip
+    for entry, shard in fleet.shards():
+        chip = shard.manifest.spec.chip
         chip_name = chip if isinstance(chip, str) else chip.name
         state = " [compacted]" if entry.compacted else ""
         lines += [
@@ -231,13 +198,13 @@ def fleet_report(fleet: object) -> str:
             f"### Shard {entry.name}{state}",
             "",
             f"- chip: {chip_name} (spec digest `{entry.spec_digest[:12]}`)",
-            f"- seed: {store.manifest.spec.seed}",
-            f"- progress: {len(store.completed_keys())}/{entry.total} "
+            f"- seed: {shard.manifest.spec.seed}",
+            f"- progress: {len(shard.completed_keys())}/{entry.total} "
             f"tasks journaled",
-            f"- watchdog recoveries: {store.interventions()}",
+            f"- watchdog recoveries: {shard.interventions()}",
             "",
             "```",
-            render_table(*table_store_summary(store)),
+            render_table(*table_store_summary(shard)),
             "```",
         ]
     return "\n".join(lines)

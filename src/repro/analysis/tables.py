@@ -7,10 +7,13 @@ in :mod:`repro.hardware` without updating the documented parameters).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..core.severity import DEFAULT_WEIGHTS
 from ..effects import EFFECT_DESCRIPTIONS, EffectType
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..store import CampaignStore
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -83,17 +86,15 @@ def table3_effects() -> Tuple[List[str], List[List[str]]]:
     return headers, rows
 
 
-def table_store_summary(store: object) -> Tuple[List[str], List[List[str]]]:
-    """Per-cell summary of a journaled campaign store.
+def table_store_summary(
+    store: "CampaignStore",
+) -> Tuple[List[str], List[List[str]]]:
+    """Per-cell summary of one journaled store shard.
 
     Not a paper table -- the operational counterpart: what a six-month
     unattended campaign's progress report looks like, one row per
     (benchmark, core) grid cell reconstructed from the journal.
     """
-    from ..store import CampaignStore
-
-    if not isinstance(store, CampaignStore):
-        store = CampaignStore.open(store)  # type: ignore[arg-type]
     campaigns_expected = store.manifest.config.campaigns
     done = {key[:2]: 0 for key in store.completed_keys()}
     for key in store.completed_keys():

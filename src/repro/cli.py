@@ -7,27 +7,36 @@ One subcommand per workflow::
     repro characterize CHIP BENCH     run an undervolting campaign
                                       (or --machine spec.json)
     repro grid CHIP                   benchmark x core grid in parallel
-    repro resume STORE                continue a journaled campaign grid
-    repro status STORE [--models]     campaign progress, tallies, ETA,
-                                      and saved model artifacts
+    repro resume STORE                continue a journaled grid (every
+                                      shard of a fleet), export CSVs
+    repro status STORE [--models]     progress, tallies, Vmin per cell,
+                                      ETA, and saved model artifacts
     repro tradeoffs                   the Figure-9 ladder + headlines
     repro predict                     the Section-4.3 studies
     repro predict --model STORE       serve the latest trained artifact
-    repro train STORE [--follow]      stream-train models from a journal
-    repro fleet                       generated-fleet Vmin statistics
+    repro train STORE [--follow]      stream-train one model from every
+                                      shard's journal
+    repro variation                   generated-population Vmin statistics
     repro fleet init FLEET_DIR        create a sharded fleet store
     repro fleet run FLEET_DIR         run/resume every shard of a fleet
-    repro fleet status FLEET_DIR      cross-shard progress, Vmin per cell
-    repro fleet query FLEET_DIR       Vmin/severity/feature queries
+    repro fleet status FLEET_DIR      the same report as `repro status`
+    repro fleet query STORE           Vmin/severity/feature queries
                                       (--json [--reparse] for the
                                       index-equals-reparse byte check)
-    repro fleet compact FLEET_DIR     fold complete shards into
+    repro fleet compact STORE         fold complete shards into
                                       grid-order segments
     repro analyze TRACE_DIR [--json]  trace analytics: critical path,
                                       per-phase attribution, stragglers
     repro dash STORE [--once]         live dashboard: progress, tsdb
                                       metrics, ETA, health verdicts
     repro lint [PATH...]              reprolint invariant checker
+
+Every verb that reads a store takes either shape: a fleet directory
+(``fleet.json``) or a standalone campaign store, which opens as a
+one-shard fleet (:func:`repro.store.open_store`).  A one-shard fleet's
+model digest is its machine-spec digest, so a standalone store keeps
+its models in its own ``models/``.  Read verbs (``status``, ``query``,
+``dash``, ``report``, ``predict --model``) write nothing into a store.
 
 All numbers are deterministic in ``--seed``.  Long runs should pass
 ``--store DIR`` (``characterize``/``grid``): every completed campaign
@@ -50,7 +59,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import __version__, telemetry
 from .analysis.lint.cli import build_lint_parser, run_lint
@@ -296,63 +305,46 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _run_resume(args: argparse.Namespace) -> int:
+    from .parallel import run_fleet
+    from .store import open_store
+
     try:
-        store = CampaignStore.open(args.store)
+        fleet = open_store(args.store)
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    manifest = store.manifest
-    done = len(store.completed_keys())
-    total = len(store.expected_keys())
+    done = sum(len(shard.completed_keys()) for _, shard in fleet.shards())
+    total = fleet.manifest.tasks_total()
     print(f"resuming campaign store {args.store}: {done}/{total} tasks "
           f"journaled, {total - done} to run (jobs={args.jobs}) ...")
-    machine = build_machine(manifest.spec)
-    framework = CharacterizationFramework(machine, manifest.config)
     try:
-        results = framework.characterize_many(
-            manifest.programs(), list(manifest.cores), jobs=args.jobs,
-            progress=ConsoleProgress(), store=store, resume=True,
-        )
+        report = run_fleet(fleet, jobs=args.jobs, progress=ConsoleProgress())
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = framework.last_engine_report
-    print(f"backend        : {report.backend} (jobs={report.jobs})")
-    print(f"replayed       : {report.tasks_skipped} journaled task(s)")
-    print(f"executed       : {report.tasks_run} task(s)")
-    print(f"recoveries     : {report.interventions}")
-    _print_grid_summary(results)
-    store.export_csv()
-    print(f"CSV artifacts exported to {store.directory}")
+    for name, shard_report in report.reports.items():
+        print(f"shard {name}:")
+        print(f"backend        : {shard_report.backend} "
+              f"(jobs={shard_report.jobs})")
+        print(f"replayed       : {shard_report.tasks_skipped} "
+              f"journaled task(s)")
+        print(f"executed       : {shard_report.tasks_run} task(s)")
+        print(f"recoveries     : {shard_report.interventions}")
+        _print_grid_summary(shard_report.results)
+    fleet.export_csv()
+    print(f"CSV artifacts exported to {args.store}")
     return 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    """Report a campaign store's progress without touching it.
-
-    Pointed at a fleet store (a directory holding ``fleet.json``), it
-    serves cross-shard status, Vmin per cell included, instead.
-    """
-    from pathlib import Path
-
-    from .store import FLEET_MANIFEST_NAME
-
-    if (Path(args.store) / FLEET_MANIFEST_NAME).exists():
-        try:
-            status = telemetry.fleet_status(
-                args.store, metrics_path=args.metrics
-            )
-        except (CampaignError, ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(telemetry.render_fleet_status(status), end="")
-        return 0
+    """Report any store's progress, shard by shard, without touching it
+    (``repro status`` and ``repro fleet status``)."""
     try:
-        status = telemetry.campaign_status(args.store, metrics_path=args.metrics)
+        status = telemetry.fleet_status(args.store, metrics_path=args.metrics)
     except (CampaignError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(telemetry.render_status(status), end="")
+    print(telemetry.render_fleet_status(status), end="")
     if args.models:
         try:
             models = telemetry.model_statuses(args.store)
@@ -383,7 +375,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_dash(args: argparse.Namespace) -> int:
-    """Live dashboard over a campaign or fleet store.
+    """Live dashboard over any store.
 
     Read-only: safe to point at a store another process is writing.
     Follows until the grid completes unless ``--once``; the tsdb
@@ -443,27 +435,28 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _store_core(store: CampaignStore, requested: Optional[int]) -> int:
+def _store_core(cores: Tuple[int, ...], requested: Optional[int]) -> int:
     """Resolve a --core flag against the store's grid (default: first)."""
     if requested is None:
-        return store.manifest.cores[0]
-    if requested not in store.manifest.cores:
+        return cores[0]
+    if requested not in cores:
         raise CampaignError(
-            f"core {requested} is not in the store grid "
-            f"{store.manifest.cores!r}"
+            f"core {requested} is not in the store grid {cores!r}"
         )
     return requested
 
 
 def _run_predict_model(args: argparse.Namespace) -> int:
-    """Serve the latest trained model artifacts of a campaign store."""
+    """Serve the latest trained model artifacts of any store."""
+    from .store import open_store
+
     try:
-        store = CampaignStore.open(args.model)
-        core = _store_core(store, args.core)
+        fleet = open_store(args.model)
+        core = _store_core(fleet.manifest.cores, args.core)
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    models = store.model_store()
+    models = fleet.model_store()
     series = [(t, c) for t, c in models.series() if c == core]
     if not series:
         print(f"error: no model artifacts for core {core} under "
@@ -486,46 +479,54 @@ def _run_predict_model(args: argparse.Namespace) -> int:
         if target != "vmin":
             continue
         print(f"  {'benchmark':<14} {'predicted':>9} {'journaled':>9}")
-        for program in store.manifest.programs():
-            # Canonical serving profile: a machine built fresh from the
-            # store's spec per program (matches the training features).
-            machine = store.manifest.spec.build()
-            snapshot = machine.profile_program(program, core=0)
-            predicted = artifact.predict_row(assembler.vector_by_name(snapshot))
-            try:
-                actual = f"{store.result_for(program.name, core).highest_vmin_mv:>6} mV"
-            except CampaignError:
-                actual = "     --"
-            print(f"  {program.name:<14} {predicted:>6.1f} mV {actual:>9}")
+        for entry, store in fleet.shards():
+            print(f"  shard {entry.name}:")
+            for program in store.manifest.programs():
+                # Canonical serving profile: a machine built fresh from
+                # the shard's spec per program (matches the training
+                # features).
+                machine = store.manifest.spec.build()
+                snapshot = machine.profile_program(program, core=0)
+                predicted = artifact.predict_row(
+                    assembler.vector_by_name(snapshot)
+                )
+                try:
+                    vmin = store.result_for(program.name, core).highest_vmin_mv
+                    actual = f"{vmin:>6} mV"
+                except CampaignError:
+                    actual = "     --"
+                print(f"  {program.name:<14} {predicted:>6.1f} mV {actual:>9}")
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    """Stream-train prediction models from a store journal."""
+    """Stream-train prediction models from a store's journals."""
     with _telemetry_scope(args):
         return _run_train(args)
 
 
 def _run_train(args: argparse.Namespace) -> int:
+    from .store import open_store
+
     try:
-        store = CampaignStore.open(args.store)
-        core = _store_core(store, args.core)
+        fleet = open_store(args.store)
+        core = _store_core(fleet.manifest.cores, args.core)
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     targets = TRAINABLE_TARGETS if args.target == "all" else (args.target,)
     trainers: Dict[str, StreamingTrainer] = {}
-    models = store.model_store()
+    models = fleet.model_store()
     for target in targets:
         # Resume from the latest saved artifact when one exists, so a
         # killed `repro train` never replays consumed journal records.
         if models.versions(target, core):
             artifact = models.load(target, core)
-            trainers[target] = StreamingTrainer.resume(store, artifact)
+            trainers[target] = StreamingTrainer.resume(fleet, artifact)
             print(f"{target} c{core}: resuming from v{artifact.version} "
                   f"(journal offset {artifact.journal_offset})")
         else:
-            trainers[target] = StreamingTrainer(store, core, target=target)
+            trainers[target] = StreamingTrainer(fleet, core, target=target)
     while True:
         for target, trainer in trainers.items():
             consumed = trainer.consume()
@@ -541,23 +542,18 @@ def _run_train(args: argparse.Namespace) -> int:
                       f"offset {saved.journal_offset}, drift {drift_text})")
         if not args.follow:
             return 0
-        if store.is_complete():
+        if all(shard.is_complete() for _, shard in fleet.shards()):
             print("store complete; follow mode done")
             return 0
         time.sleep(args.poll)
-        for trainer in trainers.values():
-            trainer.refresh()
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Dispatch ``repro fleet <subcommand>``; bare ``repro fleet`` keeps
-    the legacy generated-fleet Vmin statistics."""
-    handler = getattr(args, "fleet_func", None)
-    if handler is not None:
-        return int(handler(args))
+def _cmd_variation(args: argparse.Namespace) -> int:
+    """Vmin statistics of a generated part population
+    (:mod:`repro.hardware.variation`)."""
     generator = ChipGenerator(args.corner, lot_seed=args.seed)
-    fleet = generator.fleet(args.count)
-    stats = fleet_vmin_distribution(fleet)
+    population = generator.fleet(args.count)
+    stats = fleet_vmin_distribution(population)
     print(f"{args.count} generated {args.corner}-population parts "
           f"(worst-case chip Vmin @2.4 GHz):")
     for key in ("mean_mv", "std_mv", "min_mv", "max_mv"):
@@ -640,21 +636,8 @@ def _run_fleet_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    """Cross-shard progress and each shard's Vmin per cell."""
-    try:
-        status = telemetry.fleet_status(
-            args.fleet_dir, metrics_path=args.metrics
-        )
-    except (CampaignError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(telemetry.render_fleet_status(status), end="")
-    return 0
-
-
 def _cmd_fleet_query(args: argparse.Namespace) -> int:
-    """Answer Vmin/severity queries from the warm fleet indexes.
+    """Answer Vmin/severity queries from the warm indexes of any store.
 
     ``--json`` emits the canonical index serialization (built inside
     ``repro.store`` -- the single sanctioned writer of index bytes);
@@ -798,6 +781,16 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
                              "and the health rules; requires --store)")
 
 
+def _add_status_arguments(parser: argparse.ArgumentParser) -> None:
+    """The arguments ``repro status`` and ``repro fleet status`` share."""
+    parser.add_argument("store", metavar="STORE",
+                        help="campaign store or fleet directory to inspect")
+    parser.add_argument("--metrics", default=None, metavar="FILE",
+                        help="JSON metrics snapshot (from --metrics) to "
+                             "derive the task-rate ETA from")
+    parser.set_defaults(func=_cmd_status, models=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -868,24 +861,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_resume = sub.add_parser(
         "resume", help="continue an interrupted --store campaign grid")
     p_resume.add_argument("store", metavar="STORE",
-                          help="campaign store directory to resume")
+                          help="campaign store or fleet directory to resume")
     p_resume.add_argument("--jobs", type=_job_count, default=1,
                           help="worker count for the remaining tasks")
     _add_telemetry_flags(p_resume)
     p_resume.set_defaults(func=_cmd_resume)
 
     p_status = sub.add_parser(
-        "status", help="report a campaign store's progress and tallies")
-    p_status.add_argument("store", metavar="STORE",
-                          help="campaign store directory to inspect")
-    p_status.add_argument("--metrics", default=None, metavar="FILE",
-                          help="JSON metrics snapshot (from --metrics) to "
-                               "derive the task-rate ETA from")
+        "status", help="report a store's progress, tallies and Vmin per cell")
+    _add_status_arguments(p_status)
     p_status.add_argument("--models", action="store_true",
                           help="also list the store's saved model "
                                "artifacts (version, journal offset, "
                                "drift metrics)")
-    p_status.set_defaults(func=_cmd_status)
 
     p_trade = sub.add_parser("tradeoffs", help="Figure 9 and headlines")
     p_trade.add_argument("--chip", choices=CHIP_NAMES, default="TTT")
@@ -902,8 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--seed", type=int, default=2017)
     p_pred.add_argument("--model", default=None, metavar="STORE",
                         help="serve the latest repro-model/v1 artifacts "
-                             "saved under this campaign store instead of "
-                             "running the from-scratch studies")
+                             "saved under this store instead of running "
+                             "the from-scratch studies")
     p_pred.add_argument("--core", type=int, default=None,
                         help="grid core to serve predictions for "
                              "(default: the store's first core; only "
@@ -911,9 +899,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.set_defaults(func=_cmd_predict)
 
     p_train = sub.add_parser(
-        "train", help="stream-train prediction models from a store journal")
+        "train", help="stream-train prediction models from a store's "
+                      "journals")
     p_train.add_argument("store", metavar="STORE",
-                         help="campaign store directory to train from")
+                         help="campaign store or fleet directory to train "
+                              "one model from")
     p_train.add_argument("--target", choices=TRAINABLE_TARGETS + ("all",),
                          default="all",
                          help="which model(s) to train (default: all)")
@@ -931,19 +921,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="write a markdown report")
     p_report.add_argument("--out", default=None, help="output file path")
     p_report.add_argument("--store", default=None, metavar="DIR",
-                          help="append the measured grid of a campaign "
-                               "store to the report")
+                          help="append the measured grid of a store "
+                               "(shard by shard) to the report")
     p_report.set_defaults(func=_cmd_report)
 
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="fleet-sharded campaign stores (bare: generated-fleet "
-             "statistics)")
-    p_fleet.add_argument("--corner", choices=CHIP_NAMES, default="TTT")
-    p_fleet.add_argument("--count", type=int, default=50)
-    p_fleet.add_argument("--seed", type=int, default=0)
-    p_fleet.set_defaults(func=_cmd_fleet)
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command")
+    p_var = sub.add_parser(
+        "variation", help="Vmin statistics of a generated part population")
+    p_var.add_argument("--corner", choices=CHIP_NAMES, default="TTT")
+    p_var.add_argument("--count", type=int, default=50)
+    p_var.add_argument("--seed", type=int, default=0)
+    p_var.set_defaults(func=_cmd_variation)
+
+    p_fleet = sub.add_parser("fleet", help="fleet-sharded campaign stores")
+    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
 
     pf_init = fleet_sub.add_parser(
         "init", help="create a fleet store: one journal shard per machine")
@@ -968,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="runs per undervolt level")
     pf_init.add_argument("--start-mv", type=int, default=PMD_NOMINAL_MV,
                          help="first undervolt level in mV")
-    pf_init.set_defaults(fleet_func=_cmd_fleet_init)
+    pf_init.set_defaults(func=_cmd_fleet_init)
 
     pf_run = fleet_sub.add_parser(
         "run", help="run (or resume) every shard of a fleet store")
@@ -979,21 +969,16 @@ def build_parser() -> argparse.ArgumentParser:
     pf_run.add_argument("--shards", default=None, metavar="NAME1,NAME2,...",
                         help="only run these shard names (default: all)")
     _add_telemetry_flags(pf_run)
-    pf_run.set_defaults(fleet_func=_cmd_fleet_run)
+    pf_run.set_defaults(func=_cmd_fleet_run)
 
     pf_status = fleet_sub.add_parser(
-        "status", help="cross-shard progress and Vmin per cell")
-    pf_status.add_argument("fleet_dir", metavar="FLEET_DIR",
-                           help="fleet store directory")
-    pf_status.add_argument("--metrics", default=None, metavar="FILE",
-                           help="JSON metrics snapshot to derive the "
-                                "task-rate ETA from")
-    pf_status.set_defaults(fleet_func=_cmd_fleet_status)
+        "status", help="the same report as `repro status`")
+    _add_status_arguments(pf_status)
 
     pf_query = fleet_sub.add_parser(
         "query", help="answer Vmin/severity queries from the warm indexes")
-    pf_query.add_argument("fleet_dir", metavar="FLEET_DIR",
-                          help="fleet store directory")
+    pf_query.add_argument("fleet_dir", metavar="STORE",
+                          help="fleet or campaign store directory")
     pf_query.add_argument("--benchmark", default=None,
                           help="restrict to one benchmark")
     pf_query.add_argument("--core", type=int, default=None,
@@ -1007,16 +992,16 @@ def build_parser() -> argparse.ArgumentParser:
                                "through a full journal re-parse (must be "
                                "identical -- the index-equals-reparse "
                                "contract)")
-    pf_query.set_defaults(fleet_func=_cmd_fleet_query)
+    pf_query.set_defaults(func=_cmd_fleet_query)
 
     pf_compact = fleet_sub.add_parser(
         "compact", help="fold complete shards into grid-order segments")
-    pf_compact.add_argument("fleet_dir", metavar="FLEET_DIR",
-                            help="fleet store directory")
+    pf_compact.add_argument("fleet_dir", metavar="STORE",
+                            help="fleet or campaign store directory")
     pf_compact.add_argument("--force", action="store_true",
                             help="compact even when a saved model's "
                                  "streaming cursor points mid-journal")
-    pf_compact.set_defaults(fleet_func=_cmd_fleet_compact)
+    pf_compact.set_defaults(func=_cmd_fleet_compact)
 
     p_analyze = sub.add_parser(
         "analyze", help="trace analytics over a --trace directory")
@@ -1029,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_dash = sub.add_parser(
-        "dash", help="live dashboard over a campaign or fleet store")
+        "dash", help="live dashboard over any store")
     p_dash.add_argument("store", metavar="STORE",
                         help="campaign store or fleet directory to watch")
     p_dash.add_argument("--once", action="store_true",

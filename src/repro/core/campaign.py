@@ -20,7 +20,7 @@ lets the parallel engine hammer these paths at fleet scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from ..effects import EffectType
 from ..errors import CampaignError
@@ -28,6 +28,9 @@ from .memo import frozen_cached_property
 from .regions import OperatingRegions, merge_counts, regions_from_counts
 from .runs import RunRecord
 from .severity import DEFAULT_WEIGHTS, SeverityWeights, severity_value
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..store import AnyStore
 
 
 class _VoltageIndex(NamedTuple):
@@ -143,19 +146,24 @@ class CharacterizationResult:
 
     @classmethod
     def from_store(
-        cls, store: object, benchmark: str, core: int
+        cls, store: "AnyStore", benchmark: str, core: int
     ) -> "CharacterizationResult":
-        """Reconstruct one grid cell from a journaled campaign store.
+        """Reconstruct one grid cell from a one-machine journaled store.
 
-        ``store`` is a :class:`repro.store.CampaignStore` or a path to
-        one.  Imported lazily: ``repro.store`` sits above the core layer
-        and importing it here at module level would create a cycle.
+        ``store`` is anything :func:`repro.store.open_store` accepts
+        that holds a single shard.  Imported lazily: ``repro.store``
+        sits above the core layer and importing it here at module level
+        would create a cycle.
         """
-        from ..store import CampaignStore
+        from ..store import open_store
 
-        if not isinstance(store, CampaignStore):
-            store = CampaignStore.open(store)  # type: ignore[arg-type]
-        return store.result_for(benchmark, core)
+        shards = open_store(store).shards()
+        if len(shards) != 1:
+            raise CampaignError(
+                f"a grid cell belongs to one machine, but this store has "
+                f"{len(shards)} shards; pass one shard's store"
+            )
+        return shards[0][1].result_for(benchmark, core)
 
     def __post_init__(self) -> None:
         if not self.campaigns:

@@ -25,19 +25,14 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..core.campaign import CampaignResult, CharacterizationResult
 from ..core.framework import FrameworkConfig
 from ..errors import CampaignError, ConfigurationError
 from ..machines import MachineSpec, as_machine_spec
-from ..store import (
-    FLEET_MANIFEST_NAME,
-    MANIFEST_NAME,
-    CampaignStore,
-    FleetStore,
-)
+from ..store import AnyStore, CampaignStore, open_store, store_exists
 from ..workloads.benchmark import Benchmark, Program
 from .progress import NULL_PROGRESS, ProgressReporter, ProgressTracker
 from .tasks import (
@@ -173,7 +168,7 @@ class ParallelCampaignEngine:
         self,
         workloads: Sequence[object],
         cores: Sequence[int],
-        store: Optional[Union[str, Path, CampaignStore, FleetStore]] = None,
+        store: Optional[AnyStore] = None,
         resume: bool = False,
     ) -> EngineReport:
         """Characterize every workload on every core.
@@ -252,41 +247,37 @@ class ParallelCampaignEngine:
 
     def _prepare_store(
         self,
-        store: Optional[Union[str, Path, CampaignStore, FleetStore]],
+        store: Optional[AnyStore],
         tasks: List[CampaignTask],
         cores: Sequence[int],
         resume: bool,
     ) -> Optional[CampaignStore]:
         """Open/create the journal for this grid and validate it.
 
-        A :class:`FleetStore` (or a path holding a ``fleet.json``)
-        routes by this engine's machine-spec digest to the fleet shard
-        that owns it; everything downstream -- checkpointing, replay,
-        resume -- then runs against that shard exactly as it would
-        against a standalone store, which is why a fleet of N machines
-        resumes bit-identically to N independent runs.
+        An open :class:`CampaignStore` is used as given.  Anything else
+        opens as a fleet (:func:`~repro.store.open_store`; a standalone
+        store is its one-shard view) and routes by this engine's
+        machine-spec digest to the shard that owns it -- a directory
+        holding no store yet is created as a standalone one.
+        Checkpointing, replay and resume then run against that shard,
+        which is why a fleet of N machines resumes bit-identically to N
+        independent runs.
         """
         if store is None:
             if resume:
                 raise ConfigurationError("resume=True requires a store")
             return None
         workload_names = list(dict.fromkeys(t.program.name for t in tasks))
-        if isinstance(store, FleetStore):
-            journal = store.shard_for(self.spec)
-        elif isinstance(store, CampaignStore):
+        if isinstance(store, CampaignStore):
             journal = store
+        elif isinstance(store, (str, Path)) and not (
+            resume or store_exists(store)
+        ):
+            journal = CampaignStore.create(
+                store, self.spec, self.config, workload_names, cores
+            )
         else:
-            directory = Path(store)
-            if (directory / FLEET_MANIFEST_NAME).exists():
-                journal = FleetStore.open(directory).shard_for(self.spec)
-            elif (directory / MANIFEST_NAME).exists():
-                journal = CampaignStore.open(directory)
-            elif resume:
-                raise CampaignError(f"no campaign store to resume at {directory}")
-            else:
-                journal = CampaignStore.create(
-                    directory, self.spec, self.config, workload_names, cores
-                )
+            journal = open_store(store).shard_for(self.spec)
         # A store object handed in may predate appends made since.
         journal.refresh()
         journal.validate_run(self.spec, self.config, workload_names, cores)

@@ -19,10 +19,9 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from ..store import FleetManifest, FleetStore
+from ..store import AnyStore, FleetManifest, open_store
 from ..workloads.benchmark import Program
 from .engine import EngineReport, ParallelCampaignEngine
 from .progress import NULL_PROGRESS, ProgressReporter
@@ -43,7 +42,7 @@ class FleetRunReport:
 
 
 def run_fleet(
-    fleet: Union[str, Path, FleetStore],
+    fleet: AnyStore,
     jobs: int = 1,
     backend: str = "auto",
     chunk_size: Optional[int] = None,
@@ -51,13 +50,15 @@ def run_fleet(
     use_kernel: bool = True,
     shards: Optional[Sequence[str]] = None,
 ) -> FleetRunReport:
-    """Run (or resume) every shard of a fleet to completion.
+    """Run (or resume) every shard of a store to completion.
 
-    ``shards`` restricts the run to the named shards -- the others are
-    left untouched, to be run later or by another process; watermarks
-    still refresh fleet-wide afterwards.
+    ``fleet`` is any store shape (:func:`~repro.store.open_store`): a
+    standalone store runs as its one shard.  ``shards`` restricts the
+    run to the named shards -- the others are left untouched, to be run
+    later or by another process; watermarks still refresh fleet-wide
+    afterwards.
     """
-    store = fleet if isinstance(fleet, FleetStore) else FleetStore.open(fleet)
+    store = open_store(fleet)
     manifest = store.manifest
     programs: List[Program] = manifest_programs(manifest)
     selected = set(shards) if shards is not None else None

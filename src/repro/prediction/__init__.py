@@ -16,7 +16,8 @@ are still running*: :func:`iter_journal_datasets` cuts resumable
 dataset cursors from a campaign-store journal,
 :class:`OnlineLeastSquares` accumulates them into a recursive
 least-squares model matching the batch refit to floating-point
-tolerance, and :class:`StreamingTrainer` wraps both with prequential
+tolerance, and :class:`StreamingTrainer` wraps both -- one cursor per
+store shard, so one model spans a whole fleet -- with prequential
 drift tracking and versioned ``repro-model/v1`` artifacts
 (:mod:`repro.store.models`).
 """
@@ -44,11 +45,7 @@ from .pipeline import (
     fit_severity_model_from_store,
     fit_vmin_model_from_store,
 )
-from .streaming import (
-    TRAINABLE_TARGETS,
-    FleetStreamingTrainer,
-    StreamingTrainer,
-)
+from .streaming import TRAINABLE_TARGETS, StreamingTrainer
 from .crossval import (
     CrossValidationReport,
     TransferReport,
@@ -80,7 +77,6 @@ __all__ = [
     "batch_fit",
     "fit_severity_model_from_store",
     "fit_vmin_model_from_store",
-    "FleetStreamingTrainer",
     "StreamingTrainer",
     "TRAINABLE_TARGETS",
     "CrossValidationReport",

@@ -5,15 +5,16 @@ the dependent and independent variables": here a feature vector (PMU
 counters, optionally plus the characterization voltage), a target
 (Vmin or severity) and a metadata tag identifying its origin.
 
-Datasets can also be assembled straight from a journaled campaign
-store (:func:`vmin_dataset_from_store` /
-:func:`severity_dataset_from_store`): the characterization targets
-come from the journal and the PMU features from a machine rebuilt
-from the store's embedded spec -- so the training box never needs the
-in-memory objects of the box that ran the campaigns.  Each program is
-profiled on its *own* freshly built machine, which makes the feature
-vectors a pure function of (spec, program): the same rows come out
-whether a journal is consumed whole, in chunks, or out of grid order.
+Datasets can also be assembled straight from a journaled store
+(:func:`vmin_dataset_from_store` / :func:`severity_dataset_from_store`,
+over every shard of a fleet, shard by shard): the characterization
+targets come from the journal and the PMU features from a machine
+rebuilt from each shard's embedded spec -- so the training box never
+needs the in-memory objects of the box that ran the campaigns.  Each
+program is profiled on its *own* freshly built machine, which makes
+the feature vectors a pure function of (spec, program): the same rows
+come out whether a journal is consumed whole, in chunks, or out of
+grid order.
 That invariance is what the streaming cursors
 (:func:`iter_journal_datasets`) rely on.
 """
@@ -21,7 +22,6 @@ That invariance is what the streaming cursors
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -32,7 +32,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -40,11 +39,7 @@ import numpy as np
 from ..errors import DatasetError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..store import CampaignStore
-
-#: A store argument: an open :class:`~repro.store.CampaignStore` or the
-#: directory path of one.
-StoreLike = Union["CampaignStore", str, Path]
+    from ..store import AnyStore, CampaignStore
 
 
 @dataclass(frozen=True)
@@ -156,15 +151,6 @@ def train_test_split(
 # ---------------------------------------------------------------------------
 
 
-def _open_store(store: StoreLike) -> "CampaignStore":
-    """Accept a CampaignStore or a store directory path."""
-    from ..store import CampaignStore
-
-    if isinstance(store, CampaignStore):
-        return store
-    return CampaignStore.open(store)
-
-
 class _ProgramProfiler:
     """Canonical per-program PMU profiles for store-backed datasets.
 
@@ -187,28 +173,30 @@ class _ProgramProfiler:
         return snapshot
 
 
-def vmin_dataset_from_store(store: StoreLike, core: int) -> RegressionDataset:
+def vmin_dataset_from_store(store: "AnyStore", core: int) -> RegressionDataset:
     """Case-1 dataset from a store: counters -> journaled safe Vmin.
 
     The PMU snapshots are profiled per program on machines rebuilt
-    from the store's embedded :class:`~repro.machines.MachineSpec`;
+    from each shard's embedded :class:`~repro.machines.MachineSpec`;
     the Vmin targets are read from the journal, so no campaign is
-    re-run.  Rows follow manifest grid order regardless of the order
-    the journal was appended in.
+    re-run.  Rows follow fleet manifest order, then manifest grid
+    order, regardless of the order the journals were appended in.
     """
+    from ..store import open_store
     from .features import FeatureAssembler
 
-    journal = _open_store(store)
-    profiler = _ProgramProfiler(journal)
-    programs = journal.manifest.programs()
-    snapshots = [profiler.profile(p) for p in programs]
-    targets = [
-        float(journal.result_for(p.name, core).highest_vmin_mv)
-        for p in programs
-    ]
-    return FeatureAssembler().counters_dataset(
-        snapshots, targets, tags=[p.name for p in programs]
-    )
+    snapshots: List[Mapping[str, float]] = []
+    targets: List[float] = []
+    tags: List[str] = []
+    for _entry, journal in open_store(store).shards():
+        profiler = _ProgramProfiler(journal)
+        for program in journal.manifest.programs():
+            snapshots.append(profiler.profile(program))
+            targets.append(
+                float(journal.result_for(program.name, core).highest_vmin_mv)
+            )
+            tags.append(program.name)
+    return FeatureAssembler().counters_dataset(snapshots, targets, tags=tags)
 
 
 def _severity_rows(
@@ -233,7 +221,7 @@ def _severity_rows(
 
 
 def severity_dataset_from_store(
-    store: StoreLike,
+    store: "AnyStore",
     core: int,
     max_samples: Optional[int] = 100,
     seed: int = 2,
@@ -247,19 +235,21 @@ def severity_dataset_from_store(
     to ``max_samples``.  Severity uses the weights pinned in the store
     manifest.  ``max_samples=None`` keeps *every* unsafe-band sample in
     manifest grid order (no shuffle) -- the exhaustive form the
-    streaming trainer's batch-equivalence checks compare against.
+    streaming trainer's batch-equivalence checks compare against.  A
+    fleet contributes every shard's rows, in fleet manifest order.
     """
+    from ..store import open_store
     from .features import FeatureAssembler
 
-    journal = _open_store(store)
-    profiler = _ProgramProfiler(journal)
-    weights = journal.manifest.weights
     rows: List[Tuple[Mapping[str, float], int, float, str]] = []
-    for prog in journal.manifest.programs():
-        result = journal.result_for(prog.name, core)
-        rows.extend(
-            _severity_rows(result, profiler.profile(prog), weights, prog.name)
-        )
+    for _entry, journal in open_store(store).shards():
+        profiler = _ProgramProfiler(journal)
+        weights = journal.manifest.weights
+        for prog in journal.manifest.programs():
+            result = journal.result_for(prog.name, core)
+            rows.extend(_severity_rows(
+                result, profiler.profile(prog), weights, prog.name
+            ))
     if max_samples is None:
         chosen = rows
     else:
@@ -300,13 +290,13 @@ class JournalBatch:
 
 
 def iter_journal_datasets(
-    store: StoreLike,
+    journal: "CampaignStore",
     core: int,
     start: int = 0,
     stop: Optional[int] = None,
     target: str = "vmin",
 ) -> Iterator[JournalBatch]:
-    """Incremental datasets from the journal, resumable by offset.
+    """Incremental datasets from one shard's journal, resumable by offset.
 
     Walks journal records in append order and yields a
     :class:`JournalBatch` each time a (benchmark, ``core``) grid cell
@@ -329,7 +319,6 @@ def iter_journal_datasets(
 
     if target not in ("vmin", "severity"):
         raise DatasetError(f"unknown dataset target {target!r}")
-    journal = _open_store(store)
     records = journal.campaigns()
     if start < 0 or start > len(records):
         raise DatasetError(

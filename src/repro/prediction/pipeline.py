@@ -20,7 +20,15 @@ core (case 2) or the most robust core (case 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -37,6 +45,9 @@ from .linreg import OrdinaryLeastSquares
 from .metrics import r2_score, rmse
 from .naive import NaiveMeanPredictor
 from .rfe import RecursiveFeatureElimination
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..store import AnyStore
 
 
 @dataclass(frozen=True)
@@ -399,12 +410,13 @@ def batch_fit(
 
 
 def fit_vmin_model_from_store(
-    store: object,
+    store: "AnyStore",
     core: int,
     n_features: int = 5,
     rfe_step: int = 8,
 ) -> FittedModel:
-    """From-scratch Vmin model over a completed store's full grid."""
+    """From-scratch Vmin model over a completed store's full grid
+    (every shard of a fleet)."""
     from .dataset import vmin_dataset_from_store
 
     dataset = vmin_dataset_from_store(store, core)
@@ -415,7 +427,7 @@ def fit_vmin_model_from_store(
 
 
 def fit_severity_model_from_store(
-    store: object,
+    store: "AnyStore",
     core: int,
     n_features: int = 5,
     rfe_step: int = 8,

@@ -19,8 +19,11 @@ prequential RMSE and its ratio to the naive baseline -- a ratio
 climbing toward 1 means the model is no better than predicting the
 mean, i.e. the relationship drifted.
 
+The trainer takes any store shape (:func:`repro.store.open_store`): it
+holds one journal cursor per shard, so a standalone store trains on its
+one shard and a fleet trains one model across its machine population.
 The full trainer state (moments, consumed training pairs, prequential
-accumulators, journal offset) round-trips through the
+accumulators, per-shard cursors) round-trips through the
 ``repro-model/v1`` artifact (:mod:`repro.store.models`), so a killed
 ``repro train`` resumes exactly where it stopped without replaying
 consumed records.
@@ -28,37 +31,24 @@ consumed records.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from ..data.counters import COUNTER_NAMES
 from ..errors import PredictionError
-from .dataset import StoreLike, _open_store, iter_journal_datasets
+from .dataset import iter_journal_datasets
 from .features import VOLTAGE_FEATURE
 from .linreg import OnlineLeastSquares
 from .rfe import RecursiveFeatureElimination
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..store import FleetStore
+    from ..store import AnyStore
     from ..store.models import ModelArtifact
 
 #: Targets the trainer knows how to cut from the journal.
 TRAINABLE_TARGETS = ("vmin", "severity")
-
-#: A fleet store or the directory path of one.
-FleetLike = Union["FleetStore", str, Path]
 
 
 def _feature_space(target: str) -> Tuple[str, ...]:
@@ -71,22 +61,38 @@ def _feature_space(target: str) -> Tuple[str, ...]:
 
 
 class StreamingTrainer:
-    """Incremental RFE + RLS training bound to one (store, core, target)."""
+    """Incremental RFE + RLS training bound to one (store, core, target).
+
+    Holds a journal cursor **per shard** of the store and folds each
+    shard's :class:`~repro.prediction.dataset.JournalBatch` stream into
+    the same recursive-least-squares moments, so the fitted model spans
+    the whole machine population -- the paper's fleet framing, where one
+    operator model predicts margins across heterogeneous chips.  A
+    standalone store is a one-shard fleet with one cursor.
+
+    Artifacts pin :meth:`~repro.store.FleetStore.fleet_digest` (a
+    standalone store's machine-spec digest) and belong in
+    ``open_store(store).model_store()``; the per-shard cursors ride
+    along in ``trainer_state``, so kill-and-resume never replays a
+    consumed record on any shard.
+    """
 
     def __init__(
         self,
-        store: StoreLike,
+        store: "AnyStore",
         core: int,
         target: str = "vmin",
         n_features: int = 5,
         rfe_step: int = 8,
     ) -> None:
+        from ..store import open_store
+
         if target not in TRAINABLE_TARGETS:
             raise PredictionError(
                 f"unknown training target {target!r}; "
                 f"expected one of {TRAINABLE_TARGETS}"
             )
-        self.store = _open_store(store)
+        self.fleet = open_store(store)
         self.core = int(core)
         self.target = target
         self.n_features = int(n_features)
@@ -94,7 +100,10 @@ class StreamingTrainer:
         self.forced_features: Tuple[str, ...] = (
             (VOLTAGE_FEATURE,) if target == "severity" else ()
         )
-        self.journal_offset = 0
+        #: Per-shard journal cursors, keyed by shard name.
+        self.cursors: Dict[str, int] = {
+            entry.name: 0 for entry in self.fleet.manifest.shards
+        }
         self._estimator = OnlineLeastSquares(_feature_space(target))
         self._train_pairs: List[Tuple[str, float]] = []
         self._sse_model = 0.0
@@ -130,38 +139,46 @@ class StreamingTrainer:
             return None
         return model / naive
 
-    def refresh(self) -> None:
-        """Fold in records journaled since the store last looked."""
-        self.store.refresh()
+    @property
+    def journal_offset(self) -> int:
+        """Journal records consumed, summed over every shard cursor."""
+        return sum(self.cursors.values())
 
     # -- streaming consumption ---------------------------------------------
 
     def consume(self, stop: Optional[int] = None) -> int:
-        """Train on journal records landed since the cursor; returns
+        """Train on journal records landed since the cursors; returns
         the number of grid-cell batches folded in.
 
-        Each batch is scored against the current model before being
-        trained on (prequential evaluation), which is what feeds the
-        drift gauges without needing a held-out split.
+        Shards are walked in fleet-manifest order and each cached shard
+        store is refreshed first, so records appended by other
+        processes (the campaign runners) are picked up without any
+        shared state beyond the journals themselves.  ``stop`` bounds
+        every shard's walk for chunked replay.  Each batch is scored
+        against the current model before being trained on
+        (prequential evaluation), which is what feeds the drift gauges
+        without needing a held-out split.
         """
         consumed = 0
-        for batch in iter_journal_datasets(
-            self.store,
-            self.core,
-            start=self.journal_offset,
-            stop=stop,
-            target=self.target,
-        ):
-            self._fold_batch(batch)
-            self.journal_offset = batch.offset
-            consumed += 1
+        for entry in self.fleet.manifest.shards:
+            shard = self.fleet.shard(entry)
+            shard.refresh()
+            for batch in iter_journal_datasets(
+                shard,
+                self.core,
+                start=self.cursors[entry.name],
+                stop=stop,
+                target=self.target,
+            ):
+                self._fold_batch(batch)
+                self.cursors[entry.name] = batch.offset
+                consumed += 1
         return consumed
 
     def _fold_batch(self, batch: Any) -> None:
         """Score (prequentially) then train on one grid-cell batch.
 
-        Shared by the single-store cursor and the per-shard fleet
-        cursors: where the batch came from does not change how it folds
+        Which shard the batch came from does not change how it folds
         into the moments, which is why one model can train from a whole
         fleet.
         """
@@ -225,7 +242,7 @@ class StreamingTrainer:
         Returns a :class:`repro.store.models.ModelArtifact` carrying
         the model (when the journal is deep enough to select features)
         plus the full trainer state; persist it with
-        ``store.model_store().save(artifact)``.
+        ``open_store(store).model_store().save(artifact)``.
         """
         from ..store.models import ModelArtifact, train_set_digest
 
@@ -257,7 +274,7 @@ class StreamingTrainer:
             core=self.core,
             version=0,
             journal_offset=self.journal_offset,
-            spec_digest=self.store.manifest.spec.digest(),
+            spec_digest=self.fleet.fleet_digest(),
             feature_names=self._estimator.feature_names,
             selected_features=selected,
             dropped_constant=constant,
@@ -277,6 +294,7 @@ class StreamingTrainer:
                     "sse_naive": self._sse_naive,
                     "n_eval": self._n_eval,
                 },
+                "fleet_cursors": dict(self.cursors),
             },
         )
 
@@ -284,35 +302,50 @@ class StreamingTrainer:
 
     @classmethod
     def resume(
-        cls, store: StoreLike, artifact: "ModelArtifact"
+        cls, store: "AnyStore", artifact: "ModelArtifact"
     ) -> "StreamingTrainer":
         """Rebuild a trainer from a saved artifact's state.
 
-        The resumed trainer continues the journal cursor at
-        ``artifact.journal_offset``; records consumed before the save
-        are never replayed.
+        The resumed trainer continues every shard cursor where the
+        artifact left it; records consumed before the save are never
+        replayed.  An artifact saved before the trainer kept per-shard
+        cursors carries one cursor, its ``journal_offset``; its digest
+        is a machine-spec digest, which only a one-shard store matches.
         """
-        journal = _open_store(store)
-        if artifact.spec_digest != journal.manifest.spec.digest():
+        from ..store import artifact_cursor, open_store
+
+        fleet = open_store(store)
+        if artifact.spec_digest != fleet.fleet_digest():
             raise PredictionError(
                 "model artifact was trained against a different machine "
-                "spec than this campaign store"
+                "spec than this store (or a different fleet population)"
             )
         state: Mapping[str, Any] = artifact.trainer_state
         try:
             trainer = cls(
-                journal,
+                fleet,
                 core=artifact.core,
                 target=artifact.target,
                 n_features=int(state["n_features"]),
                 rfe_step=int(state["rfe_step"]),
             )
+            known = state.get("fleet_cursors", trainer.cursors)
+            cursors = {
+                str(name): artifact_cursor(artifact, str(name))
+                for name in dict(known)
+            }
         except (KeyError, ValueError, TypeError) as exc:
             raise PredictionError(
                 f"model artifact carries unusable trainer state: {exc}"
             )
+        unknown = set(cursors) - set(trainer.cursors)
+        if unknown:
+            raise PredictionError(
+                f"model artifact references unknown fleet shards "
+                f"{sorted(unknown)}"
+            )
         trainer._restore_state(state)
-        trainer.journal_offset = artifact.journal_offset
+        trainer.cursors.update(cursors)
         return trainer
 
     def _restore_state(self, state: Mapping[str, Any]) -> None:
@@ -334,131 +367,7 @@ class StreamingTrainer:
             )
 
 
-class FleetStreamingTrainer(StreamingTrainer):
-    """One incremental model trained from every shard of a fleet.
-
-    The single-store trainer holds one journal cursor; this one holds
-    a cursor **per shard** and folds each shard's
-    :class:`~repro.prediction.dataset.JournalBatch` stream into the
-    same recursive-least-squares moments, so the fitted model spans the
-    whole machine population -- the paper's fleet framing, where one
-    operator model predicts margins across heterogeneous chips.
-
-    Artifacts pin :meth:`~repro.store.FleetStore.fleet_digest` instead
-    of a single machine-spec digest and persist into the fleet-level
-    model store (``FleetStore.model_store()``); the per-shard cursors
-    ride along in ``trainer_state``, so kill-and-resume never replays a
-    consumed record on any shard.
-    """
-
-    def __init__(
-        self,
-        fleet: "FleetLike",
-        core: int,
-        target: str = "vmin",
-        n_features: int = 5,
-        rfe_step: int = 8,
-    ) -> None:
-        from ..store import FleetStore
-
-        self.fleet = (
-            fleet if isinstance(fleet, FleetStore) else FleetStore.open(fleet)
-        )
-        first = self.fleet.shard(self.fleet.manifest.shards[0])
-        super().__init__(first, core, target, n_features, rfe_step)
-        #: Per-shard journal cursors, keyed by shard name.
-        self.cursors: Dict[str, int] = {
-            entry.name: 0 for entry in self.fleet.manifest.shards
-        }
-
-    def refresh(self) -> None:
-        """No-op: :meth:`consume` refreshes every shard from disk."""
-
-    def consume(self, stop: Optional[int] = None) -> int:
-        """Advance every shard cursor; returns batches folded in.
-
-        Shards are walked in fleet-manifest order and each cached shard
-        store is refreshed first, so records appended by other
-        processes (the per-shard campaign runners) are picked up
-        without any shared state beyond the journals themselves.
-        """
-        consumed = 0
-        for entry in self.fleet.manifest.shards:
-            shard = self.fleet.shard(entry)
-            shard.refresh()
-            for batch in iter_journal_datasets(
-                shard,
-                self.core,
-                start=self.cursors[entry.name],
-                stop=stop,
-                target=self.target,
-            ):
-                self._fold_batch(batch)
-                self.cursors[entry.name] = batch.offset
-                consumed += 1
-        self.journal_offset = sum(self.cursors.values())
-        return consumed
-
-    def fit(self) -> "ModelArtifact":
-        """Fleet model artifact: fleet digest + per-shard cursors."""
-        import dataclasses
-
-        artifact = super().fit()
-        state = dict(artifact.trainer_state)
-        state["fleet_cursors"] = dict(self.cursors)
-        return dataclasses.replace(
-            artifact,
-            spec_digest=self.fleet.fleet_digest(),
-            journal_offset=self.journal_offset,
-            trainer_state=state,
-        )
-
-    @classmethod
-    def resume(  # type: ignore[override]
-        cls, store: "FleetLike", artifact: "ModelArtifact"
-    ) -> "FleetStreamingTrainer":
-        """Rebuild a fleet trainer from a saved artifact's state."""
-        from ..store import FleetStore
-
-        fleet = (
-            store if isinstance(store, FleetStore) else FleetStore.open(store)
-        )
-        if artifact.spec_digest != fleet.fleet_digest():
-            raise PredictionError(
-                "model artifact was trained against a different fleet "
-                "(machine population changed)"
-            )
-        state: Mapping[str, Any] = artifact.trainer_state
-        try:
-            trainer = cls(
-                fleet,
-                core=artifact.core,
-                target=artifact.target,
-                n_features=int(state["n_features"]),
-                rfe_step=int(state["rfe_step"]),
-            )
-            cursors = {
-                str(name): int(offset)
-                for name, offset in dict(state["fleet_cursors"]).items()
-            }
-        except (KeyError, ValueError, TypeError) as exc:
-            raise PredictionError(
-                f"model artifact carries unusable trainer state: {exc}"
-            )
-        unknown = set(cursors) - set(trainer.cursors)
-        if unknown:
-            raise PredictionError(
-                f"model artifact references unknown fleet shards "
-                f"{sorted(unknown)}"
-            )
-        trainer._restore_state(state)
-        trainer.cursors.update(cursors)
-        trainer.journal_offset = artifact.journal_offset
-        return trainer
-
-
 __all__ = [
-    "FleetStreamingTrainer",
     "StreamingTrainer",
     "TRAINABLE_TARGETS",
 ]

@@ -21,7 +21,9 @@ answer Vmin/severity/prediction queries without re-parsing journals.
 * :class:`FleetStore` / :class:`FleetManifest` -- one campaign shard
   per :class:`~repro.machines.MachineSpec` with write routing,
   watermark tracking and grid-order compaction
-  (:mod:`repro.store.fleet`).
+  (:mod:`repro.store.fleet`).  A standalone store opens as a one-shard
+  fleet, and :func:`open_store` turns any store argument (fleet,
+  standalone store, or the directory of either) into that one shape.
 * :class:`VminIndex` / :class:`SeverityIndex` /
   :class:`PredictionFeatureIndex` / :class:`StoreIndexes` /
   :class:`FleetIndexes` -- incremental query indexes, provably
@@ -47,10 +49,14 @@ from .fleet import (
     FLEET_FORMAT,
     FLEET_MANIFEST_NAME,
     SHARDS_DIR,
+    AnyStore,
     FleetIndexes,
     FleetManifest,
     FleetStore,
     ShardEntry,
+    artifact_cursor,
+    open_store,
+    store_exists,
 )
 from .index import (
     INDEX_FORMAT,
@@ -78,6 +84,7 @@ from .models import (
 from .records import StoredCampaign
 
 __all__ = [
+    "AnyStore",
     "CampaignManifest",
     "CampaignStore",
     "FLEET_FORMAT",
@@ -101,6 +108,9 @@ __all__ = [
     "StoreIndexes",
     "StoredCampaign",
     "TaskKey",
+    "artifact_cursor",
+    "open_store",
     "reparse_serialization",
+    "store_exists",
     "train_set_digest",
 ]

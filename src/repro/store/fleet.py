@@ -28,7 +28,11 @@ read from disk.
 
 Shards stay bit-identical to standalone single-machine stores: the
 fleet layer adds routing, aggregation and compaction *around*
-:class:`CampaignStore`, never a different write path through it.
+:class:`CampaignStore`, never a different write path through it.  The
+converse holds too: :meth:`FleetStore.open` presents a plain
+``repro-campaign/v1`` directory as a *one-shard fleet* -- an in-memory
+view (shard path ``.``, watermark derived from the journal) that
+writes no ``fleet.json`` -- so every consumer handles one store shape.
 Compaction (:meth:`FleetStore.compact`) folds healed, complete shards
 into canonical grid-order journal segments -- a pure permutation of
 byte-identical lines, refused while versioned model artifacts hold
@@ -59,11 +63,15 @@ from ..durable import atomic_write
 from ..errors import StoreError
 from ..machines import MachineSpec
 from .index import StoreIndexes
-from .journal import JOURNAL_NAME, CampaignStore, TaskKey
+from .journal import JOURNAL_NAME, MANIFEST_NAME, CampaignStore, TaskKey
 from .records import StoredCampaign
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .models import ModelStore
+    from .models import ModelArtifact, ModelStore
+
+#: Anything :func:`open_store` accepts: an open fleet, an open
+#: standalone store, or the directory of either.
+AnyStore = Union["FleetStore", CampaignStore, str, Path]
 
 #: Format tag of the fleet schema, written into every fleet manifest.
 FLEET_FORMAT = "repro-fleet/v1"
@@ -147,8 +155,9 @@ class FleetManifest:
             if shard.spec_digest == digest:
                 return shard
         raise StoreError(
-            f"no fleet shard routes machine-spec digest {digest}; known "
-            f"shards: {[s.name for s in self.shards]}"
+            f"no shard of this store routes machine-spec digest {digest} "
+            f"(different blueprint or seed material); known shards: "
+            f"{[s.name for s in self.shards]}"
         )
 
     def entry_named(self, name: str) -> ShardEntry:
@@ -218,6 +227,9 @@ class FleetStore:
     def __init__(self, directory: Path, manifest: FleetManifest) -> None:
         self.directory = directory
         self.manifest = manifest
+        #: True for the in-memory one-shard view of a standalone store
+        #: (see :meth:`of`): its manifest is never written to disk.
+        self.standalone = False
         self._stores: Dict[str, CampaignStore] = {}
 
     # -- paths -------------------------------------------------------------
@@ -299,11 +311,16 @@ class FleetStore:
 
     @classmethod
     def open(cls, directory: Union[str, Path]) -> "FleetStore":
-        """Open an existing fleet; shard journals load lazily."""
+        """Open a fleet, or a standalone campaign store as a one-shard
+        fleet (:meth:`of`); shard journals load lazily."""
         path = Path(directory)
         manifest_path = path / FLEET_MANIFEST_NAME
         if not manifest_path.exists():
-            raise StoreError(f"no fleet store at {path}")
+            if (path / MANIFEST_NAME).exists():
+                return cls.of(CampaignStore.open(path))
+            raise StoreError(
+                f"no fleet store (and no campaign store) at {path}"
+            )
         try:
             data = json.loads(manifest_path.read_text())
         except json.JSONDecodeError as exc:
@@ -311,9 +328,45 @@ class FleetStore:
         manifest = FleetManifest.from_json_dict(data, source=manifest_path)
         return cls(path, manifest)
 
+    @classmethod
+    def of(cls, store: CampaignStore) -> "FleetStore":
+        """An open standalone store as a one-shard fleet.
+
+        The view lives in memory only: the shard path is ``.``, the
+        watermark is derived from the journal, and nothing -- no
+        ``fleet.json`` -- is ever written for it.  The shard is named
+        the way ``FleetStore.create`` would name a one-machine fleet's
+        shard, so both serialize their answers identically.
+        """
+        manifest = store.manifest
+        digest = manifest.spec.digest()
+        entry = ShardEntry(
+            name=f"m00-{digest[:8]}",
+            spec_digest=digest,
+            path=".",
+            watermark=len(store.completed_keys()),
+            total=len(store.expected_keys()),
+        )
+        fleet = cls(
+            store.directory,
+            FleetManifest(
+                config=manifest.config,
+                workloads=manifest.workloads,
+                cores=manifest.cores,
+                shards=(entry,),
+                weights=manifest.weights,
+            ),
+        )
+        fleet.standalone = True
+        fleet._stores[digest] = store
+        return fleet
+
     def _write_manifest(self) -> None:
         """Atomic rewrite: readers see old or new ``fleet.json``, never
-        a torn one."""
+        a torn one.  A one-shard view of a standalone store keeps its
+        manifest in memory."""
+        if self.standalone:
+            return
         payload = json.dumps(
             self.manifest.to_json_dict(), indent=2, sort_keys=True
         )
@@ -413,11 +466,14 @@ class FleetStore:
     def fleet_digest(self) -> str:
         """Content digest of the fleet's machine population.
 
-        Hashes the shard spec digests in manifest order; fleet-trained
-        model artifacts pin this the way single-store artifacts pin one
-        machine-spec digest, so a model trained on one fleet cannot be
-        silently served against another.
+        A one-shard fleet's digest is its shard's machine-spec digest,
+        so a standalone store's models keep the digest they always
+        pinned.  Larger fleets hash the shard spec digests in manifest
+        order.  Model artifacts pin this, so a model trained on one
+        population cannot be silently served against another.
         """
+        if len(self.manifest.shards) == 1:
+            return self.manifest.shards[0].spec_digest
         digest = hashlib.sha256()
         for entry in self.manifest.shards:
             digest.update(entry.spec_digest.encode("ascii"))
@@ -426,7 +482,8 @@ class FleetStore:
 
     def model_store(self) -> "ModelStore":
         """The fleet-level model-artifact store (``models/`` at the
-        fleet root), bound to :meth:`fleet_digest`."""
+        fleet root), bound to :meth:`fleet_digest`; for a standalone
+        store that is its own ``models/`` directory."""
         from .models import ModelStore
 
         return ModelStore(
@@ -496,14 +553,37 @@ class FleetStore:
     def _check_cursors(
         self, entry: ShardEntry, store: CampaignStore, force: bool
     ) -> None:
+        """Refuse to reorder a journal under a live training cursor.
+
+        Two model stores can hold a cursor into this shard: the shard's
+        own ``models/`` (one cursor, ``journal_offset``) and the
+        fleet-level one (a cursor per shard in ``fleet_cursors``).  The
+        fleet-level store is read unbound: a cursor blocks compaction
+        whatever population digest its artifact pins.
+        """
+        from .models import ModelStore
+
+        if force:
+            return
         total = len(store.expected_keys())
-        for artifact in store.model_store().latest_artifacts():
-            if 0 < artifact.journal_offset < total and not force:
+        own = store.model_store()
+        cursors = [
+            (artifact, artifact.journal_offset)
+            for artifact in own.latest_artifacts()
+        ]
+        fleet_models = ModelStore(self.directory)
+        if fleet_models.models_path != own.models_path:
+            cursors += [
+                (artifact, artifact_cursor(artifact, entry.name))
+                for artifact in fleet_models.latest_artifacts()
+            ]
+        for artifact, offset in cursors:
+            if 0 < offset < total:
                 raise StoreError(
                     f"shard {entry.name} has model artifact "
                     f"{artifact.target}/core{artifact.core} v"
                     f"{artifact.version} with live journal cursor at "
-                    f"offset {artifact.journal_offset} of {total}; "
+                    f"offset {offset} of {total}; "
                     f"compacting would reorder records under it -- "
                     f"finish training or pass force=True"
                 )
@@ -516,14 +596,17 @@ class FleetStore:
         """Per-shard Section-2.2 CSV artifacts, keyed by shard name.
 
         Each shard exports exactly what its standalone
-        :meth:`CampaignStore.export_csv` would -- fleet aggregation
-        never invents a new serialization of run data.
+        :meth:`CampaignStore.export_csv` would -- into its own directory
+        by default (a standalone store's directory, for its one-shard
+        view), else under ``directory/<shard name>/``.  Fleet
+        aggregation never invents a new serialization of run data.
         """
-        base = self.directory if directory is None else Path(directory)
-        exports: Dict[str, Dict[str, Path]] = {}
-        for entry, store in self.shards():
-            exports[entry.name] = store.export_csv(Path(base) / entry.name)
-        return exports
+        return {
+            entry.name: store.export_csv(
+                None if directory is None else Path(directory) / entry.name
+            )
+            for entry, store in self.shards()
+        }
 
 
 class FleetIndexes:
@@ -594,7 +677,40 @@ class FleetIndexes:
         return "".join(parts)
 
 
+def open_store(store: AnyStore) -> FleetStore:
+    """Every store as a fleet: an open fleet is used as given, an open
+    standalone store becomes its one-shard view, and a directory opens
+    through :meth:`FleetStore.open`."""
+    if isinstance(store, FleetStore):
+        return store
+    if isinstance(store, CampaignStore):
+        return FleetStore.of(store)
+    return FleetStore.open(store)
+
+
+def store_exists(directory: Union[str, Path]) -> bool:
+    """Whether ``directory`` holds a fleet or a standalone store."""
+    path = Path(directory)
+    return any(
+        (path / name).exists() for name in (FLEET_MANIFEST_NAME, MANIFEST_NAME)
+    )
+
+
+def artifact_cursor(artifact: "ModelArtifact", shard: str) -> int:
+    """A model artifact's journal cursor into the named shard.
+
+    Artifacts carry a cursor per shard (``fleet_cursors``); one saved
+    before the trainer kept per-shard cursors holds a single cursor,
+    its ``journal_offset``.
+    """
+    cursors = artifact.trainer_state.get("fleet_cursors")
+    if cursors is None:
+        return artifact.journal_offset
+    return int(cursors.get(shard, 0))
+
+
 __all__ = [
+    "AnyStore",
     "FLEET_FORMAT",
     "FLEET_MANIFEST_NAME",
     "SHARDS_DIR",
@@ -602,4 +718,7 @@ __all__ = [
     "FleetManifest",
     "FleetStore",
     "ShardEntry",
+    "artifact_cursor",
+    "open_store",
+    "store_exists",
 ]

@@ -481,7 +481,11 @@ class CampaignStore:
 
         Results are emitted in manifest grid order regardless of the
         order tasks were journaled in, so an interrupted-and-resumed
-        grid exports byte-identical files to an uninterrupted one.
+        grid exports byte-identical files to an uninterrupted one.  The
+        raw logs are not copied out: the journal already holds them
+        (:meth:`raw_logs`), and
+        :meth:`~repro.core.results.ResultStore.write_all_raw_logs`
+        writes them on explicit request.
         """
         store = ResultStore(self.directory if directory is None else directory)
         results = list(self.results().values())
@@ -491,5 +495,4 @@ class CampaignStore:
                 results, weights=self.manifest.weights
             ),
         }
-        store.write_all_raw_logs(self.raw_logs())
         return paths

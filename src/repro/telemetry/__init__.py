@@ -16,8 +16,8 @@ The ambient context (:mod:`.context`) makes instrumented call sites
 one-liners that no-op when telemetry is off; timestamps come only from
 the injected monotonic clock (:mod:`.clock`), never from inside
 simulation packages, so a telemetry-enabled run produces bit-identical
-stores to a telemetry-off run.  :mod:`.status` turns a store journal
-plus a live metrics snapshot into the ``repro status`` report.
+stores to a telemetry-off run.  :mod:`.status` turns any store's
+journals plus a live metrics snapshot into the ``repro status`` report.
 
 On top of those write-side primitives sits the read/analysis plane:
 
@@ -107,16 +107,13 @@ from .metrics import (
     MetricsRegistry,
 )
 from .status import (
-    CampaignStatus,
     FleetShardStatus,
     FleetStatus,
     ModelStatus,
-    campaign_status,
     fleet_status,
     model_statuses,
     render_fleet_status,
     render_model_status,
-    render_status,
 )
 from .tracing import (
     PARENT_SPAN_ID_BASE,
@@ -217,16 +214,13 @@ __all__ = [
     "M_MODEL_DRIFT",
     "M_TSDB_SNAPSHOTS",
     # status
-    "CampaignStatus",
     "ModelStatus",
     "FleetShardStatus",
     "FleetStatus",
-    "campaign_status",
     "fleet_status",
     "model_statuses",
     "render_fleet_status",
     "render_model_status",
-    "render_status",
     # tracing
     "SPAN_FORMAT",
     "SPAN_SCHEMA",

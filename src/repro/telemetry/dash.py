@@ -1,8 +1,9 @@
 """The ``repro dash`` terminal dashboard.
 
-A :class:`Dashboard` aggregates, for one campaign store or fleet
-directory: task progress (re-derived from the journals, the same way
-``repro status`` does), the metrics time-series journals written by
+A :class:`Dashboard` aggregates, for any store (a fleet, or a
+standalone campaign store as its one-shard view): per-shard task
+progress (re-derived from the journals, the same way ``repro status``
+does), the metrics time-series journals written by
 ``--tsdb`` (read through warm :class:`~repro.telemetry.tsdb.TsdbCursor`
 instances that persist across refreshes, so a ``--follow`` loop only
 parses the bytes appended since the previous frame), an ETA from the
@@ -32,8 +33,8 @@ from .health import (
     render_health,
 )
 from .metrics import M_TASK_SECONDS, M_THROUGHPUT
-from .status import _format_eta, campaign_status
-from .tsdb import TSDB_NAME, TsdbCursor
+from .status import _format_eta
+from .tsdb import TsdbCursor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store import FleetStore
@@ -44,11 +45,10 @@ class DashSnapshot:
     """One rendered-ready frame of the dashboard."""
 
     store_path: str
-    kind: str  # "campaign" | "fleet"
+    kind: str  # "campaign" (a standalone store) | "fleet"
     tasks_total: int
     tasks_completed: int
-    #: (label, done, of) progress rows -- shards for a fleet, grid
-    #: cells for a single campaign store.
+    #: (shard name, done, of) progress rows, in manifest order.
     rows: Tuple[Tuple[str, int, int], ...]
     #: tsdb journals found / snapshot lines consumed across them.
     journals: int
@@ -100,8 +100,8 @@ class Dashboard:
     """Warm-state aggregator behind ``repro dash``.
 
     Keep one instance alive across ``--follow`` refreshes: the tsdb
-    cursors and a fleet's shard stores advance incrementally instead
-    of re-parsing the journals every frame.
+    cursors and the shard stores advance incrementally instead of
+    re-parsing the journals every frame.
     """
 
     def __init__(
@@ -118,31 +118,21 @@ class Dashboard:
         self._cursors: Dict[str, TsdbCursor] = {}
         self._fleet: Optional["FleetStore"] = None
 
-    def _is_fleet(self) -> bool:
-        # Lazy: repro.store imports repro.telemetry at module level.
-        from ..store.fleet import FLEET_MANIFEST_NAME
-
-        return (self.store / FLEET_MANIFEST_NAME).exists()
-
     def _fleet_store(self) -> "FleetStore":
-        """The fleet, opened on first use and kept across frames."""
+        """The store as a fleet, opened on first use and kept across
+        frames."""
         if self._fleet is None:
-            from ..store import FleetStore
+            # Lazy: repro.store imports repro.telemetry at module level.
+            from ..store import open_store
 
-            self._fleet = FleetStore.open(self.store)
+            self._fleet = open_store(self.store)
         return self._fleet
 
-    def _tsdb_paths(self) -> Tuple[Path, ...]:
-        if not self._is_fleet():
-            return (self.store / TSDB_NAME,)
-        fleet = self._fleet_store()
-        return tuple(
-            fleet.tsdb_path(entry) for entry in fleet.manifest.shards
-        )
-
     def _advance_cursors(self) -> List[TsdbCursor]:
+        fleet = self._fleet_store()
         cursors: List[TsdbCursor] = []
-        for path in self._tsdb_paths():
+        for entry in fleet.manifest.shards:
+            path = fleet.tsdb_path(entry)
             key = str(path)
             cursor = self._cursors.get(key)
             if cursor is None:
@@ -156,41 +146,23 @@ class Dashboard:
         """Advance the cursors and assemble one dashboard frame."""
         cursors = self._advance_cursors()
         freshest = _freshest(cursors)
-        mean_task_seconds = freshest.mean(M_TASK_SECONDS)
-        throughput = freshest.last_total(M_THROUGHPUT)
-        verdicts = evaluate_rules(freshest, self.rules)
-
-        rows: List[Tuple[str, int, int]] = []
-        if self._is_fleet():
-            fleet = self._fleet_store()
-            fleet.refresh()
-            kind = "fleet"
-            for entry in fleet.manifest.shards:
-                done = len(fleet.shard(entry).completed_keys())
-                rows.append((entry.name, done, entry.total))
-            tasks_total = sum(total for _, _, total in rows)
-            tasks_completed = sum(done for _, done, _ in rows)
-        else:
-            status = campaign_status(self.store)
-            kind = "campaign"
-            tasks_total = status.tasks_total
-            tasks_completed = status.tasks_completed
-            for benchmark, core, done in status.cells:
-                rows.append(
-                    (f"{benchmark} c{core}", done, status.campaigns_per_cell)
-                )
-
+        fleet = self._fleet_store()
+        fleet.refresh()
+        rows = tuple(
+            (entry.name, len(shard.completed_keys()), entry.total)
+            for entry, shard in fleet.shards()
+        )
         return DashSnapshot(
             store_path=str(self.store),
-            kind=kind,
-            tasks_total=tasks_total,
-            tasks_completed=tasks_completed,
-            rows=tuple(rows),
+            kind="campaign" if fleet.standalone else "fleet",
+            tasks_total=sum(total for _, _, total in rows),
+            tasks_completed=sum(done for _, done, _ in rows),
+            rows=rows,
             journals=sum(1 for c in cursors if c.snapshots > 0),
             snapshots=sum(c.snapshots for c in cursors),
-            mean_task_seconds=mean_task_seconds,
-            throughput=throughput,
-            verdicts=verdicts,
+            mean_task_seconds=freshest.mean(M_TASK_SECONDS),
+            throughput=freshest.last_total(M_THROUGHPUT),
+            verdicts=evaluate_rules(freshest, self.rules),
         )
 
 
@@ -202,12 +174,9 @@ def _progress_bar(fraction: float, width: int = 30) -> str:
 def render_dash(snapshot: DashSnapshot) -> str:
     """One terminal frame for ``repro dash``."""
     lines: List[str] = []
-    shards = (
-        f" ({len(snapshot.rows)} shards)" if snapshot.kind == "fleet" else ""
-    )
     lines.append(
         f"repro dash -- {snapshot.store_path} "
-        f"[{snapshot.kind} store{shards}]"
+        f"[{snapshot.kind} store ({len(snapshot.rows)} shards)]"
     )
     lines.append(
         f"progress: {_progress_bar(snapshot.fraction)} "
@@ -234,8 +203,7 @@ def render_dash(snapshot: DashSnapshot) -> str:
         )
     else:
         lines.append("tsdb: no snapshots yet (run with --tsdb to record them)")
-    label = "shards:" if snapshot.kind == "fleet" else "grid cells:"
-    lines.append(label)
+    lines.append("shards:")
     for name, done, of in snapshot.rows:
         lines.append(f"  {name}: {done}/{of}")
     lines.append(render_health(snapshot.verdicts).rstrip("\n"))

@@ -1,10 +1,14 @@
-"""Campaign status: journal progress + live metrics snapshot.
+"""Store status: journal progress + live metrics snapshot.
 
-:func:`campaign_status` opens a campaign store read-only, tallies
-completed tasks and per-effect run counts from the journal, and (when
-given a metrics JSON snapshot written by ``--metrics``) derives an ETA
-from the observed per-task latency histogram.  :func:`render_status`
-formats the result for the ``repro status`` subcommand.
+:func:`fleet_status` opens any store read-only -- a fleet, or a
+standalone campaign store as its one-shard view -- and per shard
+tallies completed tasks, watchdog interventions, per-effect run counts
+and per-cell campaign counts from the journal, plus each completed
+cell's Vmin from the warm Vmin index.  Given a metrics JSON snapshot
+written by ``--metrics``, it also derives an ETA from the observed
+per-task latency histogram.  :func:`render_fleet_status` formats the
+result for ``repro status``; :func:`model_statuses` lists the store's
+saved model artifacts for ``repro status --models``.
 """
 
 from __future__ import annotations
@@ -12,53 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..effects import EFFECT_ORDER
 from .metrics import METRICS_FORMAT, M_TASK_SECONDS
 
-
-@dataclass(frozen=True)
-class CampaignStatus:
-    """Progress summary of one campaign store."""
-
-    store_path: str
-    chip: str
-    workloads: Tuple[str, ...]
-    cores: Tuple[int, ...]
-    campaigns_per_cell: int
-    tasks_total: int
-    tasks_completed: int
-    interventions: int
-    #: (effect value, run count) pairs in severity order (Table 3).
-    effect_tallies: Tuple[Tuple[str, int], ...]
-    #: (benchmark, core, completed campaigns) per grid cell, grid order.
-    cells: Tuple[Tuple[str, int, int], ...]
-    #: Mean per-task seconds from a live metrics snapshot, if provided.
-    mean_task_seconds: Optional[float] = None
-    #: Whether a metrics snapshot was supplied at all -- distinguishes
-    #: "no snapshot" (omit the ETA line) from "snapshot without task
-    #: samples yet" (render "n/a").
-    metrics_provided: bool = False
-
-    @property
-    def tasks_remaining(self) -> int:
-        return self.tasks_total - self.tasks_completed
-
-    @property
-    def fraction(self) -> float:
-        return self.tasks_completed / self.tasks_total if self.tasks_total else 1.0
-
-    @property
-    def complete(self) -> bool:
-        return self.tasks_remaining == 0
-
-    @property
-    def eta_s(self) -> Optional[float]:
-        """Estimated seconds to completion, when a task rate is known."""
-        if self.mean_task_seconds is None:
-            return None
-        return self.mean_task_seconds * self.tasks_remaining
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..store import AnyStore, CampaignStore, ShardEntry
 
 
 def _read_mean_task_seconds(path: Union[str, Path]) -> Optional[float]:
@@ -82,58 +46,6 @@ def _read_mean_task_seconds(path: Union[str, Path]) -> Optional[float]:
     return None
 
 
-def campaign_status(
-    store: Union[str, Path],
-    metrics_path: Optional[Union[str, Path]] = None,
-) -> CampaignStatus:
-    """Summarize a store directory (and optional metrics snapshot)."""
-    # Imported lazily: repro.store imports repro.telemetry at module
-    # level to instrument journal appends, so the top-level import
-    # would be circular.
-    from ..store import CampaignStore
-
-    opened = CampaignStore.open(store)
-    manifest = opened.manifest
-    completed = opened.completed_keys()
-
-    tallies: Dict[str, int] = {effect.value: 0 for effect in EFFECT_ORDER}
-    interventions = 0
-    per_cell: Dict[Tuple[str, int], int] = {
-        (name, core): 0 for name in manifest.workloads for core in manifest.cores
-    }
-    for stored in opened.campaigns():
-        interventions += stored.interventions
-        per_cell[(stored.benchmark, stored.core)] += 1
-        for record in stored.records:
-            for effect in record.effects:
-                tallies[effect.value] += 1
-
-    chip = manifest.spec.chip
-    chip_name = chip if isinstance(chip, str) else getattr(chip, "name", str(chip))
-
-    mean_task_seconds = (
-        _read_mean_task_seconds(metrics_path) if metrics_path is not None else None
-    )
-    return CampaignStatus(
-        store_path=str(store),
-        chip=str(chip_name),
-        workloads=manifest.workloads,
-        cores=manifest.cores,
-        campaigns_per_cell=manifest.config.campaigns,
-        tasks_total=len(manifest.expected_keys()),
-        tasks_completed=len(completed),
-        interventions=interventions,
-        effect_tallies=tuple((effect.value, tallies[effect.value]) for effect in EFFECT_ORDER),
-        cells=tuple(
-            (name, core, per_cell[(name, core)])
-            for name in manifest.workloads
-            for core in manifest.cores
-        ),
-        mean_task_seconds=mean_task_seconds,
-        metrics_provided=metrics_path is not None,
-    )
-
-
 @dataclass(frozen=True)
 class ModelStatus:
     """Summary of the latest model artifact of one (target, core)."""
@@ -151,13 +63,13 @@ class ModelStatus:
     drift: Optional[float] = None
 
 
-def model_statuses(store: Union[str, Path]) -> Tuple[ModelStatus, ...]:
-    """Latest ``repro-model/v1`` artifact per (target, core) series."""
-    from ..store import CampaignStore
+def model_statuses(store: "AnyStore") -> Tuple[ModelStatus, ...]:
+    """Latest ``repro-model/v1`` artifact per (target, core) series in
+    the store's model store (a fleet's own, or a standalone store's)."""
+    from ..store import open_store
 
-    opened = CampaignStore.open(store)
     statuses = []
-    for artifact in opened.model_store().latest_artifacts():
+    for artifact in open_store(store).model_store().latest_artifacts():
         statuses.append(
             ModelStatus(
                 target=artifact.target,
@@ -204,43 +116,9 @@ def _format_eta(seconds: float) -> str:
     return f"{seconds:.1f} s"
 
 
-def render_status(status: CampaignStatus) -> str:
-    """Human-readable report for ``repro status``."""
-    lines: List[str] = []
-    lines.append(f"store: {status.store_path} (chip {status.chip})")
-    lines.append(
-        f"progress: {status.tasks_completed}/{status.tasks_total} tasks "
-        f"({status.fraction * 100:.1f} %)"
-        + (", complete" if status.complete else f", {status.tasks_remaining} remaining")
-    )
-    if status.eta_s is not None and not status.complete:
-        assert status.mean_task_seconds is not None
-        lines.append(
-            f"eta: {_format_eta(status.eta_s)} "
-            f"at {status.mean_task_seconds:.3f} s/task"
-        )
-    elif status.metrics_provided and not status.complete:
-        # A snapshot was supplied but holds no completed-task samples
-        # (empty or just-initialized journal): the rate is unknowable,
-        # which is an answer, not an error.
-        lines.append("eta: n/a (no completed-task samples yet)")
-    lines.append(f"watchdog interventions: {status.interventions}")
-    lines.append("effect classes (runs):")
-    for effect, count in status.effect_tallies:
-        lines.append(f"  {effect:>4}: {count}")
-    lines.append("grid cells (campaigns done of "
-                 f"{status.campaigns_per_cell}):")
-    for benchmark, core, done in status.cells:
-        lines.append(f"  {benchmark} c{core}: {done}/{status.campaigns_per_cell}")
-    return "\n".join(lines) + "\n"
-
-
-# -- fleet status -----------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class FleetShardStatus:
-    """Progress + warm-index answers of one fleet shard."""
+    """Progress, tallies and warm-index answers of one store shard."""
 
     name: str
     spec_digest: str
@@ -248,6 +126,11 @@ class FleetShardStatus:
     tasks_total: int
     tasks_completed: int
     compacted: bool
+    interventions: int
+    #: (effect value, run count) pairs in severity order (Table 3).
+    effect_tallies: Tuple[Tuple[str, int], ...]
+    #: (benchmark, core, completed campaigns) per grid cell, grid order.
+    cells: Tuple[Tuple[str, int, int], ...]
     #: (benchmark, core, vmin_mv, crash_mv) per *completed* grid cell,
     #: in manifest grid order, served from the warm Vmin index.
     vmin_cells: Tuple[Tuple[str, int, int, Optional[int]], ...]
@@ -259,14 +142,18 @@ class FleetShardStatus:
 
 @dataclass(frozen=True)
 class FleetStatus:
-    """Cross-shard progress summary of one fleet store."""
+    """Cross-shard progress summary of one store (any shape)."""
 
     fleet_path: str
     workloads: Tuple[str, ...]
     cores: Tuple[int, ...]
     campaigns_per_cell: int
     shards: Tuple[FleetShardStatus, ...]
+    #: Mean per-task seconds from a live metrics snapshot, if provided.
     mean_task_seconds: Optional[float] = None
+    #: Whether a metrics snapshot was supplied at all -- distinguishes
+    #: "no snapshot" (omit the ETA line) from "snapshot without task
+    #: samples yet" (render "n/a").
     metrics_provided: bool = False
 
     @property
@@ -298,66 +185,86 @@ class FleetStatus:
         return self.mean_task_seconds * self.tasks_remaining
 
 
+def _shard_status(
+    entry: "ShardEntry", store: "CampaignStore"
+) -> FleetShardStatus:
+    """One shard's journal tallies plus its Vmin index answers."""
+    # Lazy: repro.store imports repro.telemetry at module level.
+    from ..store import VminIndex
+
+    manifest = store.manifest
+    tallies: Dict[str, int] = {effect.value: 0 for effect in EFFECT_ORDER}
+    interventions = 0
+    per_cell: Dict[Tuple[str, int], int] = {
+        (name, core): 0 for name in manifest.workloads for core in manifest.cores
+    }
+    for stored in store.campaigns():
+        interventions += stored.interventions
+        per_cell[(stored.benchmark, stored.core)] += 1
+        for record in stored.records:
+            for effect in record.effects:
+                tallies[effect.value] += 1
+    vmin = VminIndex.from_reparse(store)
+    chip = manifest.spec.chip
+    chip_name = chip if isinstance(chip, str) else getattr(chip, "name", str(chip))
+    return FleetShardStatus(
+        name=entry.name,
+        spec_digest=entry.spec_digest,
+        chip=str(chip_name),
+        tasks_total=entry.total,
+        tasks_completed=len(store.completed_keys()),
+        compacted=entry.compacted,
+        interventions=interventions,
+        effect_tallies=tuple(
+            (effect.value, tallies[effect.value]) for effect in EFFECT_ORDER
+        ),
+        cells=tuple(
+            (name, core, per_cell[(name, core)]) for name, core in per_cell
+        ),
+        vmin_cells=tuple(
+            (name, core, vmin.vmin_mv(name, core), vmin.crash_mv(name, core))
+            for name, core in vmin.cells()
+        ),
+    )
+
+
 def fleet_status(
-    fleet: Union[str, Path],
+    store: "AnyStore",
     metrics_path: Optional[Union[str, Path]] = None,
 ) -> FleetStatus:
-    """Summarize a fleet store, with each shard's Vmin per cell.
+    """Summarize any store, shard by shard, with each cell's Vmin.
 
-    Progress is re-derived from the shard journals on disk (the fleet
+    Progress is re-derived from the shard journals on disk (a fleet
     manifest's watermarks may lag a concurrent appender); the per-cell
     Vmin answers come from each shard's
     :class:`~repro.store.VminIndex`, built alone (status reads no
-    severity or feature answers).
+    severity or feature answers).  Nothing is written to the store.
     """
-    # Lazy for the same reason as campaign_status: repro.store imports
-    # repro.telemetry at module level.
-    from ..store import FleetStore, VminIndex
+    from ..store import open_store
 
-    opened = FleetStore.open(fleet)
-    shards: List[FleetShardStatus] = []
-    for entry in opened.manifest.shards:
-        store = opened.shard(entry)
-        vmin = VminIndex.from_reparse(store)
-        chip = store.manifest.spec.chip
-        chip_name = (
-            chip if isinstance(chip, str) else getattr(chip, "name", str(chip))
-        )
-        shards.append(
-            FleetShardStatus(
-                name=entry.name,
-                spec_digest=entry.spec_digest,
-                chip=str(chip_name),
-                tasks_total=entry.total,
-                tasks_completed=len(store.completed_keys()),
-                compacted=entry.compacted,
-                vmin_cells=tuple(
-                    (name, core, vmin.vmin_mv(name, core),
-                     vmin.crash_mv(name, core))
-                    for name, core in vmin.cells()
-                ),
-            )
-        )
+    opened = open_store(store)
     mean_task_seconds = (
         _read_mean_task_seconds(metrics_path) if metrics_path is not None else None
     )
     return FleetStatus(
-        fleet_path=str(fleet),
+        fleet_path=str(opened.directory),
         workloads=opened.manifest.workloads,
         cores=opened.manifest.cores,
         campaigns_per_cell=opened.manifest.config.campaigns,
-        shards=tuple(shards),
+        shards=tuple(
+            _shard_status(entry, shard) for entry, shard in opened.shards()
+        ),
         mean_task_seconds=mean_task_seconds,
         metrics_provided=metrics_path is not None,
     )
 
 
 def render_fleet_status(status: FleetStatus) -> str:
-    """Human-readable report for ``repro fleet status``."""
+    """Human-readable report for ``repro status``."""
+    count = len(status.shards)
     lines: List[str] = []
-    lines.append(
-        f"fleet: {status.fleet_path} ({len(status.shards)} shards)"
-    )
+    plural = "" if count == 1 else "s"
+    lines.append(f"store: {status.fleet_path} ({count} shard{plural})")
     lines.append(
         f"progress: {status.tasks_completed}/{status.tasks_total} tasks "
         f"({status.fraction * 100:.1f} %)"
@@ -371,7 +278,11 @@ def render_fleet_status(status: FleetStatus) -> str:
             f"at {status.mean_task_seconds:.3f} s/task"
         )
     elif status.metrics_provided and not status.complete:
+        # A snapshot was supplied but holds no completed-task samples
+        # (empty or just-initialized journal): the rate is unknowable,
+        # which is an answer, not an error.
         lines.append("eta: n/a (no completed-task samples yet)")
+    per_cell = status.campaigns_per_cell
     for shard in status.shards:
         state = "complete" if shard.complete else "in progress"
         if shard.compacted:
@@ -380,24 +291,34 @@ def render_fleet_status(status: FleetStatus) -> str:
             f"  {shard.name} (chip {shard.chip}): "
             f"{shard.tasks_completed}/{shard.tasks_total} tasks, {state}"
         )
-        for benchmark, core, vmin_mv, crash_mv in shard.vmin_cells:
+        lines.append(f"    watchdog interventions: {shard.interventions}")
+        lines.append(
+            "    effect classes (runs): "
+            + ", ".join(f"{effect} {n}" for effect, n in shard.effect_tallies)
+        )
+        vmins = {(name, core): (v, c) for name, core, v, c in shard.vmin_cells}
+        for benchmark, core, done in shard.cells:
+            answer = vmins.get((benchmark, core))
+            if answer is None:
+                lines.append(
+                    f"    {benchmark} c{core}: {done}/{per_cell} campaigns"
+                )
+                continue
+            vmin_mv, crash_mv = answer
             crash = "--" if crash_mv is None else f"{crash_mv} mV"
             lines.append(
                 f"    {benchmark} c{core}: Vmin {vmin_mv} mV, "
-                f"crash {crash}"
+                f"crash {crash} ({done}/{per_cell} campaigns)"
             )
     return "\n".join(lines) + "\n"
 
 
 __all__ = [
-    "CampaignStatus",
     "FleetShardStatus",
     "FleetStatus",
     "ModelStatus",
-    "campaign_status",
     "fleet_status",
     "model_statuses",
     "render_fleet_status",
     "render_model_status",
-    "render_status",
 ]

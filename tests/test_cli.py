@@ -216,10 +216,20 @@ class TestTradeoffs:
 
 class TestFleet:
     def test_statistics(self, capsys):
-        assert main(["fleet", "--count", "12", "--seed", "3"]) == 0
+        assert main(["variation", "--count", "12", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "12 generated TTT-population parts" in out
         assert "fleet-wide setting wastes" in out
+
+    def test_bare_fleet_prints_subcommand_usage(self, capsys):
+        """``repro fleet`` names the store verbs only; the population
+        statistics live under ``repro variation``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro fleet" in err
+        assert "{init,run,status,query,compact}" in err
 
 
 class TestFleetStore:
@@ -493,6 +503,76 @@ class TestStatus:
         out = capsys.readouterr().out
         assert "0/2 tasks" in out
         assert "eta: n/a (no completed-task samples yet)" in out
+
+
+class TestOneStoreShape:
+    """A plain campaign directory answers every store verb as a
+    one-shard fleet, and the read verbs leave it untouched."""
+
+    GRID = ["grid", "TTT", "--benchmarks", "mcf,bwaves", "--cores", "0",
+            "--campaigns", "2", "--runs-per-level", "3", "--start-mv", "910"]
+
+    @pytest.fixture(scope="class")
+    def plain_store(self, tmp_path_factory):
+        store = tmp_path_factory.mktemp("one-shape") / "store"
+        assert main([*self.GRID, "--store", str(store)]) == 0
+        return store
+
+    @staticmethod
+    def tree(directory):
+        return {
+            path.relative_to(directory): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()
+        }
+
+    def test_plain_store_query_json_equals_reparse(self, capsys, plain_store):
+        assert main(["fleet", "query", str(plain_store), "--json"]) == 0
+        warm = capsys.readouterr().out
+        assert main(["fleet", "query", str(plain_store), "--json",
+                     "--reparse"]) == 0
+        assert capsys.readouterr().out == warm
+        assert warm.count("# shard ") == 1
+
+    def test_grid_store_keeps_logs_in_the_journal_only(self, plain_store):
+        """The raw logs persist once, in the journal: the exported
+        artifacts are the two CSVs, and ``raw_logs()`` hands back the
+        framework's logs byte for byte."""
+        from repro.core import FrameworkConfig
+        from repro.parallel import ParallelCampaignEngine
+        from repro.store import CampaignStore
+        from repro.workloads import get_benchmark
+
+        assert not list(plain_store.glob("log_*.txt"))
+        assert {path.name for path in plain_store.glob("*.csv")} == {
+            "runs.csv", "severity.csv"}
+        report = ParallelCampaignEngine(
+            MachineSpec(chip="TTT"),
+            FrameworkConfig(start_mv=910, campaigns=2, runs_per_level=3),
+        ).run([get_benchmark("mcf"), get_benchmark("bwaves")], [0])
+        assert CampaignStore.open(plain_store).raw_logs() == report.raw_logs
+
+    def test_read_verbs_write_nothing(self, capsys, plain_store, tmp_path):
+        assert main(["train", str(plain_store), "--target", "vmin"]) == 0
+        before = self.tree(plain_store)
+        for argv in (["status", str(plain_store), "--models"],
+                     ["fleet", "status", str(plain_store)],
+                     ["fleet", "query", str(plain_store), "--json"],
+                     ["dash", str(plain_store), "--once"],
+                     ["report", "--store", str(plain_store),
+                      "--out", str(tmp_path / "report.md")],
+                     ["predict", "--model", str(plain_store)]):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert self.tree(plain_store) == before
+
+    def test_status_and_fleet_status_are_one_report(self, capsys,
+                                                    plain_store):
+        assert main(["status", str(plain_store)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["fleet", "status", str(plain_store)]) == 0
+        assert capsys.readouterr().out == plain
+        assert "(1 shard)" in plain and "effect classes" in plain
+        assert "mcf c0: Vmin" in plain and "(2/2 campaigns)" in plain
 
 
 class TestModuleEntryPoint:

@@ -21,7 +21,7 @@ from repro.core import FrameworkConfig
 from repro.errors import CampaignError, StoreError
 from repro.machines import MachineSpec
 from repro.parallel import ParallelCampaignEngine, run_fleet
-from repro.prediction import FleetStreamingTrainer, StreamingTrainer
+from repro.prediction import StreamingTrainer
 from repro.prediction.dataset import vmin_dataset_from_store
 from repro.store import (
     FLEET_FORMAT,
@@ -547,6 +547,87 @@ class TestCompaction:
         forced = FleetStore.open(tmp_path).compact(force=True)
         assert entry.name in forced
 
+    def test_fleet_level_cursor_blocks_compaction(self, tmp_path):
+        """Regression: a fleet-level artifact (``models/`` at the fleet
+        root) holds one cursor per shard, and compaction must honour
+        those too, not only the cursors in each shard's own
+        ``models/``."""
+        fleet = FleetStore.create(
+            tmp_path, SPECS[:2], CFG, ["bwaves", "mcf"], CORES)
+        run_fleet(tmp_path)
+        # Reversed, each journal leads with the mcf cell (this sweep
+        # has no Vmin for bwaves) and is out of grid order, so
+        # compaction has lines to move.
+        for entry in fleet.manifest.shards:
+            journal = tmp_path / entry.path / JOURNAL_NAME
+            lines = journal.read_text().splitlines(keepends=True)
+            journal.write_text("".join(reversed(lines)))
+        trainer = StreamingTrainer(FleetStore.open(tmp_path), core=0)
+        trainer.consume(stop=CFG.campaigns)
+        total = 2 * CFG.campaigns
+        assert trainer.cursors == {
+            entry.name: CFG.campaigns for entry in fleet.manifest.shards}
+        FleetStore.open(tmp_path).model_store().save(trainer.fit())
+
+        with pytest.raises(StoreError, match="live journal cursor") as info:
+            FleetStore.open(tmp_path).compact()
+        assert f"offset {CFG.campaigns} of {total}" in str(info.value)
+        forced = FleetStore.open(tmp_path).compact(force=True)
+        assert forced == [entry.name for entry in fleet.manifest.shards]
+
+
+class TestOneShardView:
+    """A standalone store opens as a one-shard fleet, in memory only."""
+
+    @pytest.fixture(scope="class")
+    def solo(self, tmp_path_factory):
+        return run_shard_standalone(
+            SPECS[0], tmp_path_factory.mktemp("solo-view"))
+
+    def test_standalone_opens_as_one_shard(self, solo):
+        fleet = FleetStore.open(solo)
+        (entry,) = fleet.manifest.shards
+        assert fleet.standalone
+        assert entry.path == "." and fleet.shard_path(entry) == solo
+        assert entry.spec_digest == SPECS[0].digest()
+        assert entry.watermark == entry.total == SHARD_TASKS
+        assert fleet.shard(entry).directory == solo
+
+    def test_view_writes_no_fleet_manifest(self, solo):
+        before = sorted(path.name for path in solo.iterdir())
+        fleet = FleetStore.open(solo)
+        fleet.refresh_watermarks()
+        run_fleet(fleet)
+        assert sorted(path.name for path in solo.iterdir()) == before
+        assert not (solo / FLEET_MANIFEST_NAME).exists()
+
+    def test_one_shard_digest_is_the_spec_digest(self, solo):
+        fleet = FleetStore.open(solo)
+        store = CampaignStore.open(solo)
+        assert fleet.fleet_digest() == SPECS[0].digest()
+        assert fleet.model_store().models_path == \
+            store.model_store().models_path
+        assert fleet.model_store().expected_spec_digest == \
+            store.model_store().expected_spec_digest
+
+    def test_open_store_accepts_every_shape(self, solo, complete_fleet):
+        from repro.store import open_store
+
+        fleet = FleetStore.open(complete_fleet)
+        assert open_store(fleet) is fleet
+        assert open_store(complete_fleet).fleet_digest() == \
+            fleet.fleet_digest()
+        store = CampaignStore.open(solo)
+        view = open_store(store)
+        assert view.shards()[0][1] is store
+        assert open_store(str(solo)).fleet_digest() == SPECS[0].digest()
+
+    def test_view_answers_equal_a_one_machine_fleet(self, solo, tmp_path):
+        fleet = FleetStore.create(tmp_path, SPECS[:1], CFG, WORKLOADS, CORES)
+        run_fleet(tmp_path)
+        assert FleetStore.open(solo).indexes().serialize() == \
+            fleet.indexes().serialize()
+
 
 class TestFleetModels:
     def test_fleet_digest_pins_population(self, complete_fleet, tmp_path):
@@ -558,7 +639,7 @@ class TestFleetModels:
         assert smaller.fleet_digest() != digest
 
     def test_fleet_trainer_spans_every_shard(self, complete_fleet):
-        trainer = FleetStreamingTrainer(complete_fleet, core=0)
+        trainer = StreamingTrainer(complete_fleet, core=0)
         trainer.consume()
         artifact = trainer.fit()
         fleet = FleetStore.open(complete_fleet)
@@ -566,7 +647,7 @@ class TestFleetModels:
         assert artifact.n_samples == sum(
             len(vmin_dataset_from_store(store, 0))
             for _, store in fleet.shards()
-        )
+        ) == len(vmin_dataset_from_store(fleet, 0))
         assert trainer.cursors == {
             entry.name: SHARD_TASKS for entry in fleet.manifest.shards
         }
@@ -581,19 +662,19 @@ class TestFleetModels:
         first_name = FleetStore.open(fleet_dir).manifest.shards[0].name
         run_fleet(fleet_dir, shards=[first_name])
 
-        partial = FleetStreamingTrainer(fleet_dir, core=0)
+        partial = StreamingTrainer(fleet_dir, core=0)
         assert partial.consume() == 1
         models = FleetStore.open(fleet_dir).model_store()
         saved = models.save(partial.fit())
         assert 0 < saved.journal_offset < len(SPECS) * SHARD_TASKS
 
         run_fleet(fleet_dir)
-        resumed = FleetStreamingTrainer.resume(
+        resumed = StreamingTrainer.resume(
             FleetStore.open(fleet_dir), models.load("vmin", 0))
         resumed.consume()
         final = resumed.fit()
 
-        reference = FleetStreamingTrainer(complete_fleet, core=0)
+        reference = StreamingTrainer(complete_fleet, core=0)
         reference.consume()
         ref_artifact = reference.fit()
         assert final.train_digest == ref_artifact.train_digest
@@ -602,14 +683,14 @@ class TestFleetModels:
 
     def test_fleet_trainer_rejects_changed_population(
             self, complete_fleet, tmp_path):
-        trainer = FleetStreamingTrainer(complete_fleet, core=0)
+        trainer = StreamingTrainer(complete_fleet, core=0)
         trainer.consume()
         artifact = trainer.fit()
         other = FleetStore.create(tmp_path, SPECS[:2], CFG, WORKLOADS, CORES)
         from repro.errors import PredictionError
 
         with pytest.raises(PredictionError, match="population"):
-            FleetStreamingTrainer.resume(other, artifact)
+            StreamingTrainer.resume(other, artifact)
 
 
 class TestFleetDerived:
@@ -635,11 +716,12 @@ class TestFleetDerived:
         assert all(len(shard.vmin_cells) == 1 for shard in status.shards)
 
     def test_fleet_report_covers_every_shard(self, complete_fleet):
-        from repro.analysis.report import fleet_report
+        from repro.analysis.report import store_report
 
         fleet = FleetStore.open(complete_fleet)
-        text = fleet_report(fleet)
-        assert "## Fleet campaign store" in text
+        text = store_report(fleet)
+        assert "## Measured campaign store" in text
+        assert f"digest `{fleet.fleet_digest()}`" in text
         for entry in fleet.manifest.shards:
             assert f"### Shard {entry.name}" in text
 

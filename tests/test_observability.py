@@ -656,7 +656,9 @@ class TestDashboard:
         assert snapshot.snapshots == EXPECTED_SNAPSHOTS
         assert snapshot.journals == 1
         assert snapshot.throughput is not None
-        assert snapshot.rows == (("bwaves c0", CFG.campaigns, CFG.campaigns),)
+        # A standalone store is a one-shard fleet: one shard row.
+        (entry,) = FleetStore.open(observed / "store").manifest.shards
+        assert snapshot.rows == ((entry.name, TOTAL_TASKS, TOTAL_TASKS),)
         assert snapshot.health in ("ok", "fail", "skip")
 
     def test_refresh_reuses_warm_cursors(self, observed):
@@ -717,7 +719,8 @@ class TestDashboard:
         text = render_dash(snapshot)
         assert text.startswith("repro dash -- ")
         assert "progress: [" in text and ", complete" in text
-        assert "tsdb:" in text and "grid cells:" in text
+        assert "tsdb:" in text and "shards:" in text
+        assert "[campaign store (1 shards)]" in text
         assert "health:" in text and "throughput-floor" in text
 
 

@@ -9,8 +9,10 @@ batch fit on the completed store.
 """
 
 import dataclasses
+import gzip
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -589,3 +591,53 @@ class TestCliStreaming:
         out = capsys.readouterr().out
         for name, value in expected.items():
             assert f"{name:<14} {value:>6.1f} mV" in out
+
+
+class TestSingleCursorArtifact:
+    """Compatibility: an artifact saved by ``repro train STORE`` while
+    the trainer still held a single journal cursor (no per-shard
+    ``fleet_cursors`` in its state) resumes under the per-shard
+    trainer.
+
+    The fixture holds that artifact's bytes: ``repro train STORE --core
+    0 --target vmin`` on the grid below, with the journal truncated to
+    its first six lines (three completed cells).
+    """
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "train-vmin-core0-v1.json.gz"
+    GRID = ["grid", "TTT", "--benchmarks", "bwaves,mcf,namd,gcc,soplex,zeusmp",
+            "--cores", "0", "--campaigns", "2", "--runs-per-level", "3",
+            "--start-mv", "930"]
+
+    def test_single_cursor_artifact_resumes(self, tmp_path, capsys):
+        legacy = gzip.decompress(self.FIXTURE.read_bytes())
+        state = json.loads(legacy)["trainer_state"]
+        assert "fleet_cursors" not in state
+        store = tmp_path / "store"
+        assert main([*self.GRID, "--store", str(store)]) == 0
+        reference = tmp_path / "reference"
+        shutil.copytree(store, reference)
+        (store / "models").mkdir()
+        (store / "models" / "vmin-core0-v1.json").write_bytes(legacy)
+        capsys.readouterr()
+
+        assert main(["train", str(store), "--core", "0",
+                     "--target", "vmin"]) == 0
+        out = capsys.readouterr().out
+        assert "resuming from v1 (journal offset 6)" in out
+        assert "v2 saved (+3 cells, 6 samples, offset 12" in out
+        assert main(["train", str(reference), "--core", "0",
+                     "--target", "vmin"]) == 0
+        capsys.readouterr()
+
+        resumed = CampaignStore.open(store).model_store().load("vmin", 0)
+        fresh = CampaignStore.open(reference).model_store().load("vmin", 0)
+        assert resumed.train_digest == fresh.train_digest
+        assert resumed.selected_features == fresh.selected_features
+        assert resumed.n_samples == fresh.n_samples == 6
+        dataset = vmin_dataset_from_store(reference, 0)
+        assert np.allclose(
+            resumed.predict_dataset(dataset),
+            fresh.predict_dataset(dataset),
+            rtol=1e-12,
+        )

@@ -33,7 +33,6 @@ from repro.telemetry import (
     SpanRecord,
     TraceWriter,
     Tracer,
-    campaign_status,
     clock,
     current_session,
     emit_spans,
@@ -42,7 +41,8 @@ from repro.telemetry import (
     inc_counter,
     load_spans,
     observe,
-    render_status,
+    fleet_status,
+    render_fleet_status,
     set_gauge,
     shielded,
     span,
@@ -489,15 +489,16 @@ class TestDeterminismNeutrality:
 
 
 # ---------------------------------------------------------------------------
-# campaign status
+# store status (a standalone store is a one-shard fleet)
 # ---------------------------------------------------------------------------
 
 class TestCampaignStatus:
     def test_tallies_match_journal(self, untraced_store):
-        status = campaign_status(untraced_store)
+        status = fleet_status(untraced_store)
         assert status.tasks_total == TOTAL_TASKS
         assert status.tasks_completed == TOTAL_TASKS
         assert status.complete and status.fraction == 1.0
+        (shard,) = status.shards
         journaled = CampaignStore.open(untraced_store).campaigns()
         expected = {effect.value: 0 for effect in EFFECT_ORDER}
         interventions = 0
@@ -506,11 +507,11 @@ class TestCampaignStatus:
             for record in stored.records:
                 for effect in record.effects:
                     expected[effect.value] += 1
-        assert dict(status.effect_tallies) == expected
-        assert status.interventions == interventions
-        assert [e for e, _c in status.effect_tallies] == \
+        assert dict(shard.effect_tallies) == expected
+        assert shard.interventions == interventions
+        assert [e for e, _c in shard.effect_tallies] == \
             [effect.value for effect in EFFECT_ORDER]
-        assert status.cells == (("bwaves", 0, CFG.campaigns),)
+        assert shard.cells == (("bwaves", 0, CFG.campaigns),)
 
     def test_partial_store_reports_remaining(self, untraced_store, tmp_path):
         target = tmp_path / "killed"
@@ -520,7 +521,7 @@ class TestCampaignStatus:
         lines = (untraced_store / JOURNAL_NAME).read_text() \
             .splitlines(keepends=True)
         (target / JOURNAL_NAME).write_text(lines[0])
-        status = campaign_status(target)
+        status = fleet_status(target)
         assert status.tasks_completed == 1
         assert status.tasks_remaining == TOTAL_TASKS - 1
         assert not status.complete
@@ -538,7 +539,7 @@ class TestCampaignStatus:
         reg.histogram(M_TASK_SECONDS).observe(2.0)
         reg.histogram(M_TASK_SECONDS).observe(4.0)
         snapshot = reg.write(tmp_path / "metrics.json")
-        status = campaign_status(target, metrics_path=snapshot)
+        status = fleet_status(target, metrics_path=snapshot)
         assert status.mean_task_seconds == pytest.approx(3.0)
         assert status.eta_s == pytest.approx(3.0 * (TOTAL_TASKS - 1))
 
@@ -546,11 +547,12 @@ class TestCampaignStatus:
         bogus = tmp_path / "metrics.json"
         bogus.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
-            campaign_status(untraced_store, metrics_path=bogus)
+            fleet_status(untraced_store, metrics_path=bogus)
 
     def test_render_status_is_human_readable(self, untraced_store):
-        text = render_status(campaign_status(untraced_store))
+        text = render_fleet_status(fleet_status(untraced_store))
         assert f"{TOTAL_TASKS}/{TOTAL_TASKS} tasks" in text
         assert "complete" in text
         assert "effect classes" in text
         assert "bwaves c0" in text
+        assert "watchdog interventions" in text
