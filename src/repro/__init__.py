@@ -39,36 +39,64 @@ Quick start::
     print(result.highest_vmin_mv, result.severity_by_voltage())
 """
 
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 from ._version import __version__
-from .effects import EffectType
-from .errors import ReproError
-from .config import PAPER_STUDY, QUICK_STUDY, StudyConfig
-from .core import (
-    CharacterizationFramework,
-    CharacterizationResult,
-    FrameworkConfig,
-    SeverityWeights,
-    WatchdogMonitor,
-    severity_value,
-)
-# The package root is the one sanctioned place consumers may still
-# reach the reference machine class; new code should build machines
-# through repro.machines.MachineSpec instead.
-# reprolint: disable=RPR003 -- public-API backwards-compat re-export
-from .hardware import XGene2Chip, XGene2Machine
-from .machines import (
-    Machine,
-    MachineSpec,
-    build_machine,
-    load_machine_spec,
-    machine_to_spec,
-    register_component,
-    save_machine_spec,
-)
-from .parallel import ParallelCampaignEngine
-from .prediction import PredictionPipeline, PredictionReport
-from .energy import figure9_ladder, headline_savings
-from .scheduling import SeverityAwareScheduler, VoltageGovernor
+
+if TYPE_CHECKING:
+    from .effects import EffectType
+    from .errors import ReproError
+    from .config import PAPER_STUDY, QUICK_STUDY, StudyConfig
+    from .core import (
+        CharacterizationFramework,
+        CharacterizationResult,
+        FrameworkConfig,
+        SeverityWeights,
+        WatchdogMonitor,
+        severity_value,
+    )
+    # The package root is the one sanctioned place consumers may still
+    # reach the reference machine class; new code should build machines
+    # through repro.machines.MachineSpec instead.
+    # reprolint: disable=RPR003 -- public-API backwards-compat re-export
+    from .hardware import XGene2Chip, XGene2Machine
+    from .machines import (
+        Machine,
+        MachineSpec,
+        build_machine,
+        load_machine_spec,
+        machine_to_spec,
+        register_component,
+        save_machine_spec,
+    )
+    from .parallel import ParallelCampaignEngine
+    from .prediction import PredictionPipeline, PredictionReport
+    from .energy import figure9_ladder, headline_savings
+    from .scheduling import SeverityAwareScheduler, VoltageGovernor
+
+# Every export but the version is imported on first use, so ``import
+# repro`` (and with it every ``repro`` command) loads no numpy and no
+# simulator until a name that needs them is touched.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".effects": ("EffectType",),
+    ".errors": ("ReproError",),
+    ".config": ("PAPER_STUDY", "QUICK_STUDY", "StudyConfig"),
+    ".core": (
+        "CharacterizationFramework", "CharacterizationResult",
+        "FrameworkConfig", "SeverityWeights", "WatchdogMonitor",
+        "severity_value",
+    ),
+    ".hardware": ("XGene2Chip", "XGene2Machine"),
+    ".machines": (
+        "Machine", "MachineSpec", "build_machine", "load_machine_spec",
+        "machine_to_spec", "register_component", "save_machine_spec",
+    ),
+    ".parallel": ("ParallelCampaignEngine",),
+    ".prediction": ("PredictionPipeline", "PredictionReport"),
+    ".energy": ("figure9_ladder", "headline_savings"),
+    ".scheduling": ("SeverityAwareScheduler", "VoltageGovernor"),
+})
 
 __all__ = [
     "__version__",

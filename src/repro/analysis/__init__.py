@@ -13,25 +13,52 @@
   invariants (``repro lint`` or ``python -m repro.analysis``).
 """
 
-from .variation import (
-    VariationSummary,
-    chip_to_chip_summary,
-    core_to_core_spread,
-    workload_ordering_consistency,
-)
-from .tables import table1_prior_work, table2_parameters, table3_effects, table4_weights
-from .figures import (
-    figure3_vmin_series,
-    figure4_region_grid,
-    figure5_severity_map,
-    figure7_prediction_series,
-    figure9_series,
-)
-from .ascii_plots import bar_chart, heatmap, scatter
-from .error_locations import LocationProfile, location_profiles, onset_table
-from .export import FigureExporter
-from .lint import Diagnostic, LintReport, lint_paths, lint_source
-from .report import PAPER_CLAIMS, ClaimCheck, check_claims
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .variation import (
+        VariationSummary,
+        chip_to_chip_summary,
+        core_to_core_spread,
+        workload_ordering_consistency,
+    )
+    from .tables import table1_prior_work, table2_parameters, table3_effects, table4_weights
+    from .figures import (
+        figure3_vmin_series,
+        figure4_region_grid,
+        figure5_severity_map,
+        figure7_prediction_series,
+        figure9_series,
+    )
+    from .ascii_plots import bar_chart, heatmap, scatter
+    from .error_locations import LocationProfile, location_profiles, onset_table
+    from .export import FigureExporter
+    from .lint import Diagnostic, LintReport, lint_paths, lint_source
+    from .report import PAPER_CLAIMS, ClaimCheck, check_claims
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".variation": (
+        "VariationSummary", "chip_to_chip_summary", "core_to_core_spread",
+        "workload_ordering_consistency",
+    ),
+    ".tables": (
+        "table1_prior_work", "table2_parameters", "table3_effects",
+        "table4_weights",
+    ),
+    ".figures": (
+        "figure3_vmin_series", "figure4_region_grid", "figure5_severity_map",
+        "figure7_prediction_series", "figure9_series",
+    ),
+    ".ascii_plots": ("bar_chart", "heatmap", "scatter"),
+    ".error_locations": (
+        "LocationProfile", "location_profiles", "onset_table",
+    ),
+    ".export": ("FigureExporter",),
+    ".lint": ("Diagnostic", "LintReport", "lint_paths", "lint_source"),
+    ".report": ("PAPER_CLAIMS", "ClaimCheck", "check_claims"),
+})
 
 __all__ = [
     "VariationSummary",

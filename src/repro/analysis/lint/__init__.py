@@ -32,20 +32,34 @@ this package machine-checks them on every commit.
   ``python -m repro.analysis`` entry points.
 """
 
-from .diagnostics import Diagnostic
-from .project import ModuleModel, ProjectModel, build_module_model
-from .registry import (
-    FileContext,
-    ProjectRule,
-    Rule,
-    all_rules,
-    get_rule,
-    register_rule,
-)
-from .runner import LintReport, lint_paths, lint_source
-from .sarif import render_sarif
-from . import rules as _rules  # noqa: F401  (registers the per-file rules)
-from . import interproc as _interproc  # noqa: F401  (registers RPR011-013)
+from typing import TYPE_CHECKING
+
+from ..._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .diagnostics import Diagnostic
+    from .project import ModuleModel, ProjectModel, build_module_model
+    from .registry import (
+        FileContext,
+        ProjectRule,
+        Rule,
+        all_rules,
+        get_rule,
+        register_rule,
+    )
+    from .runner import LintReport, lint_paths, lint_source
+    from .sarif import render_sarif
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".diagnostics": ("Diagnostic",),
+    ".project": ("ModuleModel", "ProjectModel", "build_module_model"),
+    ".registry": (
+        "FileContext", "ProjectRule", "Rule", "all_rules", "get_rule",
+        "register_rule",
+    ),
+    ".runner": ("LintReport", "lint_paths", "lint_source"),
+    ".sarif": ("render_sarif",),
+})
 
 __all__ = [
     "Diagnostic",

@@ -18,11 +18,12 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from ...errors import ConfigurationError
-from .runner import DEFAULT_CACHE_PATH, lint_paths, render_rule_catalog
-from .sarif import render_sarif
 
 #: Default lint targets when none are given, filtered to what exists.
 DEFAULT_PATHS = ("src", "tests", "examples")
+
+#: Default location of the incremental result cache.
+DEFAULT_CACHE_PATH = ".reprolint_cache.json"
 
 
 def build_lint_parser(
@@ -81,6 +82,9 @@ def build_lint_parser(
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the exit code."""
+    from .runner import lint_paths, render_rule_catalog
+    from .sarif import render_sarif
+
     if args.list_rules:
         print(render_rule_catalog())
         return 0

@@ -198,13 +198,21 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
+def _load_builtin_rules() -> None:
+    """Import the modules whose ``@register_rule`` classes are the
+    built-in rules (RPR001-010 per file, RPR011-013 whole-program)."""
+    from . import interproc, rules  # noqa: F401
+
+
 def all_rules() -> List[Rule]:
     """Instances of every registered rule, ordered by id."""
+    _load_builtin_rules()
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
 def get_rule(rule_id: str) -> Rule:
     """Instantiate one rule by id; raises for unknown ids."""
+    _load_builtin_rules()
     try:
         return _REGISTRY[rule_id]()
     except KeyError:

@@ -43,10 +43,6 @@ _SKIP_DIRS = frozenset({
     "build", "dist", ".eggs", "node_modules",
 })
 
-#: Default location of the incremental result cache.
-DEFAULT_CACHE_PATH = ".reprolint_cache.json"
-
-
 @dataclass
 class LintReport:
     """Everything one lint run produced."""

@@ -59,38 +59,30 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-from . import __version__, telemetry
-from .analysis.lint.cli import build_lint_parser, run_lint
-from .analysis.report import check_claims, render_claims
-from .analysis.tables import (
-    render_table,
-    table1_prior_work,
-    table2_parameters,
-    table3_effects,
-    table4_weights,
-)
-from .core import CharacterizationFramework, FrameworkConfig
-from .core.results import ResultStore
+# Module scope holds only what building the parser needs; each command
+# imports the layers it runs, so a short command never loads numpy, the
+# simulator or the linter.
+from ._version import __version__
 from .data.calibration import CHIP_NAMES
-from .energy import figure9_ladder, headline_savings
 from .errors import CampaignError, ConfigurationError
-from .hardware import ChipGenerator, fleet_vmin_distribution
-from .machines import MachineSpec, build_machine, load_machine_spec
-from .parallel import ConsoleProgress
-from .prediction import (
-    TRAINABLE_TARGETS,
-    FeatureAssembler,
-    PredictionPipeline,
-    StreamingTrainer,
-)
-from .store import CampaignStore
+from .store.models import TRAINABLE_TARGETS
 from .units import PMD_NOMINAL_MV
-from .workloads import all_programs, get_benchmark
+
+if TYPE_CHECKING:
+    from .machines import MachineSpec
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .analysis.tables import (
+        render_table,
+        table1_prior_work,
+        table2_parameters,
+        table3_effects,
+        table4_weights,
+    )
+
     tables = {
         1: ("Table 1: summary of studies on commercial chips", table1_prior_work),
         2: ("Table 2: basic parameters of APM X-Gene 2", table2_parameters),
@@ -107,6 +99,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_claims(_args: argparse.Namespace) -> int:
+    from .analysis.report import check_claims, render_claims
+
     checks = check_claims()
     print(render_claims(checks))
     failed = [c for c in checks if not c.passed]
@@ -122,6 +116,8 @@ def _characterization_spec(args: argparse.Namespace) -> Optional[MachineSpec]:
     (after printing to stderr) when the machine is under-specified or
     the spec file is invalid.
     """
+    from .machines import MachineSpec, load_machine_spec
+
     if args.machine is not None:
         try:
             spec = load_machine_spec(args.machine)
@@ -161,6 +157,8 @@ def _telemetry_scope(args: argparse.Namespace) -> Iterator[None]:
     if trace_dir is None and metrics_path is None and not tsdb:
         yield
         return
+    from . import telemetry
+
     tracer = None
     if trace_dir is not None:
         tracer = telemetry.Tracer(
@@ -189,6 +187,13 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _run_characterize(args: argparse.Namespace) -> int:
+    from .core import CharacterizationFramework, FrameworkConfig
+    from .core.results import ResultStore
+    from .machines import build_machine
+    from .parallel import ConsoleProgress
+    from .store import CampaignStore
+    from .workloads import get_benchmark
+
     spec = _characterization_spec(args)
     if spec is None:
         return 2
@@ -255,6 +260,13 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _run_grid(args: argparse.Namespace) -> int:
+    from .core import CharacterizationFramework, FrameworkConfig
+    from .core.results import ResultStore
+    from .machines import build_machine
+    from .parallel import ConsoleProgress
+    from .store import CampaignStore
+    from .workloads import get_benchmark
+
     benchmarks = [get_benchmark(name) for name in args.benchmarks.split(",")]
     cores = [int(c) for c in args.cores.split(",")]
     spec = _characterization_spec(args)
@@ -305,7 +317,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _run_resume(args: argparse.Namespace) -> int:
-    from .parallel import run_fleet
+    from .parallel import ConsoleProgress, run_fleet
     from .store import open_store
 
     try:
@@ -339,6 +351,8 @@ def _run_resume(args: argparse.Namespace) -> int:
 def _cmd_status(args: argparse.Namespace) -> int:
     """Report any store's progress, shard by shard, without touching it
     (``repro status`` and ``repro fleet status``)."""
+    from . import telemetry
+
     try:
         status = telemetry.fleet_status(args.store, metrics_path=args.metrics)
     except (CampaignError, ValueError, OSError) as exc:
@@ -362,6 +376,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     yields the same report bytes, so two ``--json`` runs can be
     compared with ``cmp``.
     """
+    from . import telemetry
+
     try:
         analysis = telemetry.analyze_trace_dir(args.trace_dir)
     except (ValueError, OSError) as exc:
@@ -382,6 +398,8 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     cursors stay warm across refreshes, so each frame parses only the
     bytes appended since the previous one.
     """
+    from . import telemetry
+
     baseline: Optional[str] = args.baseline
     if baseline is not None and not Path(baseline).exists():
         print(f"error: baseline file {baseline} not found", file=sys.stderr)
@@ -410,6 +428,8 @@ def _cmd_dash(args: argparse.Namespace) -> int:
 
 
 def _cmd_tradeoffs(args: argparse.Namespace) -> int:
+    from .energy import figure9_ladder, headline_savings
+
     fraction = 0.25 if args.clock_tree else 0.0
     print("Figure-9 ladder:")
     for point in figure9_ladder(args.chip, clock_tree_fraction=fraction):
@@ -425,6 +445,10 @@ def _cmd_tradeoffs(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     if args.model is not None:
         return _run_predict_model(args)
+    from .machines import MachineSpec, build_machine
+    from .prediction import PredictionPipeline
+    from .workloads import all_programs
+
     machine = build_machine(MachineSpec(chip=args.chip, seed=args.seed))
     pipeline = PredictionPipeline(machine)
     programs = all_programs()[: args.programs]
@@ -448,6 +472,7 @@ def _store_core(cores: Tuple[int, ...], requested: Optional[int]) -> int:
 
 def _run_predict_model(args: argparse.Namespace) -> int:
     """Serve the latest trained model artifacts of any store."""
+    from .prediction import FeatureAssembler
     from .store import open_store
 
     try:
@@ -506,6 +531,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _run_train(args: argparse.Namespace) -> int:
+    from .prediction import StreamingTrainer
     from .store import open_store
 
     try:
@@ -551,6 +577,8 @@ def _run_train(args: argparse.Namespace) -> int:
 def _cmd_variation(args: argparse.Namespace) -> int:
     """Vmin statistics of a generated part population
     (:mod:`repro.hardware.variation`)."""
+    from .hardware import ChipGenerator, fleet_vmin_distribution
+
     generator = ChipGenerator(args.corner, lot_seed=args.seed)
     population = generator.fleet(args.count)
     stats = fleet_vmin_distribution(population)
@@ -566,8 +594,10 @@ def _cmd_variation(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_init(args: argparse.Namespace) -> int:
     """Create a fleet store: one campaign shard per machine seed."""
+    from .core.config import FrameworkConfig
+    from .machines import MachineSpec
     from .store import FleetStore
-    from .workloads import get_program
+    from .workloads import get_benchmark, get_program
 
     if args.seeds is not None:
         seeds = [int(s) for s in args.seeds.split(",")]
@@ -613,7 +643,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
 
 
 def _run_fleet_cmd(args: argparse.Namespace) -> int:
-    from .parallel import run_fleet
+    from .parallel import ConsoleProgress, run_fleet
 
     shards = args.shards.split(",") if args.shards else None
     try:
@@ -701,6 +731,10 @@ def _cmd_fleet_compact(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Write a self-contained markdown reproduction report."""
+    from .analysis.report import check_claims
+    from .analysis.tables import render_table, table2_parameters, table4_weights
+    from .energy import figure9_ladder
+
     lines: List[str] = [
         "# repro reproduction report",
         "",
@@ -792,6 +826,8 @@ def _add_status_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .analysis.lint.cli import build_lint_parser, run_lint
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Harnessing Voltage Margins for "

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .core.framework import FrameworkConfig
+from .core.config import FrameworkConfig
 from .data.calibration import CHIP_NAMES
 from .errors import ConfigurationError
 from .machines import MachineSpec

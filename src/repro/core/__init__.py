@@ -15,22 +15,45 @@
 * :mod:`repro.core.results` -- CSV persistence of everything above.
 """
 
-from ..effects import EFFECT_DESCRIPTIONS, EFFECT_ORDER, EffectType
-from .effects import classify_run, effect_counts
-from .severity import (
-    DEFAULT_WEIGHTS,
-    SeverityWeights,
-    deepest_voltage_within,
-    severity_value,
-    severity_of_runs,
-)
-from .runs import CharacterizationSetup, RunRecord
-from .campaign import CampaignResult, CharacterizationResult
-from .watchdog import WatchdogMonitor
-from .framework import CharacterizationFramework, FrameworkConfig
-from .parser import ParsedRun, parse_log
-from .regions import OperatingRegions, Region, regions_from_counts
-from .results import ResultStore
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from ..effects import EFFECT_DESCRIPTIONS, EFFECT_ORDER, EffectType
+    from .effects import classify_run, effect_counts
+    from .severity import (
+        DEFAULT_WEIGHTS,
+        SeverityWeights,
+        deepest_voltage_within,
+        severity_value,
+        severity_of_runs,
+    )
+    from .runs import CharacterizationSetup, RunRecord
+    from .campaign import CampaignResult, CharacterizationResult
+    from .watchdog import WatchdogMonitor
+    from .config import FrameworkConfig
+    from .framework import CharacterizationFramework
+    from .parser import ParsedRun, parse_log
+    from .regions import OperatingRegions, Region, regions_from_counts
+    from .results import ResultStore
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "..effects": ("EFFECT_DESCRIPTIONS", "EFFECT_ORDER", "EffectType"),
+    ".effects": ("classify_run", "effect_counts"),
+    ".severity": (
+        "DEFAULT_WEIGHTS", "SeverityWeights", "deepest_voltage_within",
+        "severity_value", "severity_of_runs",
+    ),
+    ".runs": ("CharacterizationSetup", "RunRecord"),
+    ".campaign": ("CampaignResult", "CharacterizationResult"),
+    ".watchdog": ("WatchdogMonitor",),
+    ".config": ("FrameworkConfig",),
+    ".framework": ("CharacterizationFramework",),
+    ".parser": ("ParsedRun", "parse_log"),
+    ".regions": ("OperatingRegions", "Region", "regions_from_counts"),
+    ".results": ("ResultStore",),
+})
 
 __all__ = [
     "EFFECT_DESCRIPTIONS",

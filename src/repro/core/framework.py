@@ -20,55 +20,20 @@ the watchdog's buttons.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..effects import EffectType
 from ..errors import CampaignError, ConfigurationError
-from ..units import (
-    FREQ_MAX_MHZ,
-    PMD_NOMINAL_MV,
-    validate_frequency_mhz,
-    voltage_sweep,
-)
+from ..units import PMD_NOMINAL_MV, voltage_sweep
 from ..workloads.benchmark import Benchmark, Program
 from ..hardware import MachineState
 from ..machines import Machine, machine_to_spec
 from .campaign import CampaignResult, CharacterizationResult
+from .config import FrameworkConfig  # re-exported: the old import path stays valid
 from .kernel import CampaignKernel
 from .parser import format_run_block, parse_log, parse_records
 from .watchdog import WatchdogAction, WatchdogMonitor
-
-
-@dataclass(frozen=True)
-class FrameworkConfig:
-    """User-declared configuration of a characterization (phase 1).
-
-    The defaults mirror the paper: 10 runs per voltage level, 10
-    campaign repetitions, 5 mV descending schedule.  ``start_mv`` of
-    ``None`` starts at nominal; ``stop_mv`` of ``None`` sweeps until
-    ``stop_after_crash_levels`` consecutive all-crash levels, which is
-    how the study detects the "cannot operate" floor without a
-    predeclared stop.
-    """
-
-    start_mv: Optional[int] = None
-    stop_mv: Optional[int] = None
-    freq_mhz: int = FREQ_MAX_MHZ
-    runs_per_level: int = 10
-    campaigns: int = 10
-    stop_after_crash_levels: int = 2
-    run_timeout_s: float = 3600.0
-
-    def __post_init__(self) -> None:
-        validate_frequency_mhz(self.freq_mhz)
-        if self.runs_per_level <= 0:
-            raise ConfigurationError("runs_per_level must be positive")
-        if self.campaigns <= 0:
-            raise ConfigurationError("campaigns must be positive")
-        if self.stop_after_crash_levels <= 0:
-            raise ConfigurationError("stop_after_crash_levels must be positive")
 
 
 class CharacterizationFramework:

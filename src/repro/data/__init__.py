@@ -9,20 +9,36 @@ These modules hold the numbers everything else is calibrated against:
   anchor voltages digitised from the paper's Figures 3-5 and prose.
 """
 
-from .counters import (
-    COUNTER_NAMES,
-    NUM_COUNTERS,
-    RFE_SELECTED_FEATURES,
-    CounterCatalog,
-)
-from .calibration import (
-    CHIP_NAMES,
-    ChipCalibration,
-    chip_calibration,
-    crash_voltage_mv,
-    unsafe_width_mv,
-    vmin_mv,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .counters import (
+        COUNTER_NAMES,
+        NUM_COUNTERS,
+        RFE_SELECTED_FEATURES,
+        CounterCatalog,
+    )
+    from .calibration import (
+        CHIP_NAMES,
+        ChipCalibration,
+        chip_calibration,
+        crash_voltage_mv,
+        unsafe_width_mv,
+        vmin_mv,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".counters": (
+        "COUNTER_NAMES", "NUM_COUNTERS", "RFE_SELECTED_FEATURES",
+        "CounterCatalog",
+    ),
+    ".calibration": (
+        "CHIP_NAMES", "ChipCalibration", "chip_calibration",
+        "crash_voltage_mv", "unsafe_width_mv", "vmin_mv",
+    ),
+})
 
 __all__ = [
     "COUNTER_NAMES",

@@ -13,16 +13,30 @@
   the tests.
 """
 
-from .ecc import (
-    DecodeStatus,
-    DectedCode,
-    EccDecodeResult,
-    EvenParityCode,
-    SecdedCode,
-    flip_bits,
-)
-from .models import FailureCurve, UnitFailureModel, build_unit_models
-from .manifestation import EffectSampler, SampledRunEffects
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .ecc import (
+        DecodeStatus,
+        DectedCode,
+        EccDecodeResult,
+        EvenParityCode,
+        SecdedCode,
+        flip_bits,
+    )
+    from .models import FailureCurve, UnitFailureModel, build_unit_models
+    from .manifestation import EffectSampler, SampledRunEffects
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".ecc": (
+        "DecodeStatus", "DectedCode", "EccDecodeResult", "EvenParityCode",
+        "SecdedCode", "flip_bits",
+    ),
+    ".models": ("FailureCurve", "UnitFailureModel", "build_unit_models"),
+    ".manifestation": ("EffectSampler", "SampledRunEffects"),
+})
 
 __all__ = [
     "DecodeStatus",

@@ -31,27 +31,7 @@ import numpy as np
 from ..effects import EffectType, normalize_effects
 from ..errors import ConfigurationError
 from .models import FunctionalUnit, UnitFailureModel
-
-
-@dataclass(frozen=True)
-class ProtectionConfig:
-    """Error-protection configuration of the simulated part (Section 6).
-
-    ``ecc`` selects the L2/L3 code ("secded" stock, "dected" the
-    stronger-code enhancement).  ``coverage`` is the fraction of
-    previously unprotected state (pipeline latches, more blocks) brought
-    under protection; it converts that fraction of would-be SDCs into
-    corrected errors.
-    """
-
-    ecc: str = "secded"
-    coverage: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.ecc not in ("secded", "dected"):
-            raise ConfigurationError(f"ecc must be 'secded' or 'dected', got {self.ecc!r}")
-        if not 0.0 <= self.coverage <= 1.0:
-            raise ConfigurationError("coverage must be within [0, 1]")
+from .protection import ProtectionConfig  # re-exported: the old import path stays valid
 
 
 @dataclass(frozen=True)

@@ -17,28 +17,55 @@ characterization framework:
   boot banner and heartbeat for the external watchdog.
 """
 
-from .corners import ProcessCorner, corner_for_chip
-from .domains import PowerDomain, VoltageRegulator
-from .clocking import ClockController, ClockMechanism
-from .sram import SramArray
-from .caches import CacheLevel, CacheStack
-from .timing import AlphaPowerTimingModel
-from .pmu import PerformanceMonitoringUnit
-from .edac import EdacDriver, EdacRecord
-from .sensors import FanController, TemperatureSensor
-from .slimpro import SlimPro
-from .pmpro import AcpiState, PmPro
-from .serial_console import SerialConsole
-from .power import PowerModel
-from .xgene2 import MachineState, RunOutcome, XGene2Chip, XGene2Machine
-from .dynamics import (
-    AdaptiveClockingUnit,
-    AgingModel,
-    RollbackUnit,
-    SupplyDroopModel,
-    TemperatureSensitivity,
-)
-from .variation import ChipGenerator, fleet_vmin_distribution
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .corners import ProcessCorner, corner_for_chip
+    from .domains import PowerDomain, VoltageRegulator
+    from .clocking import ClockController, ClockMechanism
+    from .sram import SramArray
+    from .caches import CacheLevel, CacheStack
+    from .timing import AlphaPowerTimingModel
+    from .pmu import PerformanceMonitoringUnit
+    from .edac import EdacDriver, EdacRecord
+    from .sensors import FanController, TemperatureSensor
+    from .slimpro import SlimPro
+    from .pmpro import AcpiState, PmPro
+    from .serial_console import SerialConsole
+    from .power import PowerModel
+    from .xgene2 import MachineState, RunOutcome, XGene2Chip, XGene2Machine
+    from .dynamics import (
+        AdaptiveClockingUnit,
+        AgingModel,
+        RollbackUnit,
+        SupplyDroopModel,
+        TemperatureSensitivity,
+    )
+    from .variation import ChipGenerator, fleet_vmin_distribution
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".corners": ("ProcessCorner", "corner_for_chip"),
+    ".domains": ("PowerDomain", "VoltageRegulator"),
+    ".clocking": ("ClockController", "ClockMechanism"),
+    ".sram": ("SramArray",),
+    ".caches": ("CacheLevel", "CacheStack"),
+    ".timing": ("AlphaPowerTimingModel",),
+    ".pmu": ("PerformanceMonitoringUnit",),
+    ".edac": ("EdacDriver", "EdacRecord"),
+    ".sensors": ("FanController", "TemperatureSensor"),
+    ".slimpro": ("SlimPro",),
+    ".pmpro": ("AcpiState", "PmPro"),
+    ".serial_console": ("SerialConsole",),
+    ".power": ("PowerModel",),
+    ".xgene2": ("MachineState", "RunOutcome", "XGene2Chip", "XGene2Machine"),
+    ".dynamics": (
+        "AdaptiveClockingUnit", "AgingModel", "RollbackUnit",
+        "SupplyDroopModel", "TemperatureSensitivity",
+    ),
+    ".variation": ("ChipGenerator", "fleet_vmin_distribution"),
+})
 
 __all__ = [
     "ProcessCorner",

@@ -26,7 +26,8 @@ import numpy as np
 from ..data.calibration import ChipCalibration, chip_calibration
 from ..effects import EffectType, normalize_effects
 from ..errors import ConfigurationError, MachineStateError
-from ..faults.manifestation import EffectSampler, ProtectionConfig
+from ..faults.manifestation import EffectSampler
+from ..faults.protection import ProtectionConfig
 from ..faults.models import FailureCurve, build_unit_models
 from ..units import (
     CHARACTERIZATION_TEMP_C,

@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from ..durable import atomic_write
 from ..errors import ConfigurationError
 from .spec import MachineSpec
 
@@ -74,7 +75,7 @@ def spec_from_json(text: str) -> MachineSpec:
 def save_machine_spec(spec: MachineSpec, path: Union[str, Path]) -> Path:
     """Write a spec to a JSON file; returns the path written."""
     path = Path(path)
-    path.write_text(spec_to_json(spec) + "\n", encoding="utf-8")
+    atomic_write(path, spec_to_json(spec) + "\n")
     return path
 
 

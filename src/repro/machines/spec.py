@@ -31,7 +31,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from ..data.calibration import CHIP_NAMES, ChipCalibration
 from ..errors import ConfigurationError
-from ..faults.manifestation import ProtectionConfig
+from ..faults.protection import ProtectionConfig
 from ..units import CHARACTERIZATION_TEMP_C
 from .registry import (
     COMPONENT_SLOTS,

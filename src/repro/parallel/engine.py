@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..core.campaign import CampaignResult, CharacterizationResult
-from ..core.framework import FrameworkConfig
+from ..core.config import FrameworkConfig
 from ..errors import CampaignError, ConfigurationError
 from ..machines import MachineSpec, as_machine_spec
 from ..store import AnyStore, CampaignStore, open_store, store_exists
@@ -406,6 +406,11 @@ class ParallelCampaignEngine:
         if backend == "process":
             try:
                 from concurrent.futures import ProcessPoolExecutor
+
+                # The worker body's layers (framework, kernel, simulator)
+                # load here, before the pool forks, so every worker
+                # inherits them instead of importing them again.
+                from ..core import framework  # noqa: F401
 
                 executor = ProcessPoolExecutor(max_workers=self.jobs)
                 # Surface pool-construction failures (missing /dev/shm,

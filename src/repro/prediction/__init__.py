@@ -22,36 +22,66 @@ drift tracking and versioned ``repro-model/v1`` artifacts
 (:mod:`repro.store.models`).
 """
 
-from .metrics import r2_score, rmse
-from .linreg import RFE_RIDGE_ALPHA, OnlineLeastSquares, OrdinaryLeastSquares
-from .rfe import RecursiveFeatureElimination
-from .naive import NaiveMeanPredictor
-from .dataset import (
-    JournalBatch,
-    RegressionDataset,
-    iter_journal_datasets,
-    severity_dataset_from_store,
-    train_test_split,
-    vmin_dataset_from_store,
-)
-from .features import FeatureAssembler, VOLTAGE_FEATURE
-from .pipeline import (
-    FittedModel,
-    PredictionReport,
-    PredictionPipeline,
-    SeverityStudy,
-    VminStudy,
-    batch_fit,
-    fit_severity_model_from_store,
-    fit_vmin_model_from_store,
-)
-from .streaming import TRAINABLE_TARGETS, StreamingTrainer
-from .crossval import (
-    CrossValidationReport,
-    TransferReport,
-    cross_core_transfer,
-    kfold_cross_validate,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .metrics import r2_score, rmse
+    from .linreg import RFE_RIDGE_ALPHA, OnlineLeastSquares, OrdinaryLeastSquares
+    from .rfe import RecursiveFeatureElimination
+    from .naive import NaiveMeanPredictor
+    from .dataset import (
+        JournalBatch,
+        RegressionDataset,
+        iter_journal_datasets,
+        severity_dataset_from_store,
+        train_test_split,
+        vmin_dataset_from_store,
+    )
+    from .features import FeatureAssembler, VOLTAGE_FEATURE
+    from .pipeline import (
+        FittedModel,
+        PredictionReport,
+        PredictionPipeline,
+        SeverityStudy,
+        VminStudy,
+        batch_fit,
+        fit_severity_model_from_store,
+        fit_vmin_model_from_store,
+    )
+    from .streaming import TRAINABLE_TARGETS, StreamingTrainer
+    from .crossval import (
+        CrossValidationReport,
+        TransferReport,
+        cross_core_transfer,
+        kfold_cross_validate,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".metrics": ("r2_score", "rmse"),
+    ".linreg": (
+        "RFE_RIDGE_ALPHA", "OnlineLeastSquares", "OrdinaryLeastSquares",
+    ),
+    ".rfe": ("RecursiveFeatureElimination",),
+    ".naive": ("NaiveMeanPredictor",),
+    ".dataset": (
+        "JournalBatch", "RegressionDataset", "iter_journal_datasets",
+        "severity_dataset_from_store", "train_test_split",
+        "vmin_dataset_from_store",
+    ),
+    ".features": ("FeatureAssembler", "VOLTAGE_FEATURE"),
+    ".pipeline": (
+        "FittedModel", "PredictionReport", "PredictionPipeline",
+        "SeverityStudy", "VminStudy", "batch_fit",
+        "fit_severity_model_from_store", "fit_vmin_model_from_store",
+    ),
+    ".streaming": ("TRAINABLE_TARGETS", "StreamingTrainer"),
+    ".crossval": (
+        "CrossValidationReport", "TransferReport", "cross_core_transfer",
+        "kfold_cross_validate",
+    ),
+})
 
 __all__ = [
     "r2_score",

@@ -34,7 +34,8 @@ import numpy as np
 
 from .. import telemetry
 from ..core.campaign import CharacterizationResult
-from ..core.framework import CharacterizationFramework, FrameworkConfig
+from ..core.config import FrameworkConfig
+from ..core.framework import CharacterizationFramework
 from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
 from ..errors import DatasetError, PredictionError
 from ..machines import Machine

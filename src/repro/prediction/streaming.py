@@ -38,6 +38,7 @@ import numpy as np
 from .. import telemetry
 from ..data.counters import COUNTER_NAMES
 from ..errors import PredictionError
+from ..store.models import TRAINABLE_TARGETS
 from .dataset import iter_journal_datasets
 from .features import VOLTAGE_FEATURE
 from .linreg import OnlineLeastSquares
@@ -46,10 +47,6 @@ from .rfe import RecursiveFeatureElimination
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store import AnyStore
     from ..store.models import ModelArtifact
-
-#: Targets the trainer knows how to cut from the journal.
-TRAINABLE_TARGETS = ("vmin", "severity")
-
 
 def _feature_space(target: str) -> Tuple[str, ...]:
     """Full model input space for one target."""

@@ -44,44 +44,71 @@ streaming prediction trainer persists its models next to the data they
 were trained on.
 """
 
-from ..errors import StoreError
-from .fleet import (
-    FLEET_FORMAT,
-    FLEET_MANIFEST_NAME,
-    SHARDS_DIR,
-    AnyStore,
-    FleetIndexes,
-    FleetManifest,
-    FleetStore,
-    ShardEntry,
-    artifact_cursor,
-    open_store,
-    store_exists,
-)
-from .index import (
-    INDEX_FORMAT,
-    PredictionFeatureIndex,
-    SeverityIndex,
-    StoreIndexes,
-    VminIndex,
-    reparse_serialization,
-)
-from .journal import (
-    JOURNAL_NAME,
-    MANIFEST_NAME,
-    STORE_FORMAT,
-    CampaignManifest,
-    CampaignStore,
-    TaskKey,
-)
-from .models import (
-    MODEL_FORMAT,
-    MODELS_DIR,
-    ModelArtifact,
-    ModelStore,
-    train_set_digest,
-)
-from .records import StoredCampaign
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from ..errors import StoreError
+    from .fleet import (
+        FLEET_FORMAT,
+        FLEET_MANIFEST_NAME,
+        SHARDS_DIR,
+        AnyStore,
+        FleetIndexes,
+        FleetManifest,
+        FleetStore,
+        ShardEntry,
+        artifact_cursor,
+        open_store,
+        store_exists,
+    )
+    from .index import (
+        INDEX_FORMAT,
+        PredictionFeatureIndex,
+        SeverityIndex,
+        StoreIndexes,
+        VminIndex,
+        reparse_serialization,
+    )
+    from .journal import (
+        JOURNAL_NAME,
+        MANIFEST_NAME,
+        STORE_FORMAT,
+        CampaignManifest,
+        CampaignStore,
+        TaskKey,
+    )
+    from .models import (
+        MODEL_FORMAT,
+        MODELS_DIR,
+        ModelArtifact,
+        ModelStore,
+        train_set_digest,
+    )
+    from .records import StoredCampaign
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "..errors": ("StoreError",),
+    ".fleet": (
+        "FLEET_FORMAT", "FLEET_MANIFEST_NAME", "SHARDS_DIR", "AnyStore",
+        "FleetIndexes", "FleetManifest", "FleetStore", "ShardEntry",
+        "artifact_cursor", "open_store", "store_exists",
+    ),
+    ".index": (
+        "INDEX_FORMAT", "PredictionFeatureIndex", "SeverityIndex",
+        "StoreIndexes", "VminIndex", "reparse_serialization",
+    ),
+    ".journal": (
+        "JOURNAL_NAME", "MANIFEST_NAME", "STORE_FORMAT", "CampaignManifest",
+        "CampaignStore", "TaskKey",
+    ),
+    ".models": (
+        "MODEL_FORMAT", "MODELS_DIR", "ModelArtifact", "ModelStore",
+        "train_set_digest",
+    ),
+    ".records": ("StoredCampaign",),
+})
 
 __all__ = [
     "AnyStore",
@@ -108,6 +135,7 @@ __all__ = [
     "StoreIndexes",
     "StoredCampaign",
     "TaskKey",
+    "VminIndex",
     "artifact_cursor",
     "open_store",
     "reparse_serialization",

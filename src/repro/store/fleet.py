@@ -57,7 +57,7 @@ from typing import (
     Union,
 )
 
-from ..core.framework import FrameworkConfig
+from ..core.config import FrameworkConfig
 from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
 from ..durable import atomic_write
 from ..errors import StoreError

@@ -43,7 +43,7 @@ from typing import (
 
 from .. import telemetry
 from ..core.campaign import CampaignResult, CharacterizationResult
-from ..core.framework import FrameworkConfig
+from ..core.config import FrameworkConfig
 from ..core.results import ResultStore
 from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
 from ..durable import AppendLog, atomic_write

@@ -23,17 +23,31 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..durable import atomic_write
 from ..errors import CampaignError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Format tag of the model-artifact schema.
 MODEL_FORMAT = "repro-model/v1"
 #: Subdirectory of a campaign store holding model artifacts.
 MODELS_DIR = "models"
+#: Prediction targets a model can be trained for (one artifact series
+#: per target and core).
+TRAINABLE_TARGETS = ("vmin", "severity")
 
 _ARTIFACT_RE = re.compile(r"^(?P<target>[a-z]+)-core(?P<core>\d+)-v(?P<version>\d+)\.json$")
 
@@ -53,7 +67,7 @@ def train_set_digest(pairs: Iterable[Tuple[str, float]]) -> str:
 class ModelArtifact:
     """One fitted model, JSON-round-trippable byte-identically."""
 
-    #: Prediction target: ``"vmin"`` or ``"severity"``.
+    #: Prediction target, one of :data:`TRAINABLE_TARGETS`.
     target: str
     core: int
     #: Monotonic artifact version; 0 until :meth:`ModelStore.save`
@@ -117,6 +131,8 @@ class ModelArtifact:
                 f"model artifact {self.target}/core{self.core} v{self.version} "
                 "has no selected features yet (journal too shallow)"
             )
+        import numpy as np
+
         sub = dataset.select_features(self.selected_features)
         coef = np.array(
             [self.coefficients[name] for name in self.selected_features]

@@ -36,107 +36,161 @@ On top of those write-side primitives sits the read/analysis plane:
 
 from __future__ import annotations
 
-from .analytics import (
-    ANALYSIS_FORMAT,
-    PHASES,
-    CriticalPathStep,
-    TaskSummary,
-    TraceAnalysis,
-    analyze_trace_dir,
-    render_analysis,
-)
-from .clock import MONOTONIC_CLOCK, Clock
-from .context import (
-    TelemetrySession,
-    clock,
-    current_session,
-    emit_spans,
-    event,
-    inc_counter,
-    observe,
-    sample_tsdb,
-    set_gauge,
-    shielded,
-    span,
-    task_trace,
-    telemetry_session,
-)
-from .dash import Dashboard, DashSnapshot, render_dash
-from .health import (
-    HEALTH_FORMAT,
-    HealthRule,
-    HealthVerdict,
-    default_health_rules,
-    evaluate_rules,
-    health_report,
-    overall_status,
-    render_health,
-    serialize_health,
-)
-from .log import LOG_LEVELS, StructuredLogger, get_logger
-from .metrics import (
-    DEFAULT_BUCKETS,
-    FSYNC_BUCKETS,
-    METRIC_CATALOG,
-    METRICS_FORMAT,
-    M_CHUNK_SECONDS,
-    M_CHUNKS_RETRIED,
-    M_EFFECTS,
-    M_GRID_TASKS,
-    M_INTERVENTIONS,
-    M_JOURNAL_APPENDS,
-    M_JOURNAL_FSYNC_SECONDS,
-    M_KERNEL_CAMPAIGNS,
-    M_LOG_MESSAGES,
-    M_MODEL_DRIFT,
-    M_MODEL_RMSE,
-    M_PARSER_RUNS,
-    M_PREDICTION_CHARACTERIZATIONS,
-    M_PREDICTION_PROFILES,
-    M_TASK_SECONDS,
-    M_TASKS_COMPLETED,
-    M_TASKS_SKIPPED,
-    M_THROUGHPUT,
-    M_TSDB_SNAPSHOTS,
-    M_WATCHDOG,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricSpec,
-    MetricsRegistry,
-)
-from .status import (
-    FleetShardStatus,
-    FleetStatus,
-    ModelStatus,
-    fleet_status,
-    model_statuses,
-    render_fleet_status,
-    render_model_status,
-)
-from .tracing import (
-    PARENT_SPAN_ID_BASE,
-    SESSION_TRACE_ID,
-    SPAN_FORMAT,
-    SPAN_SCHEMA,
-    AttrValue,
-    SpanRecord,
-    SpanSink,
-    Tracer,
-    TraceWriter,
-    load_spans,
-    task_trace_id,
-    validate_span,
-)
-from .tsdb import (
-    TSDB_CURSOR_FORMAT,
-    TSDB_FORMAT,
-    TSDB_NAME,
-    TsdbCursor,
-    TsdbSampler,
-    TsdbWriter,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+# Eager on purpose: ``clock`` is both this function and the name of the
+# ``.clock`` submodule.  Importing the submodule binds the package
+# attribute to the module; binding the function after it (and before
+# any lazy lookup) keeps ``telemetry.clock()`` callable.
+from .context import clock
+
+if TYPE_CHECKING:
+    from .analytics import (
+        ANALYSIS_FORMAT,
+        PHASES,
+        CriticalPathStep,
+        TaskSummary,
+        TraceAnalysis,
+        analyze_trace_dir,
+        render_analysis,
+    )
+    from .clock import MONOTONIC_CLOCK, Clock
+    from .context import (
+        TelemetrySession,
+        current_session,
+        emit_spans,
+        event,
+        inc_counter,
+        observe,
+        sample_tsdb,
+        set_gauge,
+        shielded,
+        span,
+        task_trace,
+        telemetry_session,
+    )
+    from .dash import Dashboard, DashSnapshot, render_dash
+    from .health import (
+        HEALTH_FORMAT,
+        HealthRule,
+        HealthVerdict,
+        default_health_rules,
+        evaluate_rules,
+        health_report,
+        overall_status,
+        render_health,
+        serialize_health,
+    )
+    from .log import LOG_LEVELS, StructuredLogger, get_logger
+    from .metrics import (
+        DEFAULT_BUCKETS,
+        FSYNC_BUCKETS,
+        METRIC_CATALOG,
+        METRICS_FORMAT,
+        M_CHUNK_SECONDS,
+        M_CHUNKS_RETRIED,
+        M_EFFECTS,
+        M_GRID_TASKS,
+        M_INTERVENTIONS,
+        M_JOURNAL_APPENDS,
+        M_JOURNAL_FSYNC_SECONDS,
+        M_KERNEL_CAMPAIGNS,
+        M_LOG_MESSAGES,
+        M_MODEL_DRIFT,
+        M_MODEL_RMSE,
+        M_PARSER_RUNS,
+        M_PREDICTION_CHARACTERIZATIONS,
+        M_PREDICTION_PROFILES,
+        M_TASK_SECONDS,
+        M_TASKS_COMPLETED,
+        M_TASKS_SKIPPED,
+        M_THROUGHPUT,
+        M_TSDB_SNAPSHOTS,
+        M_WATCHDOG,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricFamily,
+        MetricSpec,
+        MetricsRegistry,
+    )
+    from .status import (
+        FleetShardStatus,
+        FleetStatus,
+        ModelStatus,
+        fleet_status,
+        model_statuses,
+        render_fleet_status,
+        render_model_status,
+    )
+    from .tracing import (
+        PARENT_SPAN_ID_BASE,
+        SESSION_TRACE_ID,
+        SPAN_FORMAT,
+        SPAN_SCHEMA,
+        AttrValue,
+        SpanRecord,
+        SpanSink,
+        Tracer,
+        TraceWriter,
+        load_spans,
+        task_trace_id,
+        validate_span,
+    )
+    from .tsdb import (
+        TSDB_CURSOR_FORMAT,
+        TSDB_FORMAT,
+        TSDB_NAME,
+        TsdbCursor,
+        TsdbSampler,
+        TsdbWriter,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analytics": (
+        "ANALYSIS_FORMAT", "PHASES", "CriticalPathStep", "TaskSummary",
+        "TraceAnalysis", "analyze_trace_dir", "render_analysis",
+    ),
+    ".clock": ("MONOTONIC_CLOCK", "Clock"),
+    ".context": (
+        "TelemetrySession", "current_session", "emit_spans", "event",
+        "inc_counter", "observe", "sample_tsdb", "set_gauge", "shielded",
+        "span", "task_trace", "telemetry_session",
+    ),
+    ".dash": ("Dashboard", "DashSnapshot", "render_dash"),
+    ".health": (
+        "HEALTH_FORMAT", "HealthRule", "HealthVerdict", "default_health_rules",
+        "evaluate_rules", "health_report", "overall_status", "render_health",
+        "serialize_health",
+    ),
+    ".log": ("LOG_LEVELS", "StructuredLogger", "get_logger"),
+    ".metrics": (
+        "DEFAULT_BUCKETS", "FSYNC_BUCKETS", "METRIC_CATALOG", "METRICS_FORMAT",
+        "M_CHUNK_SECONDS", "M_CHUNKS_RETRIED", "M_EFFECTS", "M_GRID_TASKS",
+        "M_INTERVENTIONS", "M_JOURNAL_APPENDS", "M_JOURNAL_FSYNC_SECONDS",
+        "M_KERNEL_CAMPAIGNS", "M_LOG_MESSAGES", "M_MODEL_DRIFT",
+        "M_MODEL_RMSE", "M_PARSER_RUNS", "M_PREDICTION_CHARACTERIZATIONS",
+        "M_PREDICTION_PROFILES", "M_TASK_SECONDS", "M_TASKS_COMPLETED",
+        "M_TASKS_SKIPPED", "M_THROUGHPUT", "M_TSDB_SNAPSHOTS", "M_WATCHDOG",
+        "Counter", "Gauge", "Histogram", "MetricFamily", "MetricSpec",
+        "MetricsRegistry",
+    ),
+    ".status": (
+        "FleetShardStatus", "FleetStatus", "ModelStatus", "fleet_status",
+        "model_statuses", "render_fleet_status", "render_model_status",
+    ),
+    ".tracing": (
+        "PARENT_SPAN_ID_BASE", "SESSION_TRACE_ID", "SPAN_FORMAT",
+        "SPAN_SCHEMA", "AttrValue", "SpanRecord", "SpanSink", "Tracer",
+        "TraceWriter", "load_spans", "task_trace_id", "validate_span",
+    ),
+    ".tsdb": (
+        "TSDB_CURSOR_FORMAT", "TSDB_FORMAT", "TSDB_NAME", "TsdbCursor",
+        "TsdbSampler", "TsdbWriter",
+    ),
+})
 
 __all__ = [
     # analytics

@@ -28,6 +28,8 @@ from typing import (
     Union,
 )
 
+from ..durable import atomic_write
+
 METRICS_FORMAT = "repro-metrics/v1"
 
 # Canonical metric names.  Consumers reference these constants instead
@@ -384,7 +386,7 @@ class MetricsRegistry:
         else:
             body = json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n"
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(body, encoding="utf-8")
+        atomic_write(target, body)
         return target
 
 

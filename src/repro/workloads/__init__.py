@@ -17,6 +17,9 @@ each program is modelled by what the study actually consumes:
 * a per-functional-unit relative stress vector shaping the effect mix.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .benchmark import Benchmark, Program, WorkloadTraits, stress_from_traits
 from .spec2006 import (
     FIGURE_BENCHMARKS,
@@ -28,10 +31,22 @@ from .spec2006 import (
 # `workloads.benchmark` submodule on the package object.
 from .spec2006 import benchmark as get_benchmark
 from .spec2006 import program as get_program
-from .selftests import SELF_TESTS, self_test
-from .generator import SyntheticWorkloadGenerator
-from .execution import reference_output, runtime_seconds
-from .stressmark import StressmarkResult, generate_didt_stressmark
+
+if TYPE_CHECKING:
+    from .selftests import SELF_TESTS, self_test
+    from .generator import SyntheticWorkloadGenerator
+    from .execution import reference_output, runtime_seconds
+    from .stressmark import StressmarkResult, generate_didt_stressmark
+
+# The suite above is eager (stores and the CLI name benchmarks); the
+# generator (numpy) and the stressmark (supply-droop model) load on
+# first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".selftests": ("SELF_TESTS", "self_test"),
+    ".generator": ("SyntheticWorkloadGenerator",),
+    ".execution": ("reference_output", "runtime_seconds"),
+    ".stressmark": ("StressmarkResult", "generate_didt_stressmark"),
+})
 
 __all__ = [
     "Benchmark",

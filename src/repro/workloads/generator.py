@@ -101,7 +101,11 @@ class SyntheticWorkloadGenerator:
             prefetch_ratio=round(float(rng.uniform(0.0, 0.25)), 3),
             unaligned_ratio=round(float(rng.uniform(0.0, 0.01)), 4),
         )
-        traits = solve_traits_for_stress(template, stress)
+        # Rounding the template's rates can move their fixed contribution
+        # (by < 1e-4) just outside the band solvable for this stress when
+        # the sampled target sits at its edge; the nearest reachable
+        # stress is used then.
+        traits = solve_traits_for_stress(template, stress, clamp=True)
         implied = stress_from_traits(traits)
         self._counter += 1
         return Benchmark(

@@ -1,5 +1,14 @@
 """Study configuration, PMU unit behaviour, and package surface."""
 
+import ast
+import importlib
+import importlib.util
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -88,6 +97,44 @@ class TestPmuUnit:
         assert all(value == 0.0 for value in snapshot.values())
 
 
+#: Every package whose exports load on first use.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.analysis.lint",
+    "repro.core",
+    "repro.data",
+    "repro.faults",
+    "repro.hardware",
+    "repro.prediction",
+    "repro.store",
+    "repro.telemetry",
+    "repro.workloads",
+)
+
+
+def _is_lazy(package):
+    hook = vars(package).get("__getattr__")
+    return getattr(hook, "__module__", None) == "repro._lazy"
+
+
+def _declared_exports(package):
+    """(names imported eagerly, {name: defining module} of the
+    ``if TYPE_CHECKING:`` block) from a package's ``__init__``."""
+    tree = ast.parse(Path(package.__file__).read_text(encoding="utf-8"))
+    eager, origin = set(), {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            eager |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.If) and getattr(node.test, "id", "") == "TYPE_CHECKING":
+            for stmt in node.body:
+                module = importlib.util.resolve_name(
+                    "." * stmt.level + (stmt.module or ""), package.__name__)
+                origin.update((alias.asname or alias.name, module)
+                              for alias in stmt.names)
+    return eager, origin
+
+
 class TestPackageSurface:
     def test_version_exposed(self):
         assert repro.__version__ == "1.0.0"
@@ -107,3 +154,53 @@ class TestPackageSurface:
         result = framework.characterize(gb("bwaves"), core=0)
         assert result.highest_vmin_mv > 0
         assert isinstance(result.severity_by_voltage(), dict)
+
+    # -- lazy exports (repro._lazy) ------------------------------------
+
+    def test_lazy_packages_are_the_listed_ones(self):
+        found = {
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg and _is_lazy(importlib.import_module(info.name))
+        }
+        assert _is_lazy(repro)
+        assert found | {"repro"} == set(LAZY_PACKAGES)
+
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_every_export_is_its_defining_object(self, name):
+        package = importlib.import_module(name)
+        # Import every submodule first: one that shares an export's
+        # name would rebind the package attribute to itself.
+        for info in pkgutil.iter_modules(package.__path__, name + "."):
+            importlib.import_module(info.name)
+        eager, origin = _declared_exports(package)
+        assert set(origin) <= set(package.__all__)
+        assert set(package.__all__) <= eager | set(origin)
+        for export in package.__all__:
+            value = getattr(package, export)
+            if export in origin:
+                defining = importlib.import_module(origin[export])
+                assert value is getattr(defining, export), export
+
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_exports_are_listed_and_star_importable(self, name):
+        package = importlib.import_module(name)
+        assert set(package.__all__) <= set(dir(package))
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        assert set(package.__all__) <= set(namespace)
+
+    def test_telemetry_clock_stays_callable_after_its_submodule_import(self):
+        env = dict(os.environ)
+        src = Path(repro.__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        code = ("import repro.telemetry.clock\n"
+                "import repro.telemetry as telemetry\n"
+                "assert isinstance(telemetry.clock(), float)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        from repro import telemetry
+        from repro.telemetry.context import clock
+        assert importlib.import_module("repro.telemetry.clock")
+        assert telemetry.clock is clock

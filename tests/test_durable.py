@@ -23,7 +23,7 @@ from repro.core.campaign import CampaignResult
 from repro.core.parser import format_run_block
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
-from repro.machines import MachineSpec
+from repro.machines import MachineSpec, load_machine_spec, save_machine_spec
 from repro.store import (
     JOURNAL_NAME,
     MANIFEST_NAME,
@@ -149,6 +149,22 @@ def _save_lint(d, *names):
                {n: FileAnalysis(path=n, sha=n * 8) for n in names})
 
 
+def _write_metrics(d, tasks):
+    registry = MetricsRegistry()
+    registry.counter("repro_tasks_total").inc(tasks)
+    registry.write(d / "metrics.json")
+
+
+def _metrics(d):
+    path = d / "metrics.json"
+    return path.read_text(encoding="utf-8") if path.exists() else None
+
+
+def _machine_spec(d):
+    path = d / "spec.json"
+    return load_machine_spec(path) if path.exists() else None
+
+
 ATOMIC = {
     "campaign-manifest": AtomicCase(
         prepare=lambda d: None,
@@ -174,6 +190,16 @@ ATOMIC = {
         prepare=lambda d: _save_lint(d, "a.py"),
         write=lambda d: _save_lint(d, "a.py", "b.py"),
         observe=_lint_cache,
+    ),
+    "metrics-export": AtomicCase(
+        prepare=lambda d: _write_metrics(d, 1),
+        write=lambda d: _write_metrics(d, 2),
+        observe=_metrics,
+    ),
+    "machine-spec": AtomicCase(
+        prepare=lambda d: save_machine_spec(SPEC, d / "spec.json"),
+        write=lambda d: save_machine_spec(OTHER_SPEC, d / "spec.json"),
+        observe=_machine_spec,
     ),
 }
 

@@ -167,6 +167,13 @@ class TestGenerator:
         for target in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert gen.draw(stress=target).stress == pytest.approx(target, abs=0.01)
 
+    def test_target_at_band_edge_survives_template_rounding(self):
+        # Seed 3130 samples a fixed contribution 6e-5 above the lowest
+        # solvable one; rounding the template rates drops it below.
+        bench = SyntheticWorkloadGenerator(seed=3130).draw()
+        assert bench.stress == pytest.approx(0.8749, abs=1e-3)
+        assert stress_from_traits(bench.traits) == pytest.approx(bench.stress, abs=1e-6)
+
     def test_reproducible(self):
         first = SyntheticWorkloadGenerator(seed=9).draw_many(5)
         second = SyntheticWorkloadGenerator(seed=9).draw_many(5)
