@@ -399,6 +399,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     bytes appended since the previous one.
     """
     from . import telemetry
+    from .durable import atomic_write
 
     baseline: Optional[str] = args.baseline
     if baseline is not None and not Path(baseline).exists():
@@ -416,12 +417,12 @@ def _cmd_dash(args: argparse.Namespace) -> int:
             return 2
         print(telemetry.render_dash(snapshot), end="")
         if args.health_out:
-            with open(args.health_out, "w") as handle:
-                handle.write(
-                    telemetry.serialize_health(
-                        snapshot.verdicts, source=str(args.store)
-                    )
-                )
+            atomic_write(
+                args.health_out,
+                telemetry.serialize_health(
+                    snapshot.verdicts, source=str(args.store)
+                ),
+            )
         if args.once or snapshot.complete:
             return 0
         time.sleep(args.poll)
@@ -673,13 +674,22 @@ def _cmd_fleet_query(args: argparse.Namespace) -> int:
     ``repro.store`` -- the single sanctioned writer of index bytes);
     adding ``--reparse`` recomputes the same bytes through a full
     journal re-parse, so piping both through ``diff`` checks the
-    index-equals-reparse contract end to end.
+    index-equals-reparse contract end to end.  The text answers need
+    only each shard's Vmin and severity indexes, so they build no
+    feature rows (no numpy, no profiler).
     """
-    from .store import FleetStore
+    from .store import FleetStore, SeverityIndex, VminIndex
 
     try:
         fleet = FleetStore.open(args.fleet_dir)
-        indexes = fleet.indexes(feature_target=args.target)
+        if args.json:
+            indexes = fleet.indexes(feature_target=args.target)
+        else:
+            answers = [
+                (entry, VminIndex.from_reparse(store),
+                 SeverityIndex.from_reparse(store))
+                for entry, store in fleet.shards()
+            ]
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -690,11 +700,11 @@ def _cmd_fleet_query(args: argparse.Namespace) -> int:
         )
         print(text, end="")
         return 0
-    for entry, bundle in indexes.bundles():
+    for entry, vmin, severity_index in answers:
         print(f"{entry.name} (spec {entry.spec_digest[:12]}):")
         cells = [
             (name, core)
-            for name, core in bundle.vmin.cells()
+            for name, core in vmin.cells()
             if (args.benchmark is None or name == args.benchmark)
             and (args.core is None or core == args.core)
         ]
@@ -702,10 +712,10 @@ def _cmd_fleet_query(args: argparse.Namespace) -> int:
             print("  (no completed cells match)")
             continue
         for name, core in cells:
-            crash = bundle.vmin.crash_mv(name, core)
-            severity = bundle.severity.severity_by_voltage(name, core)
+            crash = vmin.crash_mv(name, core)
+            severity = severity_index.severity_by_voltage(name, core)
             peak = max(severity.values()) if severity else 0.0
-            print(f"  {name} c{core}: Vmin {bundle.vmin.vmin_mv(name, core)} "
+            print(f"  {name} c{core}: Vmin {vmin.vmin_mv(name, core)} "
                   f"mV, crash {crash if crash is not None else '--'} mV, "
                   f"peak severity {peak:.2f}")
     return 0
@@ -733,6 +743,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """Write a self-contained markdown reproduction report."""
     from .analysis.report import check_claims
     from .analysis.tables import render_table, table2_parameters, table4_weights
+    from .durable import atomic_write
     from .energy import figure9_ladder
 
     lines: List[str] = [
@@ -777,8 +788,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return 2
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        atomic_write(args.out, text)
         print(f"report written to {args.out}")
     else:
         print(text)

@@ -19,8 +19,17 @@ lets the parallel engine hammer these paths at fleet scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import FrozenInstanceError, dataclass
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..effects import EffectType
 from ..errors import CampaignError
@@ -34,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class _VoltageIndex(NamedTuple):
-    """Single-pass per-voltage index of a record set (internal).
+    """Per-voltage counts of a record set (internal).
 
     The dict values are owned by the index and must never be handed to
     callers directly -- the public accessors return copies.
@@ -44,53 +53,141 @@ class _VoltageIndex(NamedTuple):
     counts: Dict[int, Dict[EffectType, int]]
     #: voltage -> number of runs executed at that level.
     run_counts: Dict[int, int]
-    #: voltage -> the records themselves, in execution order.
-    records: Dict[int, Tuple[RunRecord, ...]]
 
 
 def _index_records(records: Tuple[RunRecord, ...]) -> _VoltageIndex:
     """Build the per-voltage index in one pass over the records."""
     counts: Dict[int, Dict[EffectType, int]] = {}
     run_counts: Dict[int, int] = {}
-    grouped: Dict[int, List[RunRecord]] = {}
     for record in records:
         voltage = record.setup.voltage_mv
         slot = counts.get(voltage)
         if slot is None:
             slot = counts[voltage] = {effect: 0 for effect in EffectType}
             run_counts[voltage] = 0
-            grouped[voltage] = []
         run_counts[voltage] += 1
-        grouped[voltage].append(record)
         for effect in record.effects:
             slot[effect] += 1
-    return _VoltageIndex(
-        counts=counts,
-        run_counts=run_counts,
-        records={v: tuple(recs) for v, recs in grouped.items()},
-    )
+    return _VoltageIndex(counts=counts, run_counts=run_counts)
 
 
-@dataclass(frozen=True)
 class CampaignResult:
-    """One campaign: a benchmark swept over voltages on one core."""
+    """One campaign: a benchmark swept over voltages on one core.
+
+    Built from its run records (the kernel and the framework's parsing
+    phase), or by :meth:`from_counts` from the per-voltage counts a
+    journal read aggregates while it validates the raw log: such a
+    campaign parses its records only when something asks for them
+    (:attr:`records`, :meth:`runs_at`, the CSV export).  Frozen like
+    the records it aggregates; equality compares the identity fields
+    and the records, so a journaled campaign equals the kernel's.
+    """
 
     chip: str
     benchmark: str
     core: int
     freq_mhz: int
     campaign_index: int
-    records: Tuple[RunRecord, ...]
 
-    def __post_init__(self) -> None:
-        if not self.records:
-            raise CampaignError("a campaign needs at least one run record")
+    #: Unhashable, as the records are (their ``detail`` is a dict).
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        chip: str,
+        benchmark: str,
+        core: int,
+        freq_mhz: int,
+        campaign_index: int,
+        records: Tuple[RunRecord, ...],
+    ) -> None:
+        if not records:
+            raise CampaignError("a campaign needs at least one record")
+        self._fill(chip, benchmark, core, freq_mhz, campaign_index,
+                   _records=tuple(records), _counts=None, _load=None)
+
+    @classmethod
+    def from_counts(
+        cls,
+        chip: str,
+        benchmark: str,
+        core: int,
+        freq_mhz: int,
+        campaign_index: int,
+        counts: Dict[int, Dict[EffectType, int]],
+        run_counts: Dict[int, int],
+        load: Callable[[], Tuple[RunRecord, ...]],
+    ) -> "CampaignResult":
+        """A campaign known by its per-voltage counts (which it owns
+        from here on); ``load`` returns the records those counts index
+        and is called on first access."""
+        if not run_counts:
+            raise CampaignError("a campaign needs at least one record")
+        result = cls.__new__(cls)
+        result._fill(chip, benchmark, core, freq_mhz, campaign_index,
+                     _records=None, _counts=_VoltageIndex(counts, run_counts),
+                     _load=load)
+        return result
+
+    def _fill(self, chip: str, benchmark: str, core: int, freq_mhz: int,
+              campaign_index: int, **state: Any) -> None:
+        self.__dict__.update(
+            chip=chip, benchmark=benchmark, core=core, freq_mhz=freq_mhz,
+            campaign_index=campaign_index, **state,
+        )
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A pickled campaign carries its records, never the loader.
+        return dict(self.__dict__, _records=self.records, _load=None)
+
+    def _identity(self) -> Tuple[str, str, int, int, int]:
+        return (self.chip, self.benchmark, self.core, self.freq_mhz,
+                self.campaign_index)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CampaignResult):
+            return NotImplemented
+        return (self._identity() == other._identity()
+                and self.records == other.records)
+
+    def __repr__(self) -> str:
+        chip, benchmark, core, freq_mhz, campaign_index = self._identity()
+        return (
+            f"CampaignResult(chip={chip!r}, benchmark={benchmark!r}, "
+            f"core={core!r}, freq_mhz={freq_mhz!r}, "
+            f"campaign_index={campaign_index!r}, "
+            f"runs={sum(self._index.run_counts.values())})"
+        )
+
+    @property
+    def records(self) -> Tuple[RunRecord, ...]:
+        """The run records, in execution order."""
+        records: Optional[Tuple[RunRecord, ...]] = self.__dict__["_records"]
+        if records is None:
+            # Two threads racing here both parse, to equal records.
+            records = self.__dict__["_load"]()
+            object.__setattr__(self, "_records", records)
+        return records
 
     # -- aggregation ------------------------------------------------------
 
     @frozen_cached_property
     def _index(self) -> _VoltageIndex:
-        return _index_records(self.records)
+        counts: Optional[_VoltageIndex] = self.__dict__["_counts"]
+        return _index_records(self.records) if counts is None else counts
+
+    @frozen_cached_property
+    def _runs_by_voltage(self) -> Dict[int, Tuple[RunRecord, ...]]:
+        grouped: Dict[int, List[RunRecord]] = {}
+        for record in self.records:
+            grouped.setdefault(record.setup.voltage_mv, []).append(record)
+        return {voltage: tuple(runs) for voltage, runs in grouped.items()}
 
     @frozen_cached_property
     def _regions(self) -> OperatingRegions:
@@ -101,7 +198,7 @@ class CampaignResult:
         return tuple(sorted(self._index.run_counts, reverse=True))
 
     def runs_at(self, voltage_mv: int) -> List[RunRecord]:
-        return list(self._index.records.get(voltage_mv, ()))
+        return list(self._runs_by_voltage.get(voltage_mv, ()))
 
     def counts_by_voltage(self) -> Dict[int, Dict[EffectType, int]]:
         """Per-voltage effect counts (runs in which each effect appeared)."""

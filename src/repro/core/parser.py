@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -44,6 +45,8 @@ _HEADER_RE = re.compile(
     r"campaign=(?P<campaign>\d+) run=(?P<run>\d+) ===$"
 )
 _KV_RE = re.compile(r"(\w+)=(\S+)")
+#: The ASCII line boundaries :meth:`str.splitlines` knows besides ``\n``.
+_ODD_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
 @dataclass(frozen=True)
@@ -202,78 +205,164 @@ def _parse_block(lines: List[str]) -> ParsedRun:
     )
 
 
-def _bounds(text: str) -> Tuple[List[str], List[Tuple[int, int]]]:
-    """The log's lines and each run block's ``[start, end)`` line span:
-    a header line plus the lines below it."""
-    lines = text.splitlines()
-    starts = [i for i, line in enumerate(lines) if line.startswith(RUN_HEADER)]
-    for line in lines[: starts[0] if starts else len(lines)]:
+def _blocks(text: str) -> List[str]:
+    """Each run block of a log as its text past :data:`RUN_HEADER`:
+    the rest of the header line, then its body lines, newline-joined.
+
+    Lines split as :meth:`str.splitlines` splits them, and a block
+    starts at every line that starts with :data:`RUN_HEADER`; any
+    non-blank line before the first one is an error.
+    """
+    if not text.isascii() or any(c in text for c in _ODD_ASCII_BREAKS):
+        text = "\n".join(text.splitlines())
+    elif text.endswith("\n"):
+        text = text[:-1]  # the same string, without a per-line split
+    lead, *blocks = ("\n" + text).split("\n" + RUN_HEADER)
+    for line in lead.split("\n"):
         if line.strip():
             raise ParseError(f"content before first run header: {line!r}")
-    return lines, list(zip(starts, starts[1:] + [len(lines)]))
+    return blocks
 
 
 def parse_log(text: str) -> List[ParsedRun]:
     """Parse a whole campaign log into classified runs."""
-    lines, bounds = _bounds(text)
-    runs = [_parse_block(lines[start:end]) for start, end in bounds]
+    runs = [
+        _parse_block((RUN_HEADER + block).split("\n"))
+        for block in _blocks(text)
+    ]
     telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(runs))
     _LOG.debug("parsed campaign log", runs=len(runs))
     return runs
 
 
-def parse_records(text: str) -> Tuple[RunRecord, ...]:
-    """Parse a whole campaign log straight into :class:`RunRecord` s.
+class _Head(NamedTuple):
+    """The fields of a run header up to its run index."""
 
-    The framework's parsing phase and every campaign-journal read go
-    through here.  Blocks, header/body checks and classification are
-    :func:`parse_log`'s, so every malformed block raises as it does
-    there; but a log repeats itself, so each distinct body text is
-    parsed once, and each distinct header up to the run index (with its
-    :class:`CharacterizationSetup`) once; the run index is checked per
-    block.  Counts no metric: the framework's parsing phase books its
-    own, journal reads book none.
+    chip: str
+    benchmark: str
+    setup: CharacterizationSetup
+    campaign_index: int
+
+
+class ParseMemo:
+    """Parsed header prefixes and block bodies, keyed by their text.
+
+    Logs repeat themselves: a 240-campaign store holds ~39k run blocks
+    but under 2k distinct bodies and 4k distinct headers (up to the
+    run index).  One memo serves every log one reader parses -- a
+    :class:`~repro.store.CampaignStore` owns one for its journal -- so
+    each distinct text is parsed and checked once.  Never shared
+    across readers: a fresh open gets a fresh memo and so stays an
+    independent parse.
     """
-    heads: Dict[str, Tuple[str, str, CharacterizationSetup, int]] = {}
-    bodies: Dict[Tuple[str, ...], _Body] = {}
-    records: List[RunRecord] = []
-    lines, bounds = _bounds(text)
-    for start, end in bounds:
-        line = lines[start]
+
+    def __init__(self) -> None:
+        self.heads: Dict[str, _Head] = {}
+        self.bodies: Dict[str, _Body] = {}
+
+
+def _runs(text: str, memo: ParseMemo) -> Iterator[Tuple[_Head, str, _Body]]:
+    """(header fields, run index text, body fields) of every block.
+
+    Blocks, header/body checks and classification are
+    :func:`parse_log`'s, so every malformed block raises as it does
+    there; the memo spares re-parsing a text it has seen, and the run
+    index is checked per block.
+    """
+    heads, bodies = memo.heads, memo.bodies
+    for block in _blocks(text):
+        line, _newline, body_text = block.partition("\n")
         prefix, _sep, tail = line.rpartition(" run=")
         run = tail[:-4]
         head = heads.get(prefix)
         if head is None or not (tail.endswith(" ===") and run.isdecimal()):
-            header = _parse_header(line)
-            head = heads[prefix] = (
-                header["chip"],
-                header["benchmark"],
-                CharacterizationSetup(
+            header = _parse_header(RUN_HEADER + line)
+            head = heads[prefix] = _Head(
+                chip=header["chip"],
+                benchmark=header["benchmark"],
+                setup=CharacterizationSetup(
                     voltage_mv=int(header["voltage"]),
                     freq_mhz=int(header["freq"]),
                     core=int(header["core"]),
                 ),
-                int(header["campaign"]),
+                campaign_index=int(header["campaign"]),
             )
-        key = tuple(lines[start + 1:end])
-        body = bodies.get(key)
+        body = bodies.get(body_text)
         if body is None:
-            body = bodies[key] = _parse_body(line, key)
-        chip, benchmark, setup, campaign_index = head
-        records.append(
-            RunRecord(
-                chip=chip,
-                benchmark=benchmark,
-                setup=setup,
-                campaign_index=campaign_index,
-                run_index=int(run),
-                effects=body.effects,
-                exit_code=body.exit_code,
-                output_matches=body.output_matches,
-                edac_ce=body.edac_ce,
-                edac_ue=body.edac_ue,
-                watchdog_intervened=body.watchdog_action != "none",
-                detail=dict(body.edac_locations),
+            body = bodies[body_text] = _parse_body(
+                RUN_HEADER + line, body_text.split("\n")
             )
+        yield head, run, body
+
+
+class LogCounts(NamedTuple):
+    """What :func:`count_log` keeps of a validated log."""
+
+    #: The first run's chip (empty for a log without runs).
+    chip: str
+    #: voltage -> effect -> number of runs the effect appeared in.
+    counts: Dict[int, Dict[EffectType, int]]
+    #: voltage -> number of runs executed at that level.
+    run_counts: Dict[int, int]
+
+
+def count_log(text: str, memo: ParseMemo) -> LogCounts:
+    """Validate a whole campaign log and count its runs per voltage.
+
+    Every block passes every check :func:`parse_records` makes, so a
+    log this accepts parses, and one it rejects raises the same error;
+    but no :class:`RunRecord` is built.  The counts accumulate over
+    the distinct (voltage, effects) pairs of the log, each weighted by
+    how often it occurs, and equal the per-voltage index of the parsed
+    records.  Counts no metric.
+    """
+    chip = ""
+    pairs: Dict[Tuple[int, FrozenSet[EffectType]], int] = {}
+    for head, _run, body in _runs(text, memo):
+        if not chip:
+            chip = head.chip
+        pair = (head.setup.voltage_mv, body.effects)
+        pairs[pair] = pairs.get(pair, 0) + 1
+    counts: Dict[int, Dict[EffectType, int]] = {}
+    run_counts: Dict[int, int] = {}
+    for (voltage, effects), runs in pairs.items():
+        slot = counts.get(voltage)
+        if slot is None:
+            slot = counts[voltage] = {effect: 0 for effect in EffectType}
+            run_counts[voltage] = 0
+        run_counts[voltage] += runs
+        for effect in effects:
+            slot[effect] += runs
+    return LogCounts(chip=chip, counts=counts, run_counts=run_counts)
+
+
+def parse_records(
+    text: str, memo: Optional[ParseMemo] = None
+) -> Tuple[RunRecord, ...]:
+    """Parse a whole campaign log straight into :class:`RunRecord` s.
+
+    The framework's parsing phase and every record a journal read
+    materializes go through here.  Blocks, checks and classification
+    are :func:`parse_log`'s, each distinct header prefix and body
+    parsed once per ``memo`` (a fresh one by default).  Counts no
+    metric: the framework's parsing phase books its own, journal reads
+    book none.
+    """
+    memo = ParseMemo() if memo is None else memo
+    return tuple(
+        RunRecord(
+            chip=head.chip,
+            benchmark=head.benchmark,
+            setup=head.setup,
+            campaign_index=head.campaign_index,
+            run_index=int(run),
+            effects=body.effects,
+            exit_code=body.exit_code,
+            output_matches=body.output_matches,
+            edac_ce=body.edac_ce,
+            edac_ue=body.edac_ue,
+            watchdog_intervened=body.watchdog_action != "none",
+            detail=dict(body.edac_locations),
         )
-    return tuple(records)
+        for head, run, body in _runs(text, memo)
+    )

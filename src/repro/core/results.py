@@ -13,6 +13,7 @@ import csv
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ..durable import atomic_write
 from ..errors import CampaignError
 from .campaign import CharacterizationResult
 from .runs import RunRecord
@@ -121,7 +122,7 @@ class ResultStore:
             self.directory
             / f"log_{safe_bench}_c{core}_f{freq}_camp{campaign}.txt"
         )
-        path.write_text(text)
+        atomic_write(path, text)
         return path
 
     def write_all_raw_logs(

@@ -44,6 +44,7 @@ from typing import (
 from .. import telemetry
 from ..core.campaign import CampaignResult, CharacterizationResult
 from ..core.config import FrameworkConfig
+from ..core.parser import ParseMemo
 from ..core.results import ResultStore
 from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
 from ..durable import AppendLog, atomic_write
@@ -165,6 +166,9 @@ class CampaignStore:
         self._expected: Set[TaskKey] = set(manifest.expected_keys())
         self._completed: Set[TaskKey] = set()
         self._log = AppendLog(self.journal_path, "journal")
+        #: Headers and bodies already parsed out of this journal's raw
+        #: logs, shared by every line (see :class:`ParseMemo`).
+        self._memo = ParseMemo()
         #: Callbacks fired for every record new to this store object
         #: (see :meth:`subscribe`); the warm query indexes hang off this.
         self._observers: List[Callable[[StoredCampaign], None]] = []
@@ -234,7 +238,8 @@ class CampaignStore:
 
         Reads from the journal's last known end offset, so appends by
         other store objects or processes cost only their own bytes;
-        each new line's records are parsed from its raw log here.  A
+        each new line's raw log is validated and counted here, its
+        records parsed only when first asked for.  A
         torn tail is left for later (the task simply reruns); a line
         that lacks a key or whose raw log does not parse raises
         :class:`~repro.errors.StoreError` naming the file and line, and
@@ -251,7 +256,7 @@ class CampaignStore:
         keys: Set[TaskKey] = set()
         for line, data in lines:
             try:
-                campaign = StoredCampaign.from_json_dict(data)
+                campaign = StoredCampaign.from_json_dict(data, self._memo)
             except CampaignError as exc:
                 raise StoreError(
                     f"journal line {line} in {self.journal_path}: {exc}"
@@ -295,7 +300,7 @@ class CampaignStore:
             freq_mhz=result.freq_mhz,
             interventions=interventions,
             raw_log=raw_log,
-            records=result.records,
+            result=result,
         )
         if stored.key not in self._expected:
             raise CampaignError(

@@ -4,19 +4,22 @@ One journal line is one completed campaign: the raw log text plus the
 provenance a resume needs to prove bit-identity -- the derived machine
 seed the campaign ran with and the watchdog intervention count.  The
 raw log is the only persisted form of the runs: reading a line runs the
-framework's parsing phase (:func:`repro.core.parser.parse_records`) on
-it, as the paper's framework derives every result from its raw logs.
-Replaying a journal never re-runs anything.
+framework's parsing phase on it, as the paper's framework derives every
+result from its raw logs.  The read validates every run block and
+keeps only the per-voltage counts (:func:`repro.core.parser.count_log`);
+the run records are parsed (:func:`repro.core.parser.parse_records`)
+when something first asks for them.  Replaying a journal never re-runs
+anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.campaign import CampaignResult
-from ..core.memo import frozen_cached_property
-from ..core.parser import parse_records
+from ..core.parser import ParseMemo, count_log, parse_records
 from ..core.runs import RunRecord
 from ..errors import CampaignError, ConfigurationError, ParseError
 
@@ -38,13 +41,10 @@ class StoredCampaign:
     #: Raw campaign log text: the journaled form of the runs, and the
     #: source of the derived CSV/log exports of a resumed grid.
     raw_log: str
-    #: The classified runs: kept from the kernel on append, parsed from
-    #: :attr:`raw_log` on read; never journaled.
-    records: Tuple[RunRecord, ...]
-
-    def __post_init__(self) -> None:
-        if not self.records:
-            raise CampaignError("a stored campaign needs at least one record")
+    #: The campaign aggregate, never journaled: the kernel's own on
+    #: append; on read, the counts of :attr:`raw_log` with its records
+    #: parsed on first access.
+    result: CampaignResult = field(repr=False)
 
     @property
     def key(self) -> Tuple[str, int, int]:
@@ -56,21 +56,16 @@ class StoredCampaign:
         """Key of the raw log in the framework's log mapping."""
         return (self.benchmark, self.core, self.freq_mhz, self.campaign_index)
 
-    @frozen_cached_property
-    def _result(self) -> CampaignResult:
-        return CampaignResult(
-            chip=self.records[0].chip,
-            benchmark=self.benchmark,
-            core=self.core,
-            freq_mhz=self.freq_mhz,
-            campaign_index=self.campaign_index,
-            records=self.records,
-        )
+    @property
+    def records(self) -> Tuple[RunRecord, ...]:
+        """The classified runs (parsed from :attr:`raw_log` on first
+        access after a read)."""
+        return self.result.records
 
     def campaign_result(self) -> CampaignResult:
-        """The in-memory campaign aggregate, built once per line, so
-        every index over it shares one per-voltage aggregation."""
-        return self._result
+        """The in-memory campaign aggregate, one per line, so every
+        index over it shares one per-voltage aggregation."""
+        return self.result
 
     # -- JSONL codec -------------------------------------------------------
 
@@ -87,21 +82,26 @@ class StoredCampaign:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "StoredCampaign":
-        """Inverse of :meth:`to_json_dict`: the records are parsed from
-        ``raw_log``.  A ``records`` key (written by older versions) is
-        never read."""
+    def from_json_dict(
+        cls, data: Mapping[str, Any], memo: Optional[ParseMemo] = None
+    ) -> "StoredCampaign":
+        """Inverse of :meth:`to_json_dict`.
+
+        Every run block of ``raw_log`` is validated here, and its
+        per-voltage counts kept; the records are parsed through the
+        same ``memo`` (a fresh one by default) when first asked for.
+        A ``records`` key (written by older versions) is never read.
+        """
+        memo = ParseMemo() if memo is None else memo
         try:
-            return cls(
-                benchmark=data["benchmark"],
-                core=int(data["core"]),
-                campaign_index=int(data["campaign"]),
-                seed=int(data["seed"]),
-                freq_mhz=int(data["freq_mhz"]),
-                interventions=int(data["interventions"]),
-                raw_log=data["raw_log"],
-                records=parse_records(data["raw_log"]),
-            )
+            benchmark = data["benchmark"]
+            core = int(data["core"])
+            campaign_index = int(data["campaign"])
+            seed = int(data["seed"])
+            freq_mhz = int(data["freq_mhz"])
+            interventions = int(data["interventions"])
+            raw_log = data["raw_log"]
+            log = count_log(raw_log, memo)
         except KeyError as exc:
             raise CampaignError(f"journal campaign line lacks key {exc}")
         except (
@@ -109,3 +109,22 @@ class StoredCampaign:
             ConfigurationError,
         ) as exc:
             raise CampaignError(f"malformed journal campaign line: {exc}")
+        return cls(
+            benchmark=benchmark,
+            core=core,
+            campaign_index=campaign_index,
+            seed=seed,
+            freq_mhz=freq_mhz,
+            interventions=interventions,
+            raw_log=raw_log,
+            result=CampaignResult.from_counts(
+                chip=log.chip,
+                benchmark=benchmark,
+                core=core,
+                freq_mhz=freq_mhz,
+                campaign_index=campaign_index,
+                counts=log.counts,
+                run_counts=log.run_counts,
+                load=partial(parse_records, raw_log, memo),
+            ),
+        )

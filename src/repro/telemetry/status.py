@@ -201,9 +201,9 @@ def _shard_status(
     for stored in store.campaigns():
         interventions += stored.interventions
         per_cell[(stored.benchmark, stored.core)] += 1
-        for record in stored.records:
-            for effect in record.effects:
-                tallies[effect.value] += 1
+        for slot in stored.campaign_result().counts_by_voltage().values():
+            for effect, runs in slot.items():
+                tallies[effect.value] += runs
     vmin = VminIndex.from_reparse(store)
     chip = manifest.spec.chip
     chip_name = chip if isinstance(chip, str) else getattr(chip, "name", str(chip))

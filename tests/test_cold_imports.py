@@ -65,11 +65,18 @@ def one_task_store(tmp_path_factory):
     # A store manifest carries a MachineSpec; the spec's component-codec
     # registry registers the built-in extension models on import.
     (["status", "{store}"], {"repro.hardware", "repro.hardware.dynamics"}),
+    (["dash", "{store}", "--once"],
+     {"repro.hardware", "repro.hardware.dynamics"}),
+    # Text answers come from the Vmin and severity indexes alone: no
+    # feature rows, so no numpy and no program profiler.
+    (["fleet", "query", "{store}", "--benchmark", "mcf", "--core", "0"],
+     {"repro.hardware", "repro.hardware.dynamics"}),
     # The claims evaluate the paper's power model.
     (["claims"], {"repro.hardware", "repro.hardware.corners",
                   "repro.hardware.clocking", "repro.hardware.domains",
                   "repro.hardware.power"}),
-], ids=["import repro.cli", "--version", "status", "claims"])
+], ids=["import repro.cli", "--version", "status", "dash", "fleet query",
+        "claims"])
 def test_cold_commands_stay_within_budget(argv, hardware, one_task_store):
     loaded = loaded_modules([arg.format(store=one_task_store) for arg in argv])
     assert loaded.isdisjoint(BUDGET)

@@ -9,6 +9,7 @@ way a reader sees the old complete state or the new one, a leftover
 ``*.tmp`` never breaks it, and the next write or append succeeds.
 """
 
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,9 +19,11 @@ import pytest
 
 import repro.durable as durable
 from repro.analysis.lint.cache import FileAnalysis, load_cache, save_cache
+from repro.cli import main
 from repro.core import FrameworkConfig
 from repro.core.campaign import CampaignResult
 from repro.core.parser import format_run_block
+from repro.core.results import ResultStore
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
 from repro.machines import MachineSpec, load_machine_spec, save_machine_spec
@@ -165,6 +168,44 @@ def _machine_spec(d):
     return load_machine_spec(path) if path.exists() else None
 
 
+def _write_raw_log(d, index):
+    ResultStore(d).write_raw_log(("bwaves", 0, 2400, 1), raw_log(index))
+
+
+def _raw_log(d):
+    path = d / "log_bwaves_c0_f2400_camp1.txt"
+    return path.read_text() if path.exists() else None
+
+
+def _dash_prepare(d):
+    for name in ("a", "b"):
+        CampaignStore.create(d / name, SPEC, CFG, *GRID)
+    _dash(d, "a")
+
+
+def _dash(d, store):
+    """``repro dash --once`` over one of the stores, health to a file."""
+    main(["dash", str(d / store), "--once",
+          "--health-out", str(d / "health.json")])
+
+
+def _health(d):
+    path = d / "health.json"
+    if not path.exists():
+        return None
+    report = json.loads(path.read_text())
+    return dict(report, source=Path(report["source"]).name)
+
+
+def _report(d):
+    main(["report", "--out", str(d / "report.md")])
+
+
+def _report_text(d):
+    path = d / "report.md"
+    return path.read_text() if path.exists() else None
+
+
 ATOMIC = {
     "campaign-manifest": AtomicCase(
         prepare=lambda d: None,
@@ -200,6 +241,21 @@ ATOMIC = {
         prepare=lambda d: save_machine_spec(SPEC, d / "spec.json"),
         write=lambda d: save_machine_spec(OTHER_SPEC, d / "spec.json"),
         observe=_machine_spec,
+    ),
+    "raw-log": AtomicCase(
+        prepare=lambda d: _write_raw_log(d, 1),
+        write=lambda d: _write_raw_log(d, 2),
+        observe=_raw_log,
+    ),
+    "dash-health-out": AtomicCase(
+        prepare=_dash_prepare,
+        write=lambda d: _dash(d, "b"),
+        observe=_health,
+    ),
+    "report-out": AtomicCase(
+        prepare=lambda d: (d / "report.md").write_text("stale\n"),
+        write=_report,
+        observe=_report_text,
     ),
 }
 

@@ -432,9 +432,9 @@ class TestCachedShards:
         decode = StoredCampaign.from_json_dict
         decoded = []
 
-        def counting(data):
+        def counting(data, memo=None):
             decoded.append(data["campaign"])
-            return decode(data)
+            return decode(data, memo)
 
         monkeypatch.setattr(StoredCampaign, "from_json_dict",
                             staticmethod(counting))

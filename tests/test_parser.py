@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CharacterizationFramework, FrameworkConfig
+from repro.core.campaign import _index_records
 from repro.core.parser import (
     ParsedRun,
+    ParseMemo,
+    count_log,
     format_run_block,
     parse_log,
     parse_records,
@@ -232,3 +235,54 @@ class TestParseRecords:
             assert registry.counter(M_EFFECTS, effect="NO").value == 0
             parse_log(block())
             assert registry.counter(M_PARSER_RUNS).value == 1
+
+
+def counted(text, memo=None):
+    log = count_log(text, ParseMemo() if memo is None else memo)
+    return log.chip, log.counts, log.run_counts
+
+
+def indexed(text):
+    records = parse_records(text)
+    index = _index_records(records)
+    return (records[0].chip if records else ""), index.counts, index.run_counts
+
+
+class TestCountLog:
+    """``count_log`` validates like ``parse_records`` and counts like the
+    per-voltage index of its records, without building them."""
+
+    def test_matches_the_record_index_on_kernel_logs(self):
+        memo = ParseMemo()
+        logs = kernel_logs("TTT", 2017, "mcf", 910, 6)
+        logs += kernel_logs("TTT", 2017, "bwaves", 910, 6)
+        for text, _kernel_records in logs:
+            assert counted(text, memo) == indexed(text)
+            assert list(counted(text, memo)[1]) == list(indexed(text)[1])
+
+    @given(st.lists(st.one_of(HEADERS, BODY_LINES), max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_on_arbitrary_lines(self, lines):
+        text = "\n".join(lines)
+        assert outcome(counted, text) == outcome(indexed, text)
+
+    @given(st.lists(st.one_of(HEADERS, BODY_LINES), max_size=12),
+           st.sampled_from(["\n", "\r\n", "\r", "\x0b", " "]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_line_boundary_splits_like_splitlines(self, lines, newline):
+        text = newline.join(lines) + newline
+        split = "\n".join(text.splitlines())
+        assert outcome(counted, text) == outcome(indexed, text)
+        assert outcome(counted, text) == outcome(counted, split)
+        assert outcome(parse_records, text) == outcome(parse_records, split)
+
+    def test_memo_shared_across_logs_keeps_checking_run_indexes(self):
+        memo = ParseMemo()
+        counted(block(run_index=1), memo)
+        with pytest.raises(ParseError, match="malformed run header"):
+            counted(block(run_index=1).replace("run=1 ===", "run=1x ==="),
+                    memo)
+        assert len(memo.heads) == len(memo.bodies) == 1
+
+    def test_empty_log_counts_nothing(self):
+        assert counted("\n\n") == ("", {}, {})

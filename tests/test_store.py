@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.core import CharacterizationFramework, FrameworkConfig
-from repro.core.campaign import CharacterizationResult
+from repro.core.campaign import CampaignResult, CharacterizationResult
 from repro.core.results import ResultStore
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
@@ -175,7 +175,7 @@ class TestStoredCampaign:
             freq_mhz=campaign.freq_mhz, interventions=3,
             raw_log=reference.raw_logs[
                 ("bwaves", 0, campaign.freq_mhz, campaign.campaign_index)],
-            records=campaign.records,
+            result=campaign,
         )
 
     def test_json_round_trip(self, reference):
@@ -202,7 +202,10 @@ class TestStoredCampaign:
         with pytest.raises(CampaignError):
             self.stored(reference).__class__(
                 benchmark="bwaves", core=0, campaign_index=1, seed=1,
-                freq_mhz=2400, interventions=0, raw_log="", records=())
+                freq_mhz=2400, interventions=0, raw_log="",
+                result=CampaignResult(
+                    chip="TTT", benchmark="bwaves", core=0, freq_mhz=2400,
+                    campaign_index=1, records=()))
 
     def test_lines_without_runs_or_keys_rejected(self, reference):
         data = self.stored(reference).to_json_dict()
@@ -337,26 +340,138 @@ class TestRawLogJournal:
         assert CampaignStore.open(target).campaigns() == [first]
 
 
+@pytest.fixture(scope="module")
+def every_shape_store(tmp_path_factory):
+    """A journaled grid deep into the crash region: its logs hold every
+    block shape (SC/AC/SDC/CE/UE runs, multi-location EDAC lines)."""
+    directory = tmp_path_factory.mktemp("every-shape")
+    config = FrameworkConfig(start_mv=910, campaigns=2, runs_per_level=4)
+    names = ["bwaves", "mcf", "namd"]
+    store = CampaignStore.create(directory, SPEC, config, names, CORES)
+    ParallelCampaignEngine(SPEC, config).run(
+        [get_benchmark(name) for name in names], CORES, store=store)
+    return directory, store.campaigns()
+
+
+def corrupt_line_two(full_store_dir, tmp_path):
+    """A store copy whose second journal line holds a raw log without
+    its first status line."""
+    target = truncated_copy(full_store_dir, tmp_path, keep=TOTAL_TASKS)
+    journal = target / JOURNAL_NAME
+    lines = journal.read_text().splitlines()
+    data = json.loads(lines[1])
+    data["raw_log"] = data["raw_log"].replace("status=", "state=", 1)
+    lines[1] = json.dumps(data, sort_keys=True)
+    journal.write_text("\n".join(lines) + "\n")
+    return target
+
+
+class TestValidatingOpen:
+    """Open validates every raw log and counts its runs per voltage;
+    the records are parsed only when asked for."""
+
+    def test_open_counts_equal_the_parsed_index(
+            self, every_shape_store, monkeypatch):
+        from repro.core.campaign import _index_records
+        from repro.core.parser import parse_records
+        from repro.store import records
+
+        directory, appended = every_shape_store
+
+        def forbidden(*args):
+            raise AssertionError("records parsed at open")
+
+        monkeypatch.setattr(records, "parse_records", forbidden)
+        reopened = CampaignStore.open(directory).campaigns()
+        assert len(reopened) == len(appended)
+        effects = set()
+        for stored in reopened:
+            index = _index_records(parse_records(stored.raw_log))
+            result = stored.campaign_result()
+            assert result.counts_by_voltage() == index.counts
+            assert result.run_counts_by_voltage() == index.run_counts
+            assert list(result.counts_by_voltage()) == list(index.counts)
+            effects |= {e for slot in index.counts.values()
+                        for e, n in slot.items() if n}
+        assert {EffectType.SC, EffectType.AC, EffectType.SDC,
+                EffectType.CE, EffectType.UE} <= effects
+
+    def test_records_materialize_on_demand(self, every_shape_store):
+        directory, appended = every_shape_store
+        reopened = CampaignStore.open(directory)
+        for kernel, parsed in zip(appended, reopened.campaigns()):
+            result = parsed.campaign_result()
+            for voltage in result.voltages():
+                assert result.runs_at(voltage) == kernel.campaign_result(
+                    ).runs_at(voltage)
+            assert parsed.records is result.records  # parsed once
+            assert parsed.records == kernel.records
+            assert [r.detail for r in parsed.records] == [
+                r.detail for r in kernel.records]
+        assert any(len(r.detail) > 1
+                   for c in reopened.campaigns() for r in c.records)
+        assert reopened.results() == CampaignStore.open(directory).results()
+
+    def test_pickled_campaign_carries_its_records(self, every_shape_store):
+        import pickle
+
+        directory, appended = every_shape_store
+        result = CampaignStore.open(directory).campaigns()[0].campaign_result()
+        restored = pickle.loads(pickle.dumps(result))
+        assert restored == appended[0].campaign_result()
+        assert restored.counts_by_voltage() == result.counts_by_voltage()
+
+    def test_each_open_parses_independently(self, full_store):
+        first = CampaignStore.open(full_store[0])
+        second = CampaignStore.open(full_store[0])
+        assert first._memo is not second._memo
+        assert first.campaigns() == second.campaigns()
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "status", "{store}"],
+        ["dash", "{store}", "--once"],
+        ["fleet", "query", "{store}", "--benchmark", "bwaves", "--core", "0"],
+    ], ids=["fleet status", "dash", "fleet query"])
+    def test_read_verbs_name_a_corrupt_line(
+            self, argv, full_store, tmp_path, capsys):
+        from repro.cli import main
+
+        target = corrupt_line_two(full_store[0], tmp_path)
+        assert main([arg.format(store=target) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and str(target / JOURNAL_NAME) in err
+        assert "missing status line" in err
+
+
 class TestWarmIndexBuild:
     """One aggregate per journal line, one cursor walk per completed cell."""
 
     def test_campaign_aggregates_are_built_once(self, full_store, monkeypatch):
+        """Each line is counted once, by the validating parse at open;
+        the indexes and results reuse those counts, and neither
+        aggregate nor parse a single run record."""
         from repro.core import campaign
         from repro.store import StoreIndexes, reparse_serialization
+        from repro.store import records
 
-        indexed = []
-        build = campaign._index_records
+        counted = []
+        count = records.count_log
 
-        def counting(records):
-            indexed.append(records)
-            return build(records)
+        def counting(text, memo):
+            counted.append(text)
+            return count(text, memo)
 
-        monkeypatch.setattr(campaign, "_index_records", counting)
+        def forbidden(*args):
+            raise AssertionError("run records built on the read path")
+
+        monkeypatch.setattr(records, "count_log", counting)
+        monkeypatch.setattr(records, "parse_records", forbidden)
+        monkeypatch.setattr(campaign, "_index_records", forbidden)
         store = CampaignStore.open(full_store[0])
         bundle = StoreIndexes(store)
-        assert len(indexed) == TOTAL_TASKS
+        assert len(counted) == TOTAL_TASKS
         store.results()
-        assert len(indexed) == TOTAL_TASKS
+        assert len(counted) == TOTAL_TASKS
         assert bundle.serialize() == reparse_serialization(store)
 
     def test_completed_cell_walks_only_its_core(self, full_store, monkeypatch):
