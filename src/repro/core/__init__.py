@@ -34,7 +34,6 @@ if TYPE_CHECKING:
     from .watchdog import WatchdogMonitor
     from .config import FrameworkConfig
     from .framework import CharacterizationFramework
-    from .parser import ParsedRun, parse_log
     from .regions import OperatingRegions, Region, regions_from_counts
     from .results import ResultStore
 
@@ -50,7 +49,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".watchdog": ("WatchdogMonitor",),
     ".config": ("FrameworkConfig",),
     ".framework": ("CharacterizationFramework",),
-    ".parser": ("ParsedRun", "parse_log"),
     ".regions": ("OperatingRegions", "Region", "regions_from_counts"),
     ".results": ("ResultStore",),
 })
@@ -73,8 +71,6 @@ __all__ = [
     "WatchdogMonitor",
     "CharacterizationFramework",
     "FrameworkConfig",
-    "ParsedRun",
-    "parse_log",
     "OperatingRegions",
     "Region",
     "regions_from_counts",

@@ -32,7 +32,7 @@ from ..machines import Machine, machine_to_spec
 from .campaign import CampaignResult, CharacterizationResult
 from .config import FrameworkConfig  # re-exported: the old import path stays valid
 from .kernel import CampaignKernel
-from .parser import format_run_block, parse_log, parse_records
+from .parser import ParseMemo, count_log, format_run_block, parse_records
 from .watchdog import WatchdogAction, WatchdogMonitor
 
 
@@ -398,12 +398,13 @@ class CharacterizationFramework:
         for key, text in self.raw_logs.items():
             cached = self._parsed_stats.get(key)
             if cached is None or cached[0] != self._log_fingerprint(text):
-                parsed = parse_log(text)
-                count = sum(
-                    1 for run in parsed
-                    if run.effects != frozenset({EffectType.NO})
+                # A run is abnormal unless its one effect is NO.
+                log = count_log(text, ParseMemo())
+                runs = sum(log.run_counts.values())
+                normal = sum(
+                    slot[EffectType.NO] for slot in log.counts.values()
                 )
-                cached = (self._log_fingerprint(text), len(parsed), count)
+                cached = (self._log_fingerprint(text), runs, runs - normal)
                 self._parsed_stats[key] = cached
             total += cached[1]
             abnormal += cached[2]

@@ -135,6 +135,10 @@ def campaign_vmins(
     return [regions_from_counts(counts).vmin_mv for counts in per_campaign_counts]
 
 
+#: One all-zero count per effect; copying it rehashes no key.
+_ZERO_COUNTS: Dict[EffectType, int] = dict.fromkeys(EffectType, 0)
+
+
 def merge_counts(
     parts: Iterable[Mapping[int, Mapping[EffectType, int]]],
 ) -> Dict[int, Dict[EffectType, int]]:
@@ -142,9 +146,12 @@ def merge_counts(
     merged: Dict[int, Dict[EffectType, int]] = {}
     for part in parts:
         for voltage, counts in part.items():
-            slot = merged.setdefault(voltage, {effect: 0 for effect in EffectType})
+            slot = merged.get(voltage)
+            if slot is None:
+                slot = merged[voltage] = _ZERO_COUNTS.copy()
             for effect, count in counts.items():
-                slot[effect] = slot.get(effect, 0) + count
+                if count:  # most effects never occur at a level
+                    slot[effect] = slot.get(effect, 0) + count
     return merged
 
 

@@ -23,6 +23,16 @@ from ..errors import ConfigurationError
 from .effects import effect_counts
 
 
+#: The :class:`SeverityWeights` field of each weighted effect class.
+_WEIGHT_FIELDS = {
+    EffectType.SC: "sc",
+    EffectType.AC: "ac",
+    EffectType.SDC: "sdc",
+    EffectType.UE: "ue",
+    EffectType.CE: "ce",
+}
+
+
 @dataclass(frozen=True)
 class SeverityWeights:
     """Weight assignment for the severity function (Table 4).
@@ -46,14 +56,10 @@ class SeverityWeights:
 
     def weight(self, effect: EffectType) -> float:
         """Weight of one effect class (NO weighs zero)."""
-        return {
-            EffectType.SC: self.sc,
-            EffectType.AC: self.ac,
-            EffectType.SDC: self.sdc,
-            EffectType.UE: self.ue,
-            EffectType.CE: self.ce,
-            EffectType.NO: 0.0,
-        }[effect]
+        if effect is EffectType.NO:
+            return 0.0
+        weight: float = getattr(self, _WEIGHT_FIELDS[effect])
+        return weight
 
     @property
     def maximum(self) -> float:

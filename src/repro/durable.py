@@ -11,12 +11,31 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterator, Optional, Tuple, Union
+from typing import Any, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .errors import CorruptLogError
 
 #: One decoded log line: (line number, JSON value).
 LogEntry = Tuple[int, Any]
+#: One decoded log line with its bytes: (line number, JSON value,
+#: (offset of its first byte, offset past its newline)).
+LogSpan = Tuple[int, Any, Tuple[int, int]]
+
+
+class LogView(NamedTuple):
+    """The bytes one :meth:`AppendLog.follow` opened (a reader that
+    knows a prefix already may move :attr:`start` and :attr:`line` on
+    to a later line boundary)."""
+
+    #: Offset the lines to read start at (a line boundary).
+    start: int
+    #: The file's bytes from :attr:`base` on.
+    data: bytes
+    base: int
+    #: Lines before :attr:`start`.
+    line: int
+    #: (device, inode) of the file, ``None`` if it is missing.
+    identity: Optional[Tuple[int, int]]
 
 
 def _fsync_directory(directory: Union[str, Path]) -> None:
@@ -80,33 +99,35 @@ class AppendLog:
         Continuing from :attr:`end` of the same file reads only the
         bytes appended since.
         """
-        yield from self._scan(*self._load(start, rewind=False))
+        for line, value, _span in self.scan(self._load(start, rewind=False)):
+            yield line, value
 
-    def follow(self) -> Tuple[int, Iterator[LogEntry]]:
-        """Continue where the last read stopped: ``(start, lines)``.
+    def follow(self) -> LogView:
+        """Open the file to continue where the last read stopped; read
+        the lines with :meth:`scan`.
 
-        ``start`` is :attr:`end`, or 0 when the file was replaced (a
-        different inode, as after an :func:`atomic_write` by another
-        process) or shrank below :attr:`end` since -- a follower must
-        then rebuild from the top instead of keeping a stale order.
-        The file is opened before this returns, so ``start`` always
-        describes the bytes ``lines`` come from.
+        The view starts at :attr:`end`, or at 0 when the file was
+        replaced (a different inode, as after an :func:`atomic_write`
+        by another process) or shrank below :attr:`end` since -- a
+        follower must then rebuild from the top instead of keeping a
+        stale order.  A view from 0 holds the whole file.
         """
-        loaded = self._load(self.end, rewind=True)
-        return loaded[0], self._scan(*loaded)
+        return self._load(self.end, rewind=True)
 
-    def _load(
-        self, start: int, rewind: bool
-    ) -> Tuple[int, bytes, int, int, Optional[Tuple[int, int]]]:
-        """``(start, data, base, line, identity)``: the file's bytes from
-        offset ``base`` on, the number of lines before ``start`` and the
-        file's identity (``None`` if it is missing); ``rewind`` turns a
+    @property
+    def lines(self) -> int:
+        """Lines before :attr:`end`, blank ones included."""
+        return self._lines
+
+    def _load(self, start: int, rewind: bool) -> LogView:
+        """The file's bytes from offset ``base`` on, the number of lines
+        before ``start`` and the file's identity; ``rewind`` turns a
         stale ``start`` into 0."""
         try:
             handle = open(self.path, "rb")
         except FileNotFoundError:
             start = 0 if rewind else start
-            return start, b"", start, 0, None
+            return LogView(start, b"", start, 0, None)
         with handle:
             info = os.fstat(handle.fileno())
             identity = (info.st_dev, info.st_ino)
@@ -120,19 +141,18 @@ class AppendLog:
                 )
             if same and start and start == self.end:
                 handle.seek(start)
-                return start, handle.read(), start, self._lines, identity
+                return LogView(start, handle.read(), start, self._lines,
+                               identity)
             data = handle.read()
-        return start, data, 0, data.count(b"\n", 0, start), identity
+        return LogView(start, data, 0, data.count(b"\n", 0, start), identity)
 
-    def _scan(
-        self,
-        start: int,
-        data: bytes,
-        base: int,
-        line: int,
-        identity: Optional[Tuple[int, int]],
-    ) -> Iterator[LogEntry]:
-        pos, lines = start - base, line
+    def scan(self, view: LogView) -> Iterator[LogSpan]:
+        """Decode the complete lines of ``view`` from its start on, each
+        with its byte span; once exhausted, :attr:`end` is past the
+        last of them (see :meth:`read`)."""
+        base, data = view.base, view.data
+        pos, lines = view.start - base, view.line
+        line = lines
         while (newline := data.find(b"\n", pos)) >= 0:
             end, line = newline + 1, line + 1
             chunk = data[pos:end]
@@ -145,9 +165,9 @@ class AppendLog:
                     raise CorruptLogError(
                         f"corrupt {self.kind} line {line} in {self.path}: {exc}"
                     )
-                yield line, value
+                yield line, value, (base + pos, base + end)
             pos, lines = end, line
-        self.end, self._lines, self._identity = base + pos, lines, identity
+        self.end, self._lines, self._identity = base + pos, lines, view.identity
         self._torn_at = base + pos if pos < len(data) else None
 
     def heal(self) -> None:

@@ -18,6 +18,9 @@ answer Vmin/severity/prediction queries without re-parsing journals.
 * :class:`CampaignManifest` -- the grid definition embedded in
   ``manifest.json``.
 * :class:`StoredCampaign` -- one journal line.
+* ``journal.snapshot.json`` (:data:`SNAPSHOT_NAME`) -- a derived,
+  discardable count snapshot beside each journal that lets a read
+  skip re-validating unchanged bytes (:mod:`repro.store.snapshot`).
 * :class:`FleetStore` / :class:`FleetManifest` -- one campaign shard
   per :class:`~repro.machines.MachineSpec` with write routing,
   watermark tracking and grid-order compaction
@@ -87,6 +90,7 @@ if TYPE_CHECKING:
         train_set_digest,
     )
     from .records import StoredCampaign
+    from .snapshot import SNAPSHOT_NAME
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "..errors": ("StoreError",),
@@ -108,6 +112,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "train_set_digest",
     ),
     ".records": ("StoredCampaign",),
+    ".snapshot": ("SNAPSHOT_NAME",),
 })
 
 __all__ = [
@@ -128,6 +133,7 @@ __all__ = [
     "ModelStore",
     "PredictionFeatureIndex",
     "SHARDS_DIR",
+    "SNAPSHOT_NAME",
     "STORE_FORMAT",
     "SeverityIndex",
     "ShardEntry",

@@ -663,13 +663,17 @@ class FleetIndexes:
         """The same bytes recomputed through a full journal re-parse.
 
         Must equal :meth:`serialize` on every fleet -- the
-        index-equals-reparse contract, fleet-wide.
+        index-equals-reparse contract, fleet-wide.  Each shard is
+        reopened without its count snapshot, so every line is
+        validated and every answer computed again.
         """
         from .index import reparse_serialization
 
         parts: List[str] = []
         for entry in self.fleet.manifest.shards:
-            store = CampaignStore.open(self.fleet.shard_path(entry))
+            store = CampaignStore.open(
+                self.fleet.shard_path(entry), snapshot=False
+            )
             parts.append(f"# shard {entry.name} spec {entry.spec_digest}\n")
             parts.append(
                 reparse_serialization(store, self.feature_target)

@@ -31,8 +31,20 @@ truth, and these are *caches* of it.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from ..core.severity import SeverityWeights
 from ..errors import StoreError
 from .journal import CampaignManifest, CampaignStore, TaskKey
 from .records import StoredCampaign
@@ -62,6 +74,40 @@ def _cell_result(campaigns: List[StoredCampaign]) -> Any:
             for c in sorted(campaigns, key=lambda c: c.campaign_index)
         )
     )
+
+
+class CellAnswers(NamedTuple):
+    """The Vmin and severity answers of one complete grid cell, as a
+    count snapshot (:mod:`repro.store.snapshot`) keeps them."""
+
+    vmin_mv: int
+    crash_mv: Optional[int]
+    #: (voltage_mv, severity), descending by voltage.
+    severity: List[Tuple[int, float]]
+
+
+def _vmin_answer(result: Any) -> Tuple[int, Optional[int]]:
+    crash = result.highest_crash_mv
+    return int(result.highest_vmin_mv), None if crash is None else int(crash)
+
+
+def _severity_answer(
+    result: Any, weights: SeverityWeights
+) -> List[Tuple[int, float]]:
+    severity = result.severity_by_voltage(weights)
+    return [
+        (int(voltage), float(severity[voltage]))
+        for voltage in sorted(severity, reverse=True)
+    ]
+
+
+def cell_answers(
+    campaigns: Sequence[StoredCampaign], weights: SeverityWeights
+) -> CellAnswers:
+    """What :class:`VminIndex` and :class:`SeverityIndex` answer for a
+    complete cell of ``campaigns``."""
+    result = _cell_result(list(campaigns))
+    return CellAnswers(*_vmin_answer(result), _severity_answer(result, weights))
 
 
 class _CellAccumulator:
@@ -100,20 +146,30 @@ class VminIndex:
 
     kind = "vmin"
 
-    def __init__(self, manifest: CampaignManifest) -> None:
+    def __init__(
+        self,
+        manifest: CampaignManifest,
+        warm: Optional[Mapping[CellKey, CellAnswers]] = None,
+    ) -> None:
         self._cells = _CellAccumulator(manifest)
         self._answers: Dict[CellKey, Tuple[int, Optional[int]]] = {}
+        #: Answers known before ingest (a store's
+        #: :attr:`~CampaignStore.cell_answers`), taken over computing.
+        self._warm: Mapping[CellKey, CellAnswers] = (
+            {} if warm is None else warm
+        )
 
     def ingest(self, stored: StoredCampaign) -> None:
         completed = self._cells.add(stored)
         if completed is not None:
-            cell, result = completed
-            self._answers[cell] = (
-                int(result.highest_vmin_mv),
-                None
-                if result.highest_crash_mv is None
-                else int(result.highest_crash_mv),
-            )
+            self._settle(*completed)
+
+    def _settle(self, cell: CellKey, result: Any) -> None:
+        warm = self._warm.get(cell)
+        self._answers[cell] = (
+            _vmin_answer(result) if warm is None
+            else (warm.vmin_mv, warm.crash_mv)
+        )
 
     # -- queries -----------------------------------------------------------
 
@@ -156,15 +212,12 @@ class VminIndex:
 
     @classmethod
     def from_reparse(cls, store: CampaignStore) -> "VminIndex":
-        """The same answers through the classic full-journal read path."""
-        index = cls(store.manifest)
-        for (name, core), result in store.results().items():
-            index._answers[(name, core)] = (
-                int(result.highest_vmin_mv),
-                None
-                if result.highest_crash_mv is None
-                else int(result.highest_crash_mv),
-            )
+        """The same answers through the classic full-journal read path
+        (:meth:`CampaignStore.results`; a cell the store's count
+        snapshot answers is taken from there)."""
+        index = cls(store.manifest, store.cell_answers)
+        for cell, result in store.results().items():
+            index._settle(cell, result)
         return index
 
 
@@ -173,24 +226,31 @@ class SeverityIndex:
 
     kind = "severity"
 
-    def __init__(self, manifest: CampaignManifest) -> None:
+    def __init__(
+        self,
+        manifest: CampaignManifest,
+        warm: Optional[Mapping[CellKey, CellAnswers]] = None,
+    ) -> None:
         self._cells = _CellAccumulator(manifest)
         self._weights = manifest.weights
         #: cell -> [(voltage_mv, severity)] descending by voltage.
         self._answers: Dict[CellKey, List[Tuple[int, float]]] = {}
+        #: Answers known before ingest, as for :class:`VminIndex`.
+        self._warm: Mapping[CellKey, CellAnswers] = (
+            {} if warm is None else warm
+        )
 
     def ingest(self, stored: StoredCampaign) -> None:
         completed = self._cells.add(stored)
         if completed is not None:
-            cell, result = completed
-            self._answers[cell] = self._table(result)
+            self._settle(*completed)
 
-    def _table(self, result: Any) -> List[Tuple[int, float]]:
-        severity = result.severity_by_voltage(self._weights)
-        return [
-            (int(voltage), float(severity[voltage]))
-            for voltage in sorted(severity, reverse=True)
-        ]
+    def _settle(self, cell: CellKey, result: Any) -> None:
+        warm = self._warm.get(cell)
+        self._answers[cell] = (
+            _severity_answer(result, self._weights) if warm is None
+            else list(warm.severity)
+        )
 
     # -- queries -----------------------------------------------------------
 
@@ -229,9 +289,10 @@ class SeverityIndex:
 
     @classmethod
     def from_reparse(cls, store: CampaignStore) -> "SeverityIndex":
-        index = cls(store.manifest)
-        for (name, core), result in store.results().items():
-            index._answers[(name, core)] = index._table(result)
+        """As :meth:`VminIndex.from_reparse`."""
+        index = cls(store.manifest, store.cell_answers)
+        for cell, result in store.results().items():
+            index._settle(cell, result)
         return index
 
 
@@ -394,8 +455,8 @@ class StoreIndexes:
     ) -> None:
         self.store = store
         manifest = store.manifest
-        self.vmin = VminIndex(manifest)
-        self.severity = SeverityIndex(manifest)
+        self.vmin = VminIndex(manifest, store.cell_answers)
+        self.severity = SeverityIndex(manifest, store.cell_answers)
         self.features = PredictionFeatureIndex(manifest, target=feature_target)
         self._needed = manifest.config.campaigns
         self._cell_counts: Dict[CellKey, int] = {}
@@ -449,7 +510,9 @@ def reparse_serialization(
     Byte-comparable with :meth:`StoreIndexes.serialize`: equality is
     the index-equals-reparse contract, checkable by ``repro fleet
     query --json`` vs ``--json --reparse`` without trusting any index
-    code path twice.
+    code path twice.  For a recompute that trusts no count snapshot
+    either, pass a store opened with ``snapshot=False`` (as
+    ``--reparse`` does).
     """
     return (
         VminIndex.from_reparse(store).serialize()

@@ -1,6 +1,6 @@
 """The append-only campaign journal (``repro-campaign/v1``).
 
-A campaign store is a directory with exactly two files:
+A campaign store is a directory with two files of record:
 
 * ``manifest.json`` -- written once, atomically, when the store is
   created: the schema format tag, the full
@@ -16,6 +16,12 @@ A campaign store is a directory with exactly two files:
   :class:`~repro.durable.AppendLog`: a crash can tear at most the
   trailing line; corruption anywhere else is an error, never silently
   skipped.
+
+Beside them sits one derived, discardable file, ``journal.snapshot.json``
+(:mod:`repro.store.snapshot`): the counts a validating read of a journal
+prefix found, keyed on the sha256 of exactly those bytes, so a later
+read validates only the lines past it.  Deleting it changes no answer.
+Model artifacts, when trained, live under ``models/``.
 
 The store is the single durable persistence path of the stack; the
 paper's Section-2.2 CSV artifacts are *derived* from it via
@@ -55,7 +61,9 @@ from ..workloads.benchmark import Program
 from .records import StoredCampaign
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .index import CellAnswers
     from .models import ModelStore
+    from .snapshot import Span
 
 #: Format tag of the store schema, written into every manifest.
 STORE_FORMAT = "repro-campaign/v1"
@@ -156,9 +164,13 @@ class CampaignStore:
     (existing store); the constructor itself is internal.
     """
 
-    def __init__(self, directory: Path, manifest: CampaignManifest) -> None:
+    def __init__(
+        self, directory: Path, manifest: CampaignManifest, snapshot: bool = True
+    ) -> None:
         self.directory = directory
         self.manifest = manifest
+        #: Whether loads read and write the count snapshot.
+        self._snapshot = snapshot
         self._campaigns: List[StoredCampaign] = []
         # The grid is fixed at manifest time and appends are per-task,
         # so membership checks run off cached sets instead of rebuilding
@@ -172,6 +184,10 @@ class CampaignStore:
         #: Callbacks fired for every record new to this store object
         #: (see :meth:`subscribe`); the warm query indexes hang off this.
         self._observers: List[Callable[[StoredCampaign], None]] = []
+        #: Vmin and severity answers of the cells complete in the
+        #: journal prefix the count snapshot covers (updated in place;
+        #: the Vmin and severity indexes look cells up here first).
+        self.cell_answers: Dict[Tuple[str, int], CellAnswers] = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -215,8 +231,16 @@ class CampaignStore:
         return cls(path, manifest)
 
     @classmethod
-    def open(cls, directory: Union[str, Path]) -> "CampaignStore":
-        """Open an existing store and load its journal."""
+    def open(
+        cls, directory: Union[str, Path], snapshot: bool = True
+    ) -> "CampaignStore":
+        """Open an existing store and load its journal.
+
+        The load takes the journal prefix the count snapshot covers
+        from the snapshot (:mod:`repro.store.snapshot`) and validates
+        the rest; ``snapshot=False`` validates every line and neither
+        reads nor writes the snapshot.
+        """
         path = Path(directory)
         manifest_path = path / MANIFEST_NAME
         if not manifest_path.exists():
@@ -228,7 +252,7 @@ class CampaignStore:
         manifest = CampaignManifest.from_json_dict(
             manifest_data, source=manifest_path
         )
-        store = cls(path, manifest)
+        store = cls(path, manifest, snapshot)
         store.refresh()
         return store
 
@@ -249,12 +273,26 @@ class CampaignStore:
         process) or shrank, the store reloads it from byte 0 and takes
         the on-disk order.  Observers see each new record once, in
         journal order; a reload re-announces none they already saw.
+
+        A load from byte 0 takes the prefix the count snapshot covers
+        from it when the snapshot matches the journal, and rewrites the
+        snapshot when it validated lines past that prefix.
         """
-        start, lines = self._log.follow()
-        known = self._completed if start else set()
-        campaigns: List[StoredCampaign] = []
-        keys: Set[TaskKey] = set()
-        for line, data in lines:
+        view = self._log.follow()
+        reload = not view.start
+        covered = None
+        if reload and view.data and self._snapshot:
+            from . import snapshot
+
+            covered = snapshot.load(self, view)
+        loaded: List[Tuple[StoredCampaign, Span]] = []
+        if covered is not None:
+            loaded = list(covered.campaigns)
+            view = view._replace(start=covered.end, line=covered.lines)
+        known = set() if reload else self._completed
+        keys: Set[TaskKey] = {stored.key for stored, _span in loaded}
+        reused = len(loaded)
+        for line, data, span in self._log.scan(view):
             try:
                 campaign = StoredCampaign.from_json_dict(data, self._memo)
             except CampaignError as exc:
@@ -271,12 +309,21 @@ class CampaignStore:
                     f"journal line {line} duplicates task {campaign.key!r}"
                 )
             keys.add(campaign.key)
-            campaigns.append(campaign)
+            loaded.append((campaign, span))
+        campaigns = [stored for stored, _span in loaded]
         new = [c for c in campaigns if c.key not in self._completed]
-        if not start:
+        if reload:
             self._campaigns, self._completed = [], set()
+            self.cell_answers.clear()
+            if covered is not None:
+                self.cell_answers.update(covered.answers)
         self._campaigns.extend(campaigns)
         self._completed |= keys
+        if reload and self._snapshot and len(loaded) > reused:
+            from . import snapshot
+
+            snapshot.save(self, view, covered, loaded, self._log.end,
+                          self._log.lines)
         for stored in new:
             for observer in tuple(self._observers):
                 observer(stored)

@@ -14,19 +14,27 @@ anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from functools import partial
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from ..core.campaign import CampaignResult
-from ..core.parser import ParseMemo, count_log, parse_records
+from ..core.parser import LogCounts, ParseMemo, count_log, parse_records
 from ..core.runs import RunRecord
 from ..errors import CampaignError, ConfigurationError, ParseError
 
+#: A raw log, or a callable that returns it when first asked for.
+RawLog = Union[str, Callable[[], str]]
 
-@dataclass(frozen=True)
+
 class StoredCampaign:
-    """One completed (benchmark, core, campaign) task, as journaled."""
+    """One completed (benchmark, core, campaign) task, as journaled.
+
+    Frozen; equality compares every field, the raw log included.
+    """
+
+    #: Unhashable, as the campaign aggregate is.
+    __hash__ = None  # type: ignore[assignment]
 
     benchmark: str
     core: int
@@ -38,13 +46,66 @@ class StoredCampaign:
     freq_mhz: int
     #: Watchdog recoveries performed during this campaign.
     interventions: int
-    #: Raw campaign log text: the journaled form of the runs, and the
-    #: source of the derived CSV/log exports of a resumed grid.
-    raw_log: str
     #: The campaign aggregate, never journaled: the kernel's own on
     #: append; on read, the counts of :attr:`raw_log` with its records
     #: parsed on first access.
-    result: CampaignResult = field(repr=False)
+    result: CampaignResult
+
+    def __init__(
+        self,
+        benchmark: str,
+        core: int,
+        campaign_index: int,
+        seed: int,
+        freq_mhz: int,
+        interventions: int,
+        raw_log: RawLog,
+        result: CampaignResult,
+    ) -> None:
+        self.__dict__.update(
+            benchmark=benchmark, core=core, campaign_index=campaign_index,
+            seed=seed, freq_mhz=freq_mhz, interventions=interventions,
+            _raw_log=raw_log, result=result,
+        )
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A pickled line carries its raw log, never the loader.
+        return dict(self.__dict__, _raw_log=self.raw_log)
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return (self.benchmark, self.core, self.campaign_index, self.seed,
+                self.freq_mhz, self.interventions, self.raw_log, self.result)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StoredCampaign):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"StoredCampaign(benchmark={self.benchmark!r}, core={self.core!r}, "
+            f"campaign_index={self.campaign_index!r}, seed={self.seed!r}, "
+            f"freq_mhz={self.freq_mhz!r}, "
+            f"interventions={self.interventions!r})"
+        )
+
+    @property
+    def raw_log(self) -> str:
+        """Raw campaign log text: the journaled form of the runs, and
+        the source of the derived CSV/log exports of a resumed grid.
+        A line read through a count snapshot decodes it on first
+        access."""
+        raw: RawLog = self.__dict__["_raw_log"]
+        if not isinstance(raw, str):
+            raw = raw()
+            self.__dict__["_raw_log"] = raw
+        return raw
 
     @property
     def key(self) -> Tuple[str, int, int]:
@@ -109,6 +170,27 @@ class StoredCampaign:
             ConfigurationError,
         ) as exc:
             raise CampaignError(f"malformed journal campaign line: {exc}")
+        return cls.from_counts(
+            benchmark, core, campaign_index, seed, freq_mhz, interventions,
+            raw_log, log, memo,
+        )
+
+    @classmethod
+    def from_counts(
+        cls,
+        benchmark: str,
+        core: int,
+        campaign_index: int,
+        seed: int,
+        freq_mhz: int,
+        interventions: int,
+        raw_log: RawLog,
+        log: LogCounts,
+        memo: ParseMemo,
+    ) -> "StoredCampaign":
+        """A line known by the counts a validating read of its raw log
+        found; its records are parsed through ``memo`` when first asked
+        for."""
         return cls(
             benchmark=benchmark,
             core=core,
@@ -125,6 +207,11 @@ class StoredCampaign:
                 campaign_index=campaign_index,
                 counts=log.counts,
                 run_counts=log.run_counts,
-                load=partial(parse_records, raw_log, memo),
+                load=partial(_parse, raw_log, memo),
             ),
         )
+
+
+def _parse(raw_log: RawLog, memo: ParseMemo) -> Tuple[RunRecord, ...]:
+    return parse_records(raw_log if isinstance(raw_log, str) else raw_log(),
+                         memo)

@@ -103,6 +103,7 @@ if TYPE_CHECKING:
         M_PARSER_RUNS,
         M_PREDICTION_CHARACTERIZATIONS,
         M_PREDICTION_PROFILES,
+        M_SNAPSHOT_READS,
         M_TASK_SECONDS,
         M_TASKS_COMPLETED,
         M_TASKS_SKIPPED,
@@ -172,8 +173,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "M_INTERVENTIONS", "M_JOURNAL_APPENDS", "M_JOURNAL_FSYNC_SECONDS",
         "M_KERNEL_CAMPAIGNS", "M_LOG_MESSAGES", "M_MODEL_DRIFT",
         "M_MODEL_RMSE", "M_PARSER_RUNS", "M_PREDICTION_CHARACTERIZATIONS",
-        "M_PREDICTION_PROFILES", "M_TASK_SECONDS", "M_TASKS_COMPLETED",
-        "M_TASKS_SKIPPED", "M_THROUGHPUT", "M_TSDB_SNAPSHOTS", "M_WATCHDOG",
+        "M_PREDICTION_PROFILES", "M_SNAPSHOT_READS", "M_TASK_SECONDS",
+        "M_TASKS_COMPLETED", "M_TASKS_SKIPPED", "M_THROUGHPUT",
+        "M_TSDB_SNAPSHOTS", "M_WATCHDOG",
         "Counter", "Gauge", "Histogram", "MetricFamily", "MetricSpec",
         "MetricsRegistry",
     ),
@@ -259,6 +261,7 @@ __all__ = [
     "M_WATCHDOG",
     "M_JOURNAL_APPENDS",
     "M_JOURNAL_FSYNC_SECONDS",
+    "M_SNAPSHOT_READS",
     "M_PARSER_RUNS",
     "M_KERNEL_CAMPAIGNS",
     "M_LOG_MESSAGES",

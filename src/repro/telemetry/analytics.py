@@ -277,6 +277,10 @@ def _summarize_task(
         return None
     roots = [s for s in spans if s.name == "task"]
     root = roots[0] if roots else None
+    # The task span is the task's extent: spans the parent records
+    # under the task's trace id afterwards (its journal append at the
+    # chunk checkpoint) are not task time.  Without one, the hull.
+    extent = [root] if root is not None else timed
     segments = _innermost_segments(spans)
     phase_self = {phase: 0.0 for phase in PHASES}
     for start, end, phase in segments:
@@ -287,8 +291,8 @@ def _summarize_task(
                       if root else trace_id.split(":")[0]),
         core=int(str(_attr(root, "core", -1))) if root else -1,
         campaign=int(str(_attr(root, "campaign", -1))) if root else -1,
-        start_s=min(s.start_s for s in timed),
-        end_s=max(s.end_s for s in timed),
+        start_s=min(s.start_s for s in extent),
+        end_s=max(s.end_s for s in extent),
         spans=len(spans),
         errors=sum(1 for s in spans if s.status == "error"),
         watchdog_events=sum(1 for s in spans if s.name == "watchdog.recovery"),

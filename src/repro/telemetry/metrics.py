@@ -47,6 +47,7 @@ M_EFFECTS = "repro_effects_total"
 M_WATCHDOG = "repro_watchdog_recoveries_total"
 M_JOURNAL_APPENDS = "repro_store_journal_appends_total"
 M_JOURNAL_FSYNC_SECONDS = "repro_store_journal_fsync_seconds"
+M_SNAPSHOT_READS = "repro_store_snapshot_reads_total"
 M_PARSER_RUNS = "repro_parser_runs_total"
 M_KERNEL_CAMPAIGNS = "repro_kernel_campaigns_total"
 M_LOG_MESSAGES = "repro_log_messages_total"
@@ -117,6 +118,7 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     M_JOURNAL_FSYNC_SECONDS: MetricSpec(
         "histogram", "Journal append write+fsync latency.", buckets=FSYNC_BUCKETS
     ),
+    M_SNAPSHOT_READS: MetricSpec("counter", "Journal loads from byte 0 by count-snapshot outcome (hit/miss) and reason."),
     M_PARSER_RUNS: MetricSpec("counter", "Run blocks parsed from characterization logs."),
     M_KERNEL_CAMPAIGNS: MetricSpec("counter", "Campaigns by evaluation path (batch kernel vs scalar fallback)."),
     M_LOG_MESSAGES: MetricSpec("counter", "Structured log messages by level."),
@@ -456,6 +458,7 @@ __all__ = [
     "M_WATCHDOG",
     "M_JOURNAL_APPENDS",
     "M_JOURNAL_FSYNC_SECONDS",
+    "M_SNAPSHOT_READS",
     "M_PARSER_RUNS",
     "M_KERNEL_CAMPAIGNS",
     "M_LOG_MESSAGES",

@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.store import SNAPSHOT_NAME
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
@@ -81,3 +82,29 @@ def test_cold_commands_stay_within_budget(argv, hardware, one_task_store):
     loaded = loaded_modules([arg.format(store=one_task_store) for arg in argv])
     assert loaded.isdisjoint(BUDGET)
     assert {m for m in loaded if m.startswith("repro.hardware")} <= hardware
+
+
+@pytest.mark.parametrize("snapshot", [False, True],
+                         ids=["no snapshot", "snapshot"])
+@pytest.mark.parametrize("argv", [
+    ["status", "{store}"],
+    ["dash", "{store}", "--once"],
+    ["fleet", "query", "{store}", "--benchmark", "mcf", "--core", "0"],
+], ids=["status", "dash", "fleet query"])
+def test_store_reads_stay_within_budget_either_way(argv, snapshot,
+                                                   one_task_store):
+    """The validating open and the count-snapshot open load the same
+    light modules; a read the snapshot covers rewrites nothing."""
+    path = Path(one_task_store) / SNAPSHOT_NAME
+    if snapshot:
+        assert main(["status", one_task_store]) == 0  # lays it down
+        before = path.read_bytes()
+    else:
+        path.unlink(missing_ok=True)
+    loaded = loaded_modules([arg.format(store=one_task_store) for arg in argv])
+    assert loaded.isdisjoint(BUDGET)
+    assert {m for m in loaded if m.startswith("repro.hardware")} <= {
+        "repro.hardware", "repro.hardware.dynamics"}
+    assert path.exists()
+    if snapshot:
+        assert path.read_bytes() == before

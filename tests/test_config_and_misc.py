@@ -143,6 +143,19 @@ class TestPackageSurface:
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
 
+    def test_parse_log_is_a_parser_internal(self):
+        """``parse_log``/``ParsedRun`` stay in :mod:`repro.core.parser`
+        as the tests' independent oracle, off the ``repro.core``
+        surface: the library parses with ``parse_records`` and
+        ``count_log``."""
+        import repro.core
+        import repro.core.parser
+
+        for name in ("parse_log", "ParsedRun"):
+            assert name not in repro.core.__all__
+            assert not hasattr(repro.core, name)
+            assert hasattr(repro.core.parser, name)
+
     def test_quickstart_docstring_is_runnable(self):
         """The __init__ docstring's example must not rot."""
         from repro import CharacterizationFramework, MachineSpec, build_machine

@@ -4,9 +4,11 @@ Whole-file writers go through :func:`repro.durable.atomic_write`; each
 is crashed at every step of its discipline (before the first write,
 mid-write, after the write, after the fsync, after the replace) by
 swapping ``repro.durable``'s ``os`` for one that raises there.  Append
-logs (:class:`repro.durable.AppendLog`) are cut at every byte.  Either
-way a reader sees the old complete state or the new one, a leftover
-``*.tmp`` never breaks it, and the next write or append succeeds.
+logs (:class:`repro.durable.AppendLog`) are cut at every byte -- every
+torn trailing line, a parseable one without its newline included, reads
+as the complete lines before it.  Either way a reader sees the old
+complete state or the new one, a leftover ``*.tmp`` never breaks it,
+and the next write or append succeeds.
 """
 
 import json
@@ -30,6 +32,7 @@ from repro.machines import MachineSpec, load_machine_spec, save_machine_spec
 from repro.store import (
     JOURNAL_NAME,
     MANIFEST_NAME,
+    SNAPSHOT_NAME,
     CampaignStore,
     FleetStore,
     ModelArtifact,
@@ -120,6 +123,26 @@ def _store_manifest(d):
 def _fleet_prepare(d):
     fleet = FleetStore.create(d, [SPEC, OTHER_SPEC], CFG, *GRID)
     journal(fleet.shard_for(SPEC), 1)
+    # Opening the shards lays down their count snapshots, so the first
+    # atomic write of the case is fleet.json's.
+    FleetStore.open(d).refresh()
+
+
+def _snapshot_prepare(d):
+    journal(CampaignStore.create(d, SPEC, CFG, *GRID), 1)
+    CampaignStore.open(d)  # the snapshot now covers line 1
+    journal(CampaignStore.open(d), 2)
+
+
+def _snapshot(d):
+    """Which lines the count snapshot covers, read without opening the
+    store (an open would rewrite it)."""
+    path = d / SNAPSHOT_NAME
+    if not path.exists():
+        return None
+    payload = json.loads(path.read_text())
+    return (payload["journal"]["end"],
+            [entry["campaign"] for entry in payload["campaigns"]])
 
 
 def _compaction_prepare(d):
@@ -216,6 +239,11 @@ ATOMIC = {
         prepare=_fleet_prepare,
         write=lambda d: FleetStore.open(d).refresh_watermarks(),
         observe=lambda d: FleetStore.open(d).manifest.to_json_dict(),
+    ),
+    "count-snapshot": AtomicCase(
+        prepare=_snapshot_prepare,
+        write=CampaignStore.open,
+        observe=_snapshot,
     ),
     "compaction": AtomicCase(
         prepare=_compaction_prepare,

@@ -594,6 +594,7 @@ class TestOneShardView:
         assert fleet.shard(entry).directory == solo
 
     def test_view_writes_no_fleet_manifest(self, solo):
+        FleetStore.open(solo)  # lays down the derived count snapshot
         before = sorted(path.name for path in solo.iterdir())
         fleet = FleetStore.open(solo)
         fleet.refresh_watermarks()

@@ -189,28 +189,15 @@ def _span_line(span_id, name="task", trace_id="bwaves:c0:k1",
 
 
 class TestLoadSpansTornTail:
-    """``load_spans`` drops a torn trailing line and raises on anything
-    worse; the per-byte kill points are in ``tests/test_durable.py``."""
+    """``load_spans`` raises on anything worse than a torn trailing
+    line; the torn tails themselves (cut at every byte, a parseable but
+    unterminated last line included) are ``tests/test_durable.py``'s
+    ``spans`` case."""
 
     def _write(self, path, body):
         path.write_bytes(body.encode("utf-8")
                          if isinstance(body, str) else body)
         return path
-
-    def test_non_strict_drops_torn_tail(self, tmp_path):
-        path = self._write(tmp_path / "t.jsonl",
-                           _span_line(1) + _span_line(2)
-                           + '{"format": "repro-span/v1", "tr')
-        records = load_spans(path)
-        assert [r.span_id for r in records] == [1, 2]
-
-    def test_non_strict_drops_unterminated_parseable_tail(self, tmp_path):
-        # A last line that parses but lacks its newline is still a stub:
-        # the writer was killed between write() and the final flush.
-        path = self._write(tmp_path / "t.jsonl",
-                           _span_line(1) + _span_line(2).rstrip("\n"))
-        records = load_spans(path)
-        assert [r.span_id for r in records] == [1]
 
     @pytest.mark.parametrize("terminated", [True, False])
     def test_mid_file_corruption_always_raises(self, tmp_path, terminated):
@@ -508,6 +495,34 @@ class TestAnalytics:
             assert [step.depth for step in path] == list(range(len(path)))
             for step in path:
                 assert 0 <= step.self_s <= step.duration_s + 1e-12
+
+    def test_journal_appends_stay_outside_task_extents(self, tmp_path,
+                                                        capsys):
+        """The parent journals each task at its chunk checkpoint, under
+        the task's trace id but after the task ended: the task span,
+        not the hull, is the extent every view uses."""
+        store, trace = tmp_path / "store", tmp_path / "trace"
+        assert main(["grid", "TTT", "--benchmarks", "bwaves,mcf",
+                     "--cores", "0,4", "--campaigns", "2", "--jobs", "1",
+                     "--store", str(store), "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(trace), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["jobs"] == 1 and len(report["tasks"]) == 8
+        assert 0 < report["utilization"] <= 1.0
+        by_trace = {}
+        for path in trace.glob("trace-*.jsonl"):
+            for record in load_spans(path):
+                by_trace.setdefault(record.trace_id, []).append(record)
+        for task in report["tasks"]:
+            spans = by_trace[task["trace_id"]]
+            root = next(s for s in spans if s.name == "task")
+            append = next(s for s in spans if s.name == "journal.append")
+            assert append.end_s > root.end_s  # the case this pins
+            assert (task["start_s"], task["end_s"]) == (root.start_s,
+                                                        root.end_s)
+            path = task["critical_path"]
+            assert path[0]["duration_s"] <= task["duration_s"]
 
     def test_straggler_detection(self, tmp_path):
         # Three synthetic tasks: 1 s, 1 s and 10 s -> median 1 s, the

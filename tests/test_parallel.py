@@ -195,10 +195,10 @@ class TestFrameworkWiring:
 
         from repro.core import framework as framework_mod
 
-        def exploding_parse(text):
+        def exploding_parse(text, memo):
             raise AssertionError("raw log was re-parsed")
 
-        monkeypatch.setattr(framework_mod, "parse_log", exploding_parse)
+        monkeypatch.setattr(framework_mod, "count_log", exploding_parse)
         assert framework.abnormal_run_fraction() == first
 
     def test_abnormal_fraction_invalidates_on_log_change(self):

@@ -6,6 +6,7 @@ bytes -- identical to the uninterrupted run.
 """
 
 import json
+import os
 
 import pytest
 
@@ -32,8 +33,16 @@ from repro.store import (
     CampaignStore,
     JOURNAL_NAME,
     MANIFEST_NAME,
+    SNAPSHOT_NAME,
     STORE_FORMAT,
     StoredCampaign,
+    StoreIndexes,
+)
+from repro.telemetry import (
+    M_LOG_MESSAGES,
+    M_SNAPSHOT_READS,
+    MetricsRegistry,
+    telemetry_session,
 )
 from repro.workloads import get_benchmark
 
@@ -447,9 +456,10 @@ class TestWarmIndexBuild:
     """One aggregate per journal line, one cursor walk per completed cell."""
 
     def test_campaign_aggregates_are_built_once(self, full_store, monkeypatch):
-        """Each line is counted once, by the validating parse at open;
-        the indexes and results reuse those counts, and neither
-        aggregate nor parse a single run record."""
+        """Each line is counted once, by the validating parse at open
+        (none at all by an open the count snapshot covers); the indexes
+        and results reuse those counts, and neither aggregate nor parse
+        a single run record."""
         from repro.core import campaign
         from repro.store import StoreIndexes, reparse_serialization
         from repro.store import records
@@ -467,12 +477,15 @@ class TestWarmIndexBuild:
         monkeypatch.setattr(records, "count_log", counting)
         monkeypatch.setattr(records, "parse_records", forbidden)
         monkeypatch.setattr(campaign, "_index_records", forbidden)
-        store = CampaignStore.open(full_store[0])
+        store = CampaignStore.open(full_store[0], snapshot=False)
         bundle = StoreIndexes(store)
         assert len(counted) == TOTAL_TASKS
         store.results()
         assert len(counted) == TOTAL_TASKS
         assert bundle.serialize() == reparse_serialization(store)
+        warm = CampaignStore.open(full_store[0])
+        assert StoreIndexes(warm).serialize() == bundle.serialize()
+        assert len(counted) == TOTAL_TASKS
 
     def test_completed_cell_walks_only_its_core(self, full_store, monkeypatch):
         from repro.prediction import dataset
@@ -591,6 +604,232 @@ class TestJournalRefresh:
         assert cached.campaigns() == CampaignStore.open(target).campaigns()
 
 
+def snapshot_reads(action):
+    """``action()`` and the count-snapshot outcomes it booked:
+    ``{(outcome, reason): count}``."""
+    registry = MetricsRegistry()
+    with telemetry_session(metrics=registry):
+        result = action()
+    reads = {}
+    for metric in registry.snapshot()["metrics"]:
+        if metric["name"] == M_SNAPSHOT_READS:
+            for sample in metric["samples"]:
+                labels = sample["labels"]
+                reads[(labels["outcome"], labels["reason"])] = sample["value"]
+    return result, reads
+
+
+class TestCountSnapshot:
+    """The count snapshot beside a journal is a cache: every read
+    answers as a full validating parse does, hit, miss or tail."""
+
+    @pytest.fixture
+    def store_dir(self, full_store, tmp_path):
+        """A complete store whose journal no read has covered yet."""
+        return truncated_copy(full_store[0], tmp_path, keep=TOTAL_TASKS)
+
+    @staticmethod
+    def cold(directory):
+        return CampaignStore.open(directory, snapshot=False).campaigns()
+
+    @staticmethod
+    def covered(directory):
+        return json.loads((directory / SNAPSHOT_NAME).read_text())["journal"]
+
+    def test_first_read_writes_it_and_the_next_hits(self, store_dir):
+        store, reads = snapshot_reads(lambda: CampaignStore.open(store_dir))
+        assert reads == {("miss", "absent"): 1}
+        assert self.covered(store_dir)["end"] == (
+            store_dir / JOURNAL_NAME).stat().st_size
+        warm, reads = snapshot_reads(lambda: CampaignStore.open(store_dir))
+        assert reads == {("hit", "match"): 1}
+        assert warm.campaigns() == store.campaigns() == self.cold(store_dir)
+        assert [c.records for c in warm.campaigns()] == [
+            c.records for c in self.cold(store_dir)]
+        assert warm.raw_logs() == store.raw_logs()
+
+    def test_deleting_it_changes_no_output(self, store_dir, tmp_path,
+                                           capsys):
+        from repro.cli import main
+
+        report = tmp_path / "report.md"
+        verbs = (
+            ["fleet", "status", str(store_dir)],
+            ["fleet", "query", str(store_dir), "--json"],
+            ["fleet", "query", str(store_dir), "--json", "--reparse"],
+            ["fleet", "query", str(store_dir)],
+            ["fleet", "query", str(store_dir), "--benchmark", "bwaves",
+             "--core", "4"],
+            ["dash", str(store_dir), "--once"],
+            ["status", str(store_dir)],
+            ["report", "--store", str(store_dir), "--out", str(report)],
+        )
+
+        def outputs(fresh):
+            seen = []
+            for argv in verbs:
+                if fresh:
+                    (store_dir / SNAPSHOT_NAME).unlink(missing_ok=True)
+                assert main(argv) == 0, argv
+                seen.append(capsys.readouterr().out)
+            return seen + [report.read_bytes()]
+
+        without = outputs(fresh=True)
+        assert (store_dir / SNAPSHOT_NAME).exists()
+        with_snapshot, reads = snapshot_reads(lambda: outputs(fresh=False))
+        assert with_snapshot == without
+        assert without[1] == without[2]  # --json == --json --reparse
+        assert set(reads) == {("hit", "match")}
+
+    def test_reparse_never_reads_it(self, store_dir, capsys):
+        """A snapshot whose answers were tampered with (its key still
+        matching) shows in the warm answers but never in ``--reparse``:
+        the re-parse stays an independent check."""
+        from repro.cli import main
+
+        CampaignStore.open(store_dir)
+        payload = json.loads((store_dir / SNAPSHOT_NAME).read_text())
+        for cell in payload["cells"]:
+            cell["vmin_mv"] += 5
+        (store_dir / SNAPSHOT_NAME).write_text(json.dumps(payload))
+        argv = ["fleet", "query", str(store_dir), "--json"]
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert main(argv + ["--reparse"]) == 0
+        assert capsys.readouterr().out != warm
+        (store_dir / SNAPSHOT_NAME).unlink()
+        assert main(argv) == 0
+        assert capsys.readouterr().out != warm
+
+    def test_flipped_byte_in_covered_prefix_raises_the_same_error(
+            self, store_dir):
+        CampaignStore.open(store_dir)
+        journal = store_dir / JOURNAL_NAME
+        lines = journal.read_text().splitlines()
+        data = json.loads(lines[1])
+        data["raw_log"] = data["raw_log"].replace("status=", "statux=", 1)
+        lines[1] = json.dumps(data, sort_keys=True)
+        journal.write_text("\n".join(lines) + "\n")  # same size and inode
+        assert journal.stat().st_size == self.covered(store_dir)["end"]
+        with pytest.raises(StoreError) as cold:
+            CampaignStore.open(store_dir, snapshot=False)
+        registry = MetricsRegistry()
+        with telemetry_session(metrics=registry), \
+                pytest.raises(StoreError) as warm:
+            CampaignStore.open(store_dir)
+        assert registry.counter(M_SNAPSHOT_READS, outcome="miss",
+                                reason="hash").value == 1
+        assert str(warm.value) == str(cold.value)
+        message = str(warm.value)
+        assert "line 2" in message and str(journal) in message
+        assert "missing status line" in message
+
+    def test_garbage_snapshot_takes_the_full_parse(self, store_dir):
+        (store_dir / SNAPSHOT_NAME).write_text('{"format": "repro-coun')
+        store, reads = snapshot_reads(lambda: CampaignStore.open(store_dir))
+        assert reads == {("miss", "unreadable"): 1}
+        assert store.campaigns() == self.cold(store_dir)
+        _, reads = snapshot_reads(lambda: CampaignStore.open(store_dir))
+        assert reads == {("hit", "match"): 1}  # rewritten by the miss
+
+    def test_replaced_journal_takes_the_full_parse(self, store_dir):
+        """Compaction (or any rewrite) gives the journal a new inode."""
+        from repro.store import FleetStore
+
+        CampaignStore.open(store_dir)
+        before = StoreIndexes(CampaignStore.open(store_dir)).serialize()
+        journal = store_dir / JOURNAL_NAME
+        lines = journal.read_text().splitlines(keepends=True)
+        (store_dir / "reversed").write_text("".join(reversed(lines)))
+        os.replace(store_dir / "reversed", journal)
+        store, reads = snapshot_reads(lambda: CampaignStore.open(store_dir))
+        assert reads == {("miss", "inode"): 1}
+        assert store.campaigns() == self.cold(store_dir)
+        assert StoreIndexes(store).serialize() == before
+        fleet = FleetStore.open(store_dir)
+        _, reads = snapshot_reads(fleet.compact)
+        assert reads == {("miss", "inode"): 1}  # the compacted reload
+        assert StoreIndexes(CampaignStore.open(store_dir)).serialize() == \
+            before
+
+    def test_truncated_journal_takes_the_full_parse(self, store_dir):
+        CampaignStore.open(store_dir)
+        journal = store_dir / JOURNAL_NAME
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text("".join(lines[:2]))
+        store, reads = snapshot_reads(lambda: CampaignStore.open(store_dir))
+        assert reads == {("miss", "short"): 1}
+        assert store.campaigns() == self.cold(store_dir)
+        assert len(store.campaigns()) == 2
+
+    def test_appended_journal_validates_only_the_tail(self, store_dir,
+                                                      monkeypatch):
+        from repro.store import records
+
+        journal = store_dir / JOURNAL_NAME
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text(lines[0])
+        CampaignStore.open(store_dir)
+        with journal.open("a") as handle:
+            handle.write("".join(lines[1:]))
+            handle.write(lines[0][:40])  # a torn append after them
+        counted = []
+        count = records.count_log
+        monkeypatch.setattr(records, "count_log",
+                            lambda text, memo: counted.append(text)
+                            or count(text, memo))
+        store, reads = snapshot_reads(lambda: CampaignStore.open(store_dir))
+        assert reads == {("hit", "match"): 1}
+        assert len(counted) == TOTAL_TASKS - 1
+        assert store.campaigns() == self.cold(store_dir)
+        assert self.covered(store_dir)["end"] == len(
+            "".join(lines).encode("utf-8"))
+        assert self.covered(store_dir)["lines"] == TOTAL_TASKS
+
+    def test_append_racing_the_write_is_not_covered(self, store_dir,
+                                                    monkeypatch):
+        """The snapshot covers the bytes the open validated, not what the
+        journal holds by the time it is written."""
+        from repro.store import snapshot
+
+        journal = store_dir / JOURNAL_NAME
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text("".join(lines[:2]))
+        save = snapshot.save
+
+        def racing(*args):
+            with journal.open("a") as handle:
+                handle.write(lines[2])
+            save(*args)
+
+        monkeypatch.setattr(snapshot, "save", racing)
+        assert len(CampaignStore.open(store_dir).campaigns()) == 2
+        monkeypatch.undo()
+        covered = self.covered(store_dir)
+        assert covered["end"] == len("".join(lines[:2]).encode("utf-8"))
+        store, reads = snapshot_reads(lambda: CampaignStore.open(store_dir))
+        assert reads == {("hit", "match"): 1}
+        assert store.campaigns() == self.cold(store_dir)
+        assert len(store.campaigns()) == 3
+
+    def test_failed_write_does_not_fail_the_read(self, store_dir,
+                                                 monkeypatch):
+        """A read-only directory (or a full disk) leaves no snapshot and
+        costs the read nothing but the time."""
+        from repro.store import snapshot
+
+        def refused(path, data):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(snapshot, "atomic_write", refused)
+        registry = MetricsRegistry()
+        with telemetry_session(metrics=registry):
+            store = CampaignStore.open(store_dir)
+        assert store.campaigns() == self.cold(store_dir)
+        assert not (store_dir / SNAPSHOT_NAME).exists()
+        assert registry.counter(M_LOG_MESSAGES, level="warning").value == 1
+
+
 def lines_key(line):
     data = json.loads(line)
     return (data["benchmark"], data["core"], data["campaign"])
@@ -610,26 +849,6 @@ class TestJournalIntegrity:
         (tmp_path / MANIFEST_NAME).write_text("{not json")
         with pytest.raises(CampaignError, match="corrupt"):
             CampaignStore.open(tmp_path)
-
-    def test_torn_trailing_line_tolerated(self, full_store, tmp_path):
-        full_dir, _ = full_store
-        target = truncated_copy(full_dir, tmp_path, keep=2)
-        full_line = (full_dir / JOURNAL_NAME).read_text().splitlines()[2]
-        with (target / JOURNAL_NAME).open("a") as handle:
-            handle.write(full_line[: len(full_line) // 2])  # torn append
-        store = CampaignStore.open(target)
-        assert len(store.completed_keys()) == 2
-
-    def test_parseable_unterminated_tail_treated_as_torn(
-            self, full_store, tmp_path):
-        """A complete JSON line without its newline is still an
-        interrupted append: it is dropped, not merged into."""
-        full_dir, _ = full_store
-        target = truncated_copy(full_dir, tmp_path, keep=2)
-        journal = target / JOURNAL_NAME
-        journal.write_text(journal.read_text()[:-1])  # strip final newline
-        store = CampaignStore.open(target)
-        assert len(store.completed_keys()) == 1
 
     def test_mid_file_corruption_rejected(self, full_store, tmp_path):
         full_dir, _ = full_store
