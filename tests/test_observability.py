@@ -189,15 +189,28 @@ def _span_line(span_id, name="task", trace_id="bwaves:c0:k1",
 
 
 class TestLoadSpansTornTail:
-    """``load_spans`` raises on anything worse than a torn trailing
-    line; the torn tails themselves (cut at every byte, a parseable but
-    unterminated last line included) are ``tests/test_durable.py``'s
-    ``spans`` case."""
+    """``load_spans`` drops a torn trailing line and raises on anything
+    worse; the per-byte kill points are in ``tests/test_durable.py``."""
 
     def _write(self, path, body):
         path.write_bytes(body.encode("utf-8")
                          if isinstance(body, str) else body)
         return path
+
+    def test_non_strict_drops_torn_tail(self, tmp_path):
+        path = self._write(tmp_path / "t.jsonl",
+                           _span_line(1) + _span_line(2)
+                           + '{"format": "repro-span/v1", "tr')
+        records = load_spans(path)
+        assert [r.span_id for r in records] == [1, 2]
+
+    def test_non_strict_drops_unterminated_parseable_tail(self, tmp_path):
+        # A last line that parses but lacks its newline is still a stub:
+        # the writer was killed between write() and the final flush.
+        path = self._write(tmp_path / "t.jsonl",
+                           _span_line(1) + _span_line(2).rstrip("\n"))
+        records = load_spans(path)
+        assert [r.span_id for r in records] == [1]
 
     @pytest.mark.parametrize("terminated", [True, False])
     def test_mid_file_corruption_always_raises(self, tmp_path, terminated):

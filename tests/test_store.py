@@ -850,6 +850,26 @@ class TestJournalIntegrity:
         with pytest.raises(CampaignError, match="corrupt"):
             CampaignStore.open(tmp_path)
 
+    def test_torn_trailing_line_tolerated(self, full_store, tmp_path):
+        full_dir, _ = full_store
+        target = truncated_copy(full_dir, tmp_path, keep=2)
+        full_line = (full_dir / JOURNAL_NAME).read_text().splitlines()[2]
+        with (target / JOURNAL_NAME).open("a") as handle:
+            handle.write(full_line[: len(full_line) // 2])  # torn append
+        store = CampaignStore.open(target)
+        assert len(store.completed_keys()) == 2
+
+    def test_parseable_unterminated_tail_treated_as_torn(
+            self, full_store, tmp_path):
+        """A complete JSON line without its newline is still an
+        interrupted append: it is dropped, not merged into."""
+        full_dir, _ = full_store
+        target = truncated_copy(full_dir, tmp_path, keep=2)
+        journal = target / JOURNAL_NAME
+        journal.write_text(journal.read_text()[:-1])  # strip final newline
+        store = CampaignStore.open(target)
+        assert len(store.completed_keys()) == 1
+
     def test_mid_file_corruption_rejected(self, full_store, tmp_path):
         full_dir, _ = full_store
         target = truncated_copy(full_dir, tmp_path, keep=TOTAL_TASKS)
