@@ -16,11 +16,13 @@ reproduction.  One file per figure:
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.campaign import CharacterizationResult
 from ..data.calibration import chip_calibration
+from ..durable import atomic_write
 from ..energy.tradeoffs import TradeoffPoint
 from ..errors import CampaignError, ConfigurationError
 from ..prediction.pipeline import PredictionReport
@@ -44,10 +46,11 @@ class FigureExporter:
     def _write(self, filename: str, header: Sequence[str],
                rows: Sequence[Sequence[object]]) -> Path:
         path = self.directory / filename
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        writer.writerows(rows)
+        atomic_write(path, buffer.getvalue())
         return path
 
     # -- per figure --------------------------------------------------------

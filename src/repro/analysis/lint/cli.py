@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from ...durable import atomic_write
 from ...errors import ConfigurationError
 
 #: Default lint targets when none are given, filtered to what exists.
@@ -109,9 +110,9 @@ def run_lint(args: argparse.Namespace) -> int:
         return 2
     if args.sarif:
         try:
-            Path(args.sarif).write_text(
+            atomic_write(
+                args.sarif,
                 json.dumps(render_sarif(report.diagnostics), indent=2),
-                encoding="utf-8",
             )
         except OSError as exc:
             print(f"error: cannot write SARIF file: {exc}", file=sys.stderr)

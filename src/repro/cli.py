@@ -668,54 +668,52 @@ def _run_fleet_cmd(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_query(args: argparse.Namespace) -> int:
-    """Answer Vmin/severity queries from the warm indexes of any store.
+    """Answer Vmin/severity queries from the cell answers of any store.
 
     ``--json`` emits the canonical index serialization (built inside
     ``repro.store`` -- the single sanctioned writer of index bytes);
-    adding ``--reparse`` recomputes the same bytes through a full
-    journal re-parse, so piping both through ``diff`` checks the
-    index-equals-reparse contract end to end.  The text answers need
-    only each shard's Vmin and severity indexes, so they build no
-    feature rows (no numpy, no profiler).
+    adding ``--reparse`` recomputes the same bytes from shards opened
+    without their count snapshots, so piping both through ``diff``
+    checks the index-equals-reparse contract end to end.  The text
+    answers need only each shard's Vmin and severity answers
+    (:meth:`CampaignStore.answers`), so they build no feature rows (no
+    numpy, no profiler).
     """
-    from .store import FleetStore, SeverityIndex, VminIndex
+    from .store import FleetStore
 
     try:
         fleet = FleetStore.open(args.fleet_dir)
         if args.json:
             indexes = fleet.indexes(feature_target=args.target)
+            text = (
+                indexes.serialize_reparse() if args.reparse
+                else indexes.serialize()
+            )
         else:
             answers = [
-                (entry, VminIndex.from_reparse(store),
-                 SeverityIndex.from_reparse(store))
-                for entry, store in fleet.shards()
+                (entry, store.answers()) for entry, store in fleet.shards()
             ]
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        text = (
-            indexes.serialize_reparse() if args.reparse
-            else indexes.serialize()
-        )
         print(text, end="")
         return 0
-    for entry, vmin, severity_index in answers:
+    for entry, cells in answers:
         print(f"{entry.name} (spec {entry.spec_digest[:12]}):")
-        cells = [
-            (name, core)
-            for name, core in vmin.cells()
+        matching = [
+            ((name, core), answer)
+            for (name, core), answer in cells.items()
             if (args.benchmark is None or name == args.benchmark)
             and (args.core is None or core == args.core)
         ]
-        if not cells:
+        if not matching:
             print("  (no completed cells match)")
             continue
-        for name, core in cells:
-            crash = vmin.crash_mv(name, core)
-            severity = severity_index.severity_by_voltage(name, core)
-            peak = max(severity.values()) if severity else 0.0
-            print(f"  {name} c{core}: Vmin {vmin.vmin_mv(name, core)} "
+        for (name, core), answer in matching:
+            crash = answer.crash_mv
+            peak = max((value for _, value in answer.severity), default=0.0)
+            print(f"  {name} c{core}: Vmin {answer.vmin_mv} "
                   f"mV, crash {crash if crash is not None else '--'} mV, "
                   f"peak severity {peak:.2f}")
     return 0
@@ -1022,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_status_arguments(pf_status)
 
     pf_query = fleet_sub.add_parser(
-        "query", help="answer Vmin/severity queries from the warm indexes")
+        "query", help="answer Vmin/severity queries from each cell's answers")
     pf_query.add_argument("fleet_dir", metavar="STORE",
                           help="fleet or campaign store directory")
     pf_query.add_argument("--benchmark", default=None,

@@ -10,6 +10,7 @@ campaign logs.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -46,12 +47,13 @@ class ResultStore:
     ) -> Path:
         """Write every run of every result to one CSV."""
         path = self.directory / filename
-        with path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=RUN_FIELDS)
-            writer.writeheader()
-            for result in results:
-                for record in result.all_records():
-                    writer.writerow(record.csv_row())
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=RUN_FIELDS)
+        writer.writeheader()
+        for result in results:
+            for record in result.all_records():
+                writer.writerow(record.csv_row())
+        atomic_write(path, buffer.getvalue())
         return path
 
     def read_runs_csv(self, filename: str = "runs.csv") -> List[RunRecord]:
@@ -77,20 +79,21 @@ class ResultStore:
     ) -> Path:
         """Severity per (chip, benchmark, core, voltage) to CSV."""
         path = self.directory / filename
-        with path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=SEVERITY_FIELDS)
-            writer.writeheader()
-            for result in results:
-                severity = result.severity_by_voltage(weights)
-                for voltage in sorted(severity, reverse=True):
-                    writer.writerow({
-                        "chip": result.chip,
-                        "benchmark": result.benchmark,
-                        "core": result.core,
-                        "freq_mhz": result.freq_mhz,
-                        "voltage_mv": voltage,
-                        "severity": f"{severity[voltage]:.4f}",
-                    })
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=SEVERITY_FIELDS)
+        writer.writeheader()
+        for result in results:
+            severity = result.severity_by_voltage(weights)
+            for voltage in sorted(severity, reverse=True):
+                writer.writerow({
+                    "chip": result.chip,
+                    "benchmark": result.benchmark,
+                    "core": result.core,
+                    "freq_mhz": result.freq_mhz,
+                    "voltage_mv": voltage,
+                    "severity": f"{severity[voltage]:.4f}",
+                })
+        atomic_write(path, buffer.getvalue())
         return path
 
     def read_severity_csv(

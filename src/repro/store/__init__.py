@@ -10,11 +10,13 @@ campaign lands as its raw log (parsed back into typed records on
 open) under a manifest that pins the machine
 spec, grid, seed material and severity weights -- plus the fleet layer
 (``repro-fleet/v1``) that shards one journal per machine under an
-atomically written fleet manifest, and warm in-memory indexes that
-answer Vmin/severity/prediction queries without re-parsing journals.
+atomically written fleet manifest, and query indexes that answer
+Vmin/severity/prediction queries without re-parsing journals.
 
 * :class:`CampaignStore` -- create/open a store directory, append
-  completed campaigns, reconstruct results, export the derived CSVs.
+  completed campaigns, reconstruct results, export the derived CSVs,
+  and own every complete cell's Vmin/severity answers
+  (:meth:`CampaignStore.answers`, computed once per cell).
 * :class:`CampaignManifest` -- the grid definition embedded in
   ``manifest.json``.
 * :class:`StoredCampaign` -- one journal line.
@@ -29,9 +31,9 @@ answer Vmin/severity/prediction queries without re-parsing journals.
   standalone store, or the directory of either) into that one shape.
 * :class:`VminIndex` / :class:`SeverityIndex` /
   :class:`PredictionFeatureIndex` / :class:`StoreIndexes` /
-  :class:`FleetIndexes` -- incremental query indexes, provably
-  answer-identical to a full journal re-parse
-  (:mod:`repro.store.index`).
+  :class:`FleetIndexes` -- query indexes that read their store at
+  query time; answers served from the count snapshot equal those of a
+  snapshot-free open (:mod:`repro.store.index`).
 * :class:`ModelStore` / :class:`ModelArtifact` -- versioned
   ``repro-model/v1`` prediction-model artifacts under the same
   manifest (:mod:`repro.store.models`), the single sanctioned

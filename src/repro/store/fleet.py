@@ -98,10 +98,6 @@ class ShardEntry:
     #: into canonical grid order.
     compacted: bool = False
 
-    @property
-    def complete(self) -> bool:
-        return self.watermark >= self.total
-
     def to_json_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -446,7 +442,10 @@ class FleetStore:
         )
 
     def is_complete(self) -> bool:
-        return all(entry.complete for entry in self.manifest.shards)
+        """Whether every shard journal holds its whole grid, read from
+        the journals as :meth:`pending_tasks` is (the manifest's
+        watermarks may lag them)."""
+        return all(store.is_complete() for _, store in self.shards())
 
     def pending_tasks(self) -> Dict[str, List[TaskKey]]:
         """Per shard name, the grid tasks not yet journaled."""
@@ -455,10 +454,10 @@ class FleetStore:
             for entry, store in self.shards()
         }
 
-    # -- warm indexes ------------------------------------------------------
+    # -- query indexes -----------------------------------------------------
 
     def indexes(self, feature_target: str = "vmin") -> "FleetIndexes":
-        """Warm query indexes over every shard, in manifest order."""
+        """Query indexes over every shard, in manifest order."""
         return FleetIndexes(self, feature_target=feature_target)
 
     # -- model artifacts ---------------------------------------------------
@@ -610,14 +609,14 @@ class FleetStore:
 
 
 class FleetIndexes:
-    """Warm :class:`StoreIndexes` bundles for every fleet shard.
+    """:class:`StoreIndexes` bundles for every fleet shard.
 
-    Built once over the fleet's cached shard stores (manifest order),
-    each bundle subscribed to its store, so the answers reflect disk
-    at construction time; :meth:`refresh` folds in later on-disk
-    appends through :meth:`CampaignStore.refresh`.  ``serialize()`` is
-    canonical and shard-ordered, so warm-vs-reparse equivalence is a
-    byte comparison fleet-wide.
+    One bundle per cached shard store (manifest order), each reading
+    its store at query time: appends through the fleet's own shard
+    stores show at the next query, and :meth:`refresh` folds in later
+    on-disk appends by other processes (:meth:`CampaignStore.refresh`).
+    ``serialize()`` is canonical and shard-ordered, so the
+    index-equals-reparse contract is a byte comparison fleet-wide.
     """
 
     def __init__(self, fleet: FleetStore, feature_target: str = "vmin") -> None:

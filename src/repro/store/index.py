@@ -1,8 +1,9 @@
-"""Warm in-memory query indexes over campaign journals.
+"""Query indexes over campaign journals.
 
 The fleet service answers Vmin / severity / prediction-feature queries
-continuously while campaigns stream in.  Re-parsing a journal per query
-is O(journal) every time; these indexes keep the answers warm instead:
+while campaigns stream in.  Re-parsing a journal per query is
+O(journal) every time; these indexes answer from what the open store
+already holds instead:
 
 * :class:`VminIndex` -- safe Vmin and crash level per completed
   (benchmark, core) grid cell.
@@ -13,19 +14,21 @@ is O(journal) every time; these indexes keep the answers warm instead:
   :class:`~repro.prediction.dataset.JournalBatch` cursors the streaming
   trainer consumes.
 
-All three update incrementally -- per appended record through
-:meth:`~repro.store.journal.CampaignStore.subscribe`, or in bulk
-through cursor-based :meth:`refresh` -- and are **answer-identical to a
-full journal re-parse** by contract: every index has a
-``from_reparse`` constructor that rebuilds the same answers through the
-classic read path (:meth:`CampaignStore.results` and the store-backed
-dataset assemblers), and ``serialize()`` is canonical, so equality is
-byte-checkable.  ``tests/test_fleet.py`` asserts it across kill-points
+The first two are read-only projections of
+:meth:`~repro.store.journal.CampaignStore.answers`, the one place a
+cell's Vmin and severity are computed (once, through
+:func:`cell_answers`) or taken from the count snapshot that persists
+them.  Every query reads the store as it stands, so there is nothing
+to keep in step with appends.  ``serialize()`` is canonical, and the
+contract is byte-checkable: answers served from the snapshot equal the
+answers of a store opened with ``snapshot=False``, which computes every
+one from validated counts (``repro fleet query --json`` vs ``--json
+--reparse``).  ``tests/test_fleet.py`` asserts it across kill-points
 and shard-append interleavings.
 
 Serializing index answers anywhere outside :mod:`repro.store` is a
 reprolint RPR007 violation: the journal stays the single source of
-truth, and these are *caches* of it.
+truth, and these answers are derived from it.
 """
 
 from __future__ import annotations
@@ -35,9 +38,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterator,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -46,7 +47,7 @@ from typing import (
 
 from ..core.severity import SeverityWeights
 from ..errors import StoreError
-from .journal import CampaignManifest, CampaignStore, TaskKey
+from .journal import CampaignStore
 from .records import StoredCampaign
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,26 +60,10 @@ INDEX_FORMAT = "repro-index/v1"
 CellKey = Tuple[str, int]
 
 
-def _cell_result(campaigns: List[StoredCampaign]) -> Any:
-    """The in-memory aggregate of one complete grid cell.
-
-    Campaigns sort by campaign index first, so the aggregate -- and
-    every answer derived from it -- is independent of journal append
-    order, which is what makes the indexes order-invariant.
-    """
-    from ..core.campaign import CharacterizationResult
-
-    return CharacterizationResult(
-        campaigns=tuple(
-            c.campaign_result()
-            for c in sorted(campaigns, key=lambda c: c.campaign_index)
-        )
-    )
-
-
 class CellAnswers(NamedTuple):
-    """The Vmin and severity answers of one complete grid cell, as a
-    count snapshot (:mod:`repro.store.snapshot`) keeps them."""
+    """The Vmin and severity answers of one complete grid cell, as
+    :meth:`CampaignStore.answers` holds them and a count snapshot
+    (:mod:`repro.store.snapshot`) persists them."""
 
     vmin_mv: int
     crash_mv: Optional[int]
@@ -86,54 +71,26 @@ class CellAnswers(NamedTuple):
     severity: List[Tuple[int, float]]
 
 
-def _vmin_answer(result: Any) -> Tuple[int, Optional[int]]:
-    crash = result.highest_crash_mv
-    return int(result.highest_vmin_mv), None if crash is None else int(crash)
-
-
-def _severity_answer(
-    result: Any, weights: SeverityWeights
-) -> List[Tuple[int, float]]:
-    severity = result.severity_by_voltage(weights)
-    return [
-        (int(voltage), float(severity[voltage]))
-        for voltage in sorted(severity, reverse=True)
-    ]
-
-
 def cell_answers(
     campaigns: Sequence[StoredCampaign], weights: SeverityWeights
 ) -> CellAnswers:
-    """What :class:`VminIndex` and :class:`SeverityIndex` answer for a
-    complete cell of ``campaigns``."""
-    result = _cell_result(list(campaigns))
-    return CellAnswers(*_vmin_answer(result), _severity_answer(result, weights))
+    """The answers of a complete cell of ``campaigns`` (in campaign
+    index order, so no answer depends on journal append order)."""
+    from ..core.campaign import CharacterizationResult
 
-
-class _CellAccumulator:
-    """Shared per-cell buffering: records in, complete cells out."""
-
-    def __init__(self, manifest: CampaignManifest) -> None:
-        self.manifest = manifest
-        self._needed = manifest.config.campaigns
-        self._pending: Dict[CellKey, List[StoredCampaign]] = {}
-
-    def add(self, stored: StoredCampaign) -> Optional[Tuple[CellKey, Any]]:
-        """Buffer one record; returns (cell, aggregate) on completion."""
-        cell = (stored.benchmark, stored.core)
-        buffered = self._pending.setdefault(cell, [])
-        buffered.append(stored)
-        if len(buffered) < self._needed:
-            return None
-        del self._pending[cell]
-        return cell, _cell_result(buffered)
-
-    def ordered(self, cells: Dict[CellKey, Any]) -> Iterator[CellKey]:
-        """The subset of ``cells`` present, in manifest grid order."""
-        for name in self.manifest.workloads:
-            for core in self.manifest.cores:
-                if (name, core) in cells:
-                    yield (name, core)
+    result = CharacterizationResult(
+        campaigns=tuple(c.campaign_result() for c in campaigns)
+    )
+    crash = result.highest_crash_mv
+    severity = result.severity_by_voltage(weights)
+    return CellAnswers(
+        int(result.highest_vmin_mv),
+        None if crash is None else int(crash),
+        [
+            (int(voltage), float(severity[voltage]))
+            for voltage in sorted(severity, reverse=True)
+        ],
+    )
 
 
 def _serialize(payload: Dict[str, Any]) -> str:
@@ -141,159 +98,72 @@ def _serialize(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class VminIndex:
+class _CellIndex:
+    """A read-only projection of :meth:`CampaignStore.answers`: every
+    query reads the store as it stands."""
+
+    kind = ""
+
+    def __init__(self, store: CampaignStore) -> None:
+        self.store = store
+
+    def cells(self) -> List[CellKey]:
+        """Answerable cells, in manifest grid order."""
+        return list(self.store.answers())
+
+    def _answer(self, benchmark: str, core: int) -> CellAnswers:
+        try:
+            return self.store.answers()[(benchmark, core)]
+        except KeyError:
+            raise StoreError(
+                f"{self.kind} index has no completed cell for "
+                f"({benchmark!r}, core {core})"
+            )
+
+    def _cell_json(self, answer: CellAnswers) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def to_json_dict(self) -> Dict[str, Any]:
+        return {
+            "format": INDEX_FORMAT,
+            "kind": self.kind,
+            "cells": [
+                {"benchmark": name, "core": core, **self._cell_json(answer)}
+                for (name, core), answer in self.store.answers().items()
+            ],
+        }
+
+    def serialize(self) -> str:
+        return _serialize(self.to_json_dict())
+
+
+class VminIndex(_CellIndex):
     """Safe Vmin / crash level per completed (benchmark, core) cell."""
 
     kind = "vmin"
 
-    def __init__(
-        self,
-        manifest: CampaignManifest,
-        warm: Optional[Mapping[CellKey, CellAnswers]] = None,
-    ) -> None:
-        self._cells = _CellAccumulator(manifest)
-        self._answers: Dict[CellKey, Tuple[int, Optional[int]]] = {}
-        #: Answers known before ingest (a store's
-        #: :attr:`~CampaignStore.cell_answers`), taken over computing.
-        self._warm: Mapping[CellKey, CellAnswers] = (
-            {} if warm is None else warm
-        )
-
-    def ingest(self, stored: StoredCampaign) -> None:
-        completed = self._cells.add(stored)
-        if completed is not None:
-            self._settle(*completed)
-
-    def _settle(self, cell: CellKey, result: Any) -> None:
-        warm = self._warm.get(cell)
-        self._answers[cell] = (
-            _vmin_answer(result) if warm is None
-            else (warm.vmin_mv, warm.crash_mv)
-        )
-
-    # -- queries -----------------------------------------------------------
-
-    def cells(self) -> List[CellKey]:
-        """Answerable cells, in manifest grid order."""
-        return list(self._cells.ordered(self._answers))
-
     def vmin_mv(self, benchmark: str, core: int) -> int:
-        return self._answer(benchmark, core)[0]
+        return self._answer(benchmark, core).vmin_mv
 
     def crash_mv(self, benchmark: str, core: int) -> Optional[int]:
-        return self._answer(benchmark, core)[1]
+        return self._answer(benchmark, core).crash_mv
 
-    def _answer(self, benchmark: str, core: int) -> Tuple[int, Optional[int]]:
-        try:
-            return self._answers[(benchmark, core)]
-        except KeyError:
-            raise StoreError(
-                f"vmin index has no completed cell for "
-                f"({benchmark!r}, core {core})"
-            )
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "format": INDEX_FORMAT,
-            "kind": self.kind,
-            "cells": [
-                {
-                    "benchmark": name,
-                    "core": core,
-                    "vmin_mv": self._answers[(name, core)][0],
-                    "crash_mv": self._answers[(name, core)][1],
-                }
-                for name, core in self.cells()
-            ],
-        }
-
-    def serialize(self) -> str:
-        return _serialize(self.to_json_dict())
-
-    @classmethod
-    def from_reparse(cls, store: CampaignStore) -> "VminIndex":
-        """The same answers through the classic full-journal read path
-        (:meth:`CampaignStore.results`; a cell the store's count
-        snapshot answers is taken from there)."""
-        index = cls(store.manifest, store.cell_answers)
-        for cell, result in store.results().items():
-            index._settle(cell, result)
-        return index
+    def _cell_json(self, answer: CellAnswers) -> Dict[str, Any]:
+        return {"vmin_mv": answer.vmin_mv, "crash_mv": answer.crash_mv}
 
 
-class SeverityIndex:
+class SeverityIndex(_CellIndex):
     """Severity-by-voltage per completed cell, manifest-pinned weights."""
 
     kind = "severity"
 
-    def __init__(
-        self,
-        manifest: CampaignManifest,
-        warm: Optional[Mapping[CellKey, CellAnswers]] = None,
-    ) -> None:
-        self._cells = _CellAccumulator(manifest)
-        self._weights = manifest.weights
-        #: cell -> [(voltage_mv, severity)] descending by voltage.
-        self._answers: Dict[CellKey, List[Tuple[int, float]]] = {}
-        #: Answers known before ingest, as for :class:`VminIndex`.
-        self._warm: Mapping[CellKey, CellAnswers] = (
-            {} if warm is None else warm
-        )
-
-    def ingest(self, stored: StoredCampaign) -> None:
-        completed = self._cells.add(stored)
-        if completed is not None:
-            self._settle(*completed)
-
-    def _settle(self, cell: CellKey, result: Any) -> None:
-        warm = self._warm.get(cell)
-        self._answers[cell] = (
-            _severity_answer(result, self._weights) if warm is None
-            else list(warm.severity)
-        )
-
-    # -- queries -----------------------------------------------------------
-
-    def cells(self) -> List[CellKey]:
-        return list(self._cells.ordered(self._answers))
-
     def severity_by_voltage(self, benchmark: str, core: int) -> Dict[int, float]:
-        try:
-            table = self._answers[(benchmark, core)]
-        except KeyError:
-            raise StoreError(
-                f"severity index has no completed cell for "
-                f"({benchmark!r}, core {core})"
-            )
-        return dict(table)
+        return dict(self._answer(benchmark, core).severity)
 
-    def to_json_dict(self) -> Dict[str, Any]:
+    def _cell_json(self, answer: CellAnswers) -> Dict[str, Any]:
         return {
-            "format": INDEX_FORMAT,
-            "kind": self.kind,
-            "cells": [
-                {
-                    "benchmark": name,
-                    "core": core,
-                    "severity": [
-                        [voltage, value]
-                        for voltage, value in self._answers[(name, core)]
-                    ],
-                }
-                for name, core in self.cells()
-            ],
+            "severity": [[voltage, value] for voltage, value in answer.severity]
         }
-
-    def serialize(self) -> str:
-        return _serialize(self.to_json_dict())
-
-    @classmethod
-    def from_reparse(cls, store: CampaignStore) -> "SeverityIndex":
-        """As :meth:`VminIndex.from_reparse`."""
-        index = cls(store.manifest, store.cell_answers)
-        for cell, result in store.results().items():
-            index._settle(cell, result)
-        return index
 
 
 class PredictionFeatureIndex:
@@ -302,45 +172,59 @@ class PredictionFeatureIndex:
     Rows come out of the *same* :func:`iter_journal_datasets` cursors
     the streaming trainer consumes -- one
     :class:`~repro.prediction.dataset.JournalBatch` per completing
-    cell -- so a warm query index and a training run can never disagree
-    about what the journal says.  Profiling feature vectors is a pure
-    function of (spec, program) (see
-    :mod:`repro.prediction.dataset`), which is what makes the rows
-    append-order invariant.
+    cell -- so a query index and a training run can never disagree
+    about what the journal says.  Every query first advances the
+    cursors over records the store gained since the last one.
+    Profiling feature vectors is a pure function of (spec, program)
+    (see :mod:`repro.prediction.dataset`), which is what makes the
+    rows append-order invariant.
     """
 
     kind = "features"
 
-    def __init__(self, manifest: CampaignManifest, target: str = "vmin") -> None:
-        self._manifest = manifest
+    def __init__(self, store: CampaignStore, target: str = "vmin") -> None:
+        self.store = store
         self.target = target
         #: Per-core journal cursor: one past the last cell-completing
         #: record consumed for that core.
-        self._cursors: Dict[int, int] = {core: 0 for core in manifest.cores}
+        self._cursors: Dict[int, int] = {
+            core: 0 for core in store.manifest.cores
+        }
+        #: Records the store held when the cursors last advanced.
+        self._records = 0
         self._datasets: Dict[CellKey, "RegressionDataset"] = {}
 
-    def refresh(
-        self, store: CampaignStore, cores: Optional[Tuple[int, ...]] = None
-    ) -> int:
-        """Advance the cursors of ``cores`` (default: every core);
-        returns batches folded in."""
+    def refresh(self) -> int:
+        """Advance every core's cursor to the store's end; returns
+        batches folded in."""
         from ..prediction.dataset import iter_journal_datasets
 
+        records = len(self.store.completed_keys())
+        if records == self._records:
+            return 0
         folded = 0
-        for core in self._manifest.cores if cores is None else cores:
+        for core in self.store.manifest.cores:
             for batch in iter_journal_datasets(
-                store, core, start=self._cursors[core], target=self.target
+                self.store, core, start=self._cursors[core], target=self.target
             ):
                 self._datasets[(batch.benchmark, core)] = batch.dataset
                 self._cursors[core] = batch.offset
                 folded += 1
+        self._records = records
         return folded
 
     # -- queries -----------------------------------------------------------
 
     def cells(self) -> List[CellKey]:
-        accumulator = _CellAccumulator(self._manifest)
-        return list(accumulator.ordered(self._datasets))
+        """Cells with feature rows, in manifest grid order."""
+        self.refresh()
+        manifest = self.store.manifest
+        return [
+            (name, core)
+            for name in manifest.workloads
+            for core in manifest.cores
+            if (name, core) in self._datasets
+        ]
 
     def rows(self, core: int) -> List[Tuple[str, Tuple[float, ...], float]]:
         """(tag, feature vector, target) rows for ``core``, grid order."""
@@ -384,6 +268,7 @@ class PredictionFeatureIndex:
         )
 
     def feature_names(self) -> Tuple[str, ...]:
+        self.refresh()
         for dataset in self._datasets.values():
             names: Tuple[str, ...] = dataset.feature_names
             return names
@@ -423,68 +308,27 @@ class PredictionFeatureIndex:
     def serialize(self) -> str:
         return _serialize(self.to_json_dict())
 
-    @classmethod
-    def from_reparse(
-        cls, store: CampaignStore, target: str = "vmin"
-    ) -> "PredictionFeatureIndex":
-        """The same rows through a from-scratch cursor walk.
-
-        A fresh index refreshed once over the whole journal *is* the
-        re-parse path: the cursors start at zero and consume every
-        record, exactly as a cold reader would.
-        """
-        index = cls(store.manifest, target=target)
-        index.refresh(store)
-        return index
-
 
 class StoreIndexes:
-    """The warm index bundle of one open campaign store.
+    """The query index bundle of one open campaign store.
 
-    Subscribes to the store's append stream, so every journaled record
-    updates the indexes before ``append_campaign`` returns; cells
-    journaled before attachment are folded in by the initial
-    :meth:`refresh`.  For appends made by *other* store objects or
-    processes, call the store's
-    :meth:`~repro.store.journal.CampaignStore.refresh`: it feeds the
-    new records through the same subscription.
+    Holds no answers of its own: every query reads the store as it
+    stands.  A record appended through the same store object shows at
+    the next query; appends by other store objects or processes show
+    after the store's
+    :meth:`~repro.store.journal.CampaignStore.refresh`.
     """
 
     def __init__(
         self, store: CampaignStore, feature_target: str = "vmin"
     ) -> None:
         self.store = store
-        manifest = store.manifest
-        self.vmin = VminIndex(manifest, store.cell_answers)
-        self.severity = SeverityIndex(manifest, store.cell_answers)
-        self.features = PredictionFeatureIndex(manifest, target=feature_target)
-        self._needed = manifest.config.campaigns
-        self._cell_counts: Dict[CellKey, int] = {}
-        self._offset = 0
-        store.subscribe(self._on_append)
-        self.refresh()
-
-    def _on_append(self, stored: StoredCampaign) -> None:
-        self._offset += 1
-        self.vmin.ingest(stored)
-        self.severity.ingest(stored)
-        cell = (stored.benchmark, stored.core)
-        count = self._cell_counts.get(cell, 0) + 1
-        self._cell_counts[cell] = count
-        if count == self._needed:
-            # A record just completed its grid cell: exactly when its
-            # core's JournalBatch cursor has a batch to emit.
-            self.features.refresh(self.store, cores=(stored.core,))
-
-    def refresh(self) -> int:
-        """Fold in records the bundle has not seen yet; returns count."""
-        pending = self.store.campaigns()[self._offset:]
-        for stored in pending:
-            self._on_append(stored)
-        return len(pending)
+        self.vmin = VminIndex(store)
+        self.severity = SeverityIndex(store)
+        self.features = PredictionFeatureIndex(store, target=feature_target)
 
     def records_indexed(self) -> int:
-        return self._offset
+        return len(self.store.completed_keys())
 
     def serialize(self) -> str:
         """Canonical byte form of every answer the bundle serves."""
@@ -505,22 +349,15 @@ class StoreIndexes:
 def reparse_serialization(
     store: CampaignStore, feature_target: str = "vmin"
 ) -> str:
-    """Every index answer recomputed through the classic read paths.
+    """Every index answer of ``store``, byte-comparable with
+    :meth:`StoreIndexes.serialize`.
 
-    Byte-comparable with :meth:`StoreIndexes.serialize`: equality is
-    the index-equals-reparse contract, checkable by ``repro fleet
-    query --json`` vs ``--json --reparse`` without trusting any index
-    code path twice.  For a recompute that trusts no count snapshot
-    either, pass a store opened with ``snapshot=False`` (as
-    ``--reparse`` does).
+    Pass a store opened with ``snapshot=False`` (as ``repro fleet query
+    --json --reparse`` does) and every answer is computed from counts
+    validated line by line: its equality with the answers a
+    snapshot-served store gives is the index-equals-reparse contract.
     """
-    return (
-        VminIndex.from_reparse(store).serialize()
-        + SeverityIndex.from_reparse(store).serialize()
-        + PredictionFeatureIndex.from_reparse(
-            store, target=feature_target
-        ).serialize()
-    )
+    return StoreIndexes(store, feature_target=feature_target).serialize()
 
 
 __all__ = [

@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -181,13 +180,12 @@ class CampaignStore:
         #: Headers and bodies already parsed out of this journal's raw
         #: logs, shared by every line (see :class:`ParseMemo`).
         self._memo = ParseMemo()
-        #: Callbacks fired for every record new to this store object
-        #: (see :meth:`subscribe`); the warm query indexes hang off this.
-        self._observers: List[Callable[[StoredCampaign], None]] = []
-        #: Vmin and severity answers of the cells complete in the
-        #: journal prefix the count snapshot covers (updated in place;
-        #: the Vmin and severity indexes look cells up here first).
-        self.cell_answers: Dict[Tuple[str, int], CellAnswers] = {}
+        #: Vmin and severity answers of complete cells: those the count
+        #: snapshot covered, then each one :meth:`answers` computed.
+        self._answers: Dict[Tuple[str, int], CellAnswers] = {}
+        #: Records held when :attr:`_answers` last covered every
+        #: complete cell, in grid order (-1: not since the last load).
+        self._answered = -1
 
     # -- paths -------------------------------------------------------------
 
@@ -271,8 +269,8 @@ class CampaignStore:
         :class:`~repro.errors.CampaignError`; either way the store is
         left as it was.  If the journal was replaced (compacted by another
         process) or shrank, the store reloads it from byte 0 and takes
-        the on-disk order.  Observers see each new record once, in
-        journal order; a reload re-announces none they already saw.
+        the on-disk order; a reload counts none of the records the store
+        already held as new.
 
         A load from byte 0 takes the prefix the count snapshot covers
         from it when the snapshot matches the journal, and rewrites the
@@ -311,12 +309,11 @@ class CampaignStore:
             keys.add(campaign.key)
             loaded.append((campaign, span))
         campaigns = [stored for stored, _span in loaded]
-        new = [c for c in campaigns if c.key not in self._completed]
+        new = len(keys - self._completed)
         if reload:
             self._campaigns, self._completed = [], set()
-            self.cell_answers.clear()
-            if covered is not None:
-                self.cell_answers.update(covered.answers)
+            self._answers = {} if covered is None else covered.answers
+            self._answered = -1
         self._campaigns.extend(campaigns)
         self._completed |= keys
         if reload and self._snapshot and len(loaded) > reused:
@@ -324,10 +321,7 @@ class CampaignStore:
 
             snapshot.save(self, view, covered, loaded, self._log.end,
                           self._log.lines)
-        for stored in new:
-            for observer in tuple(self._observers):
-                observer(stored)
-        return len(new)
+        return new
 
     # -- append side -------------------------------------------------------
 
@@ -379,20 +373,7 @@ class CampaignStore:
         telemetry.inc_counter(telemetry.M_JOURNAL_APPENDS)
         self._campaigns.append(stored)
         self._completed.add(stored.key)
-        for observer in tuple(self._observers):
-            observer(stored)
         return stored
-
-    def subscribe(self, observer: Callable[[StoredCampaign], None]) -> None:
-        """Call ``observer`` for every record new to this store object.
-
-        Observers run once the record is fsynced and accounted, so an
-        incremental index updated from here can never get ahead of the
-        journal.  Appends through this object fire them at once;
-        appends by other store objects or processes fire them when
-        :meth:`refresh` folds those lines in -- call it to see them.
-        """
-        self._observers.append(observer)
 
     # -- progress ----------------------------------------------------------
 
@@ -466,6 +447,40 @@ class CampaignStore:
                         cell, key=lambda c: c.campaign_index
                     )
         return ordered
+
+    def answers(self) -> Mapping[Tuple[str, int], "CellAnswers"]:
+        """The Vmin and severity answers of every complete grid cell, in
+        manifest grid order.
+
+        A cell the count snapshot covered is taken as it stands; every
+        other complete cell is computed once
+        (:func:`~repro.store.index.cell_answers`) and kept, so the next
+        snapshot persists it.  A cell whose campaigns do not aggregate
+        raises its :class:`~repro.errors.CampaignError` here, on every
+        call, and keeps no answer.
+        """
+        if self._answered == len(self._campaigns):
+            return self._answers
+        from .index import cell_answers
+
+        answers: Dict[Tuple[str, int], CellAnswers] = {}
+        failure: Optional[CampaignError] = None
+        for cell, members in self._grid().items():
+            if len(members) < self.manifest.config.campaigns:
+                continue
+            answer = self._answers.get(cell)
+            if answer is None:
+                try:
+                    answer = cell_answers(members, self.manifest.weights)
+                except CampaignError as exc:
+                    failure = failure or exc
+                    continue
+            answers[cell] = answer
+        self._answers = answers
+        if failure is not None:
+            raise failure
+        self._answered = len(self._campaigns)
+        return answers
 
     def results(self) -> Dict[Tuple[str, int], CharacterizationResult]:
         """Reconstruct every *complete* grid cell, in manifest order."""

@@ -13,8 +13,8 @@ validated line by line,
   interventions, the line's byte span and the per-voltage counts of
   its raw log (:class:`~repro.core.parser.LogCounts`);
 * per grid cell complete within the prefix: its Vmin, crash level and
-  severity table, as :class:`~repro.store.VminIndex` and
-  :class:`~repro.store.SeverityIndex` answer them.
+  severity table, as :meth:`CampaignStore.answers
+  <repro.store.CampaignStore.answers>` holds them.
 
 A load of the journal from byte 0 (:meth:`CampaignStore.refresh
 <repro.store.CampaignStore.refresh>`) hashes the prefix; on a full
@@ -49,7 +49,7 @@ from ..core.regions import _ZERO_COUNTS
 from ..durable import LogView, atomic_write
 from ..effects import EffectType
 from ..errors import CampaignError
-from .index import CellAnswers, CellKey, cell_answers
+from .index import CellAnswers, CellKey
 from .records import StoredCampaign
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -209,29 +209,23 @@ def save(
     lines: int,
 ) -> None:
     """Cover ``view.data[:end]`` (``lines`` lines, the journal bytes the
-    open validated: ``campaigns``) with a fresh snapshot.
+    open validated: ``campaigns``, all the store holds) with a fresh
+    snapshot.
 
-    Answers of cells complete in it that the store does not hold yet
-    are computed and added to :attr:`CampaignStore.cell_answers`.  A
-    failed write (a read-only directory, a full disk) is logged and
-    otherwise ignored: the snapshot only ever saves time.
+    It persists :meth:`CampaignStore.answers`, which computes the cells
+    the store has no answer for yet; a cell whose answer raises keeps
+    none.  A failed write (a read-only directory, a full disk) is logged
+    and otherwise ignored: the snapshot only ever saves time.
     """
     if covered is None:
         digest = hashlib.sha256(memoryview(view.data)[:end])
     else:
         digest = covered.digest.copy()
         digest.update(memoryview(view.data)[covered.end:end])
-    manifest = store.manifest
-    cells: Dict[CellKey, List[StoredCampaign]] = {}
-    for stored, _span in campaigns:
-        cells.setdefault((stored.benchmark, stored.core), []).append(stored)
-    answers = store.cell_answers
-    for cell, members in cells.items():
-        if cell not in answers and len(members) == manifest.config.campaigns:
-            try:
-                answers[cell] = cell_answers(members, manifest.weights)
-            except CampaignError:
-                pass  # no answer to keep: the indexes raise it themselves
+    try:
+        store.answers()
+    except CampaignError:
+        pass  # the cell that raised keeps no answer; queries raise it again
     dev, ino = view.identity or (None, None)
     payload = {
         "format": SNAPSHOT_FORMAT,
@@ -254,7 +248,7 @@ def save(
                 "crash_mv": answer.crash_mv,
                 "severity": [list(pair) for pair in answer.severity],
             }
-            for (name, core), answer in answers.items()
+            for (name, core), answer in store._answers.items()
         ],
     }
     path = store.directory / SNAPSHOT_NAME

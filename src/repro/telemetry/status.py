@@ -204,7 +204,7 @@ def _shard_status(
         for slot in stored.campaign_result().counts_by_voltage().values():
             for effect, runs in slot.items():
                 tallies[effect.value] += runs
-    vmin = VminIndex.from_reparse(store)
+    vmin = VminIndex(store)
     chip = manifest.spec.chip
     chip_name = chip if isinstance(chip, str) else getattr(chip, "name", str(chip))
     return FleetShardStatus(

@@ -229,6 +229,41 @@ def _report_text(d):
     return path.read_text() if path.exists() else None
 
 
+def _text(name):
+    """Observe one file's text (``None`` while it does not exist)."""
+    def observe(d):
+        path = d / name
+        return path.read_text() if path.exists() else None
+    return observe
+
+
+def _export_prepare(d):
+    journal(CampaignStore.create(d, SPEC, CFG, *GRID), 1, 2, 3)
+    # The open lays down the count snapshot, so the first atomic write
+    # of the export is runs.csv.
+    CampaignStore.open(d)
+    (d / "runs.csv").write_text("stale\n")
+
+
+def _complete_cell():
+    from repro.core.campaign import CharacterizationResult
+
+    return CharacterizationResult(
+        campaigns=tuple(campaign(index) for index in (1, 2, 3)))
+
+
+def _figure3(d):
+    from repro.analysis.export import FigureExporter
+
+    FigureExporter(d).figure3()
+
+
+def _lint_sarif(d):
+    (d / "clean.py").write_text("VALUE = 1\n")
+    main(["lint", str(d / "clean.py"), "--no-cache",
+          "--sarif", str(d / "lint.sarif")])
+
+
 ATOMIC = {
     "campaign-manifest": AtomicCase(
         prepare=lambda d: None,
@@ -284,6 +319,26 @@ ATOMIC = {
         prepare=lambda d: (d / "report.md").write_text("stale\n"),
         write=_report,
         observe=_report_text,
+    ),
+    "runs-csv": AtomicCase(
+        prepare=_export_prepare,
+        write=lambda d: CampaignStore.open(d).export_csv(),
+        observe=_text("runs.csv"),
+    ),
+    "severity-csv": AtomicCase(
+        prepare=lambda d: ResultStore(d).write_severity_csv([]),
+        write=lambda d: ResultStore(d).write_severity_csv([_complete_cell()]),
+        observe=_text("severity.csv"),
+    ),
+    "figure-csv": AtomicCase(
+        prepare=lambda d: (d / "figure3_vmin.csv").write_text("stale\n"),
+        write=_figure3,
+        observe=_text("figure3_vmin.csv"),
+    ),
+    "lint-sarif": AtomicCase(
+        prepare=lambda d: (d / "lint.sarif").write_text("stale\n"),
+        write=_lint_sarif,
+        observe=_text("lint.sarif"),
     ),
 }
 

@@ -257,8 +257,9 @@ class TestIndexEqualsReparse:
 
     def test_every_kill_point_matches_reparse(self, complete_fleet, tmp_path):
         """Property-style: truncate one shard journal to every possible
-        prefix; the warm bundle answers stay byte-identical to the
-        classic re-parse read path at each kill point."""
+        prefix; at each kill point the bundle answers stay
+        byte-identical to a second open's (served from the snapshot
+        the first one wrote) and to a snapshot-free open's."""
         fleet = FleetStore.open(complete_fleet)
         entry = fleet.manifest.shards[0]
         manifest_bytes = (
@@ -274,11 +275,14 @@ class TestIndexEqualsReparse:
             warm = StoreIndexes(store).serialize()
             assert warm == reparse_serialization(
                 CampaignStore.open(shard_dir))
+            assert warm == reparse_serialization(
+                CampaignStore.open(shard_dir, snapshot=False))
 
     def test_incremental_appends_match_bulk_rebuild(self, complete_fleet,
                                                     tmp_path):
-        """An index bundle attached before any append sees each record
-        through the subscription path and still matches a cold rebuild."""
+        """An index bundle made before any append answers for every
+        record appended through its store and still matches a cold
+        rebuild."""
         source = FleetStore.open(complete_fleet)
         entry, complete_store = source.shards()[0]
         shard_dir = tmp_path / "incremental"
@@ -460,6 +464,31 @@ class TestCachedShards:
         assert indexes.serialize() == indexes.serialize_reparse()
         assert watcher.indexes().serialize() == indexes.serialize()
         assert "mcf" in indexes.serialize()
+
+    def test_is_complete_reads_the_journals_not_the_watermarks(
+            self, tmp_path):
+        """An engine run routed through a fleet directory journals the
+        whole grid but leaves ``fleet.json``'s watermark behind."""
+        spec = SPECS[0]
+        FleetStore.create(tmp_path, [spec], CFG, WORKLOADS, CORES)
+        ParallelCampaignEngine(spec, CFG).run(
+            [get_benchmark("mcf")], CORES, store=tmp_path)
+        fleet = FleetStore.open(tmp_path)
+        (entry,) = fleet.manifest.shards
+        assert entry.watermark == 0  # stale until refresh_watermarks
+        assert fleet.shard(entry).is_complete()
+        assert fleet.pending_tasks() == {entry.name: []}
+        assert fleet.is_complete()
+
+    def test_standalone_view_completes_with_its_store(self, tmp_path):
+        spec = SPECS[0]
+        CampaignStore.create(tmp_path, spec, CFG, WORKLOADS, CORES)
+        view = FleetStore.open(tmp_path)
+        assert not view.is_complete()
+        ParallelCampaignEngine(spec, CFG).run(
+            [get_benchmark("mcf")], CORES, store=view)
+        assert view.shards()[0][1].is_complete()
+        assert view.is_complete()
 
     def test_refresh_after_foreign_compaction_takes_disk_order(
             self, complete_fleet, tmp_path):

@@ -501,7 +501,11 @@ class TestWarmIndexBuild:
         monkeypatch.setattr(dataset, "iter_journal_datasets", counting)
         store = CampaignStore.open(full_store[0])
         bundle = StoreIndexes(store)
+        assert walked == []  # the bundle reads the store only when queried
+        bundle.features.cells()
         assert walked == CORES  # one walk per completed cell
+        bundle.features.cells()
+        assert walked == CORES  # no record new since: no walk
         monkeypatch.undo()
         assert bundle.serialize() == reparse_serialization(store)
 
@@ -516,17 +520,19 @@ class TestJournalRefresh:
     def test_appends_by_another_object_fold_in(self, full_store, tmp_path):
         target = truncated_copy(full_store[0], tmp_path, keep=1)
         cached = CampaignStore.open(target)
-        seen = []
-        cached.subscribe(seen.append)
+        before = cached.completed_keys()
         other = CampaignStore.open(target)
-        for stored in CampaignStore.open(full_store[0]).campaigns()[1:3]:
+        appended = CampaignStore.open(full_store[0]).campaigns()[1:3]
+        for stored in appended:
             other.append_campaign(stored.campaign_result(), stored.raw_log,
                                   seed=stored.seed,
                                   interventions=stored.interventions)
         assert cached.refresh() == 2
         assert cached.refresh() == 0
         assert cached.campaigns() == CampaignStore.open(target).campaigns()
-        assert [c.key for c in seen] == [c.key for c in cached.campaigns()[1:]]
+        assert cached.completed_keys() - before == {c.key for c in appended}
+        assert [c.key for c in cached.campaigns()[1:]] == [
+            c.key for c in appended]
 
     def test_refresh_reads_only_bytes_past_the_end(self, full_store, tmp_path):
         """Garbage written over an already-read line stays unread: the
@@ -572,8 +578,6 @@ class TestJournalRefresh:
         lines = self.lines(full_store)
         target = truncated_copy(full_store[0], tmp_path, keep=TOTAL_TASKS)
         cached = CampaignStore.open(target)
-        seen = []
-        cached.subscribe(seen.append)
         journal = target / JOURNAL_NAME
         replacement = target / "journal.new"
         replacement.write_text("".join(reversed(lines)))
@@ -582,9 +586,8 @@ class TestJournalRefresh:
         assert cached.campaigns() == CampaignStore.open(target).campaigns()
         assert [c.key for c in cached.campaigns()][0] == lines_key(lines[-1])
         journal.write_text("".join(lines[:1]))  # shrunk in place
-        cached.refresh()
+        assert cached.refresh() == 0
         assert cached.campaigns() == CampaignStore.open(target).campaigns()
-        assert seen == []
 
     def test_failed_reload_is_retried_from_the_top(self, full_store,
                                                    tmp_path):
@@ -811,6 +814,44 @@ class TestCountSnapshot:
         assert reads == {("hit", "match"): 1}
         assert store.campaigns() == self.cold(store_dir)
         assert len(store.campaigns()) == 3
+
+    def test_unaggregatable_cell_raises_and_stays_out_of_it(
+            self, store_dir, capsys):
+        """A complete cell whose campaigns disagree on frequency has no
+        answer: every query of it raises, from a snapshot-served store
+        as from a validating one, and the snapshot keeps the other
+        cells only."""
+        from repro.cli import main
+        from repro.store import VminIndex
+
+        journal = store_dir / JOURNAL_NAME
+        lines = journal.read_text().splitlines(keepends=True)
+        data = json.loads(lines[0])
+        data["freq_mhz"] = 1200
+        lines[0] = json.dumps(data, sort_keys=True) + "\n"
+        journal.write_text("".join(lines))
+        broken = (data["benchmark"], data["core"])
+        CampaignStore.open(store_dir)
+        cells = json.loads((store_dir / SNAPSHOT_NAME).read_text())["cells"]
+        assert [(c["benchmark"], c["core"]) for c in cells] == [
+            ("bwaves", core) for core in CORES if core != broken[1]]
+        for store in (CampaignStore.open(store_dir),
+                      CampaignStore.open(store_dir, snapshot=False)):
+            bundle = StoreIndexes(store)
+            for query in (bundle.vmin.cells, bundle.severity.serialize,
+                          lambda: bundle.vmin.vmin_mv(*broken),
+                          lambda: bundle.severity.severity_by_voltage(
+                              *broken)):
+                with pytest.raises(CampaignError, match="must share"):
+                    query()
+            with pytest.raises(CampaignError, match="must share"):
+                VminIndex(store).crash_mv(*broken)
+        for argv in (["fleet", "query", str(store_dir)],
+                     ["fleet", "query", str(store_dir), "--json"],
+                     ["fleet", "query", str(store_dir), "--json",
+                      "--reparse"]):
+            assert main(argv) == 2
+            assert "must share" in capsys.readouterr().err
 
     def test_failed_write_does_not_fail_the_read(self, store_dir,
                                                  monkeypatch):
