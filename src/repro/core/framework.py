@@ -31,7 +31,7 @@ from ..hardware import MachineState
 from ..machines import Machine, machine_to_spec
 from .campaign import CampaignResult, CharacterizationResult
 from .config import FrameworkConfig  # re-exported: the old import path stays valid
-from .kernel import CampaignKernel
+from .kernel import CampaignKernel, VoltageTable
 from .parser import ParseMemo, count_log, format_run_block, parse_records
 from .watchdog import WatchdogAction, WatchdogMonitor
 
@@ -81,11 +81,28 @@ class CharacterizationFramework:
 
     def _prepare_machine(self, core: int, freq_mhz: int, voltage_mv: int) -> None:
         """Reliable-cores setup + V/F programming for one run."""
+        self._prepare_clocks(core, freq_mhz)
+        self.machine.slimpro.set_pmd_voltage_mv(voltage_mv)
+
+    def _prepare_clocks(self, core: int, freq_mhz: int) -> None:
         if self.machine.state is not MachineState.RUNNING:
             self.watchdog.ensure_alive()
         self.machine.clocks.set_pmd_frequency_mhz(core // 2, freq_mhz)
         self.machine.clocks.park_all_except([core])
-        self.machine.slimpro.set_pmd_voltage_mv(voltage_mv)
+
+    def _clean_cycles(
+        self, core: int, freq_mhz: int, voltage_mv: int, cycles: int
+    ) -> None:
+        """The prepare/restore rounds of ``cycles`` clean runs in a row.
+
+        Equal to ``cycles`` x (:meth:`_prepare_machine`,
+        :meth:`_restore_safe_state`) around runs that leave the machine
+        running: once the clocks are set, a repeated prepare only
+        reprograms the voltage, so the later rounds cost one SLIMpro
+        call together.
+        """
+        self._prepare_clocks(core, freq_mhz)
+        self.machine.slimpro.cycle_pmd_voltage_mv(voltage_mv, cycles)
 
     def _restore_safe_state(self) -> None:
         """Back to nominal before logs are persisted (Section 2.2.1)."""
@@ -210,17 +227,44 @@ class CharacterizationFramework:
         if table is None:
             self._kernel_cache.pop(key, None)
             return None
-        kernel = CampaignKernel(
+        kernel = self._kernel_for(table)
+        if token_of is not None:
+            self._kernel_cache[key] = (token_of(), kernel)
+        return kernel
+
+    def compiled_table(
+        self, program: Program, core: int
+    ) -> Optional[Tuple[str, VoltageTable]]:
+        """``(surface token, table)`` of the batch kernel compiled for
+        one cell at the configured frequency, or None."""
+        cached = self._kernel_cache.get((program.name, core, self.config.freq_mhz))
+        if cached is None:
+            return None
+        return cached[0], cached[1].table
+
+    def adopt_table(self, table: VoltageTable, token: str) -> None:
+        """Serve a table compiled on another machine of the same spec.
+
+        The next campaign of the table's cell runs on it instead of
+        compiling its own, provided this machine's
+        ``batch_surface_token`` still equals ``token`` (otherwise it
+        compiles, exactly as without the adopted table).  The caller
+        vouches that both machines come from one spec: a table does not
+        depend on the machine's seed, only on what the spec fixes.
+        """
+        key = (table.program.name, table.core, table.freq_mhz)
+        self._kernel_cache[key] = (token, self._kernel_for(table))
+
+    def _kernel_for(self, table: VoltageTable) -> CampaignKernel:
+        return CampaignKernel(
             machine=self.machine,
             table=table,
             config=self.config,
             watchdog=self.watchdog,
             prepare=self._prepare_machine,
             restore=self._restore_safe_state,
+            clean_cycles=self._clean_cycles,
         )
-        if token_of is not None:
-            self._kernel_cache[key] = (token_of(), kernel)
-        return kernel
 
     def _execute_one(
         self,

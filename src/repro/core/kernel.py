@@ -48,7 +48,40 @@ step where some rate reaches the PTRS regime) is *replayed*: the
 generator state is reset to the run's start and the campaign-persistent
 :class:`EffectSampler` samples it scalar-style -- bit-identical by
 construction, and rare by design (non-zero counts cluster in the crash
-region where SC dominates).
+region where SC dominates).  A replay walks the real cache codecs, so
+its cost is the SECDED encode/decode of each disturbance event; the
+codec is table driven (:class:`~repro.faults.ecc.SecdedCode`) and the
+SRAM event rates are memoized per voltage
+(:class:`~repro.hardware.sram.SramArray`).
+
+Clean runs
+----------
+
+Most runs of a sweep sit at safe voltages and come out ``NO`` with no
+EDAC detail.  Each plan carries per-column bounds over the uniform
+block (:class:`_StepPlan`) that hold exactly when :meth:`VoltageTable.
+sample_u` would return ``({NO}, {})`` without a replay; one vectorized
+compare per chunk marks those rows.  A stretch of consecutive clean
+runs at one level -- the whole level, at safe voltages -- is applied in
+O(1) machine calls: the framework's ``clean_cycles`` performs the
+stretch's prepare/restore rounds (one real round, the rest's I2C
+traffic repeated), :meth:`XGene2Machine.kernel_clean_runs` advances
+the run counter, power estimate, tick and heartbeat, the log blocks
+come from a per-level template and every record shares one ``NO``
+classification.  Only abnormal runs pay for ``sample_u``,
+``kernel_execute`` and a formatted block.
+
+One table per cell
+------------------
+
+A table depends on what the machine spec fixes (chip, program, core,
+frequency, protection, extension models, lifetime state), never on the
+per-task seed: the seed only keys the run streams.  So the campaigns of
+one (workload, core) cell can share a compiled table, and with it every
+plan row already built.  :func:`repro.parallel.tasks.run_campaign_chunk`
+hands each task's table to the next task of its chunk (tasks arrive in
+(workload, core, campaign) order); the receiving framework uses it when
+the cell and its machine's ``batch_surface_token`` match.
 
 The kernel is engaged by :class:`CharacterizationFramework` via the
 machine's ``compile_batch_table`` hook and falls back to the scalar
@@ -424,7 +457,15 @@ class RunGeneratorFactory:
 
 
 class _StepPlan:
-    """Everything :meth:`VoltageTable.sample_run` needs at one voltage."""
+    """Everything :meth:`VoltageTable.sample_u` needs at one voltage.
+
+    ``clean_lo``/``clean_hi`` are per-column bounds over the run's
+    uniform block: a row inside them on every column (``lo <= u <=
+    hi``) is exactly a row :meth:`VoltageTable.sample_u` maps to
+    ``({NO}, {})`` without a scalar replay; both are None on rows that
+    never run clean (the Poisson PTRS regime, where every surviving
+    run replays).
+    """
 
     __slots__ = (
         "voltage_mv",
@@ -438,6 +479,8 @@ class _StepPlan:
         "p_ue",
         "n_uniform",
         "analytic",
+        "clean_lo",
+        "clean_hi",
     )
 
 
@@ -494,7 +537,7 @@ class VoltageTable:
         self.rollback_coverage = rollback_coverage
         self.ue_ac_fraction = sampler.ue_ac_fraction
         self.expected_output = expected_output
-        self._power: Dict[int, float] = {}
+        self._power: Dict[Tuple[int, ...], float] = {}
 
     def index_of(self, voltage_mv: int) -> int:
         """Table row of a scheduled voltage (the O(1) grid lookup)."""
@@ -522,41 +565,25 @@ class VoltageTable:
         return plan
 
     def power_w(self, vidx: int, machine: object) -> float:
-        """Chip power at one table row (memoized: V/F state is fixed
-        per prepared run within a campaign)."""
-        power = self._power.get(vidx)
+        """Chip power at one table row on ``machine``'s PMD clocks.
+
+        Memoized per (row, PMD frequencies): the table may serve
+        several machines of one spec (see
+        :func:`repro.parallel.tasks.run_campaign_chunk`), and the
+        clocks are the only machine state the estimate reads besides
+        the spec-fixed power model.
+        """
+        freqs = machine.clocks.frequencies()
+        key = (vidx, *freqs)
+        power = self._power.get(key)
         if power is None:
             power = machine.power_model.chip_power_w(
-                self.voltages[vidx],
-                machine.clocks.frequencies(),
-                temp_c=CHARACTERIZATION_TEMP_C,
+                self.voltages[vidx], freqs, temp_c=CHARACTERIZATION_TEMP_C
             )
-            self._power[vidx] = power
+            self._power[key] = power
         return power
 
     # -- sampling ---------------------------------------------------------
-
-    def sample_run(
-        self,
-        vidx: int,
-        rng: np.random.Generator,
-        reset: Callable[[], object],
-    ) -> Tuple[FrozenSet[EffectType], Dict[str, int]]:
-        """One run's (effects, detail), bit-identical to the scalar path.
-
-        Draws one uniform block covering every scalar draw position;
-        falls back to a full scalar ``sampler.sample`` replay (against
-        the generator ``reset()`` returns, positioned at the run's
-        stream start) when a Poisson channel reports a non-zero event
-        count.
-        """
-        plan = self._plans[vidx]
-        if plan is None:
-            plan = self.plan(vidx)
-        # One stream read, then plain-float comparisons: a python float
-        # list beats numpy scalar indexing by ~3x at these sizes.
-        u = rng.random(plan.n_uniform).tolist()
-        return self.sample_u(plan, u, reset)
 
     def sample_u(
         self,
@@ -674,6 +701,7 @@ def _build_plan(
     plan.p_ac = float(probs["ac_timing"][0])
     plan.p_sdc = float(probs["sdc"][0])
     plan.conv = float(probs["sdc_to_ce"][0])
+    plan.clean_lo = plan.clean_hi = None
     if stack is None:
         plan.analytic = True
         plan.thresholds = None
@@ -682,6 +710,10 @@ def _build_plan(
         plan.p_ue = float(probs["ue"][0])
         # SC + CE + UE + AC + (UE->AC) + SDC [+ rollback]
         plan.n_uniform = 6 + rollback_slot
+        # Clean: no SC, CE, UE or AC draw fires, so the UE->AC slot is
+        # skipped and the SDC draw sits at column 4.
+        lo = [plan.p_sc, plan.p_ce, plan.p_ue, plan.p_ac, plan.p_sdc]
+        _set_clean_bounds(plan, lo, [])
     else:
         plan.analytic = False
         plan.p_ce = 0.0
@@ -703,7 +735,32 @@ def _build_plan(
                 + (1 if plan.conv > 0.0 else 0)
                 + rollback_slot
             )
+            # Clean: no SC, every channel at zero events, no SDC->CE
+            # conversion, no AC and no SDC draw.
+            lo = [plan.p_sc] + [0.0] * plan.n_channels
+            if plan.conv > 0.0:
+                lo.append(plan.conv)
+            lo += [plan.p_ac, plan.p_sdc]
+            _set_clean_bounds(plan, lo, plan.thresholds)
     return plan
+
+
+def _set_clean_bounds(
+    plan: _StepPlan, lo: List[float], thresholds: List[float]
+) -> None:
+    """Pad the clean-row bounds of ``plan`` to its block width.
+
+    ``lo`` holds the lower bound of the leading columns (the draws a
+    clean run must *not* fire: ``u >= p``), ``thresholds`` the upper
+    bounds of the Poisson channels in columns ``1..`` (a zero event
+    count: ``u <= exp(-lam)``).  Unused columns take ``[0, 1]``, which
+    every uniform satisfies.
+    """
+    n = plan.n_uniform
+    plan.clean_lo = np.array(lo + [0.0] * (n - len(lo)))
+    plan.clean_hi = np.array(
+        [1.0] + list(thresholds) + [1.0] * (n - 1 - len(thresholds))
+    )
 
 
 def compile_voltage_table(
@@ -787,11 +844,6 @@ class _ScheduleStates:
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = []
 
-    def level(self, level_index: int) -> List[Tuple[int, int]]:
-        """The (state, inc) pairs of one level's runs, in run order."""
-        start = level_index * self._runs
-        return [self.state_at(start + i) for i in range(self._runs)]
-
     def state_at(self, index: int) -> Tuple[int, int]:
         """The (state, inc) pair of one run by schedule position.
 
@@ -841,6 +893,13 @@ class CampaignKernel:
     the :class:`RunRecord` stream directly (through the same
     :func:`classify_run` the parser applies) instead of re-parsing the
     log it just formatted.
+
+    Runs whose uniform block is clean (see :class:`_StepPlan`) skip the
+    per-run path: each stretch of consecutive clean runs at a level is
+    applied in one ``clean_cycles`` call (its prepare/restore rounds)
+    and one :meth:`XGene2Machine.kernel_clean_runs` call, with log
+    blocks from a per-level template and one shared ``NO``
+    classification.
     """
 
     def __init__(
@@ -851,6 +910,7 @@ class CampaignKernel:
         watchdog: object,
         prepare: Callable[[int, int, int], None],
         restore: Callable[[], None],
+        clean_cycles: Callable[[int, int, int, int], None],
     ) -> None:
         self.machine = machine
         self.table = table
@@ -858,7 +918,28 @@ class CampaignKernel:
         self.watchdog = watchdog
         self._prepare = prepare
         self._restore = restore
+        self._clean_cycles = clean_cycles
         self._factory = RunGeneratorFactory()
+
+    @staticmethod
+    def _clean_rows(
+        u: np.ndarray, plans: Sequence[_StepPlan], runs_per_level: int
+    ) -> List[bool]:
+        """Per row of a chunk's uniform block: does the run come out
+        ``({NO}, {})``?  One vectorized compare against the level
+        plans' clean bounds, exact (plain float64 ordering)."""
+        lo = np.zeros_like(u)
+        hi = np.ones_like(u)
+        row = 0
+        for plan in plans:
+            rows = slice(row, row + runs_per_level)
+            if plan.clean_lo is None:
+                hi[rows, 0] = -1.0
+            else:
+                lo[rows, : plan.n_uniform] = plan.clean_lo
+                hi[rows, : plan.n_uniform] = plan.clean_hi
+            row += runs_per_level
+        return ((u >= lo) & (u <= hi)).all(axis=1).tolist()
 
     def execute(
         self, schedule: Sequence[int], campaign_index: int
@@ -880,12 +961,28 @@ class CampaignKernel:
 
         prepare = self._prepare
         restore = self._restore
+        clean_cycles = self._clean_cycles
         activate = factory.activate
         kernel_execute = machine.kernel_execute
+        kernel_clean_runs = machine.kernel_clean_runs
         is_responsive = machine.is_responsive
         ensure_alive = self.watchdog.ensure_alive
         no_action = WatchdogAction.NONE
         new_record = RunRecord.__new__
+        # Everything a clean run logs after its header line, and its
+        # classification (the parser-visible observables of a completed
+        # run with the expected output and no EDAC counts).
+        clean_tail = (
+            f" ===\nexit_code=0\noutput={expected} expected={expected}\n"
+            f"edac_ce=0 edac_ue=0\nstatus=completed\n"
+            f"watchdog={no_action.value}\n"
+        )
+        clean_effects = classify_run(
+            responsive=True,
+            exit_code=0,
+            output=expected,
+            expected_output=expected,
+        )
 
         log_parts: List[str] = []
         log_append = log_parts.append
@@ -899,6 +996,7 @@ class CampaignKernel:
         fresh_rng = lambda: activate(states.state_at(run_global))  # noqa: E731
         chunk_index = -1
         chunk_u: List[List[float]] = []
+        chunk_clean: List[bool] = []
         for level_index, voltage_mv in enumerate(schedule):
             vidx = table.index_of(voltage_mv)
             plan = table.plan(vidx)
@@ -906,17 +1004,20 @@ class CampaignKernel:
             if ci != chunk_index:
                 # One vectorized PCG64 pass yields the whole chunk's
                 # uniform blocks, over-drawn to the widest plan in the
-                # chunk (sample_u ignores the excess columns).
+                # chunk (sample_u ignores the excess columns), and one
+                # compare marks its clean rows.
                 chunk_index = ci
                 hi = min((ci + 1) * _CHUNK_LEVELS, len(schedule))
                 width = 1
+                chunk_plans = []
                 for lvl in range(ci * _CHUNK_LEVELS, hi):
                     lvl_plan = table.plan(table.index_of(schedule[lvl]))
+                    chunk_plans.append(lvl_plan)
                     if lvl_plan.n_uniform > width:
                         width = lvl_plan.n_uniform
-                chunk_u = factory.uniform_block(
-                    states.chunk_limbs(ci), width
-                ).tolist()
+                block = factory.uniform_block(states.chunk_limbs(ci), width)
+                chunk_u = block.tolist()
+                chunk_clean = self._clean_rows(block, chunk_plans, runs_per_level)
             u_base = (level_index % _CHUNK_LEVELS) * runs_per_level - 1
             setup = CharacterizationSetup(
                 voltage_mv=voltage_mv, freq_mhz=freq_mhz, core=core
@@ -930,14 +1031,55 @@ class CampaignKernel:
                 f"voltage_mv={voltage_mv} freq_mhz={freq_mhz} "
                 f"campaign={campaign_index} run="
             )
+            # A clean run's record fields, in RunRecord field order;
+            # run_index and a fresh detail dict are set per record.
+            clean_fields = dict(
+                chip=chip,
+                benchmark=benchmark,
+                setup=setup,
+                campaign_index=campaign_index,
+                run_index=0,
+                effects=clean_effects,
+                exit_code=0,
+                output_matches=True,
+                edac_ce=0,
+                edac_ue=0,
+                watchdog_intervened=False,
+                detail=None,
+            )
             level_all_crashed = True
             with telemetry.span(
                 "voltage_step", voltage_mv=voltage_mv, runs=runs_per_level
             ):
-                run_global = level_index * runs_per_level - 1
-                for run_index in range(1, runs_per_level + 1):
+                run_index = 1
+                while run_index <= runs_per_level:
+                    if chunk_clean[u_base + run_index]:
+                        # A stretch of clean runs: one prepare/restore
+                        # call, one machine update, templated logs.
+                        last = run_index
+                        while (
+                            last < runs_per_level
+                            and chunk_clean[u_base + last + 1]
+                        ):
+                            last += 1
+                        n_clean = last - run_index + 1
+                        clean_cycles(core, freq_mhz, voltage_mv, n_clean)
+                        kernel_clean_runs(table, vidx, n_clean)
+                        log_append("".join([
+                            f"{head}{i}{clean_tail}"
+                            for i in range(run_index, last + 1)
+                        ]))
+                        for i in range(run_index, last + 1):
+                            clean_fields["run_index"] = i
+                            clean_fields["detail"] = {}
+                            record = new_record(RunRecord)
+                            record.__dict__.update(clean_fields)
+                            record_append(record)
+                        level_all_crashed = False
+                        run_index = last + 1
+                        continue
                     prepare(core, freq_mhz, voltage_mv)
-                    run_global += 1
+                    run_global = level_index * runs_per_level + run_index - 1
                     effects, detail = sample_u(
                         plan, chunk_u[u_base + run_index], fresh_rng
                     )
@@ -1035,6 +1177,7 @@ class CampaignKernel:
                         ),
                     )
                     record_append(record)
+                    run_index += 1
             if level_all_crashed:
                 consecutive_crash_levels += 1
                 if (

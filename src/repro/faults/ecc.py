@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import EccError
 
@@ -116,6 +116,47 @@ class EvenParityCode:
 # ---------------------------------------------------------------------------
 
 
+def _byte_spread_tables(
+    bit_map: Sequence[Optional[int]],
+) -> Tuple[Tuple[int, ...], ...]:
+    """Per source byte, the 256 images of its values under ``bit_map``.
+
+    ``bit_map[i]`` is the destination bit of source bit ``i`` (None
+    drops it); the image of a word is the OR of its bytes' table
+    entries, so a 64-bit permutation costs 8 lookups instead of a
+    per-bit loop.
+    """
+    tables = []
+    for base in range(0, len(bit_map), 8):
+        table = [0]
+        for dst in bit_map[base:base + 8]:
+            # Values with this bit set follow those without it.
+            bit = 0 if dst is None else 1 << dst
+            table += [entry | bit for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+#: SECDED(72,64) layout: check bits at the power-of-two positions, data
+#: bits at the other positions 1..71 in ascending order.
+_SECDED_BITS = 72
+_SECDED_CHECKS = (1, 2, 4, 8, 16, 32, 64)
+_SECDED_DATA_POSITIONS = tuple(
+    pos for pos in range(1, _SECDED_BITS) if pos not in _SECDED_CHECKS
+)
+#: Data byte -> codeword bits, and codeword byte -> data bits.
+_SECDED_SPREAD = _byte_spread_tables(_SECDED_DATA_POSITIONS)
+_SECDED_GATHER = _byte_spread_tables([
+    _SECDED_DATA_POSITIONS.index(pos) if pos in _SECDED_DATA_POSITIONS else None
+    for pos in range(_SECDED_BITS)
+])
+#: Per check position, the Hamming positions (1..71) it covers.
+_SECDED_CHECK_MASKS = tuple(
+    (check, sum(1 << pos for pos in range(1, _SECDED_BITS) if pos & check))
+    for check in _SECDED_CHECKS
+)
+
+
 class SecdedCode:
     """Hamming SECDED(72,64): single-error-correcting, double-detecting.
 
@@ -129,19 +170,16 @@ class SecdedCode:
     * zero syndrome, parity flipped     -> parity bit itself flipped,
       corrected;
     * non-zero syndrome, parity OK      -> double error, detected.
+
+    The codec is table driven: data bits move to and from their
+    codeword positions through per-byte spread tables, and check bit
+    ``c`` is the parity of the codeword under a mask of the positions
+    with bit ``c`` set (``bin(x).count("1")``, a popcount that needs no
+    Python 3.10 ``int.bit_count``).  The tables are built once, at
+    import.
     """
 
-    codeword_bits = 72
-    _check_positions = (1, 2, 4, 8, 16, 32, 64)
-
-    def __init__(self) -> None:
-        # Positions 1..71 that carry data bits, in ascending order.
-        self._data_positions: List[int] = [
-            pos for pos in range(1, self.codeword_bits)
-            if pos not in self._check_positions
-        ]
-        if len(self._data_positions) != DATA_BITS:
-            raise EccError("internal layout error building SECDED positions")
+    codeword_bits = _SECDED_BITS
 
     # -- encode ------------------------------------------------------------
 
@@ -149,15 +187,13 @@ class SecdedCode:
         """Encode a 64-bit word into a 72-bit SECDED codeword."""
         data = _check_data_word(data)
         codeword = 0
-        for i, pos in enumerate(self._data_positions):
-            if (data >> i) & 1:
-                codeword |= 1 << pos
-        for check in self._check_positions:
-            parity = 0
-            for pos in range(1, self.codeword_bits):
-                if pos & check and (codeword >> pos) & 1:
-                    parity ^= 1
-            if parity:
+        for table in _SECDED_SPREAD:
+            codeword |= table[data & 0xFF]
+            data >>= 8
+        # The check positions are still clear, so each mask's parity is
+        # the parity of the data bits that check covers.
+        for check, mask in _SECDED_CHECK_MASKS:
+            if bin(codeword & mask).count("1") & 1:
                 codeword |= 1 << check
         # Overall parity over the whole 72-bit word, kept even.
         if bin(codeword).count("1") & 1:
@@ -167,17 +203,18 @@ class SecdedCode:
     # -- decode ---------------------------------------------------------------
 
     def _syndrome(self, codeword: int) -> int:
+        """XOR of the set Hamming positions, one masked parity per bit."""
         syndrome = 0
-        for pos in range(1, self.codeword_bits):
-            if (codeword >> pos) & 1:
-                syndrome ^= pos
+        for check, mask in _SECDED_CHECK_MASKS:
+            if bin(codeword & mask).count("1") & 1:
+                syndrome |= check
         return syndrome
 
     def _extract(self, codeword: int) -> int:
         data = 0
-        for i, pos in enumerate(self._data_positions):
-            if (codeword >> pos) & 1:
-                data |= 1 << i
+        for table in _SECDED_GATHER:
+            data |= table[codeword & 0xFF]
+            codeword >>= 8
         return data
 
     def decode(self, codeword: int) -> EccDecodeResult:

@@ -205,7 +205,3 @@ class CacheStack:
             if counts.ue:
                 out[f"ue_{level.name}"] = counts.ue
         return out
-
-    def by_level(self, voltage_mv: float, rng: np.random.Generator) -> Dict[str, CacheErrorCounts]:
-        """Per-level CE/UE counts (used by the EDAC location reports)."""
-        return {level.name: level.sample_errors(voltage_mv, rng) for level in self.levels}

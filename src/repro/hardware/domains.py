@@ -150,6 +150,17 @@ class VoltageRegulator:
         self._pmd_domains[pmd].set_voltage_mv(voltage_mv)
         self.transactions.append((self._pmd_domains[pmd].name, voltage_mv))
 
+    def cycle_pmd_voltage_mv(self, voltage_mv: int, cycles: int) -> None:
+        """``cycles`` rounds of :meth:`set_pmd_voltage_mv` (every plane)
+        then :meth:`restore_nominal`: one real round, whose
+        transactions are then repeated -- every later round programs
+        and restores the same values."""
+        start = len(self.transactions)
+        self.set_pmd_voltage_mv(voltage_mv)
+        self.restore_nominal()
+        if cycles > 1:
+            self.transactions.extend(self.transactions[start:] * (cycles - 1))
+
     def set_soc_voltage_mv(self, voltage_mv: int) -> None:
         """Program the PCP/SoC domain (950 mV nominal, 5 mV steps)."""
         self.soc.set_voltage_mv(voltage_mv)

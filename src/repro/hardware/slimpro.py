@@ -49,15 +49,31 @@ class SlimPro:
         """Program the PMD plane (or one plane in the per-PMD ablation)."""
         self._regulator.set_pmd_voltage_mv(voltage_mv, pmd=pmd)
         if pmd is None:
-            # Steady-voltage reprogramming (one entry per run at a
-            # level) reuses the immutable log tuple.
-            cache = self._pmd_log_cache
-            if cache is None or cache[0] != voltage_mv:
-                cache = (voltage_mv, ("set_voltage", f"PMD={voltage_mv}mV"))
-                self._pmd_log_cache = cache
-            self.i2c_log.append(cache[1])
+            self.i2c_log.append(self._pmd_log_entry(voltage_mv))
         else:
             self.i2c_log.append(("set_voltage", f"PMD{pmd}={voltage_mv}mV"))
+
+    def cycle_pmd_voltage_mv(self, voltage_mv: int, cycles: int) -> None:
+        """``cycles`` rounds of :meth:`set_pmd_voltage_mv` (every plane)
+        then :meth:`restore_nominal_voltages`, in one call.
+
+        The regulator ends and logs exactly as after that many rounds;
+        this is the safe-state cycle around each clean run of a
+        campaign level.
+        """
+        self._regulator.cycle_pmd_voltage_mv(voltage_mv, cycles)
+        self.i2c_log.extend(
+            (self._pmd_log_entry(voltage_mv), _RESTORE_LOG_ENTRY) * cycles
+        )
+
+    def _pmd_log_entry(self, voltage_mv: int) -> Tuple[str, str]:
+        # Steady-voltage reprogramming (one entry per run at a level)
+        # reuses the immutable log tuple.
+        cache = self._pmd_log_cache
+        if cache is None or cache[0] != voltage_mv:
+            cache = (voltage_mv, ("set_voltage", f"PMD={voltage_mv}mV"))
+            self._pmd_log_cache = cache
+        return cache[1]
 
     def get_pmd_voltage_mv(self, pmd: int = 0) -> int:
         return self._regulator.pmd_voltage_mv(pmd)

@@ -56,9 +56,32 @@ class SramArray:
             raise ConfigurationError("double_fraction must be within [0, 1]")
         self.name = name
         self.size_kb = int(size_kb)
+        #: voltage -> (single, double) event rates of the current curve
+        #: and double fraction; reassigning either clears it.
+        self._rates: Dict[float, Tuple[float, float]] = {}
         self.cell_curve = cell_curve
         self.double_fraction = float(double_fraction)
         self._store: Dict[int, int] = {}
+
+    @property
+    def cell_curve(self) -> FailureCurve:
+        """Per-run disturbance probability curve (see the class doc)."""
+        return self._cell_curve
+
+    @cell_curve.setter
+    def cell_curve(self, curve: FailureCurve) -> None:
+        self._cell_curve = curve
+        self._rates = {}
+
+    @property
+    def double_fraction(self) -> float:
+        """Relative rate of two-bit events (see the class doc)."""
+        return self._double_fraction
+
+    @double_fraction.setter
+    def double_fraction(self, fraction: float) -> None:
+        self._double_fraction = float(fraction)
+        self._rates = {}
 
     # -- functional word store ------------------------------------------
 
@@ -93,13 +116,22 @@ class SramArray:
 
     def single_event_rate(self, voltage_mv: float) -> float:
         """Expected single-bit disturbance events per run."""
-        p = min(self.cell_curve.probability(voltage_mv), 0.999999)
-        return -float(np.log1p(-p))
+        return self._event_rates(voltage_mv)[0]
 
     def double_event_rate(self, voltage_mv: float) -> float:
         """Expected double-bit (same ECC word) events per run."""
-        p = min(self.cell_curve.probability(voltage_mv), 0.999999)
-        return self.double_fraction * p * self.single_event_rate(voltage_mv)
+        return self._event_rates(voltage_mv)[1]
+
+    def _event_rates(self, voltage_mv: float) -> Tuple[float, float]:
+        """Both rates at one voltage, computed once per curve and
+        double fraction (the frozen curve cannot change in place)."""
+        rates = self._rates.get(voltage_mv)
+        if rates is None:
+            p = min(self._cell_curve.probability(voltage_mv), 0.999999)
+            single = -float(np.log1p(-p))
+            rates = (single, self._double_fraction * p * single)
+            self._rates[voltage_mv] = rates
+        return rates
 
     def event_rate_table(
         self, voltages: "Tuple[int, ...]"

@@ -392,7 +392,9 @@ class XGene2Machine:
         replaced, reconfigured or mutated in place) produces a
         different token and forces a fresh ``compile_batch_table``
         pass.  Value ``repr`` (the dynamics models are plain
-        dataclasses) is what makes in-place mutation visible.
+        dataclasses) is what makes in-place mutation visible.  The
+        stress hours and fan setpoint are in it because the aging and
+        temperature models shift the anchors by them.
         """
         return repr((
             self.injector is not None,
@@ -405,6 +407,8 @@ class XGene2Machine:
             self.failure_profile,
             self.protection,
             self.use_cache_models,
+            self._stress_hours,
+            self.fan.setpoint_c,
         ))
 
     def kernel_execute(self, table: object, vidx: int,
@@ -453,6 +457,24 @@ class XGene2Machine:
                 output = table.expected_output
         self._advance()
         return effects, exit_code, output, ce, ue, locations
+
+    def kernel_clean_runs(self, table: object, vidx: int, runs: int) -> None:
+        """Apply ``runs`` clean batch-kernel runs at one table row.
+
+        The O(1) equivalent of ``runs`` :meth:`kernel_execute` calls
+        whose outcome is ``({NO}, {})``: the run counter, power
+        estimate, tick and heartbeat end where those calls would leave
+        them (a clean run reports no EDAC event and its output is the
+        golden one).
+        """
+        if self._state is MachineState.HUNG:
+            raise MachineStateError("machine is hung; reset it first")
+        if self._state is MachineState.OFF:
+            raise MachineStateError("machine is powered off")
+        self._run_counter += runs
+        self.slimpro.update_power_estimate(table.power_w(vidx, self))
+        self._tick += runs
+        self.console.heartbeat(self._tick)
 
     # -- the PCP/SoC domain's own margin (extension study) ---------------------------
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -120,14 +120,24 @@ class CampaignTaskResult:
         return (self.benchmark, self.core, self.freq_mhz, self.campaign_index)
 
 
+#: What a task hands the next task of its chunk: the surface token and
+#: compiled table of its campaign (``CharacterizationFramework.
+#: compiled_table``).
+_SharedTable = Tuple[str, "VoltageTable"]  # noqa: F821
+
+
 def _execute_task(
     spec: MachineSpec, config: "FrameworkConfig", task: CampaignTask,  # noqa: F821
-    use_kernel: bool = True,
-) -> CampaignTaskResult:
+    use_kernel: bool, shared: Optional[_SharedTable],
+) -> Tuple[CampaignTaskResult, Optional[_SharedTable]]:
     from ..core.framework import CharacterizationFramework
 
     machine = spec.build(seed=task.seed)
     framework = CharacterizationFramework(machine, config, use_kernel=use_kernel)
+    if shared is not None:
+        token, table = shared
+        if (table.program, table.core) == (task.program, task.core):
+            framework.adopt_table(table, token)
     result = framework.run_campaign(
         task.program, task.core, campaign_index=task.campaign_index
     )
@@ -140,7 +150,28 @@ def _execute_task(
         raw_log=framework.raw_logs[log_key],
         freq_mhz=config.freq_mhz,
         interventions=framework.watchdog.intervention_count,
-    )
+    ), framework.compiled_table(task.program, task.core)
+
+
+def _run_task(
+    spec: MachineSpec,
+    config: "FrameworkConfig",  # noqa: F821
+    task: CampaignTask,
+    collect_spans: bool,
+    use_kernel: bool,
+    shared: Optional[_SharedTable],
+) -> Tuple[CampaignTaskResult, Optional[_SharedTable]]:
+    if not collect_spans:
+        with shielded():
+            return _execute_task(spec, config, task, use_kernel, shared)
+    spans: List[SpanRecord] = []
+    tracer = Tracer(spans.append)
+    with telemetry_session(tracer=tracer):
+        with task_trace(
+            task.program.name, task.core, task.campaign_index, seed=task.seed
+        ):
+            result, shared = _execute_task(spec, config, task, use_kernel, shared)
+    return dataclasses.replace(result, spans=tuple(spans)), shared
 
 
 def run_campaign_task(
@@ -151,17 +182,7 @@ def run_campaign_task(
     use_kernel: bool = True,
 ) -> CampaignTaskResult:
     """Execute one campaign on a freshly built machine (worker body)."""
-    if not collect_spans:
-        with shielded():
-            return _execute_task(spec, config, task, use_kernel)
-    spans: List[SpanRecord] = []
-    tracer = Tracer(spans.append)
-    with telemetry_session(tracer=tracer):
-        with task_trace(
-            task.program.name, task.core, task.campaign_index, seed=task.seed
-        ):
-            result = _execute_task(spec, config, task, use_kernel)
-    return dataclasses.replace(result, spans=tuple(spans))
+    return _run_task(spec, config, task, collect_spans, use_kernel, None)[0]
 
 
 def run_campaign_chunk(
@@ -171,8 +192,22 @@ def run_campaign_chunk(
     collect_spans: bool = False,
     use_kernel: bool = True,
 ) -> Tuple[CampaignTaskResult, ...]:
-    """Worker entry point: execute a scheduling chunk of tasks."""
-    return tuple(
-        run_campaign_task(spec, config, task, collect_spans, use_kernel)
-        for task in tasks
-    )
+    """Worker entry point: execute a scheduling chunk of tasks.
+
+    Tasks arrive in (workload, core, campaign) order, so the campaigns
+    of one cell are neighbours: each task hands its compiled
+    :class:`~repro.core.kernel.VoltageTable` to the next task, which
+    runs on it when it is of the same cell (and its machine's surface
+    token matches).  Every machine here is built from ``spec``, and a
+    table depends only on what the spec fixes -- not on the task seed
+    -- so sharing it changes no output, only how often plan rows are
+    built.
+    """
+    results: List[CampaignTaskResult] = []
+    shared: Optional[_SharedTable] = None
+    for task in tasks:
+        result, shared = _run_task(
+            spec, config, task, collect_spans, use_kernel, shared
+        )
+        results.append(result)
+    return tuple(results)

@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro.core import CharacterizationFramework, FrameworkConfig
 from repro.core.kernel import RunGeneratorFactory, VoltageTable
+from repro.effects import EffectType
 from repro.faults.injection import FaultInjector, Injection
 from repro.faults.models import FunctionalUnit
+from repro.faults.protection import ProtectionConfig
 # reprolint: disable=RPR003 -- compile_batch_table is the concrete machine's hook
 from repro.hardware import XGene2Machine
 from repro.hardware.dynamics import (
@@ -41,6 +43,31 @@ def _scalar_reference_rng(key: bytes) -> np.random.Generator:
     return np.random.default_rng(digest)
 
 
+def _machine_state(machine, framework):
+    """Every observable the machine and its watchdog keep, in full."""
+    return {
+        "tick": machine.tick,
+        "run_counter": machine.run_counter,
+        "state": machine.state.value,
+        "transactions": list(machine.regulator.transactions),
+        "i2c_log": list(machine.slimpro.i2c_log),
+        "power_w": machine.slimpro._last_power_w,
+        "edac": machine.edac.counters_by_location(),
+        "edac_records": machine.edac.poll_new(),
+        "heartbeat": machine.console.last_heartbeat_tick(),
+        "console": machine.console.all_lines(),
+        "clocks": machine.clocks.frequencies(),
+        "voltages": {
+            name: domain.voltage_mv
+            for name, domain in machine.regulator.domains().items()
+        },
+        "interventions": [
+            (item.action, item.tick, item.reason)
+            for item in framework.watchdog.interventions
+        ],
+    }
+
+
 def _campaign_observables(machine, config, use_kernel, bench="mcf", core=0):
     framework = CharacterizationFramework(machine, config, use_kernel=use_kernel)
     result = framework.characterize(get_benchmark(bench), core=core)
@@ -49,15 +76,7 @@ def _campaign_observables(machine, config, use_kernel, bench="mcf", core=0):
         for campaign in result.campaigns
         for record in campaign.records
     )
-    state = (
-        machine.tick,
-        machine.run_counter,
-        machine.state.value,
-        len(machine.regulator.transactions),
-        machine.regulator.transactions[-5:],
-        len(machine.slimpro.i2c_log),
-        machine.slimpro.i2c_log[-5:],
-    )
+    state = _machine_state(machine, framework)
     return framework, records, dict(framework.raw_logs), state
 
 
@@ -153,6 +172,94 @@ class TestCampaignBitIdentity:
         kernel = _campaign_observables(_machine(), config, True)
         assert reference[1:] == kernel[1:]
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chip=st.sampled_from(["TTT", "TFF", "TSS"]),
+        runs_per_level=st.integers(min_value=1, max_value=10),
+        variant=st.sampled_from(["stock", "analytic", "coverage", "rollback"]),
+    )
+    @settings(max_examples=16, deadline=None)
+    def test_clean_runs_from_nominal_identical(
+        self, seed, chip, runs_per_level, variant
+    ):
+        # Sweeps from nominal: long all-clean stretches (whole levels
+        # applied at once) and mixed levels (clean runs between
+        # abnormal ones) on every plan shape -- cache-model channels,
+        # the analytic plan, the SDC->CE conversion slot and the
+        # rollback slot.
+        kwargs = {
+            "stock": {},
+            "analytic": {"use_cache_models": False},
+            "coverage": {"protection": ProtectionConfig(coverage=0.5)},
+            "rollback": {"rollback_unit": RollbackUnit(detection_coverage=0.6)},
+        }[variant]
+        config = FrameworkConfig(campaigns=2, runs_per_level=runs_per_level)
+        results = {}
+        for use_kernel in (False, True):
+            machine = _machine(chip=chip, seed=seed, **kwargs)
+            framework, records, logs, state = _campaign_observables(
+                machine, config, use_kernel
+            )
+            assert framework.last_campaign_path == (
+                "batch" if use_kernel else "scalar"
+            )
+            results[use_kernel] = (records, logs, state)
+        assert results[False] == results[True]
+
+    def test_clean_path_covers_whole_and_mixed_levels(self):
+        # Guards the property test above against a sweep that never
+        # exercises the clean path: one campaign from nominal has both
+        # all-clean levels and levels mixing clean and abnormal runs.
+        config = FrameworkConfig(campaigns=1, runs_per_level=10)
+        _, records, _, _ = _campaign_observables(_machine(), config, True)
+        by_level = {}
+        for row in records:
+            by_level.setdefault(row["voltage_mv"], []).append(
+                row["effects"] == "NO"
+            )
+        assert any(all(level) for level in by_level.values())
+        assert any(any(level) and not all(level) for level in by_level.values())
+
+    def test_clean_rows_match_sample_u(self):
+        # The vectorized clean test is exactly "sample_u returns
+        # ({NO}, {}) without a replay", on every plan shape and row of
+        # a sweep (a replayed run always takes the per-run path).
+        from repro.core.kernel import CampaignKernel
+
+        rng = np.random.default_rng(3)
+        for kwargs in (
+            {},
+            {"use_cache_models": False},
+            {"protection": ProtectionConfig(coverage=0.5)},
+            {"rollback_unit": RollbackUnit()},
+        ):
+            table = _machine(**kwargs).compile_batch_table(
+                get_benchmark("mcf"), core=0, freq_mhz=2400
+            )
+            plans = [table.plan(i) for i in range(40)]
+            width = max(plan.n_uniform for plan in plans)
+            runs = 50
+            block = rng.random((runs * len(plans), width))
+            # Push some draws toward 0, where the fault draws fire.
+            block[::7] **= 8
+            clean = CampaignKernel._clean_rows(block, plans, runs)
+            replays = []
+
+            def fresh_rng():
+                replays.append(1)
+                return np.random.default_rng(0)
+
+            seen = set()
+            for i, row in enumerate(block.tolist()):
+                del replays[:]
+                outcome = table.sample_u(plans[i // runs], row, fresh_rng)
+                expected = not replays and outcome == (
+                    frozenset({EffectType.NO}), {}
+                )
+                assert clean[i] == expected, (kwargs, i)
+                seen.add(expected)
+            assert seen == {True, False}
+
     def test_raw_log_formatting_parity(self):
         # The kernel formats log blocks inline instead of calling
         # format_run_block; a sweep through the crash region exercises
@@ -198,6 +305,38 @@ class TestKernelFallbackMatrix:
             results[use_kernel] = (records, logs, state)
             if use_kernel:
                 assert framework.last_campaign_path == "batch"
+        assert results[False] == results[True]
+
+    @pytest.mark.parametrize("change", ["age", "fan-setpoint"])
+    def test_lifetime_change_between_campaigns_recompiles(self, change):
+        # The aging and temperature models read the machine's stress
+        # hours and fan setpoint: changing either between two campaigns
+        # of one framework must not reuse the table compiled before.
+        config = FrameworkConfig(start_mv=930, campaigns=1, runs_per_level=3)
+        program = get_benchmark("mcf")
+        results = {}
+        for use_kernel in (False, True):
+            machine = _machine(
+                seed=5,
+                aging_model=AgingModel(),
+                temperature_sensitivity=TemperatureSensitivity(),
+            )
+            framework = CharacterizationFramework(
+                machine, config, use_kernel=use_kernel
+            )
+            first = framework.run_campaign(program, 0, campaign_index=1)
+            if change == "age":
+                machine.age(50000.0)
+            else:
+                machine.slimpro.set_fan_setpoint_c(70.0)
+            second = framework.run_campaign(program, 0, campaign_index=2)
+            assert framework.last_campaign_path == (
+                "batch" if use_kernel else "scalar"
+            )
+            results[use_kernel] = (
+                [record.csv_row() for record in first.records + second.records],
+                _machine_state(machine, framework),
+            )
         assert results[False] == results[True]
 
     def test_scripted_injector_falls_back_to_scalar(self):

@@ -1,20 +1,27 @@
 """The parallel characterization engine: determinism, fallbacks, caching."""
 
 import io
+import multiprocessing
+import pickle
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core import CharacterizationFramework, FrameworkConfig
 from repro.core.campaign import CampaignResult, CharacterizationResult
+from repro.core.kernel import _StepPlan
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
 from repro.errors import ConfigurationError
+from repro.faults.protection import ProtectionConfig
 # reprolint: disable=RPR003 -- MachineSpec.from_machine round-trip tests
 from repro.hardware import (
     AdaptiveClockingUnit,
     AgingModel,
+    RollbackUnit,
     SupplyDroopModel,
+    TemperatureSensitivity,
     XGene2Machine,
 )
 from repro.parallel import (
@@ -26,6 +33,7 @@ from repro.parallel import (
     derive_task_seed,
 )
 from repro.parallel import engine as engine_mod
+from repro.store import JOURNAL_NAME
 from repro.workloads import get_benchmark
 
 #: Small but watchdog-exercising configuration: the sweep starts right
@@ -124,6 +132,173 @@ class TestEngineEquivalence:
         for result in report.results.values():
             indices = [c.campaign_index for c in result.campaigns]
             assert indices == sorted(indices)
+
+
+def _final_state(framework):
+    """A task's machine and watchdog state after its campaign."""
+    machine = framework.machine
+    return (
+        machine.tick,
+        machine.run_counter,
+        machine.state.value,
+        tuple(machine.regulator.transactions),
+        tuple(machine.slimpro.i2c_log),
+        machine.slimpro._last_power_w,
+        tuple(machine.edac.poll_new()),
+        machine.console.last_heartbeat_tick(),
+        tuple(
+            (item.action.value, item.tick, item.reason)
+            for item in framework.watchdog.interventions
+        ),
+    )
+
+
+class TestTableSharing:
+    """A chunk's consecutive campaigns of one cell share one table."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MachineSpec(chip="TSS", seed=3),
+            MachineSpec(chip="TTT", seed=3, use_cache_models=False),
+            MachineSpec(
+                chip="TFF",
+                seed=3,
+                protection=ProtectionConfig(coverage=0.4),
+                rollback_unit=RollbackUnit(detection_coverage=0.7),
+                droop_model=SupplyDroopModel(),
+                aging_model=AgingModel(),
+                temperature_sensitivity=TemperatureSensitivity(),
+                stress_hours=5000.0,
+                fan_setpoint_c=60.0,
+            ),
+        ],
+        ids=["stock", "analytic", "extensions"],
+    )
+    def test_tables_do_not_depend_on_the_task_seed(self, spec):
+        program = get_benchmark("mcf").programs()[0]
+        machines = [spec.build(seed=seed) for seed in (11, 2**40 + 5)]
+        tables = [
+            machine.compile_batch_table(program, core=4, freq_mhz=2400)
+            for machine in machines
+        ]
+        first, second = tables
+        assert first.voltages == second.voltages
+        assert (first.expected_output, first.rollback_coverage,
+                first.ue_ac_fraction) == (second.expected_output,
+                                          second.rollback_coverage,
+                                          second.ue_ac_fraction)
+        for vidx in range(len(first.voltages)):
+            plans = [table.plan(vidx) for table in tables]
+            for slot in _StepPlan.__slots__:
+                values = [getattr(plan, slot) for plan in plans]
+                if isinstance(values[0], np.ndarray):
+                    assert np.array_equal(values[0], values[1]), slot
+                else:
+                    assert values[0] == values[1], (vidx, slot)
+        # Power is read at the prepared V/F state, which the cell fixes.
+        for machine in machines:
+            machine.clocks.set_pmd_frequency_mhz(2, 2400)
+            machine.clocks.park_all_except([4])
+        assert [first.power_w(7, machines[0]), first.power_w(7, machines[1])] \
+            == [second.power_w(7, machines[1])] * 2
+
+    def test_power_memo_follows_the_clocks(self):
+        machine = SPEC.build()
+        table = machine.compile_batch_table(
+            get_benchmark("mcf"), core=0, freq_mhz=2400
+        )
+        nominal_clocks = table.power_w(3, machine)
+        machine.clocks.park_all_except([0])
+        parked = table.power_w(3, machine)
+        assert parked != nominal_clocks
+        assert parked == machine.power_model.chip_power_w(
+            table.voltages[3], machine.clocks.frequencies(), temp_c=43.0
+        )
+
+    def test_adopted_table_serves_the_next_campaign(self, monkeypatch):
+        builds = []
+        original = XGene2Machine.compile_batch_table
+
+        def counting(self, workload, core, freq_mhz):
+            builds.append((workload.name, core))
+            return original(self, workload, core, freq_mhz)
+
+        monkeypatch.setattr(XGene2Machine, "compile_batch_table", counting)
+        report = grid_engine(jobs=1, chunk_size=12).run(
+            [get_benchmark("bwaves"), get_benchmark("mcf")], [0, 4]
+        )
+        # 4 cells x 2 campaigns in one chunk: one compile per cell.
+        assert len(report.results) == 4
+        assert sorted(builds) == sorted(
+            (bench, core) for bench in ("bwaves", "mcf") for core in (0, 4)
+        )
+
+    def test_surface_change_recompiles_instead_of_adopting(self):
+        machine = SPEC.build(seed=5)
+        other = SPEC.build(seed=6)
+        framework = CharacterizationFramework(machine, CFG)
+        program = get_benchmark("mcf").programs()[0]
+        framework.run_campaign(program, 0)
+        token, table = framework.compiled_table(program, 0)
+        attached = RollbackUnit()
+        other.rollback_unit = attached
+        receiver = CharacterizationFramework(other, CFG)
+        receiver.adopt_table(table, token)
+        receiver.run_campaign(program, 0)
+        assert receiver.compiled_table(program, 0)[1] is not table
+        assert receiver.compiled_table(program, 0)[1].rollback_coverage == \
+            attached.detection_coverage
+
+    def test_sharing_changes_no_journal_byte_or_machine_state(
+        self, tmp_path, monkeypatch
+    ):
+        # No sharing (one task per chunk), the default serial chunks
+        # (each cell's campaigns share a table) and a 2-worker process
+        # pool: same journal and the same machine state per task.
+        original = CharacterizationFramework.run_campaign
+        config = FrameworkConfig(start_mv=925, campaigns=3, runs_per_level=4)
+        workloads = [get_benchmark("bwaves"), get_benchmark("mcf")]
+
+        def snapshotting(self, workload, core, campaign_index=1):
+            result = original(self, workload, core, campaign_index)
+            name = f"{result.benchmark}-{core}-{campaign_index}.pkl"
+            (self._snapshots / name).write_bytes(pickle.dumps(_final_state(self)))
+            return result
+
+        runs = {
+            "unshared": dict(jobs=1, chunk_size=1),
+            "default": dict(jobs=1),
+            "pool": dict(jobs=2, backend="process"),
+        }
+        journals, states = {}, {}
+        for name, kwargs in runs.items():
+            snapshots = tmp_path / f"{name}-states"
+            snapshots.mkdir()
+            monkeypatch.setattr(
+                CharacterizationFramework, "_snapshots", snapshots, raising=False
+            )
+            monkeypatch.setattr(
+                CharacterizationFramework, "run_campaign", snapshotting
+            )
+            store = tmp_path / f"{name}-store"
+            ParallelCampaignEngine(SPEC, config, **kwargs).run(
+                workloads, [0, 4], store=store
+            )
+            journals[name] = (store / JOURNAL_NAME).read_bytes()
+            states[name] = {
+                path.name: path.read_bytes() for path in snapshots.iterdir()
+            }
+        assert journals["unshared"] == journals["default"]
+        # A pool journals in completion order: compare the line sets.
+        assert sorted(journals["pool"].splitlines()) == sorted(
+            journals["default"].splitlines()
+        )
+        assert len(states["unshared"]) == 12
+        assert states["unshared"] == states["default"]
+        if multiprocessing.get_start_method() == "fork":
+            # Forked workers inherit the snapshotting wrapper.
+            assert states["pool"] == states["default"]
 
 
 class TestRetryPolicy:

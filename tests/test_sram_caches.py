@@ -60,6 +60,24 @@ class TestSramArray:
             assert all(0 <= b < 64 for b in bits)
             assert len(bits) in (1, 2)
 
+    def test_memoized_rates_follow_a_replaced_curve(self):
+        array = SramArray("L2", 256, noisy_curve())
+        before = (array.single_event_rate(880), array.double_event_rate(880))
+        array.cell_curve = noisy_curve(midpoint=870.0, ceiling=0.5)
+        fresh = SramArray("L2", 256, noisy_curve(midpoint=870.0, ceiling=0.5))
+        after = (array.single_event_rate(880), array.double_event_rate(880))
+        assert after == (fresh.single_event_rate(880), fresh.double_event_rate(880))
+        assert after != before
+
+    def test_memoized_rates_follow_a_new_double_fraction(self):
+        array = SramArray("L2", 256, noisy_curve())
+        before = array.double_event_rate(880)
+        array.double_fraction = 0.9
+        fresh = SramArray("L2", 256, noisy_curve(), double_fraction=0.9)
+        assert array.double_event_rate(880) == fresh.double_event_rate(880)
+        assert array.double_event_rate(880) != before
+        assert array.single_event_rate(880) == fresh.single_event_rate(880)
+
     def test_event_cap_bounds_work(self):
         array = SramArray("L2", 256, noisy_curve(midpoint=2000))
         rng = np.random.default_rng(0)
