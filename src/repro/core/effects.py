@@ -9,6 +9,7 @@ effects; for instance, in a run both SDC and CE can be observed").
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, FrozenSet, Iterable, Optional
 
 from ..effects import EffectType, normalize_effects
@@ -66,10 +67,11 @@ def effect_counts(
     Counts *runs in which the effect appeared*, not event multiplicity
     -- matching the severity function's definition ("the actual number
     of uncorrected errors during each run is not taken into
-    consideration", Section 3.4.1).
+    consideration", Section 3.4.1).  A campaign holds a handful of
+    distinct effect sets, so each is counted once and then expanded.
     """
     counts: Dict[EffectType, int] = {effect: 0 for effect in EffectType}
-    for effects in runs:
+    for effects, runs_with in Counter(runs).items():
         for effect in effects:
-            counts[effect] += 1
+            counts[effect] += runs_with
     return counts

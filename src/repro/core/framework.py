@@ -31,6 +31,7 @@ from ..hardware import MachineState
 from ..machines import Machine, machine_to_spec
 from .campaign import CampaignResult, CharacterizationResult
 from .config import FrameworkConfig  # re-exported: the old import path stays valid
+from .effects import effect_counts
 from .kernel import CampaignKernel, VoltageTable
 from .parser import ParseMemo, count_log, format_run_block, parse_records
 from .watchdog import WatchdogAction, WatchdogMonitor
@@ -93,13 +94,13 @@ class CharacterizationFramework:
     def _clean_cycles(
         self, core: int, freq_mhz: int, voltage_mv: int, cycles: int
     ) -> None:
-        """The prepare/restore rounds of ``cycles`` clean runs in a row.
+        """The prepare/restore rounds of ``cycles`` quiet runs in a row.
 
         Equal to ``cycles`` x (:meth:`_prepare_machine`,
         :meth:`_restore_safe_state`) around runs that leave the machine
-        running: once the clocks are set, a repeated prepare only
-        reprograms the voltage, so the later rounds cost one SLIMpro
-        call together.
+        running (clean, SDC-only or AC-only runs): once the clocks are
+        set, a repeated prepare only reprograms the voltage, so the
+        later rounds cost one SLIMpro call together.
         """
         self._prepare_clocks(core, freq_mhz)
         self.machine.slimpro.cycle_pmd_voltage_mv(voltage_mv, cycles)
@@ -152,24 +153,9 @@ class CharacterizationFramework:
                 key = (program.name, core, cfg.freq_mhz, campaign_index)
                 self.raw_logs[key] = log_text
                 with telemetry.span("parse", campaign=campaign_index):
-                    # The kernel already built the records; keep the
-                    # parse-phase counter totals identical to the
-                    # scalar path (one aggregated increment per effect
-                    # class instead of one call per occurrence).
-                    effect_totals: Dict[str, int] = {}
-                    for record in result.records:
-                        for effect in record.effects:
-                            value = effect.value
-                            effect_totals[value] = (
-                                effect_totals.get(value, 0) + 1
-                            )
-                    for value, amount in effect_totals.items():
-                        telemetry.inc_counter(
-                            telemetry.M_EFFECTS, effect=value, amount=amount
-                        )
-                    telemetry.inc_counter(
-                        telemetry.M_PARSER_RUNS, amount=len(result.records)
-                    )
+                    # The kernel already built the records; the
+                    # parse-phase counters are the scalar path's.
+                    self._count_parsed(result.records)
                 self._record_parsed_stats(key, log_text, result.records)
                 return result
             for voltage_mv in schedule:
@@ -309,14 +295,23 @@ class CharacterizationFramework:
 
     # -- phase 3: parsing ----------------------------------------------------
 
+    @staticmethod
+    def _count_parsed(records: Sequence[object]) -> None:
+        """Parse-phase counters: runs parsed, and one increment per
+        effect class by the runs that show it."""
+        telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(records))
+        counts = effect_counts(record.effects for record in records)
+        for effect, amount in counts.items():
+            if amount:
+                telemetry.inc_counter(
+                    telemetry.M_EFFECTS, effect=effect.value, amount=amount
+                )
+
     def _parse_campaign(self, log_text: str, campaign_index: int) -> CampaignResult:
         records = parse_records(log_text)
-        telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(records))
+        self._count_parsed(records)
         if not records:
             raise CampaignError("campaign produced no runs")
-        for record in records:
-            for effect in record.effects:
-                telemetry.inc_counter(telemetry.M_EFFECTS, effect=effect.value)
         first = records[0]
         return CampaignResult(
             chip=first.chip,

@@ -54,22 +54,36 @@ codec is table driven (:class:`~repro.faults.ecc.SecdedCode`) and the
 SRAM event rates are memoized per voltage
 (:class:`~repro.hardware.sram.SramArray`).
 
-Clean runs
-----------
+Stretches
+---------
 
-Most runs of a sweep sit at safe voltages and come out ``NO`` with no
-EDAC detail.  Each plan carries per-column bounds over the uniform
-block (:class:`_StepPlan`) that hold exactly when :meth:`VoltageTable.
-sample_u` would return ``({NO}, {})`` without a replay; one vectorized
-compare per chunk marks those rows.  A stretch of consecutive clean
-runs at one level -- the whole level, at safe voltages -- is applied in
-O(1) machine calls: the framework's ``clean_cycles`` performs the
-stretch's prepare/restore rounds (one real round, the rest's I2C
-traffic repeated), :meth:`XGene2Machine.kernel_clean_runs` advances
-the run counter, power estimate, tick and heartbeat, the log blocks
-come from a per-level template and every record shares one ``NO``
-classification.  Only abnormal runs pay for ``sample_u``,
+Most runs of a sweep need no per-run work.  One vectorized pass per
+seeding chunk gives every run its outcome class from its uniform block
+(:meth:`CampaignKernel._row_classes`, with the columns and thresholds
+each :class:`_StepPlan` carries): clean, SDC, AC, SC, or per-run for a
+run that draws an EDAC event or would replay.
+
+* Clean, SDC-only and AC-only runs are *quiet*: they leave the machine
+  exactly as a clean run does.  The quiet runs in a row at a level are
+  applied in O(1) machine calls: the framework's ``clean_cycles``
+  performs their prepare/restore rounds (one real round, the rest's
+  I2C traffic repeated), :meth:`XGene2Machine.kernel_clean_runs`
+  advances the run counter, power estimate, tick and heartbeat, the
+  log blocks come from per-class templates and the records share
+  per-class classifications.
+* System crashes in a row at a level run the first crash for real; the
+  reset that recovers it reboots the board to the same state every
+  time, so the others repeat its recorded deltas
+  (:meth:`XGene2Machine.kernel_repeat`,
+  :meth:`WatchdogMonitor.repeat_last`).  A recovery that is not a
+  plain reset is not repeated.
+
+Only runs with an EDAC event or a scalar replay pay for ``sample_u``,
 ``kernel_execute`` and a formatted block.
+
+Run streams are seeded a chunk of levels at a time, each chunk reaching
+through the level where the crash-level stop rule is predicted to end
+the campaign (:class:`_ScheduleStates`).
 
 One table per cell
 ------------------
@@ -92,6 +106,7 @@ see :meth:`XGene2Machine.compile_batch_table`).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -102,6 +117,7 @@ from .. import telemetry
 from ..effects import EffectType, normalize_effects
 from ..errors import CampaignError
 from ..units import CHARACTERIZATION_TEMP_C, PMD_NOMINAL_MV, VOLTAGE_FLOOR_MV, VOLTAGE_STEP_MV
+from ..workloads.execution import corrupted_output
 from .campaign import CampaignResult
 from .effects import classify_run
 from .runs import CharacterizationSetup, RunRecord
@@ -459,12 +475,20 @@ class RunGeneratorFactory:
 class _StepPlan:
     """Everything :meth:`VoltageTable.sample_u` needs at one voltage.
 
-    ``clean_lo``/``clean_hi`` are per-column bounds over the run's
-    uniform block: a row inside them on every column (``lo <= u <=
-    hi``) is exactly a row :meth:`VoltageTable.sample_u` maps to
-    ``({NO}, {})`` without a scalar replay; both are None on rows that
-    never run clean (the Poisson PTRS regime, where every surviving
-    run replays).
+    The classification pass (:meth:`CampaignKernel._row_classes`) reads
+    a run's outcome class off its uniform block with the fields below:
+
+    * ``quiet_lo``/``quiet_hi`` bound columns ``0 .. ac_col - 1``: a row
+      inside them (``lo <= u <= hi``) draws no EDAC event (every cache
+      channel at zero events, no SDC->CE conversion, no analytic CE or
+      UE) and so needs no scalar replay;
+    * ``ac_col`` is the application-crash draw; the SDC draw follows at
+      ``ac_col + 1`` and the rollback draw at ``ac_col + 2``;
+    * ``p_rollback`` is the rollback coverage, 0.0 without a rollback
+      unit (no uniform is below it).
+
+    ``quiet_lo``/``quiet_hi`` are None on rows where every run that
+    does not crash the system replays (the Poisson PTRS regime).
     """
 
     __slots__ = (
@@ -479,8 +503,10 @@ class _StepPlan:
         "p_ue",
         "n_uniform",
         "analytic",
-        "clean_lo",
-        "clean_hi",
+        "quiet_lo",
+        "quiet_hi",
+        "ac_col",
+        "p_rollback",
     )
 
 
@@ -701,7 +727,9 @@ def _build_plan(
     plan.p_ac = float(probs["ac_timing"][0])
     plan.p_sdc = float(probs["sdc"][0])
     plan.conv = float(probs["sdc_to_ce"][0])
-    plan.clean_lo = plan.clean_hi = None
+    plan.p_rollback = rollback_coverage if rollback_coverage is not None else 0.0
+    plan.quiet_lo = plan.quiet_hi = None
+    plan.ac_col = 0
     if stack is None:
         plan.analytic = True
         plan.thresholds = None
@@ -710,10 +738,9 @@ def _build_plan(
         plan.p_ue = float(probs["ue"][0])
         # SC + CE + UE + AC + (UE->AC) + SDC [+ rollback]
         plan.n_uniform = 6 + rollback_slot
-        # Clean: no SC, CE, UE or AC draw fires, so the UE->AC slot is
-        # skipped and the SDC draw sits at column 4.
-        lo = [plan.p_sc, plan.p_ce, plan.p_ue, plan.p_ac, plan.p_sdc]
-        _set_clean_bounds(plan, lo, [])
+        # Quiet: no CE or UE draw fires, so the UE->AC slot is skipped
+        # and the SDC draw sits right after the AC draw.
+        _set_quiet_bounds(plan, [0.0, plan.p_ce, plan.p_ue], [])
     else:
         plan.analytic = False
         plan.p_ce = 0.0
@@ -735,30 +762,30 @@ def _build_plan(
                 + (1 if plan.conv > 0.0 else 0)
                 + rollback_slot
             )
-            # Clean: no SC, every channel at zero events, no SDC->CE
-            # conversion, no AC and no SDC draw.
-            lo = [plan.p_sc] + [0.0] * plan.n_channels
+            # Quiet: every channel at zero events, no SDC->CE
+            # conversion.
+            lo = [0.0] * (1 + plan.n_channels)
             if plan.conv > 0.0:
                 lo.append(plan.conv)
-            lo += [plan.p_ac, plan.p_sdc]
-            _set_clean_bounds(plan, lo, plan.thresholds)
+            _set_quiet_bounds(plan, lo, plan.thresholds)
     return plan
 
 
-def _set_clean_bounds(
+def _set_quiet_bounds(
     plan: _StepPlan, lo: List[float], thresholds: List[float]
 ) -> None:
-    """Pad the clean-row bounds of ``plan`` to its block width.
+    """Set the quiet-row bounds of ``plan`` over columns ``0 ..
+    len(lo) - 1``; the AC draw follows them.
 
-    ``lo`` holds the lower bound of the leading columns (the draws a
-    clean run must *not* fire: ``u >= p``), ``thresholds`` the upper
-    bounds of the Poisson channels in columns ``1..`` (a zero event
-    count: ``u <= exp(-lam)``).  Unused columns take ``[0, 1]``, which
-    every uniform satisfies.
+    ``lo`` holds the lower bound of each column (a draw that must *not*
+    fire: ``u >= p``; 0.0 where any uniform passes), ``thresholds`` the
+    upper bounds of the Poisson channels in columns ``1..`` (a zero
+    event count: ``u <= exp(-lam)``); the other columns take 1.0.
     """
-    n = plan.n_uniform
-    plan.clean_lo = np.array(lo + [0.0] * (n - len(lo)))
-    plan.clean_hi = np.array(
+    n = len(lo)
+    plan.ac_col = n
+    plan.quiet_lo = np.array(lo)
+    plan.quiet_hi = np.array(
         [1.0] + list(thresholds) + [1.0] * (n - 1 - len(thresholds))
     )
 
@@ -806,43 +833,70 @@ def compile_voltage_table(
 # The campaign loop against the table
 # ---------------------------------------------------------------------------
 
-#: Levels worth of generator states derived per vectorization chunk --
-#: large enough to amortize the pool mix, small enough that a campaign
-#: stopped by the crash-level rule wastes at most one chunk's tail (a
-#: default sweep crosses the ~40-60 mV margin region in 10-13 levels
-#: before the two all-crash stop levels).
-_CHUNK_LEVELS = 12
+#: Outcome classes of :meth:`CampaignKernel._row_classes`.  The first
+#: three are *quiet*: the run leaves the machine exactly as a clean run
+#: does (no EDAC report, no hang), so the quiet runs in a row at a level
+#: are applied as one stretch.
+_CLEAN = 0
+_SDC = 1
+_AC = 2
+#: A system crash: the watchdog has to recover the board.
+_SC = 3
+#: An EDAC event or a scalar replay: the run takes the per-run path.
+_PER_RUN = 4
+
+#: A level counts toward the predicted stop level when its all-crash
+#: probability ``p_sc ** runs_per_level`` reaches this.
+_LIKELY_ALL_CRASH = 0.5
+
+_Limbs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class _ScheduleStates:
-    """Lazily derives per-run generator states for a campaign schedule.
+    """Derives per-run generator states for a campaign schedule, one
+    chunk of levels at a time.
 
     Run-counter values are predictable (the machine consumes one per
     executed run, and the kernel executes the schedule prefix in
-    order), so the keys of whole level chunks can be derived in one
-    vectorized pass ahead of execution.
+    order), so the keys of a whole chunk of levels can be derived in
+    one vectorized pass ahead of execution.  A chunk reaches through
+    the level where the crash-level stop rule is predicted to end the
+    campaign (:meth:`_chunk_end`); a campaign that runs deeper seeds
+    the next chunk from there the same way.
     """
 
     def __init__(
         self,
         factory: RunGeneratorFactory,
         machine: object,
-        program_name: str,
-        core: int,
-        freq_mhz: int,
+        table: VoltageTable,
         schedule: Sequence[int],
         runs_per_level: int,
+        stop_after: Optional[int],
     ) -> None:
         self._factory = factory
-        self._prefix = f"{machine.seed}|{machine.chip.name}|{program_name}|{core}|"
-        self._freq_mhz = freq_mhz
+        self._table = table
+        self._prefix = (
+            f"{machine.seed}|{machine.chip.name}|{table.program.name}|{table.core}|"
+        )
         self._schedule = list(schedule)
         self._runs = runs_per_level
+        #: The stop rule's crash-level count; None when the campaign
+        #: sweeps to a declared ``stop_mv`` (no early stop).
+        self._stop_after = stop_after
         self._base_counter = machine.run_counter
-        self._seeded = 0
-        self._chunk_limbs: List[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = []
+        #: First level of every seeded chunk, then one past the last.
+        self._bounds: List[int] = [0]
+        self._chunk_limbs: List[_Limbs] = []
+
+    def chunk(self, level_index: int) -> Tuple[int, int, _Limbs]:
+        """``(first level, end level, limb arrays)`` of the chunk that
+        holds a level; the limbs are in level-major run order."""
+        bounds = self._bounds
+        while bounds[-1] <= level_index:
+            self._extend()
+        ci = bisect.bisect_right(bounds, level_index) - 1
+        return bounds[ci], bounds[ci + 1], self._chunk_limbs[ci]
 
     def state_at(self, index: int) -> Tuple[int, int]:
         """The (state, inc) pair of one run by schedule position.
@@ -851,36 +905,52 @@ class _ScheduleStates:
         scalar-replay path ever needs a python-int pair, so whole-chunk
         folding would be wasted work.
         """
-        chunk_size = _CHUNK_LEVELS * self._runs
-        chunk_index, offset = divmod(index, chunk_size)
-        st_hi, st_lo, inc_hi, inc_lo = self.chunk_limbs(chunk_index)
+        start, _end, (st_hi, st_lo, inc_hi, inc_lo) = self.chunk(
+            index // self._runs
+        )
+        offset = index - start * self._runs
         return (
             (int(st_hi[offset]) << 64) | int(st_lo[offset]),
             (int(inc_hi[offset]) << 64) | int(inc_lo[offset]),
         )
 
-    def chunk_limbs(
-        self, chunk_index: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Limb arrays of one seeded chunk, in level-major run order."""
-        while len(self._chunk_limbs) <= chunk_index:
-            self._extend()
-        return self._chunk_limbs[chunk_index]
+    def _chunk_end(self, start: int) -> int:
+        """One past the last level of the chunk that starts at ``start``.
+
+        That is the predicted stop level: the first level that ends a
+        run of ``stop_after`` levels which are each likely to crash on
+        every run (:data:`_LIKELY_ALL_CRASH`), or the end of the
+        schedule.  The prediction only sizes the chunk; where the
+        campaign really stops never depends on it.
+        """
+        schedule = self._schedule
+        if self._stop_after is None:
+            return len(schedule)
+        table = self._table
+        likely = 0
+        for level in range(start, len(schedule)):
+            p_sc = table.plan(table.index_of(schedule[level])).p_sc
+            if p_sc ** self._runs >= _LIKELY_ALL_CRASH:
+                likely += 1
+                if likely >= self._stop_after:
+                    return level + 1
+            else:
+                likely = 0
+        return len(schedule)
 
     def _extend(self) -> None:
-        start_level = self._seeded // self._runs
-        counter = self._base_counter + self._seeded
+        start = self._bounds[-1]
+        end = self._chunk_end(start)
+        counter = self._base_counter + start * self._runs
+        freq_mhz = self._table.freq_mhz
         keys: List[bytes] = []
-        for voltage_mv in self._schedule[start_level : start_level + _CHUNK_LEVELS]:
-            suffix = f"|{voltage_mv}|{self._freq_mhz}|"
+        for voltage_mv in self._schedule[start:end]:
+            head = f"{self._prefix}{voltage_mv}|{freq_mhz}|"
             for _ in range(self._runs):
                 counter += 1
-                keys.append(f"{self._prefix[:-1]}{suffix}{counter}".encode())
-        limbs = self._factory.seed_limbs(keys)
-        if limbs is None:
-            return
-        self._chunk_limbs.append(limbs)
-        self._seeded += len(keys)
+                keys.append(f"{head}{counter}".encode())
+        self._chunk_limbs.append(self._factory.seed_limbs(keys))
+        self._bounds.append(end)
 
 
 class CampaignKernel:
@@ -894,12 +964,17 @@ class CampaignKernel:
     :func:`classify_run` the parser applies) instead of re-parsing the
     log it just formatted.
 
-    Runs whose uniform block is clean (see :class:`_StepPlan`) skip the
-    per-run path: each stretch of consecutive clean runs at a level is
-    applied in one ``clean_cycles`` call (its prepare/restore rounds)
-    and one :meth:`XGene2Machine.kernel_clean_runs` call, with log
-    blocks from a per-level template and one shared ``NO``
-    classification.
+    One vectorized pass gives every run its outcome class
+    (:meth:`_row_classes`), and only runs with an EDAC event or a
+    scalar replay take the per-run path.  The quiet runs in a row at a
+    level (clean, SDC-only, AC-only) are applied in one
+    ``clean_cycles`` call (their prepare/restore rounds) and one
+    :meth:`XGene2Machine.kernel_clean_runs` call, with log blocks from
+    per-class templates and shared per-class classifications.  The
+    system crashes in a row at a level run the first crash for real
+    and repeat its recorded deltas for the rest
+    (:meth:`XGene2Machine.kernel_repeat`,
+    :meth:`WatchdogMonitor.repeat_last`).
     """
 
     def __init__(
@@ -922,24 +997,52 @@ class CampaignKernel:
         self._factory = RunGeneratorFactory()
 
     @staticmethod
-    def _clean_rows(
+    def _row_classes(
         u: np.ndarray, plans: Sequence[_StepPlan], runs_per_level: int
-    ) -> List[bool]:
-        """Per row of a chunk's uniform block: does the run come out
-        ``({NO}, {})``?  One vectorized compare against the level
-        plans' clean bounds, exact (plain float64 ordering)."""
+    ) -> List[int]:
+        """The outcome class of every row of a chunk's uniform block.
+
+        ``_SC`` when the system-crash draw fires; otherwise
+        ``_PER_RUN`` when the row draws an EDAC event or would replay;
+        otherwise ``_AC``, ``_SDC`` or ``_CLEAN`` (a rollback-covered
+        SDC counts as clean).  One vectorized pass over the level
+        plans' columns and thresholds, exact: the same float64 compares
+        :meth:`VoltageTable.sample_u` makes.
+        """
+        n_rows, width = u.shape
         lo = np.zeros_like(u)
         hi = np.ones_like(u)
-        row = 0
-        for plan in plans:
-            rows = slice(row, row + runs_per_level)
-            if plan.clean_lo is None:
+        ac_cols = np.empty(len(plans), dtype=np.intp)
+        probs = np.empty((4, len(plans)))
+        for k, plan in enumerate(plans):
+            rows = slice(k * runs_per_level, (k + 1) * runs_per_level)
+            if plan.quiet_lo is None:
                 hi[rows, 0] = -1.0
             else:
-                lo[rows, : plan.n_uniform] = plan.clean_lo
-                hi[rows, : plan.n_uniform] = plan.clean_hi
-            row += runs_per_level
-        return ((u >= lo) & (u <= hi)).all(axis=1).tolist()
+                lo[rows, : plan.ac_col] = plan.quiet_lo
+                hi[rows, : plan.ac_col] = plan.quiet_hi
+            ac_cols[k] = plan.ac_col
+            probs[:, k] = (plan.p_sc, plan.p_ac, plan.p_sdc, plan.p_rollback)
+        p_sc, p_ac, p_sdc, p_rollback = np.repeat(probs, runs_per_level, axis=1)
+        ac_col = np.repeat(ac_cols, runs_per_level)
+        rows = np.arange(n_rows)
+        # The SDC and rollback columns only matter on rows that reach
+        # them; clipping keeps the other rows' gathers in bounds.
+        last = width - 1
+        ac = u[rows, np.minimum(ac_col, last)] < p_ac
+        sdc = u[rows, np.minimum(ac_col + 1, last)] < p_sdc
+        covered = u[rows, np.minimum(ac_col + 2, last)] < p_rollback
+        quiet = ((u >= lo) & (u <= hi)).all(axis=1)
+        classes = np.where(
+            u[:, 0] < p_sc,
+            _SC,
+            np.where(
+                ~quiet,
+                _PER_RUN,
+                np.where(ac, _AC, np.where(sdc & ~covered, _SDC, _CLEAN)),
+            ),
+        )
+        return classes.tolist()
 
     def execute(
         self, schedule: Sequence[int], campaign_index: int
@@ -949,14 +1052,20 @@ class CampaignKernel:
         machine = self.machine
         table = self.table
         factory = self._factory
-        benchmark = table.program.name
+        program = table.program
+        benchmark = program.name
         core = table.core
         freq_mhz = table.freq_mhz
         chip = table.chip_name
         expected = table.expected_output
         runs_per_level = cfg.runs_per_level
         states = _ScheduleStates(
-            factory, machine, benchmark, core, freq_mhz, schedule, runs_per_level
+            factory,
+            machine,
+            table,
+            schedule,
+            runs_per_level,
+            cfg.stop_after_crash_levels if cfg.stop_mv is None else None,
         )
 
         prepare = self._prepare
@@ -965,24 +1074,60 @@ class CampaignKernel:
         activate = factory.activate
         kernel_execute = machine.kernel_execute
         kernel_clean_runs = machine.kernel_clean_runs
-        is_responsive = machine.is_responsive
-        ensure_alive = self.watchdog.ensure_alive
+        kernel_mark = machine.kernel_mark
+        kernel_repeat = machine.kernel_repeat
+        watchdog = self.watchdog
+        ensure_alive = watchdog.ensure_alive
         no_action = WatchdogAction.NONE
+        reset = WatchdogAction.RESET
         new_record = RunRecord.__new__
-        # Everything a clean run logs after its header line, and its
-        # classification (the parser-visible observables of a completed
-        # run with the expected output and no EDAC counts).
-        clean_tail = (
-            f" ===\nexit_code=0\noutput={expected} expected={expected}\n"
-            f"edac_ce=0 edac_ue=0\nstatus=completed\n"
+        ac_exit = machine.APP_CRASH_EXIT_CODE
+        # What a quiet run logs after its run index (an SDC run's
+        # corrupted output goes between ``sdc_head`` and ``sdc_tail``):
+        # the parser-visible observables of a completed run or an
+        # application crash with no EDAC counts.
+        done = (
+            f"\nedac_ce=0 edac_ue=0\nstatus=completed\n"
             f"watchdog={no_action.value}\n"
         )
-        clean_effects = classify_run(
-            responsive=True,
-            exit_code=0,
-            output=expected,
-            expected_output=expected,
+        clean_tail = f" ===\nexit_code=0\noutput={expected} expected={expected}{done}"
+        sdc_head = " ===\nexit_code=0\noutput="
+        sdc_tail = f" expected={expected}{done}"
+        ac_tail = (
+            f" ===\nexit_code={ac_exit}\nedac_ce=0 edac_ue=0\n"
+            f"status=app_crash\nwatchdog={no_action.value}\n"
         )
+        # The record fields every run of a class shares, in RunRecord
+        # field order; ``setup`` is set per level, ``run_index`` and a
+        # fresh detail dict per record.  Classifications go through the
+        # same classify_run the parser applies, fed each class's
+        # parser-visible observables.
+        templates = {}
+        for row_class, exit_code, output, responsive in (
+            (_CLEAN, 0, expected, True),
+            (_SDC, 0, "", True),
+            (_AC, ac_exit, None, True),
+            (_SC, None, None, False),
+        ):
+            templates[row_class] = dict(
+                chip=chip,
+                benchmark=benchmark,
+                setup=None,
+                campaign_index=campaign_index,
+                run_index=0,
+                effects=classify_run(
+                    responsive=responsive,
+                    exit_code=exit_code,
+                    output=output,
+                    expected_output=expected if output is not None else "",
+                ),
+                exit_code=exit_code,
+                output_matches=None if output is None else output == expected,
+                edac_ce=0,
+                edac_ue=0,
+                watchdog_intervened=not responsive,
+                detail=None,
+            )
 
         log_parts: List[str] = []
         log_append = log_parts.append
@@ -994,34 +1139,29 @@ class CampaignKernel:
         # Reads ``run_global`` at call time, so one closure serves
         # every run; only the scalar-replay path ever invokes it.
         fresh_rng = lambda: activate(states.state_at(run_global))  # noqa: E731
-        chunk_index = -1
-        chunk_u: List[List[float]] = []
-        chunk_clean: List[bool] = []
+        chunk_start = chunk_end = 0
         for level_index, voltage_mv in enumerate(schedule):
             vidx = table.index_of(voltage_mv)
             plan = table.plan(vidx)
-            ci = level_index // _CHUNK_LEVELS
-            if ci != chunk_index:
+            if level_index >= chunk_end:
                 # One vectorized PCG64 pass yields the whole chunk's
                 # uniform blocks, over-drawn to the widest plan in the
                 # chunk (sample_u ignores the excess columns), and one
-                # compare marks its clean rows.
-                chunk_index = ci
-                hi = min((ci + 1) * _CHUNK_LEVELS, len(schedule))
-                width = 1
-                chunk_plans = []
-                for lvl in range(ci * _CHUNK_LEVELS, hi):
-                    lvl_plan = table.plan(table.index_of(schedule[lvl]))
-                    chunk_plans.append(lvl_plan)
-                    if lvl_plan.n_uniform > width:
-                        width = lvl_plan.n_uniform
-                block = factory.uniform_block(states.chunk_limbs(ci), width)
-                chunk_u = block.tolist()
-                chunk_clean = self._clean_rows(block, chunk_plans, runs_per_level)
-            u_base = (level_index % _CHUNK_LEVELS) * runs_per_level - 1
+                # pass classifies its rows.
+                chunk_start, chunk_end, limbs = states.chunk(level_index)
+                chunk_plans = [
+                    table.plan(table.index_of(level_mv))
+                    for level_mv in schedule[chunk_start:chunk_end]
+                ]
+                width = max(chunk_plan.n_uniform for chunk_plan in chunk_plans)
+                block = factory.uniform_block(limbs, width)
+                classes = self._row_classes(block, chunk_plans, runs_per_level)
+            row_base = (level_index - chunk_start) * runs_per_level - 1
             setup = CharacterizationSetup(
                 voltage_mv=voltage_mv, freq_mhz=freq_mhz, core=core
             )
+            for fields in templates.values():
+                fields["setup"] = setup
             # Every block of this level shares its header up to the run
             # index; the bodies below must stay byte-for-byte in
             # lockstep with :func:`format_run_block` (parity is pinned
@@ -1031,57 +1171,95 @@ class CampaignKernel:
                 f"voltage_mv={voltage_mv} freq_mhz={freq_mhz} "
                 f"campaign={campaign_index} run="
             )
-            # A clean run's record fields, in RunRecord field order;
-            # run_index and a fresh detail dict are set per record.
-            clean_fields = dict(
-                chip=chip,
-                benchmark=benchmark,
-                setup=setup,
-                campaign_index=campaign_index,
-                run_index=0,
-                effects=clean_effects,
-                exit_code=0,
-                output_matches=True,
-                edac_ce=0,
-                edac_ue=0,
-                watchdog_intervened=False,
-                detail=None,
-            )
             level_all_crashed = True
             with telemetry.span(
                 "voltage_step", voltage_mv=voltage_mv, runs=runs_per_level
             ):
                 run_index = 1
                 while run_index <= runs_per_level:
-                    if chunk_clean[u_base + run_index]:
-                        # A stretch of clean runs: one prepare/restore
-                        # call, one machine update, templated logs.
+                    row_class = classes[row_base + run_index]
+                    if row_class != _PER_RUN:
+                        # A stretch: this run and the ones after it at
+                        # this level that are of its kind (system
+                        # crashes, or quiet runs).
+                        crash = row_class == _SC
                         last = run_index
-                        while (
-                            last < runs_per_level
-                            and chunk_clean[u_base + last + 1]
-                        ):
+                        while last < runs_per_level:
+                            following = classes[row_base + last + 1]
+                            if (
+                                following == _PER_RUN
+                                or (following == _SC) is not crash
+                            ):
+                                break
                             last += 1
-                        n_clean = last - run_index + 1
-                        clean_cycles(core, freq_mhz, voltage_mv, n_clean)
-                        kernel_clean_runs(table, vidx, n_clean)
-                        log_append("".join([
-                            f"{head}{i}{clean_tail}"
-                            for i in range(run_index, last + 1)
-                        ]))
+                        if crash:
+                            # The first crash runs for real; its
+                            # recovery reboots the board to the same
+                            # state every time, so the others repeat
+                            # its deltas.
+                            mark = kernel_mark()
+                            prepare(core, freq_mhz, voltage_mv)
+                            kernel_execute(table, vidx, _SC_EFFECTS, {})
+                            action = ensure_alive()
+                            restore()
+                            if action is not reset:
+                                # Not a plain reset: the next crash of
+                                # the stretch runs for real as well.
+                                last = run_index
+                            elif last > run_index:
+                                watchdog.repeat_last(
+                                    last - run_index,
+                                    kernel_repeat(mark, last - run_index),
+                                )
+                            tail = (
+                                f" ===\nstatus=system_crash\n"
+                                f"watchdog={action.value}\n"
+                            )
+                            blocks = [
+                                f"{head}{i}{tail}"
+                                for i in range(run_index, last + 1)
+                            ]
+                        else:
+                            # One prepare/restore call, one machine
+                            # update, templated logs.  The machine
+                            # numbers an SDC run's corrupted output by
+                            # that run's run counter.
+                            level_all_crashed = False
+                            counter = machine.run_counter - run_index + 1
+                            n_quiet = last - run_index + 1
+                            clean_cycles(core, freq_mhz, voltage_mv, n_quiet)
+                            kernel_clean_runs(table, vidx, n_quiet)
+                            blocks = []
+                            for i in range(run_index, last + 1):
+                                row_class = classes[row_base + i]
+                                if row_class == _CLEAN:
+                                    blocks.append(f"{head}{i}{clean_tail}")
+                                elif row_class == _SDC:
+                                    output = corrupted_output(
+                                        program, counter + i
+                                    )
+                                    blocks.append(
+                                        f"{head}{i}{sdc_head}{output}"
+                                        f"{sdc_tail}"
+                                    )
+                                else:
+                                    blocks.append(f"{head}{i}{ac_tail}")
+                        log_append("".join(blocks))
                         for i in range(run_index, last + 1):
-                            clean_fields["run_index"] = i
-                            clean_fields["detail"] = {}
                             record = new_record(RunRecord)
-                            record.__dict__.update(clean_fields)
+                            attrs = record.__dict__
+                            attrs.update(templates[classes[row_base + i]])
+                            attrs["run_index"] = i
+                            attrs["detail"] = {}
                             record_append(record)
-                        level_all_crashed = False
                         run_index = last + 1
                         continue
+                    # The per-run path: an EDAC event or a replay (never
+                    # a system crash -- those are classed _SC).
                     prepare(core, freq_mhz, voltage_mv)
                     run_global = level_index * runs_per_level + run_index - 1
                     effects, detail = sample_u(
-                        plan, chunk_u[u_base + run_index], fresh_rng
+                        plan, block[row_base + run_index].tolist(), fresh_rng
                     )
                     (
                         effects,
@@ -1091,49 +1269,30 @@ class CampaignKernel:
                         edac_ue,
                         locations,
                     ) = kernel_execute(table, vidx, effects, detail)
-                    responsive = is_responsive()
-                    action = no_action if responsive else ensure_alive()
                     restore()
-                    if exit_code is None:
-                        # System crash: the in-band lines were never
-                        # flushed; only header + post-recovery lines.
-                        log_append(
-                            f"{head}{run_index} ===\n"
-                            f"status=system_crash\n"
-                            f"watchdog={action.value}\n"
+                    level_all_crashed = False
+                    status = "completed" if exit_code == 0 else "app_crash"
+                    if locations:
+                        encoded = ",".join(
+                            f"{key}:{count}"
+                            for key, count in sorted(locations.items())
                         )
+                        loc_line = f"edac_locations={encoded}\n"
                     else:
-                        level_all_crashed = False
-                        status = (
-                            "completed" if exit_code == 0 else "app_crash"
-                        )
-                        if locations:
-                            encoded = ",".join(
-                                f"{key}:{count}"
-                                for key, count in sorted(locations.items())
-                            )
-                            loc_line = f"edac_locations={encoded}\n"
-                        else:
-                            loc_line = ""
-                        if output is None:
-                            log_append(
-                                f"{head}{run_index} ===\n"
-                                f"exit_code={exit_code}\n"
-                                f"edac_ce={edac_ce} edac_ue={edac_ue}\n"
-                                f"{loc_line}"
-                                f"status={status}\n"
-                                f"watchdog={action.value}\n"
-                            )
-                        else:
-                            log_append(
-                                f"{head}{run_index} ===\n"
-                                f"exit_code={exit_code}\n"
-                                f"output={output} expected={expected}\n"
-                                f"edac_ce={edac_ce} edac_ue={edac_ue}\n"
-                                f"{loc_line}"
-                                f"status={status}\n"
-                                f"watchdog={action.value}\n"
-                            )
+                        loc_line = ""
+                    out_line = (
+                        "" if output is None
+                        else f"output={output} expected={expected}\n"
+                    )
+                    log_append(
+                        f"{head}{run_index} ===\n"
+                        f"exit_code={exit_code}\n"
+                        f"{out_line}"
+                        f"edac_ce={edac_ce} edac_ue={edac_ue}\n"
+                        f"{loc_line}"
+                        f"status={status}\n"
+                        f"watchdog={no_action.value}\n"
+                    )
                     # Classification goes through the same classify_run
                     # the log parser applies, fed the parser-visible
                     # observables (an unflushed output line parses as
@@ -1154,7 +1313,7 @@ class CampaignKernel:
                         campaign_index=campaign_index,
                         run_index=run_index,
                         effects=classify_run(
-                            responsive=responsive,
+                            responsive=True,
                             exit_code=exit_code,
                             output=output,
                             expected_output=(
@@ -1169,7 +1328,7 @@ class CampaignKernel:
                         ),
                         edac_ce=edac_ce,
                         edac_ue=edac_ue,
-                        watchdog_intervened=action is not no_action,
+                        watchdog_intervened=False,
                         detail=(
                             locations
                             if len(locations) < 2

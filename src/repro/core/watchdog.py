@@ -120,6 +120,27 @@ class WatchdogMonitor:
         )
         telemetry.inc_counter(telemetry.M_WATCHDOG, action=action.value)
 
+    def repeat_last(self, times: int, tick_step: int) -> None:
+        """Log the last intervention ``times`` more times, ``tick_step``
+        ticks apart: the interventions, ``watchdog.recovery`` events and
+        counter increments of ``times`` more identical recoveries (see
+        :meth:`XGene2Machine.kernel_repeat`)."""
+        last = self.interventions[-1]
+        for k in range(1, times + 1):
+            tick = last.tick + k * tick_step
+            self.interventions.append(
+                Intervention(action=last.action, tick=tick, reason=last.reason)
+            )
+            telemetry.event(
+                "watchdog.recovery",
+                action=last.action.value,
+                tick=tick,
+                reason=last.reason,
+            )
+        telemetry.inc_counter(
+            telemetry.M_WATCHDOG, amount=times, action=last.action.value
+        )
+
     @property
     def intervention_count(self) -> int:
         return len(self.interventions)

@@ -295,6 +295,9 @@ _CATALOGUE = _catalogue()
 COUNTER_NAMES = tuple(name for name, _cat, _desc, _rule in _CATALOGUE)
 #: The paper's event population size.
 NUM_COUNTERS = len(COUNTER_NAMES)
+#: name -> (category, description, rule); immutable, so every catalog
+#: (one per PMU of every machine) shares this one table.
+_BY_NAME = {name: (cat, desc, rule) for name, cat, desc, rule in _CATALOGUE}
 
 assert NUM_COUNTERS == 101, f"expected 101 PMU events, got {NUM_COUNTERS}"
 assert all(f in COUNTER_NAMES for f in RFE_SELECTED_FEATURES)
@@ -315,7 +318,6 @@ class CounterCatalog:
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         self.noise_sigma = float(noise_sigma)
-        self._by_name = {name: (cat, desc, rule) for name, cat, desc, rule in _CATALOGUE}
 
     # -- introspection ---------------------------------------------------
 
@@ -341,7 +343,7 @@ class CounterCatalog:
 
     def _lookup(self, name: str):
         try:
-            return self._by_name[name]
+            return _BY_NAME[name]
         except KeyError:
             raise UnknownCounterError(
                 f"{name!r} is not one of the {NUM_COUNTERS} PMU events"

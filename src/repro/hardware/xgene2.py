@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -141,6 +141,8 @@ class XGene2Machine:
 
     #: Logical ticks the watchdog treats as the liveness timeout.
     HEARTBEAT_TIMEOUT_TICKS = 10
+    #: Exit code of an application crash (SIGSEGV-style termination).
+    APP_CRASH_EXIT_CODE = 139
 
     def __init__(
         self,
@@ -447,7 +449,7 @@ class XGene2Machine:
             ue = 0
             locations = {}
         if EffectType.AC in effects:
-            exit_code: Optional[int] = 139
+            exit_code: Optional[int] = self.APP_CRASH_EXIT_CODE
             output: Optional[str] = None
         else:
             exit_code = 0
@@ -459,13 +461,13 @@ class XGene2Machine:
         return effects, exit_code, output, ce, ue, locations
 
     def kernel_clean_runs(self, table: object, vidx: int, runs: int) -> None:
-        """Apply ``runs`` clean batch-kernel runs at one table row.
+        """Apply ``runs`` quiet batch-kernel runs at one table row.
 
         The O(1) equivalent of ``runs`` :meth:`kernel_execute` calls
-        whose outcome is ``({NO}, {})``: the run counter, power
-        estimate, tick and heartbeat end where those calls would leave
-        them (a clean run reports no EDAC event and its output is the
-        golden one).
+        whose outcome reports no EDAC event and does not hang the
+        machine -- a clean, SDC-only or AC-only run: the run counter,
+        power estimate, tick and heartbeat end where those calls would
+        leave them.
         """
         if self._state is MachineState.HUNG:
             raise MachineStateError("machine is hung; reset it first")
@@ -475,6 +477,42 @@ class XGene2Machine:
         self.slimpro.update_power_estimate(table.power_w(vidx, self))
         self._tick += runs
         self.console.heartbeat(self._tick)
+
+    def kernel_mark(self) -> Tuple[int, int, int, int]:
+        """Where the machine's logs, tick and run counter stand; the
+        start of a round for :meth:`kernel_repeat`."""
+        return (
+            len(self.regulator.transactions),
+            len(self.slimpro.i2c_log),
+            self._tick,
+            self._run_counter,
+        )
+
+    def kernel_repeat(self, mark: Tuple[int, int, int, int], times: int) -> int:
+        """Repeat the round since ``mark`` ``times`` more times.
+
+        Valid for a round that leaves the machine in a state from which
+        the same round does the same again: a system-crash run
+        recovered by a plain reset, whose boot restores nominal
+        voltages, full clocks, an empty EDAC log and a fresh console,
+        so every later crash run at that level programs, hangs and
+        reboots exactly like the first.  The regulator's and SLIMpro's
+        logs are extended by the round's slices; the tick and run
+        counter advance by the round's deltas and the heartbeat keeps
+        its lag behind the tick.  Returns the round's tick delta.
+        """
+        transactions_at, i2c_at, tick_at, counter_at = mark
+        transactions = self.regulator.transactions
+        transactions.extend(transactions[transactions_at:] * times)
+        i2c_log = self.slimpro.i2c_log
+        i2c_log.extend(i2c_log[i2c_at:] * times)
+        step = self._tick - tick_at
+        heartbeat = self.console.last_heartbeat_tick()
+        self._tick += step * times
+        self._run_counter += (self._run_counter - counter_at) * times
+        if heartbeat is not None:
+            self.console.heartbeat(heartbeat + step * times)
+        return step
 
     # -- the PCP/SoC domain's own margin (extension study) ---------------------------
 
@@ -603,7 +641,7 @@ class XGene2Machine:
         ue = int(sampled.detail.get("uncorrected_errors", 0))
 
         if EffectType.AC in sampled.effects:
-            exit_code = 139  # SIGSEGV-style abnormal termination
+            exit_code = self.APP_CRASH_EXIT_CODE
             output = None
         else:
             exit_code = 0

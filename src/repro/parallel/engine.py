@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .. import telemetry
 from ..core.campaign import CampaignResult, CharacterizationResult
 from ..core.config import FrameworkConfig
+from ..core.effects import effect_counts
 from ..errors import CampaignError, ConfigurationError
 from ..machines import MachineSpec, as_machine_spec
 from ..store import AnyStore, CampaignStore, open_store, store_exists
@@ -369,6 +370,8 @@ class ParallelCampaignEngine:
         Workers run under a local (or shielded) session, so all metric
         aggregation happens here, once per outcome, from the outcome
         payload itself -- identical for every backend and worker count.
+        Effects are counted per outcome and added with one increment
+        per effect class.
         Replayed journal lines are *not* routed through this: metrics
         describe the current run; ``repro status`` covers the store.
         """
@@ -378,10 +381,13 @@ class ParallelCampaignEngine:
                 telemetry.inc_counter(
                     telemetry.M_INTERVENTIONS, amount=outcome.interventions
                 )
-            for record in outcome.result.records:
-                for effect in record.effects:
+            counts = effect_counts(
+                record.effects for record in outcome.result.records
+            )
+            for effect, amount in counts.items():
+                if amount:
                     telemetry.inc_counter(
-                        telemetry.M_EFFECTS, effect=effect.value
+                        telemetry.M_EFFECTS, effect=effect.value, amount=amount
                     )
 
     def _resolve_backend(self, n_tasks: int) -> str:

@@ -122,3 +122,44 @@ class TestWorkloadDifferentiation:
         assert rate(mcf, "DISPATCH_STALL_CYCLES") > rate(leslie, "DISPATCH_STALL_CYCLES")
         # leslie3d is FP-heavy.
         assert rate(leslie, "VFP_SPEC") > 5 * rate(mcf, "VFP_SPEC")
+
+
+class TestSharedNameTable:
+    """Every catalog reads one import-time name table; the PMU readings
+    a machine profiles are unchanged by the sharing."""
+
+    def test_catalogs_share_the_name_table(self):
+        # reprolint: disable=RPR003 -- the concrete board's PMU bank
+        from repro.hardware import XGene2Machine
+
+        first, second = XGene2Machine("TTT", seed=1), XGene2Machine("TSS", seed=2)
+        catalogs = [pmu.catalog for pmu in first.pmus + second.pmus]
+        assert len(catalogs) == 16
+        for catalog in catalogs:
+            assert catalog.category("CPU_CYCLES") == "core"
+            assert catalog.description("CPU_CYCLES")
+            assert not hasattr(catalog, "_by_name")
+
+    def test_pmu_snapshots_unchanged(self):
+        # Pinned digest of two noisy profiles and one PMU's history,
+        # computed before the catalogs shared one table.
+        import hashlib
+        import json
+
+        # reprolint: disable=RPR003 -- the concrete board's PMU bank
+        from repro.hardware import XGene2Machine
+
+        machine = XGene2Machine("TFF", seed=11)
+        machine.power_on()
+        snapshots = [
+            machine.profile_program(get_benchmark(name), core)
+            for name, core in (("mcf", 0), ("namd", 5))
+        ]
+        snapshots.append(machine.pmus[5].history())
+        digest = hashlib.sha256(
+            json.dumps(snapshots, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == (
+            "5e3d8f1118a635bedd90485f89955f17daea43e922d0fe0b34debb2636506b79"
+        )
+        assert snapshots[0]["CPU_CYCLES"] == 506813774420.0

@@ -10,8 +10,10 @@ chips and schedules), and the per-extension fallback matrix of
 :meth:`XGene2Machine.compile_batch_table`.
 """
 
+import dataclasses
 import hashlib
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,19 +21,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CharacterizationFramework, FrameworkConfig
+from repro.core import kernel as kernel_mod
 from repro.core.kernel import RunGeneratorFactory, VoltageTable
+from repro.core.watchdog import WatchdogAction, WatchdogMonitor
 from repro.effects import EffectType
 from repro.faults.injection import FaultInjector, Injection
 from repro.faults.models import FunctionalUnit
 from repro.faults.protection import ProtectionConfig
 # reprolint: disable=RPR003 -- compile_batch_table is the concrete machine's hook
-from repro.hardware import XGene2Machine
+from repro.hardware import MachineState, XGene2Machine
 from repro.hardware.dynamics import (
     AdaptiveClockingUnit,
     AgingModel,
     RollbackUnit,
     SupplyDroopModel,
     TemperatureSensitivity,
+)
+from repro.telemetry import (
+    M_KERNEL_CAMPAIGNS,
+    MetricsRegistry,
+    Tracer,
+    telemetry_session,
 )
 from repro.units import VOLTAGE_STEP_MV
 from repro.workloads import get_benchmark
@@ -65,11 +75,16 @@ def _machine_state(machine, framework):
             (item.action, item.tick, item.reason)
             for item in framework.watchdog.interventions
         ],
+        "pmpro_events": list(machine.pmpro.events),
     }
 
 
-def _campaign_observables(machine, config, use_kernel, bench="mcf", core=0):
-    framework = CharacterizationFramework(machine, config, use_kernel=use_kernel)
+def _campaign_observables(
+    machine, config, use_kernel, bench="mcf", core=0, watchdog=None
+):
+    framework = CharacterizationFramework(
+        machine, config, watchdog=watchdog, use_kernel=use_kernel
+    )
     result = framework.characterize(get_benchmark(bench), core=core)
     records = tuple(
         record.csv_row()
@@ -84,6 +99,63 @@ def _machine(chip="TTT", seed=55, **kwargs):
     machine = XGene2Machine(chip, seed=seed, **kwargs)
     machine.power_on()
     return machine
+
+
+_PLAN_VARIANTS = {
+    "stock": {},
+    "analytic": {"use_cache_models": False},
+    # The cache channels' Poisson rates never reach numpy's PTRS
+    # regime on the calibrated chips; lowering the cut-off puts every
+    # cache-model plan in it.
+    "ptrs": {},
+    "coverage": {"protection": ProtectionConfig(coverage=0.5)},
+    "rollback": {"rollback_unit": RollbackUnit(detection_coverage=0.6)},
+}
+
+
+def _classified_block(variant, chip, first_level, n_levels, runs, seed, sharpen):
+    """A random uniform block over consecutive plans, and its classes."""
+    with mock.patch.object(
+        kernel_mod, "_POISSON_PTRS_LAM", 0.0 if variant == "ptrs" else 10.0
+    ):
+        table = _machine(chip=chip, **_PLAN_VARIANTS[variant]).compile_batch_table(
+            get_benchmark("mcf"), core=0, freq_mhz=2400
+        )
+        plans = [
+            table.plan(i) for i in range(first_level, first_level + n_levels)
+        ]
+    if variant == "ptrs":
+        assert all(plan.quiet_lo is None for plan in plans)
+    width = max(plan.n_uniform for plan in plans)
+    rng = np.random.default_rng(seed)
+    block = rng.random((runs * len(plans), width))
+    # Push some rows toward 0, where the fault draws fire.
+    block[rng.random(len(block)) < 0.5] **= sharpen
+    classes = kernel_mod.CampaignKernel._row_classes(block, plans, runs)
+    return plans, table, classes, block
+
+
+def _sampled_class(table, plan, row):
+    """The outcome class of ``sample_u``'s answer for one row."""
+    replays = []
+
+    def fresh_rng():
+        replays.append(1)
+        return np.random.default_rng(0)
+
+    effects, detail = table.sample_u(plan, row, fresh_rng)
+    # The stand-in replay stream is not the row's, so a replayed
+    # outcome says nothing beyond "replayed".
+    if replays or effects & {EffectType.CE, EffectType.UE}:
+        return kernel_mod._PER_RUN
+    if EffectType.SC in effects:
+        return kernel_mod._SC
+    if EffectType.AC in effects:
+        return kernel_mod._AC
+    if EffectType.SDC in effects:
+        return kernel_mod._SDC
+    assert effects == {EffectType.NO} and set(detail) <= {"rollbacks"}
+    return kernel_mod._CLEAN
 
 
 class TestRunGeneratorFactory:
@@ -220,45 +292,48 @@ class TestCampaignBitIdentity:
         assert any(all(level) for level in by_level.values())
         assert any(any(level) and not all(level) for level in by_level.values())
 
-    def test_clean_rows_match_sample_u(self):
-        # The vectorized clean test is exactly "sample_u returns
-        # ({NO}, {}) without a replay", on every plan shape and row of
-        # a sweep (a replayed run always takes the per-run path).
-        from repro.core.kernel import CampaignKernel
+    @given(
+        variant=st.sampled_from(
+            ["stock", "analytic", "ptrs", "coverage", "rollback"]
+        ),
+        chip=st.sampled_from(["TTT", "TFF", "TSS"]),
+        first_level=st.integers(min_value=12, max_value=30),
+        n_levels=st.integers(min_value=1, max_value=8),
+        runs=st.integers(min_value=1, max_value=10),
+        block_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sharpen=st.sampled_from([1, 4, 16]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_classes_match_sample_u(
+        self, variant, chip, first_level, n_levels, runs, block_seed, sharpen
+    ):
+        # The vectorized classification is exactly what sample_u makes
+        # of each row, on every plan shape: SC, an EDAC event or replay
+        # (per-run), AC, SDC, or clean (a rollback-covered SDC too).
+        plans, table, classes, block = _classified_block(
+            variant, chip, first_level, n_levels, runs, block_seed, sharpen
+        )
+        for i, row in enumerate(block.tolist()):
+            assert classes[i] == _sampled_class(
+                table, plans[i // runs], row
+            ), (variant, i)
 
-        rng = np.random.default_rng(3)
-        for kwargs in (
-            {},
-            {"use_cache_models": False},
-            {"protection": ProtectionConfig(coverage=0.5)},
-            {"rollback_unit": RollbackUnit()},
-        ):
-            table = _machine(**kwargs).compile_batch_table(
-                get_benchmark("mcf"), core=0, freq_mhz=2400
+    def test_row_classes_cover_every_class(self):
+        # Guards the property test above against blocks that never
+        # reach some class.
+        seen = set()
+        for variant in ("stock", "analytic", "ptrs", "coverage", "rollback"):
+            _plans, _table, classes, _block = _classified_block(
+                variant, "TTT", 14, 8, 10, 3, 4
             )
-            plans = [table.plan(i) for i in range(40)]
-            width = max(plan.n_uniform for plan in plans)
-            runs = 50
-            block = rng.random((runs * len(plans), width))
-            # Push some draws toward 0, where the fault draws fire.
-            block[::7] **= 8
-            clean = CampaignKernel._clean_rows(block, plans, runs)
-            replays = []
-
-            def fresh_rng():
-                replays.append(1)
-                return np.random.default_rng(0)
-
-            seen = set()
-            for i, row in enumerate(block.tolist()):
-                del replays[:]
-                outcome = table.sample_u(plans[i // runs], row, fresh_rng)
-                expected = not replays and outcome == (
-                    frozenset({EffectType.NO}), {}
-                )
-                assert clean[i] == expected, (kwargs, i)
-                seen.add(expected)
-            assert seen == {True, False}
+            seen.update(classes)
+        assert seen == {
+            kernel_mod._CLEAN,
+            kernel_mod._SDC,
+            kernel_mod._AC,
+            kernel_mod._SC,
+            kernel_mod._PER_RUN,
+        }
 
     def test_raw_log_formatting_parity(self):
         # The kernel formats log blocks inline instead of calling
@@ -272,6 +347,190 @@ class TestCampaignBitIdentity:
         text = "".join(batch_logs.values())
         assert "status=system_crash" in text
         assert "status=completed" in text
+
+
+def _traced_observables(machine, config, use_kernel, watchdog=None):
+    """:func:`_campaign_observables` under a telemetry session, plus the
+    session's spans (timing left out) and metrics (the kernel-path
+    counter left out)."""
+    spans = []
+    registry = MetricsRegistry()
+    with telemetry_session(tracer=Tracer(spans.append), metrics=registry):
+        framework, records, logs, state = _campaign_observables(
+            machine, config, use_kernel, watchdog=watchdog
+        )
+    assert framework.last_campaign_path == ("batch" if use_kernel else "scalar")
+    traced = [
+        (span.trace_id, span.name, span.span_id, span.parent_id, span.attributes)
+        for span in spans
+    ]
+    metrics = [
+        family for family in registry.snapshot()["metrics"]
+        if family["name"] != M_KERNEL_CAMPAIGNS
+    ]
+    return records, logs, state, traced, metrics
+
+
+class _PowerCycleWatchdog(WatchdogMonitor):
+    """Recovers a hung board by a power cycle, never by a reset."""
+
+    def ensure_alive(self):
+        if self.machine.state is MachineState.RUNNING and self.machine_alive():
+            return WatchdogAction.NONE
+        self.machine.power_off()
+        self.machine.power_on()
+        self._banner_seen()
+        self._log(WatchdogAction.POWER_CYCLE, "power cycle recovered")
+        return WatchdogAction.POWER_CYCLE
+
+
+def _crash_sweep(variant, runs_per_level, start_mv=895):
+    """Machine kwargs and config of a crash-heavy sweep variant."""
+    kwargs = {
+        "stock": {},
+        "analytic": {"use_cache_models": False},
+        "aged": {"aging_model": AgingModel()},
+        "rollback": {"rollback_unit": RollbackUnit(detection_coverage=0.6)},
+        "stop_mv": {},
+    }[variant]
+    config = FrameworkConfig(
+        start_mv=start_mv,
+        stop_mv=860 if variant == "stop_mv" else None,
+        campaigns=2,
+        runs_per_level=runs_per_level,
+    )
+    return kwargs, config
+
+
+def _sweep_machine(variant, chip, seed, kwargs):
+    machine = _machine(chip=chip, seed=seed, **kwargs)
+    if variant == "aged":
+        machine.age(20000.0)
+    return machine
+
+
+class TestCrashAndQuietStretches:
+    """Crash-heavy sweeps: stretches of system crashes (one real run,
+    the rest repeated) and of quiet SDC/AC/clean runs leave the same
+    records, logs, machine state, watchdog log, spans and metrics as
+    the scalar path."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chip=st.sampled_from(["TTT", "TFF", "TSS"]),
+        runs_per_level=st.integers(min_value=1, max_value=10),
+        start_mv=st.sampled_from([900, 895, 890]),
+        variant=st.sampled_from(
+            ["stock", "analytic", "aged", "rollback", "stop_mv"]
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_crash_heavy_sweeps_identical(
+        self, seed, chip, runs_per_level, start_mv, variant
+    ):
+        kwargs, config = _crash_sweep(variant, runs_per_level, start_mv)
+        results = [
+            _traced_observables(
+                _sweep_machine(variant, chip, seed, kwargs), config, use_kernel
+            )
+            for use_kernel in (False, True)
+        ]
+        assert results[0] == results[1]
+
+    def test_sweeps_cover_crash_and_mixed_levels(self):
+        # Guards the property test above: a sweep with all-crash levels,
+        # levels mixing SC, AC and SDC runs, crash stretches of several
+        # runs, and far fewer real runs than crashes.
+        kwargs, config = _crash_sweep("stop_mv", 10)
+        machine = _sweep_machine("stop_mv", "TTT", 55, kwargs)
+        real_runs = []
+        execute = machine.kernel_execute
+
+        def counted(*args):
+            real_runs.append(args[2])
+            return execute(*args)
+
+        machine.kernel_execute = counted
+        records, _logs, state, traced, _metrics = _traced_observables(
+            machine, config, True
+        )
+        by_level = {}
+        for row in records:
+            by_level.setdefault(row["voltage_mv"], []).append(row["effects"])
+        assert any(set(level) == {"SC"} for level in by_level.values())
+        assert any(
+            {"SC", "AC", "SDC"} <= set(level) for level in by_level.values()
+        )
+        crashes = sum(level.count("SC") for level in by_level.values())
+        real_crashes = sum(EffectType.SC in effects for effects in real_runs)
+        assert crashes > 3 * real_crashes > 0
+        recoveries = [span for span in traced if span[1] == "watchdog.recovery"]
+        assert len(recoveries) == len(state["interventions"]) == crashes
+
+    @pytest.mark.parametrize("runs_per_level", [1, 4])
+    def test_power_cycle_recoveries_run_per_run(self, runs_per_level):
+        # A recovery that is not a plain reset is not repeated: every
+        # crash after it runs for real, and the result still matches.
+        kwargs, config = _crash_sweep("stock", runs_per_level)
+        results = []
+        for use_kernel in (False, True):
+            machine = _machine(seed=3, **kwargs)
+            results.append(_traced_observables(
+                machine, config, use_kernel,
+                watchdog=_PowerCycleWatchdog(machine),
+            ))
+        assert results[0] == results[1]
+        assert ("acpi", "S5") in results[1][2]["pmpro_events"]
+
+    @pytest.mark.parametrize("variant", ["stock", "stop_mv"])
+    @pytest.mark.parametrize("runs_per_level", [3, 10])
+    def test_chunking_invariance(self, monkeypatch, variant, runs_per_level):
+        # Where the seeding chunks end never shows: one-level chunks,
+        # the predicted chunks and one whole-schedule chunk give the
+        # same logs and machine state.
+        kwargs, config = _crash_sweep(variant, runs_per_level, start_mv=930)
+        predicted = kernel_mod._ScheduleStates._chunk_end
+        chunkings = {
+            "one-level": lambda states, start: start + 1,
+            "predicted": predicted,
+            "whole": lambda states, start: len(states._schedule),
+        }
+        results = {}
+        for name, chunk_end in chunkings.items():
+            monkeypatch.setattr(
+                kernel_mod._ScheduleStates, "_chunk_end", chunk_end
+            )
+            machine = _sweep_machine(variant, "TSS", 8, kwargs)
+            _framework, records, logs, state = _campaign_observables(
+                machine, config, True
+            )
+            results[name] = (records, logs, state)
+        assert results["one-level"] == results["predicted"] == results["whole"]
+
+    @pytest.mark.parametrize("seed", [2017, 1, 7])
+    def test_seeding_reaches_the_predicted_stop_level(self, monkeypatch, seed):
+        # A campaign that stops where the predictor says seeds its run
+        # streams in one chunk holding exactly the runs it executes;
+        # with stop_mv set the one chunk is the whole schedule.
+        seeded = []
+        seed_limbs = RunGeneratorFactory.seed_limbs
+
+        def counted(factory, keys):
+            seeded.append(len(keys))
+            return seed_limbs(factory, keys)
+
+        monkeypatch.setattr(RunGeneratorFactory, "seed_limbs", counted)
+        for variant in ("stock", "stop_mv"):
+            kwargs, config = _crash_sweep(variant, 10, start_mv=930)
+            config = dataclasses.replace(config, campaigns=1)
+            del seeded[:]
+            machine = _sweep_machine(variant, "TTT", seed, kwargs)
+            _framework, records, _logs, _state = _campaign_observables(
+                machine, config, True
+            )
+            assert seeded == [len(records)], (variant, seeded)
+            if variant == "stop_mv":
+                assert len(records) == 10 * len(range(930, 855, -5))
 
 
 class TestKernelFallbackMatrix:

@@ -506,3 +506,43 @@ class TestAggregationCaching:
         assert result.severity_by_voltage() == campaign.severity_by_voltage()
         # cached views are per-instance and never leak between objects
         assert result.pooled_counts() == campaign.counts_by_voltage()
+
+
+class TestOutcomeMetrics:
+    """The parent books each outcome's effects with one increment per
+    effect class; the registry totals equal one increment per record
+    and effect."""
+
+    def test_registry_totals_match_per_record_increments(self):
+        from repro.parallel.tasks import CampaignTask, run_campaign_chunk
+        from repro.telemetry import (
+            M_EFFECTS, M_INTERVENTIONS, MetricsRegistry, telemetry_session)
+
+        tasks = tuple(
+            CampaignTask(program, core, k, derive_task_seed(2017, program.name, core, k))
+            for program in (get_benchmark("mcf").programs()[0],
+                            get_benchmark("namd").programs()[0])
+            for core in (0, 5) for k in (1, 2)
+        )
+        outcomes = run_campaign_chunk(SPEC, CFG, tasks)
+        registry = MetricsRegistry()
+        with telemetry_session(metrics=registry):
+            ParallelCampaignEngine._record_outcomes(outcomes)
+        reference = MetricsRegistry()
+        for outcome in outcomes:
+            if outcome.interventions:
+                reference.counter(M_INTERVENTIONS).inc(outcome.interventions)
+            for record in outcome.result.records:
+                for effect in record.effects:
+                    reference.counter(M_EFFECTS, effect=effect.value).inc()
+        assert registry.snapshot() == reference.snapshot()
+        effects = {
+            sample["labels"]["effect"]
+            for family in registry.snapshot()["metrics"]
+            if family["name"] == M_EFFECTS
+            for sample in family["samples"]
+        }
+        assert {
+            effect.value for effect in
+            (EffectType.NO, EffectType.SC, EffectType.SDC, EffectType.AC)
+        } <= effects
