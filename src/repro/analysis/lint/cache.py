@@ -1,19 +1,11 @@
 """The incremental result cache (``.reprolint_cache.json``).
 
 One :class:`FileAnalysis` is everything a lint run learns from one
-file *in isolation*: its per-file rule findings, its suppression
-table, and (for ``repro.*`` files) its
-:class:`~repro.analysis.lint.project.ModuleModel` of function
-summaries.  All of it is derived from the file's bytes alone, so it is
-sound to key the record on the content SHA-256 and reuse it until the
-file changes.
-
-What is *not* cached -- by design -- are the interprocedural (RPR011-
-RPR013) diagnostics: a new caller in file A can create a finding in an
-unchanged file B (reachability and taint are properties of the whole
-program), so those are recomputed from the (cached or fresh) summaries
-on every run.  The global fixed point over summaries is cheap; the
-per-file parsing and AST walks it feeds on are what the cache avoids.
+file: its rule findings and its suppression table.  Every rule checks
+one file at a time, so all of it is derived from the file's path and
+bytes alone: a record is reused while the file at that path keeps the
+content SHA-256 it was analyzed with, and an edit re-analyzes only the
+edited file.
 
 The cache file carries a fingerprint over the schema version and the
 registered rule inventory: adding, removing or renaming a rule
@@ -30,16 +22,15 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ...durable import atomic_write
 from .diagnostics import Diagnostic
-from .project import ModuleModel
 from .registry import Rule
 from .suppressions import SuppressionEntry
 
 #: Bump when the cached record shape changes.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def content_sha(source: str) -> str:
@@ -57,28 +48,24 @@ def rule_fingerprint(rules: Sequence[Rule]) -> str:
 
 @dataclass
 class FileAnalysis:
-    """The cacheable result of analyzing one file in isolation."""
+    """The cacheable result of analyzing one file."""
 
     path: str
     sha: str
-    module: Optional[str] = None
     #: Per-file rule findings, *before* suppression filtering (the
     #: assembly step applies suppressions so it can track which
     #: entries earned their keep).
     findings: List[Diagnostic] = field(default_factory=list)
     supp_entries: List[SuppressionEntry] = field(default_factory=list)
     supp_problems: List[Diagnostic] = field(default_factory=list)
-    model: Optional[ModuleModel] = None
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
             "path": self.path,
             "sha": self.sha,
-            "module": self.module,
             "findings": [d.to_json_dict() for d in self.findings],
             "supp_entries": [e.to_json_dict() for e in self.supp_entries],
             "supp_problems": [d.to_json_dict() for d in self.supp_problems],
-            "model": self.model.to_json_dict() if self.model else None,
         }
 
     @classmethod
@@ -86,7 +73,6 @@ class FileAnalysis:
         return cls(
             path=payload["path"],
             sha=payload["sha"],
-            module=payload["module"],
             findings=[
                 Diagnostic.from_json_dict(d) for d in payload["findings"]
             ],
@@ -97,10 +83,6 @@ class FileAnalysis:
             supp_problems=[
                 Diagnostic.from_json_dict(d) for d in payload["supp_problems"]
             ],
-            model=(
-                ModuleModel.from_json_dict(payload["model"])
-                if payload["model"] else None
-            ),
         )
 
 

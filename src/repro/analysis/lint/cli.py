@@ -34,10 +34,10 @@ def build_lint_parser(
     if parser is None:
         parser = argparse.ArgumentParser(
             prog="reprolint",
-            description="AST- and dataflow-based checker for the repo's "
+            description="AST-based checker for the repo's "
                         "determinism, unit-safety, machine-protocol and "
                         "parallel-purity invariants (rules "
-                        "RPR001-RPR013).",
+                        "RPR001-RPR010).",
         )
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
@@ -59,7 +59,7 @@ def build_lint_parser(
     )
     parser.add_argument(
         "--stats", action="store_true",
-        help="print per-rule finding counts and per-phase wall time",
+        help="print per-rule finding counts and the analysis wall time",
     )
     parser.add_argument(
         "--cache", default=DEFAULT_CACHE_PATH, metavar="FILE",

@@ -25,13 +25,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 from ...errors import ConfigurationError
 from .diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .project import ProjectModel
 
 
 @dataclass
@@ -153,33 +150,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """Base class for whole-program (interprocedural) rules.
-
-    Project rules see every analyzed ``repro.*`` module at once --
-    :meth:`check_project` receives the
-    :class:`~repro.analysis.lint.project.ProjectModel` and yields
-    diagnostics anywhere in it.  ``check(ctx)`` still works (so
-    single-file fixtures through :func:`lint_source` exercise these
-    rules too): it wraps the one file into a single-module project and
-    keeps only that file's findings.
-    """
-
-    def check_project(
-        self, project: "ProjectModel"
-    ) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        from .project import ProjectModel, build_module_model
-
-        model = build_module_model(ctx)
-        project = ProjectModel([model] if model is not None else [])
-        for diagnostic in self.check_project(project):
-            if diagnostic.path == ctx.path:
-                yield diagnostic
-
-
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 
@@ -199,9 +169,9 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
 
 
 def _load_builtin_rules() -> None:
-    """Import the modules whose ``@register_rule`` classes are the
-    built-in rules (RPR001-010 per file, RPR011-013 whole-program)."""
-    from . import interproc, rules  # noqa: F401
+    """Import the module whose ``@register_rule`` classes are the
+    built-in rules (RPR001-RPR010)."""
+    from . import rules  # noqa: F401
 
 
 def all_rules() -> List[Rule]:

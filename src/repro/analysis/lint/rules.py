@@ -1,8 +1,4 @@
-"""The per-file RPR001-RPR010 rule set.
-
-(The interprocedural RPR011-RPR013 rules live in
-:mod:`repro.analysis.lint.interproc`, on top of the project model and
-dataflow summaries.)
+"""The RPR001-RPR010 rule set: each rule checks one file at a time.
 
 Each rule encodes one invariant the reproduction's results rest on;
 the canonical values a rule compares against (Table-4 weights, the

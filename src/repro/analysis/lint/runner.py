@@ -1,25 +1,13 @@
-"""File discovery, per-file and whole-program analysis, aggregation.
+"""File discovery, per-file analysis and aggregation.
 
-A lint run has three phases, each timed for ``--stats``:
-
-* **parse** -- every requested file is read, hashed, and (unless its
-  cached record is still valid) parsed and run through the per-file
-  rules, its suppression comments scanned and, for ``repro.*`` files,
-  its function summaries extracted (:func:`analyze_file`).
-* **graph** -- the per-file :class:`ModuleModel` records are joined
-  into one :class:`ProjectModel` (symbol table, import graph, call
-  graph).
-* **dataflow** -- the project rules (RPR011-RPR013) solve the
-  whole-program fixed point over the summaries and their findings are
-  merged with the per-file ones, suppressions applied and -- on full
-  runs -- suppressions that shielded nothing reported as stale.
-
-The cache (:mod:`repro.analysis.lint.cache`) short-circuits only the
-first phase: per-file records are keyed on content SHA-256, and a
-change invalidates the changed module plus its reverse-dependency
-cone.  Interprocedural findings are recomputed every run from the
-(cached or fresh) summaries -- they are whole-program properties, so
-caching them per file would be unsound.
+Every rule checks one file at a time.  A lint run reads and hashes
+each requested file, serves it from the cache
+(:mod:`repro.analysis.lint.cache`) when the record stored for that
+path has the same content SHA-256, and otherwise parses it, runs the
+rules and scans its suppression comments (:func:`analyze_file`).  The
+findings are then suppression-filtered and -- on full runs --
+suppressions that shielded nothing are reported as stale.  ``--stats``
+reports the wall time of this ``parse`` phase.
 """
 
 from __future__ import annotations
@@ -33,8 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ...errors import ConfigurationError
 from .cache import FileAnalysis, content_sha, load_cache, rule_fingerprint, save_cache
 from .diagnostics import META_RULE_ID, Diagnostic
-from .project import ProjectModel, build_module_model, dependent_closure
-from .registry import FileContext, ProjectRule, Rule, all_rules, get_rule
+from .registry import FileContext, Rule, all_rules, get_rule
 from .suppressions import SuppressionTable, scan_suppressions
 
 #: Directory names never descended into.
@@ -52,7 +39,7 @@ class LintReport:
     #: Files analyzed fresh this run vs. served from the cache.
     files_analyzed: int = 0
     files_cached: int = 0
-    #: Phase wall time in seconds: ``parse``, ``graph``, ``dataflow``.
+    #: Phase wall time in seconds (``parse``).
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -95,11 +82,7 @@ class LintReport:
         else:
             lines.append("findings by rule: none")
         lines.append("phase wall time:")
-        labels = {"graph": "graph build"}
-        for phase in ("parse", "graph", "dataflow"):
-            seconds = self.timings.get(phase, 0.0)
-            label = labels.get(phase, phase)
-            lines.append(f"  {label}: {seconds * 1000.0:.1f} ms")
+        lines.append(f"  parse: {self.timings.get('parse', 0.0) * 1000.0:.1f} ms")
         return "\n".join(lines)
 
     def to_json_dict(self) -> Dict[str, Any]:
@@ -144,14 +127,13 @@ def _make_context(path_label: str, source: str) -> FileContext:
 
 
 def analyze_file(
-    path_label: str, source: str, file_rules: Sequence[Rule]
+    path_label: str, source: str, rules: Sequence[Rule]
 ) -> FileAnalysis:
-    """Analyze one file in isolation: the cacheable unit of work.
+    """Analyze one file: the cacheable unit of work.
 
-    Runs the per-file rules, scans suppressions and extracts the
-    module's function summaries.  Findings are recorded *before*
-    suppression filtering -- assembly applies suppressions so it can
-    tell which ones earned their keep.
+    Runs the rules and scans suppressions.  Findings are recorded
+    *before* suppression filtering -- assembly applies suppressions so
+    it can tell which ones earned their keep.
     """
     sha = content_sha(source)
     try:
@@ -168,14 +150,13 @@ def analyze_file(
         )
     table = scan_suppressions(path_label, source)
     findings: List[Diagnostic] = []
-    for rule in file_rules:
+    for rule in rules:
         findings.extend(rule.check(ctx))
     return FileAnalysis(
-        path=path_label, sha=sha, module=ctx.module,
+        path=path_label, sha=sha,
         findings=sorted(findings),
         supp_entries=list(table.entries),
         supp_problems=list(table.problems),
-        model=build_module_model(ctx),
     )
 
 
@@ -205,16 +186,10 @@ def _relabel(analysis: FileAnalysis, label: str) -> FileAnalysis:
 
     Cache records are stored under resolved paths but a run may request
     the same file under a different spelling (relative vs. absolute);
-    findings and summaries must carry the requested spelling so that
-    suppression matching and interprocedural joins line up.
+    findings must carry the requested spelling.
     """
     if analysis.path == label:
         return analysis
-    model = analysis.model
-    if model is not None:
-        model = replace(model, path=label, summaries=tuple(
-            replace(summary, path=label) for summary in model.summaries
-        ))
     return replace(
         analysis,
         path=label,
@@ -222,14 +197,11 @@ def _relabel(analysis: FileAnalysis, label: str) -> FileAnalysis:
         supp_problems=[
             replace(d, path=label) for d in analysis.supp_problems
         ],
-        model=model,
     )
 
 
 def _assemble_file(
-    analysis: FileAnalysis,
-    interproc: Sequence[Diagnostic],
-    stale_check: bool,
+    analysis: FileAnalysis, stale_check: bool
 ) -> List[Diagnostic]:
     """Suppression-filter one file's findings; report stale clauses."""
     table = SuppressionTable.from_parts(
@@ -237,7 +209,7 @@ def _assemble_file(
     )
     out: List[Diagnostic] = list(analysis.supp_problems)
     hits: Set[Tuple[int, str]] = set()
-    for diagnostic in list(analysis.findings) + list(interproc):
+    for diagnostic in analysis.findings:
         if table.is_suppressed(diagnostic.line, diagnostic.rule):
             hits.add((diagnostic.line, diagnostic.rule))
         else:
@@ -263,7 +235,7 @@ def lint_source(
     """
     selected = list(rules) if rules is not None else all_rules()
     analysis = analyze_file(path, source, selected)
-    return sorted(_assemble_file(analysis, [], stale_check))
+    return sorted(_assemble_file(analysis, stale_check))
 
 
 def discover_files(paths: Iterable[str]) -> List[Path]:
@@ -300,58 +272,6 @@ def resolve_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
     return [get_rule(rule_id) for rule_id in select]
 
 
-def _module_dependencies(
-    entries: Dict[str, FileAnalysis]
-) -> Dict[str, Set[str]]:
-    """module -> directly imported project modules, from cached models."""
-    known = {
-        entry.module for entry in entries.values()
-        if entry.module is not None
-    }
-
-    def longest_prefix(dotted: str) -> Optional[str]:
-        parts = dotted.split(".")
-        for cut in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:cut])
-            if candidate in known:
-                return candidate
-        return None
-
-    deps: Dict[str, Set[str]] = {}
-    for entry in entries.values():
-        if entry.module is None or entry.model is None:
-            continue
-        targets: Set[str] = set()
-        for dotted in entry.model.import_targets:
-            dep = longest_prefix(dotted)
-            if dep is not None and dep != entry.module:
-                targets.add(dep)
-        deps[entry.module] = targets
-    return deps
-
-
-def _invalidation_cone(
-    cached: Dict[str, FileAnalysis],
-    disk_sha: Dict[str, str],
-) -> Set[str]:
-    """Modules needing re-analysis: changed ones plus their
-    reverse-dependency cone (callers may see different summaries)."""
-    changed: Set[str] = set()
-    for label, sha in disk_sha.items():
-        old = cached.get(label)
-        if old is None or old.sha != sha:
-            module = module_name_for(Path(label))
-            if module is not None:
-                changed.add(module)
-    for label, old in cached.items():
-        if label not in disk_sha and old.module is not None and \
-                not Path(label).exists():
-            changed.add(old.module)
-    if not changed:
-        return set()
-    return dependent_closure(changed, _module_dependencies(cached))
-
-
 def lint_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
@@ -370,27 +290,21 @@ def lint_paths(
     full_run = not select
     use_cache = cache_path is not None and full_run
     check_stale = stale_check and full_run
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     report = LintReport()
 
     started = time.perf_counter()
     fingerprint = rule_fingerprint(all_rules())
-    # Cache records and the project join are keyed on *resolved* paths
-    # so a run that spells the same file differently (relative from the
-    # repo root, absolute from a hook) still matches; the spelling the
-    # caller used is kept as the display label.
-    cached: Dict[str, FileAnalysis] = {}
+    # Records are keyed on *resolved* paths so a run that spells the
+    # same file differently (relative from the repo root, absolute from
+    # a hook) still matches; the caller's spelling is the display label.
+    records: Dict[str, FileAnalysis] = {}
     if use_cache:
         assert cache_path is not None
         loaded, _ = load_cache(Path(cache_path), fingerprint)
         for stored_key, entry in loaded.items():
-            cached[str(Path(stored_key).resolve())] = entry
+            records[str(Path(stored_key).resolve())] = entry
 
-    requested: List[str] = []
-    resolved_of: Dict[str, str] = {}
     seen_keys: Set[str] = set()
-    sources: Dict[str, str] = {}
     for path in discover_files(paths):
         label = str(path)
         key = str(path.resolve())
@@ -398,7 +312,7 @@ def lint_paths(
             continue
         seen_keys.add(key)
         try:
-            sources[label] = path.read_text(encoding="utf-8")
+            source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             report.diagnostics.append(Diagnostic(
                 path=label, line=1, col=1,
@@ -406,93 +320,27 @@ def lint_paths(
                 message=f"cannot read file: {exc}",
             ))
             continue
-        requested.append(label)
-        resolved_of[label] = key
-    disk_sha = {
-        resolved_of[label]: content_sha(sources[label])
-        for label in requested
-    }
-    cone = _invalidation_cone(cached, disk_sha) if use_cache else set()
-
-    analyses: Dict[str, FileAnalysis] = {}
-    for label in requested:
-        old = cached.get(resolved_of[label])
-        reusable = (
-            use_cache and old is not None
-            and old.sha == disk_sha[resolved_of[label]]
-            and (old.module is None or old.module not in cone)
-        )
-        if reusable:
-            assert old is not None
-            analyses[label] = _relabel(old, label)
+        report.files_checked += 1
+        old = records.get(key)
+        if use_cache and old is not None and old.sha == content_sha(source):
+            analysis = _relabel(old, label)
             report.files_cached += 1
         else:
-            analyses[label] = analyze_file(
-                label, sources[label], file_rules
-            )
+            analysis = analyze_file(label, source, rules)
+            records[key] = _relabel(analysis, key)
             report.files_analyzed += 1
-    report.files_checked = len(requested)
-
-    # Cached repro modules outside the requested paths still feed the
-    # project model, so subset runs (pre-commit passes changed files
-    # only) keep seeing the whole program.
-    requested_keys = set(resolved_of.values())
-    carried: Dict[str, FileAnalysis] = {}
-    for key, old in cached.items():
-        if key in requested_keys:
-            continue
-        if old.module is None:
-            # Not part of the project model, but still a valid record
-            # for the next run that does request the file.
-            if Path(key).exists():
-                carried[key] = old
-            continue
-        try:
-            carried_source = Path(key).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-        if content_sha(carried_source) == old.sha and \
-                old.module not in cone:
-            carried[key] = _relabel(old, key)
-        else:
-            carried[key] = analyze_file(key, carried_source, file_rules)
+        report.diagnostics.extend(_assemble_file(analysis, check_stale))
     report.timings["parse"] = time.perf_counter() - started
-
-    started = time.perf_counter()
-    models = [
-        analysis.model
-        for analysis in list(analyses.values()) + list(carried.values())
-        if analysis.model is not None
-    ]
-    project = ProjectModel(models)
-    report.timings["graph"] = time.perf_counter() - started
-
-    started = time.perf_counter()
-    label_of_key = {key: label for label, key in resolved_of.items()}
-    interproc_by_path: Dict[str, List[Diagnostic]] = {}
-    for rule in project_rules:
-        for diagnostic in rule.check_project(project):
-            label = label_of_key.get(str(Path(diagnostic.path).resolve()))
-            if label is None:
-                continue
-            if diagnostic.path != label:
-                diagnostic = replace(diagnostic, path=label)
-            interproc_by_path.setdefault(label, []).append(diagnostic)
-    for label in requested:
-        report.diagnostics.extend(_assemble_file(
-            analyses[label],
-            interproc_by_path.get(label, []),
-            check_stale,
-        ))
-    report.timings["dataflow"] = time.perf_counter() - started
 
     if use_cache:
         assert cache_path is not None
-        merged = dict(carried)
-        for label, analysis in analyses.items():
-            key = resolved_of[label]
-            merged[key] = _relabel(analysis, key)
-        save_cache(Path(cache_path), fingerprint, merged)
+        # Records of files outside this run's paths stay valid for the
+        # next run that requests them (pre-commit passes only the
+        # changed files); records of deleted files are dropped.
+        save_cache(Path(cache_path), fingerprint, {
+            key: record for key, record in records.items()
+            if key in seen_keys or Path(key).exists()
+        })
     report.diagnostics.sort()
     return report
 

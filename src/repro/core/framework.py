@@ -337,7 +337,6 @@ class CharacterizationFramework:
         workloads: Sequence[object],
         cores: Sequence[int],
         jobs: int = 1,
-        backend: str = "auto",
         progress=None,
         chunk_size: Optional[int] = None,
         store=None,
@@ -372,7 +371,6 @@ class CharacterizationFramework:
             spec,
             self.config,
             jobs=jobs,
-            backend=backend,
             chunk_size=chunk_size,
             progress=progress if progress is not None else NULL_PROGRESS,
             use_kernel=self.use_kernel,

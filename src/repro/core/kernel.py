@@ -237,7 +237,6 @@ class RunGeneratorFactory:
     """
 
     def __init__(self) -> None:
-        # reprolint: disable=RPR011 -- placeholder template; activate() overwrites the full (state, inc) pair with a sha256-derived one before any draw
         self._bitgen = np.random.PCG64(0)
         #: The reusable generator; valid between ``activate`` calls.
         self.generator = np.random.Generator(self._bitgen)

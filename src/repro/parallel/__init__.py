@@ -10,7 +10,7 @@ contract.
 Public surface:
 
 * :class:`ParallelCampaignEngine` -- fans (workload, core, campaign)
-  grids over a process/thread pool, serial fallback included.
+  grids over a process pool, serial fallback included.
 * :func:`run_fleet` -- runs/resumes every shard of a
   :class:`~repro.store.FleetStore`, one engine per machine spec
   (:mod:`repro.parallel.fleet`).
@@ -22,7 +22,7 @@ Public surface:
   hooks (no-op by default).
 """
 
-from .engine import BACKENDS, EngineReport, ParallelCampaignEngine
+from .engine import EngineReport, ParallelCampaignEngine
 from .fleet import FleetRunReport, run_fleet
 from .progress import (
     NULL_PROGRESS,
@@ -40,7 +40,6 @@ from .tasks import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CampaignTask",
     "CampaignTaskResult",
     "ConsoleProgress",

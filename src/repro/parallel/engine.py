@@ -10,7 +10,7 @@ process pool.
 Determinism is the design anchor.  Every task's machine seed is derived
 from the parent seed and the task's stable coordinates (see
 :mod:`repro.parallel.tasks`), so the engine produces **bit-identical**
-results for any worker count, backend or chunking -- ``jobs=4`` equals
+results for any worker count or chunking -- ``jobs=4`` equals
 ``jobs=1`` equals any future run of the same grid.
 
 Scheduling is chunked (one pickle round-trip per chunk, not per
@@ -43,10 +43,6 @@ from .tasks import (
     run_campaign_chunk,
 )
 
-#: Supported execution backends.
-BACKENDS = ("auto", "process", "thread", "serial")
-
-
 @dataclass(frozen=True)
 class EngineReport:
     """Outcome of one engine run: the grid plus execution metadata."""
@@ -62,9 +58,9 @@ class EngineReport:
     tasks_run: int
     #: Scheduling chunks retried in-process after a worker failure.
     chunks_retried: int
-    #: Backend that actually executed the grid.
+    #: How the grid actually executed: ``"process"`` or ``"serial"``.
     backend: str
-    #: Worker count the grid ran with (1 for the serial backend).
+    #: Worker count the grid ran with (1 when serial).
     jobs: int
     #: Tasks replayed from a campaign-store journal instead of executed
     #: (0 for runs without a store or with an empty journal).
@@ -87,12 +83,10 @@ class ParallelCampaignEngine:
         campaign count) applied to every grid cell.
     jobs:
         Worker count.  ``1`` executes serially in-process (the
-        reference ordering); higher values enable the pool.
-    backend:
-        ``"process"`` / ``"thread"`` / ``"serial"`` / ``"auto"``.
-        Auto picks processes for ``jobs > 1`` and falls back to
-        threads when process pools are unavailable (restricted
-        environments), then to serial execution.
+        reference ordering); higher values run the grid on a process
+        pool when at least two tasks are pending.  A pool that cannot
+        start (restricted environments) degrades to serial execution
+        with a :class:`RuntimeWarning`.
     chunk_size:
         Tasks per scheduling chunk; ``None`` sizes chunks to roughly
         four per worker, which keeps the pool busy without paying one
@@ -105,7 +99,7 @@ class ParallelCampaignEngine:
         way, so this is a performance switch, not a semantic one.
     """
 
-    #: Grids smaller than this never spin up a pool under ``auto``.
+    #: Grids smaller than this never spin up a pool.
     MIN_POOL_TASKS = 2
 
     def __init__(
@@ -113,23 +107,17 @@ class ParallelCampaignEngine:
         spec: MachineSpec,
         config: FrameworkConfig = FrameworkConfig(),
         jobs: int = 1,
-        backend: str = "auto",
         chunk_size: Optional[int] = None,
         progress: ProgressReporter = NULL_PROGRESS,
         use_kernel: bool = True,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
         self.spec = as_machine_spec(spec)
         self.config = config
         self.jobs = int(jobs)
-        self.backend = backend
         self.chunk_size = chunk_size
         self.progress = progress
         self.use_kernel = bool(use_kernel)
@@ -194,51 +182,59 @@ class ParallelCampaignEngine:
             task for task in tasks
             if (task.program.name, task.core, task.campaign_index) not in done
         ]
-        backend = self._resolve_backend(len(pending)) if pending else "serial"
+        # The pool starts before the run's span opens, so the span
+        # records how the grid really executed.
+        executor = self._start_pool(len(pending))
+        backend = "serial" if executor is None else "process"
         collect = self._tracing_enabled()
-        with telemetry.span(
-            "engine.run",
-            tasks=len(tasks),
-            pending=len(pending),
-            backend=backend,
-            jobs=self.jobs,
-        ):
-            tracker = ProgressTracker(len(tasks), self.progress)
-            if replayed:
-                tracker.advance(len(replayed))
-                telemetry.inc_counter(
-                    telemetry.M_TASKS_SKIPPED, amount=len(replayed)
-                )
-                telemetry.event("engine.replay", tasks=len(replayed))
-            self._sample_tsdb(journal)
-            checkpoint = self._checkpointer(journal)
-            chunks = self._chunk(pending)
-            retried = 0
-            if backend == "serial":
-                outcomes: List[CampaignTaskResult] = []
-                for chunk in chunks:
-                    chunk_started = telemetry.clock()
-                    chunk_outcomes = run_campaign_chunk(
-                        self.spec, self.config, chunk, collect, self.use_kernel
+        try:
+            with telemetry.span(
+                "engine.run",
+                tasks=len(tasks),
+                pending=len(pending),
+                backend=backend,
+                jobs=self.jobs,
+            ):
+                tracker = ProgressTracker(len(tasks), self.progress)
+                if replayed:
+                    tracker.advance(len(replayed))
+                    telemetry.inc_counter(
+                        telemetry.M_TASKS_SKIPPED, amount=len(replayed)
                     )
-                    telemetry.observe(
-                        telemetry.M_CHUNK_SECONDS,
-                        telemetry.clock() - chunk_started,
+                    telemetry.event("engine.replay", tasks=len(replayed))
+                self._sample_tsdb(journal)
+                checkpoint = self._checkpointer(journal)
+                chunks = self._chunk(pending)
+                retried = 0
+                if executor is None:
+                    outcomes: List[CampaignTaskResult] = []
+                    for chunk in chunks:
+                        chunk_started = telemetry.clock()
+                        chunk_outcomes = run_campaign_chunk(
+                            self.spec, self.config, chunk, collect,
+                            self.use_kernel,
+                        )
+                        telemetry.observe(
+                            telemetry.M_CHUNK_SECONDS,
+                            telemetry.clock() - chunk_started,
+                        )
+                        checkpoint(chunk, chunk_outcomes)
+                        self._record_outcomes(chunk_outcomes)
+                        self._sample_tsdb(journal)
+                        outcomes.extend(chunk_outcomes)
+                        tracker.advance(len(chunk))
+                else:
+                    outcomes, retried = self._run_pool(
+                        executor, chunks, tracker, checkpoint, collect,
+                        journal=journal,
                     )
-                    checkpoint(chunk, chunk_outcomes)
-                    self._record_outcomes(chunk_outcomes)
-                    self._sample_tsdb(journal)
-                    outcomes.extend(chunk_outcomes)
-                    tracker.advance(len(chunk))
-            else:
-                outcomes, retried = self._run_pool(
-                    backend, chunks, tracker, checkpoint, collect,
-                    journal=journal,
-                )
-            tracker.finish()
-            # Final snapshot after finish() so the run's published
-            # throughput gauge lands in the time-series journal.
-            self._sample_tsdb(journal)
+                tracker.finish()
+                # Final snapshot after finish() so the run's published
+                # throughput gauge lands in the time-series journal.
+                self._sample_tsdb(journal)
+        finally:
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
         return self._assemble(
             tasks, replayed + outcomes, backend, retried,
             tasks_skipped=len(replayed),
@@ -369,7 +365,8 @@ class ParallelCampaignEngine:
 
         Workers run under a local (or shielded) session, so all metric
         aggregation happens here, once per outcome, from the outcome
-        payload itself -- identical for every backend and worker count.
+        payload itself -- identical serially and on the pool, for every
+        worker count.
         Effects are counted per outcome and added with one increment
         per effect class.
         Replayed journal lines are *not* routed through this: metrics
@@ -390,15 +387,6 @@ class ParallelCampaignEngine:
                         telemetry.M_EFFECTS, effect=effect.value, amount=amount
                     )
 
-    def _resolve_backend(self, n_tasks: int) -> str:
-        if self.backend == "serial" or self.jobs == 1:
-            return "serial"
-        if self.backend == "auto" and n_tasks < self.MIN_POOL_TASKS:
-            return "serial"
-        if self.backend == "auto":
-            return "process"
-        return self.backend
-
     def _chunk(self, tasks: List[CampaignTask]) -> List[Tuple[CampaignTask, ...]]:
         size = self.chunk_size
         if size is None:
@@ -407,36 +395,39 @@ class ParallelCampaignEngine:
             tuple(tasks[i:i + size]) for i in range(0, len(tasks), size)
         ]
 
-    def _make_executor(self, backend: str) -> Tuple[Executor, str]:
-        """Build the pool, degrading process -> thread -> serial."""
-        if backend == "process":
-            try:
-                from concurrent.futures import ProcessPoolExecutor
+    def _start_pool(self, n_tasks: int) -> Optional[Executor]:
+        """The process pool for ``n_tasks`` pending tasks, or None to
+        run them serially: ``jobs == 1``, fewer than
+        :attr:`MIN_POOL_TASKS` tasks, or a pool that cannot start."""
+        if self.jobs == 1 or n_tasks < self.MIN_POOL_TASKS:
+            return None
+        from concurrent.futures import ProcessPoolExecutor
 
-                # The worker body's layers (framework, kernel, simulator)
-                # load here, before the pool forks, so every worker
-                # inherits them instead of importing them again.
-                from ..core import framework  # noqa: F401
+        # The worker body's layers (framework, kernel, simulator) load
+        # here, before the pool forks, so every worker inherits them
+        # instead of importing them again.
+        from ..core import framework  # noqa: F401
 
-                executor = ProcessPoolExecutor(max_workers=self.jobs)
-                # Surface pool-construction failures (missing /dev/shm,
-                # seccomp'd fork, ...) now rather than at submit time.
-                executor.submit(int, 0).result()
-                return executor, "process"
-            except Exception as exc:  # pragma: no cover - environment-dependent
-                warnings.warn(
-                    f"process pool unavailable ({exc!r}); "
-                    "falling back to threads",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.jobs), "thread"
+        executor: Optional[Executor] = None
+        try:
+            executor = ProcessPoolExecutor(max_workers=self.jobs)
+            # Surface pool-construction failures (missing /dev/shm,
+            # seccomp'd fork, ...) now rather than at submit time.
+            executor.submit(int, 0).result()
+            return executor
+        except Exception as exc:
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
+            warnings.warn(
+                f"process pool unavailable ({exc!r}); running serially",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return None
 
     def _run_pool(
         self,
-        backend: str,
+        executor: Executor,
         chunks: List[Tuple[CampaignTask, ...]],
         tracker: ProgressTracker,
         checkpoint: Callable[
@@ -445,61 +436,57 @@ class ParallelCampaignEngine:
         collect: bool = False,
         journal: Optional[CampaignStore] = None,
     ) -> Tuple[List[CampaignTaskResult], int]:
-        executor, backend = self._make_executor(backend)
         outcomes: List[CampaignTaskResult] = []
         retried = 0
-        try:
-            pending: Dict[Future, Tuple[CampaignTask, ...]] = {
-                executor.submit(
-                    run_campaign_chunk, self.spec, self.config, chunk, collect,
-                    self.use_kernel,
-                ): chunk
-                for chunk in chunks
-            }
-            submitted = {future: telemetry.clock() for future in pending}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk = pending.pop(future)
-                    try:
-                        chunk_outcomes = tuple(future.result())
-                    except Exception as exc:
-                        # Retry-once policy: a lost worker (OOM kill,
-                        # BrokenProcessPool, pickling trouble) must not
-                        # lose the grid.  The chunk re-runs in-process;
-                        # seeds are per-task, so the retry is
-                        # bit-identical to what the worker would have
-                        # produced.
-                        warnings.warn(
-                            f"worker chunk failed ({exc!r}); "
-                            "retrying in-process",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        retried += 1
-                        telemetry.inc_counter(telemetry.M_CHUNKS_RETRIED)
-                        telemetry.event(
-                            "engine.chunk_retry",
-                            tasks=len(chunk),
-                            error=repr(exc),
-                        )
-                        chunk_outcomes = run_campaign_chunk(
-                            self.spec, self.config, chunk, collect,
-                            self.use_kernel,
-                        )
-                    # Submit-to-drain latency: includes queue wait, which
-                    # is the number that matters for pool sizing.
-                    telemetry.observe(
-                        telemetry.M_CHUNK_SECONDS,
-                        telemetry.clock() - submitted[future],
+        pending: Dict[Future, Tuple[CampaignTask, ...]] = {
+            executor.submit(
+                run_campaign_chunk, self.spec, self.config, chunk, collect,
+                self.use_kernel,
+            ): chunk
+            for chunk in chunks
+        }
+        submitted = {future: telemetry.clock() for future in pending}
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                chunk = pending.pop(future)
+                try:
+                    chunk_outcomes = tuple(future.result())
+                except Exception as exc:
+                    # Retry-once policy: a lost worker (OOM kill,
+                    # BrokenProcessPool, pickling trouble) must not
+                    # lose the grid.  The chunk re-runs in-process;
+                    # seeds are per-task, so the retry is
+                    # bit-identical to what the worker would have
+                    # produced.
+                    warnings.warn(
+                        f"worker chunk failed ({exc!r}); "
+                        "retrying in-process",
+                        RuntimeWarning,
+                        stacklevel=2,
                     )
-                    checkpoint(chunk, chunk_outcomes)
-                    self._record_outcomes(chunk_outcomes)
-                    self._sample_tsdb(journal)
-                    outcomes.extend(chunk_outcomes)
-                    tracker.advance(len(chunk))
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+                    retried += 1
+                    telemetry.inc_counter(telemetry.M_CHUNKS_RETRIED)
+                    telemetry.event(
+                        "engine.chunk_retry",
+                        tasks=len(chunk),
+                        error=repr(exc),
+                    )
+                    chunk_outcomes = run_campaign_chunk(
+                        self.spec, self.config, chunk, collect,
+                        self.use_kernel,
+                    )
+                # Submit-to-drain latency: includes queue wait, which
+                # is the number that matters for pool sizing.
+                telemetry.observe(
+                    telemetry.M_CHUNK_SECONDS,
+                    telemetry.clock() - submitted[future],
+                )
+                checkpoint(chunk, chunk_outcomes)
+                self._record_outcomes(chunk_outcomes)
+                self._sample_tsdb(journal)
+                outcomes.extend(chunk_outcomes)
+                tracker.advance(len(chunk))
         return outcomes, retried
 
     # -- assembly ---------------------------------------------------------

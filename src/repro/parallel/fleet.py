@@ -44,7 +44,6 @@ class FleetRunReport:
 def run_fleet(
     fleet: AnyStore,
     jobs: int = 1,
-    backend: str = "auto",
     chunk_size: Optional[int] = None,
     progress: ProgressReporter = NULL_PROGRESS,
     use_kernel: bool = True,
@@ -80,7 +79,6 @@ def run_fleet(
             shard.manifest.spec,
             manifest.config,
             jobs=jobs,
-            backend=backend,
             chunk_size=chunk_size,
             progress=progress,
             use_kernel=use_kernel,

@@ -17,7 +17,8 @@ coordinates (benchmark name, core, campaign index).  Two properties
 follow:
 
 * the derivation is independent of scheduling -- chunking, worker
-  count, backend and completion order cannot change any task's seed,
+  count, serial or pool execution and completion order cannot change
+  any task's seed,
   so parallel results are bit-identical to serial ones;
 * distinct tasks get statistically independent streams (the
   ``SeedSequence`` spawn guarantee), so campaign repetitions do not
@@ -28,9 +29,9 @@ boundaries, so each task runs under its own local session: when span
 collection is on, a fresh tracer records the task's spans into the
 ``spans`` field of the result, and the parent engine forwards them to
 its sink; when it is off, the task runs *shielded* so framework-level
-instrumentation can never fire into an inherited session (thread
-backend) and double-count with the parent's outcome-based metric
-aggregation.
+instrumentation can never fire into an inherited session (serial
+execution in the parent) and double-count with the parent's
+outcome-based metric aggregation.
 """
 
 from __future__ import annotations

@@ -74,7 +74,6 @@ def kfold_cross_validate(
     model_factory = model_factory or OrdinaryLeastSquares
 
     indices = np.arange(n)
-    # reprolint: disable=RPR011 -- the literal default is the documented fold-shuffle seed of an offline analysis API, not a campaign seed
     np.random.default_rng(seed).shuffle(indices)
     folds = np.array_split(indices, k)
 

@@ -139,7 +139,6 @@ def train_test_split(
         )
     indices = np.arange(n)
     if seed is not None:
-        # reprolint: disable=RPR011 -- the literal default is the documented train/test split seed of an offline analysis API, not a campaign seed
         np.random.default_rng(seed).shuffle(indices)
     test_idx = indices[-n_test:]
     train_idx = indices[:-n_test]
@@ -253,7 +252,6 @@ def severity_dataset_from_store(
     if max_samples is None:
         chosen = rows
     else:
-        # reprolint: disable=RPR011 -- the literal default is the documented subsample seed of an offline analysis API, not a campaign seed
         order = np.random.default_rng(seed).permutation(len(rows))
         chosen = [rows[i] for i in order[:max_samples]]
     if len(chosen) < 2:

@@ -34,7 +34,6 @@ class SyntheticWorkloadGenerator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        # reprolint: disable=RPR011 -- the literal default is the documented generator seed; campaigns pass SeedSequence-derived values
         self._rng = np.random.default_rng(seed)
         self._counter = 0
 

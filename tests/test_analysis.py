@@ -1,6 +1,9 @@
 """Analysis: variation stats, tables, figures, ASCII plots, claims."""
 
+import re
+import shutil
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -196,7 +199,7 @@ class TestClaims:
 
 
 # ---------------------------------------------------------------------------
-# reprolint -- the RPR001-RPR013 invariant checker
+# reprolint -- the RPR001-RPR010 invariant checker
 # ---------------------------------------------------------------------------
 
 SIM = "src/repro/core/fixture.py"
@@ -701,12 +704,18 @@ class TestRPR010SingleModelPath:
 
 
 class TestLintRegistry:
-    def test_thirteen_rules_registered(self):
+    def test_ten_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == ["RPR001", "RPR002", "RPR003", "RPR004",
                        "RPR005", "RPR006", "RPR007", "RPR008",
-                       "RPR009", "RPR010", "RPR011", "RPR012",
-                       "RPR013"]
+                       "RPR009", "RPR010"]
+
+    def test_docs_rule_table_lists_the_registry(self):
+        docs = Path(__file__).resolve().parents[1] / "docs" / "linting.md"
+        documented = re.findall(
+            r"^\| (RPR\d{3}) \|", docs.read_text(), flags=re.MULTILINE
+        )
+        assert documented == [rule.rule_id for rule in all_rules()]
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -718,7 +727,7 @@ class TestLintRegistry:
         assert "RPR004" in diag.render() and "unit-safety" in diag.render()
 
 # ---------------------------------------------------------------------------
-# reprolint v2 -- whole-program dataflow, cache, SARIF
+# reprolint v2 -- cache, SARIF
 # ---------------------------------------------------------------------------
 
 
@@ -729,235 +738,6 @@ def _write_tree(root, files):
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(src))
     return root
-
-
-def _project_rules(report):
-    return [d.rule for d in report.diagnostics]
-
-
-class TestRPR011SeedProvenance:
-    def test_direct_literal_seed_flagged(self):
-        assert "RPR011" in lint_rules("""
-            import numpy as np
-
-            def make_rng():
-                return np.random.default_rng(42)
-        """)
-
-    def test_literal_laundered_through_two_modules_flagged(self, tmp_path):
-        _write_tree(tmp_path, {
-            "src/repro/seedsrc.py": """
-                def raw_seed():
-                    return 1234
-            """,
-            "src/repro/seeduse.py": """
-                import numpy as np
-
-                from repro.seedsrc import raw_seed
-
-                def launder():
-                    return raw_seed()
-
-                def build():
-                    return np.random.default_rng(launder())
-            """,
-        })
-        report = lint_paths([str(tmp_path / "src")])
-        assert _project_rules(report) == ["RPR011"]
-        (diag,) = report.diagnostics
-        assert diag.path.endswith("seeduse.py")
-        assert "literal" in diag.message
-
-    def test_seedsequence_chain_is_clean(self, tmp_path):
-        _write_tree(tmp_path, {
-            "src/repro/seedsrc.py": """
-                import numpy as np
-
-                def good_seed(root):
-                    return np.random.SeedSequence(root).generate_state(1)[0]
-            """,
-            "src/repro/seeduse.py": """
-                import numpy as np
-
-                from repro.seedsrc import good_seed
-
-                def build(root):
-                    return np.random.default_rng(good_seed(root))
-            """,
-        })
-        assert lint_paths([str(tmp_path / "src")]).diagnostics == []
-
-    def test_sha256_keyed_seed_is_clean(self):
-        assert lint_rules("""
-            import hashlib
-
-            import numpy as np
-
-            def build(key):
-                digest = hashlib.sha256(key.encode()).digest()
-                return np.random.default_rng(
-                    int.from_bytes(digest[:8], "little"))
-        """) == []
-
-    def test_wallclock_seed_flagged(self):
-        findings = lint_rules("""
-            import time
-
-            import numpy as np
-
-            def sloppy():
-                return np.random.default_rng(int(time.time_ns()))
-        """)
-        assert "RPR011" in findings
-
-    def test_unknown_provenance_not_flagged(self):
-        assert lint_rules("""
-            import numpy as np
-
-            def build(seed_from_caller):
-                return np.random.default_rng(seed_from_caller)
-        """) == []
-
-
-class TestRPR012CrossModuleUnitFlow:
-    def test_volt_named_value_into_mv_param_flagged(self, tmp_path):
-        _write_tree(tmp_path, {
-            "src/repro/sink.py": """
-                def set_level(voltage_mv):
-                    return voltage_mv
-            """,
-            "src/repro/source.py": """
-                from repro.sink import set_level
-
-                def run(supply_v):
-                    return set_level(supply_v)
-            """,
-        })
-        report = lint_paths([str(tmp_path / "src")])
-        assert _project_rules(report) == ["RPR012"]
-        (diag,) = report.diagnostics
-        assert diag.path.endswith("source.py")
-        assert "voltage_mv" in diag.message
-
-    def test_volt_literal_into_level_named_mv_param_flagged(self, tmp_path):
-        _write_tree(tmp_path, {
-            "src/repro/sink.py": """
-                def set_level(voltage_mv):
-                    return voltage_mv
-            """,
-            "src/repro/source.py": """
-                from repro.sink import set_level
-
-                def run():
-                    return set_level(0.98)
-            """,
-        })
-        assert _project_rules(
-            lint_paths([str(tmp_path / "src")])
-        ) == ["RPR012"]
-
-    def test_integer_mv_value_is_clean(self, tmp_path):
-        _write_tree(tmp_path, {
-            "src/repro/sink.py": """
-                def set_level(voltage_mv):
-                    return voltage_mv
-            """,
-            "src/repro/source.py": """
-                from repro.sink import set_level
-
-                def run(level_mv):
-                    return set_level(level_mv)
-            """,
-        })
-        assert lint_paths([str(tmp_path / "src")]).diagnostics == []
-
-    def test_volt_literal_into_scale_param_is_clean(self, tmp_path):
-        # Widths/scales are legitimately sub-volt: only *level*-named
-        # mV parameters reject volt-scale literals (RPR004's refinement).
-        _write_tree(tmp_path, {
-            "src/repro/sink.py": """
-                def curve(scale_mv):
-                    return scale_mv
-            """,
-            "src/repro/source.py": """
-                from repro.sink import curve
-
-                def run():
-                    return curve(1.0)
-            """,
-        })
-        assert lint_paths([str(tmp_path / "src")]).diagnostics == []
-
-
-class TestRPR013ParallelSharedState:
-    WORKER_WRITE = {
-        "src/repro/parallel/mytasks.py": """
-            _CACHE = {}
-
-            def _helper(key, value):
-                _CACHE[key] = value
-
-            def run_thing(key):
-                _helper(key, 1)
-                return key
-        """,
-    }
-
-    def test_module_dict_write_via_helper_from_entry_flagged(self, tmp_path):
-        _write_tree(tmp_path, self.WORKER_WRITE)
-        report = lint_paths([str(tmp_path / "src")])
-        assert _project_rules(report) == ["RPR013"]
-        (diag,) = report.diagnostics
-        assert "_CACHE" in diag.message
-        assert "run_thing -> _helper" in diag.message
-
-    def test_same_write_without_entry_point_is_clean(self, tmp_path):
-        source = self.WORKER_WRITE[
-            "src/repro/parallel/mytasks.py"
-        ].replace("run_thing", "build_thing")
-        _write_tree(
-            tmp_path, {"src/repro/parallel/mytasks.py": source}
-        )
-        assert lint_paths([str(tmp_path / "src")]).diagnostics == []
-
-    def test_submitted_function_is_an_entry_point(self, tmp_path):
-        _write_tree(tmp_path, {
-            "src/repro/parallel/mytasks.py": """
-                _SEEN = set()
-
-                def record(task):
-                    _SEEN.add(task)
-
-                def dispatch(executor, tasks):
-                    return [executor.submit(record, t) for t in tasks]
-            """,
-        })
-        report = lint_paths([str(tmp_path / "src")])
-        assert _project_rules(report) == ["RPR013"]
-        assert "_SEEN" in report.diagnostics[0].message
-
-    def test_contextvar_global_is_exempt(self):
-        assert lint_rules("""
-            from contextvars import ContextVar
-
-            _SESSION = ContextVar("session")
-
-            def _helper(value):
-                _SESSION.set(value)
-
-            def run_thing(value):
-                _helper(value)
-        """, path="src/repro/parallel/fixture.py") == []
-
-    def test_local_shadow_is_clean(self):
-        assert lint_rules("""
-            _CACHE = {}
-
-            def run_thing(key):
-                _CACHE = {}
-                _CACHE[key] = 1
-                return _CACHE
-        """, path="src/repro/parallel/fixture.py") == []
 
 
 class TestIncrementalCache:
@@ -992,17 +772,17 @@ class TestIncrementalCache:
         warm = lint_paths([str(tmp_path / "src")], cache_path=cache)
         assert warm.files_analyzed == 0 and warm.files_cached == 4
 
-    def test_edit_reanalyzes_reverse_dependency_cone_only(self, tmp_path):
+    def test_edit_reanalyzes_only_that_file(self, tmp_path):
         _write_tree(tmp_path, self.CHAIN)
         cache = str(tmp_path / "cache.json")
         lint_paths([str(tmp_path / "src")], cache_path=cache)
         base = tmp_path / "src/repro/base.py"
         base.write_text(base.read_text() + "\n# touched\n")
-        # base changed; mid imports base, top imports mid -> all three
-        # re-analyze; leaf is untouched by the cone.
-        cone_run = lint_paths([str(tmp_path / "src")], cache_path=cache)
-        assert cone_run.files_analyzed == 3
-        assert cone_run.files_cached == 1
+        # Every rule checks one file, so the modules importing base
+        # (mid, and top through mid) keep their records.
+        base_run = lint_paths([str(tmp_path / "src")], cache_path=cache)
+        assert base_run.files_analyzed == 1
+        assert base_run.files_cached == 3
         leaf = tmp_path / "src/repro/leaf.py"
         leaf.write_text(leaf.read_text() + "\n# touched\n")
         leaf_run = lint_paths([str(tmp_path / "src")], cache_path=cache)
@@ -1017,7 +797,7 @@ class TestIncrementalCache:
                 vmin_mv = 0.98
 
                 def make_rng():
-                    return np.random.default_rng(7)
+                    return np.random.default_rng()
             """,
         })
         cache = str(tmp_path / "cache.json")
@@ -1025,7 +805,7 @@ class TestIncrementalCache:
         warm = lint_paths([str(tmp_path / "src")], cache_path=cache)
         assert cold.diagnostics == warm.diagnostics
         assert warm.files_analyzed == 0
-        assert {d.rule for d in warm.diagnostics} >= {"RPR004", "RPR011"}
+        assert {d.rule for d in warm.diagnostics} >= {"RPR004", "RPR001"}
 
     def test_select_bypasses_the_cache(self, tmp_path):
         _write_tree(tmp_path, self.CHAIN)
@@ -1038,16 +818,13 @@ class TestIncrementalCache:
 
     def test_cache_matches_across_path_spellings(self, tmp_path, monkeypatch):
         # A cache written under one spelling of a path (absolute) must
-        # serve a run that spells it differently (relative), and the
-        # suppression of an interprocedural finding must still register
-        # as earned -- not stale -- on the cached run.
+        # serve a run that spells it differently (relative), and a
+        # suppression must still register as earned -- not stale -- on
+        # the cached run.
         _write_tree(tmp_path, {
-            "src/repro/seedy.py": """
-                import numpy as np
-
-                def make():
-                    # reprolint: disable=RPR011 -- fixture default
-                    return np.random.default_rng(7)
+            "src/repro/levels.py": """
+                # reprolint: disable=RPR004 -- fixture default
+                vmin_mv = 0.98
             """,
         })
         cache = str(tmp_path / "cache.json")
@@ -1057,6 +834,42 @@ class TestIncrementalCache:
         warm = lint_paths(["src"], cache_path=cache)
         assert warm.files_analyzed == 0 and warm.files_cached == 1
         assert warm.diagnostics == []
+
+    def test_copied_checkout_lints_like_a_cacheless_run(
+            self, tmp_path, monkeypatch):
+        # Lint a checkout with its cache, copy the tree (cache included)
+        # to a sibling directory and lint the copy: the original's
+        # records must not leak into it -- every finding, earned
+        # suppression and stale suppression is the copy's own.
+        original = _write_tree(tmp_path / "original", {
+            "src/repro/seeds.py": """
+                import numpy as np
+
+                def make(seed=0):
+                    # reprolint: disable=RPR011 -- documented default seed
+                    return np.random.default_rng(seed)
+            """,
+            "src/repro/levels.py": """
+                # reprolint: disable=RPR004 -- fixture default
+                vmin_mv = 0.98
+            """,
+            "src/repro/dirty.py": "vmin_mv = 0.98\n",
+            "tests/test_seeds.py": """
+                from repro.seeds import make
+
+                def test_make():
+                    assert make() is not None
+            """,
+        })
+        cache = ".reprolint_cache.json"
+        monkeypatch.chdir(original)
+        lint_paths(["src", "tests"], cache_path=cache)
+        copy = tmp_path / "copy"
+        shutil.copytree(original, copy)
+        monkeypatch.chdir(copy)
+        copied = lint_paths(["src", "tests"], cache_path=cache)
+        assert copied.diagnostics == lint_paths(["src", "tests"]).diagnostics
+        assert "RPR004" in {d.rule for d in copied.diagnostics}
 
     def test_torn_cache_degrades_to_full_analysis(self, tmp_path):
         _write_tree(tmp_path, self.CHAIN)
@@ -1119,7 +932,7 @@ class TestSuppressionEdgeCases:
         src = (
             "import numpy as np\n"
             "vmin_mv = 0.98; rng = np.random.default_rng()"
-            "  # reprolint: disable=RPR001,RPR004,RPR011 -- fixture\n"
+            "  # reprolint: disable=RPR001,RPR002,RPR004 -- fixture\n"
         )
         assert lint_source(src, path=SIM) == []
 
@@ -1210,7 +1023,7 @@ class TestSarifOutput:
         driver = run["tool"]["driver"]
         assert driver["name"] == "reprolint"
         rule_ids = {rule["id"] for rule in driver["rules"]}
-        assert {"RPR000", "RPR004", "RPR011", "RPR013"} <= rule_ids
+        assert {"RPR000", "RPR001", "RPR004", "RPR010"} <= rule_ids
         (result,) = run["results"]
         assert result["ruleId"] == "RPR004"
         location = result["locations"][0]["physicalLocation"]

@@ -373,8 +373,7 @@ class TestLint:
         out = capsys.readouterr().out
         for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004",
                         "RPR005", "RPR006", "RPR007", "RPR008",
-                        "RPR009", "RPR010", "RPR011", "RPR012",
-                        "RPR013"):
+                        "RPR009", "RPR010"):
             assert rule_id in out
 
     def test_stats_reports_phases_and_rule_counts(self, tmp_path, capsys):
@@ -384,8 +383,7 @@ class TestLint:
         out = capsys.readouterr().out
         assert "files analyzed: 1" in out
         assert "RPR004: 1" in out
-        for phase in ("parse", "graph build", "dataflow"):
-            assert phase in out
+        assert "parse" in out
 
     def test_cache_makes_second_run_incremental(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"

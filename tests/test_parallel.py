@@ -1,8 +1,10 @@
 """The parallel characterization engine: determinism, fallbacks, caching."""
 
+import concurrent.futures
 import io
 import multiprocessing
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -33,6 +35,7 @@ from repro.parallel import (
     derive_task_seed,
 )
 from repro.parallel import engine as engine_mod
+from repro.parallel.tasks import run_campaign_chunk
 from repro.store import JOURNAL_NAME
 from repro.workloads import get_benchmark
 
@@ -70,6 +73,41 @@ class TestSeedDerivation:
         assert 0 <= seed < 2 ** 63
 
 
+class TestRunStreamsFollowTheSeed:
+    """The per-run streams must descend from the task seed.
+
+    A literal or wall-clock value anywhere between the machine seed,
+    ``derive_task_seed`` and the per-run generators makes two machine
+    seeds (or the campaigns of one cell) replay the same runs.  The
+    cell sweeps from 900 mV deep into the crash region, so the
+    compared logs carry SDCs, EDAC reports and watchdog resets.
+    """
+
+    CONFIG = FrameworkConfig(start_mv=900, campaigns=3, runs_per_level=6)
+
+    def _logs(self, seed):
+        report = ParallelCampaignEngine(
+            MachineSpec(chip="TTT", seed=seed), self.CONFIG
+        ).run([get_benchmark("mcf")], [0])
+        assert report.interventions > 0
+        return [
+            report.raw_logs[("mcf", 0, self.CONFIG.freq_mhz, k)]
+            for k in (1, 2, 3)
+        ]
+
+    def test_machine_seeds_give_different_raw_logs(self):
+        first, second = self._logs(2017), self._logs(2018)
+        for campaign in range(3):
+            assert first[campaign] != second[campaign]
+
+    def test_campaigns_of_one_cell_differ(self):
+        # The run headers name the campaign; compare what the runs did.
+        bodies = [
+            re.sub(r" campaign=\d+ ", " ", log) for log in self._logs(2017)
+        ]
+        assert len(set(bodies)) == 3
+
+
 class TestMachineSpec:
     def test_from_machine_round_trip(self):
         machine = XGene2Machine("TFF", seed=42)
@@ -103,7 +141,7 @@ class TestMachineSpec:
 class TestEngineEquivalence:
     def test_parallel_bit_identical_to_serial(self):
         serial = run_grid(jobs=1)
-        parallel = run_grid(jobs=4, backend="process")
+        parallel = run_grid(jobs=4)
         assert serial.backend == "serial" and parallel.backend == "process"
         assert serial.results == parallel.results
         assert serial.raw_logs == parallel.raw_logs
@@ -118,17 +156,16 @@ class TestEngineEquivalence:
         # covers the worker-side watchdog-recovery path.
         assert serial.interventions == parallel.interventions > 0
 
-    def test_thread_backend_matches(self):
-        assert run_grid(jobs=1).results == \
-            run_grid(jobs=2, backend="thread").results
+    def test_two_worker_pool_matches(self):
+        assert run_grid(jobs=1).results == run_grid(jobs=2).results
 
     def test_chunking_does_not_change_results(self):
         reference = run_grid(jobs=1)
-        chunked = run_grid(jobs=2, backend="thread", chunk_size=1)
+        chunked = run_grid(jobs=2, chunk_size=1)
         assert reference.results == chunked.results
 
     def test_campaign_order_restored(self):
-        report = run_grid(jobs=2, backend="thread")
+        report = run_grid(jobs=2)
         for result in report.results.values():
             indices = [c.campaign_index for c in result.campaigns]
             assert indices == sorted(indices)
@@ -269,7 +306,7 @@ class TestTableSharing:
         runs = {
             "unshared": dict(jobs=1, chunk_size=1),
             "default": dict(jobs=1),
-            "pool": dict(jobs=2, backend="process"),
+            "pool": dict(jobs=2),
         }
         journals, states = {}, {}
         for name, kwargs in runs.items():
@@ -301,25 +338,40 @@ class TestTableSharing:
             assert states["pool"] == states["default"]
 
 
+def _crashes_in_a_worker(spec, config, tasks, collect_spans=False,
+                         use_kernel=True):
+    """A chunk runner that dies in every pool worker and succeeds in
+    the parent (module-level, so the pool can pickle it)."""
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError("simulated worker crash")
+    return run_campaign_chunk(spec, config, tasks, collect_spans, use_kernel)
+
+
 class TestRetryPolicy:
     def test_lost_chunk_retried_in_process(self, monkeypatch):
-        real = engine_mod.run_campaign_chunk
-        failures = {"left": 1}
-
-        def flaky(spec, config, tasks, collect_spans=False, use_kernel=True):
-            if failures["left"]:
-                failures["left"] -= 1
-                raise RuntimeError("simulated worker crash")
-            return real(spec, config, tasks, collect_spans, use_kernel)
-
-        monkeypatch.setattr(engine_mod, "run_campaign_chunk", flaky)
+        monkeypatch.setattr(
+            engine_mod, "run_campaign_chunk", _crashes_in_a_worker
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            report = grid_engine(jobs=2, backend="thread").run(
+            # One chunk holds all four tasks: one lost chunk.
+            report = grid_engine(jobs=2, chunk_size=4).run(
                 [get_benchmark("bwaves")], [0, 4]
             )
         monkeypatch.undo()
         assert report.chunks_retried == 1
+        assert report.results == run_grid(jobs=1).results
+
+    def test_pool_that_cannot_start_runs_serially(self, monkeypatch):
+        def no_pool(max_workers=None):
+            raise OSError("simulated missing /dev/shm")
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", no_pool
+        )
+        with pytest.warns(RuntimeWarning, match="process pool unavailable"):
+            report = run_grid(jobs=2)
+        assert report.backend == "serial" and report.jobs == 1
         assert report.results == run_grid(jobs=1).results
 
 
@@ -331,10 +383,6 @@ class TestEngineValidation:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             grid_engine(jobs=0)
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            grid_engine(backend="gpu")
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError):

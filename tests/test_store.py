@@ -996,7 +996,7 @@ class TestResumeDeterminism:
     def test_resume_with_parallel_backend_matches(
             self, reference, full_store, tmp_path):
         target = truncated_copy(full_store[0], tmp_path, keep=1)
-        report = run_grid(store=target, resume=True, jobs=2, backend="thread")
+        report = run_grid(store=target, resume=True, jobs=2)
         assert report.results == reference.results
         assert report.raw_logs == reference.raw_logs
 
