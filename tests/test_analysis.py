@@ -840,7 +840,9 @@ class TestIncrementalCache:
         # Lint a checkout with its cache, copy the tree (cache included)
         # to a sibling directory and lint the copy: the original's
         # records must not leak into it -- every finding, earned
-        # suppression and stale suppression is the copy's own.
+        # suppression and stale suppression is the copy's own.  The
+        # seeds.py clause names a retired rule, so both runs must
+        # report it stale.
         original = _write_tree(tmp_path / "original", {
             "src/repro/seeds.py": """
                 import numpy as np
