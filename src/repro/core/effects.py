@@ -75,3 +75,17 @@ def effect_counts(
         for effect in effects:
             counts[effect] += runs_with
     return counts
+
+
+def book_effects(runs: Iterable[FrozenSet[EffectType]]) -> None:
+    """Add :func:`effect_counts` of ``runs`` to the effects counter:
+    one increment per effect class the runs show."""
+    # Imported here: classification and parsing (cold CLI verbs such
+    # as ``tables``) do not load the telemetry stack.
+    from .. import telemetry
+
+    for effect, amount in effect_counts(runs).items():
+        if amount:
+            telemetry.inc_counter(
+                telemetry.M_EFFECTS, effect=effect.value, amount=amount
+            )

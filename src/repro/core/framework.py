@@ -19,19 +19,18 @@ the watchdog's buttons.
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..effects import EffectType
-from ..errors import CampaignError, ConfigurationError
+from ..errors import CampaignError
 from ..units import PMD_NOMINAL_MV, voltage_sweep
-from ..workloads.benchmark import Benchmark, Program
+from ..workloads.benchmark import Program, as_program
 from ..hardware import MachineState
 from ..machines import Machine, machine_to_spec
 from .campaign import CampaignResult, CharacterizationResult
 from .config import FrameworkConfig  # re-exported: the old import path stays valid
-from .effects import effect_counts
+from .effects import book_effects
 from .kernel import CampaignKernel, VoltageTable
 from .parser import ParseMemo, count_log, format_run_block, parse_records
 from .watchdog import WatchdogAction, WatchdogMonitor
@@ -61,13 +60,6 @@ class CharacterizationFramework:
         #: Raw log text of every campaign, keyed by
         #: (benchmark, core, freq, campaign_index).
         self.raw_logs: Dict[Tuple[str, int, int, int], str] = {}
-        #: Parsed-run statistics per raw log, keyed by the raw-log key
-        #: and fingerprinted against the text, so diagnostics never
-        #: re-parse a log they have already seen:
-        #: key -> (fingerprint, n_runs, n_abnormal).
-        self._parsed_stats: Dict[
-            Tuple[str, int, int, int], Tuple[Tuple[int, int], int, int]
-        ] = {}
         #: Execution metadata of the last engine-backed
         #: :meth:`characterize_many` (None until one has run).
         self.last_engine_report = None
@@ -128,7 +120,7 @@ class CharacterizationFramework:
         to the scalar loop below.  :attr:`last_campaign_path` and the
         ``repro_kernel_campaigns_total`` counter record which path ran.
         """
-        program = self._as_program(workload)
+        program = as_program(workload)
         cfg = self.config
         start = cfg.start_mv if cfg.start_mv is not None else PMD_NOMINAL_MV
         floor = cfg.stop_mv if cfg.stop_mv is not None else 700
@@ -156,7 +148,6 @@ class CharacterizationFramework:
                     # The kernel already built the records; the
                     # parse-phase counters are the scalar path's.
                     self._count_parsed(result.records)
-                self._record_parsed_stats(key, log_text, result.records)
                 return result
             for voltage_mv in schedule:
                 level_all_crashed = True
@@ -183,7 +174,6 @@ class CharacterizationFramework:
             self.raw_logs[key] = log_text
             with telemetry.span("parse", campaign=campaign_index):
                 result = self._parse_campaign(log_text, campaign_index)
-            self._record_parsed_stats(key, log_text, result.records)
         return result
 
     def _compile_kernel(
@@ -300,12 +290,7 @@ class CharacterizationFramework:
         """Parse-phase counters: runs parsed, and one increment per
         effect class by the runs that show it."""
         telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(records))
-        counts = effect_counts(record.effects for record in records)
-        for effect, amount in counts.items():
-            if amount:
-                telemetry.inc_counter(
-                    telemetry.M_EFFECTS, effect=effect.value, amount=amount
-                )
+        book_effects(record.effects for record in records)
 
     def _parse_campaign(self, log_text: str, campaign_index: int) -> CampaignResult:
         records = parse_records(log_text)
@@ -377,72 +362,20 @@ class CharacterizationFramework:
         )
         report = engine.run(workloads, cores, store=store, resume=resume)
         self.raw_logs.update(report.raw_logs)
-        for (name, core), result in report.results.items():
-            for campaign in result.campaigns:
-                key = (name, core, self.config.freq_mhz, campaign.campaign_index)
-                self._record_parsed_stats(
-                    key, report.raw_logs[key], campaign.records
-                )
         self.last_engine_report = report
         return report.results
 
-    # -- misc -----------------------------------------------------------------------
-
-    @staticmethod
-    def _as_program(workload: object) -> Program:
-        if isinstance(workload, Program):
-            return workload
-        if isinstance(workload, Benchmark):
-            return workload.programs()[0]
-        raise ConfigurationError(
-            f"expected a Program or Benchmark, got {type(workload).__name__}"
-        )
-
-    @staticmethod
-    def _log_fingerprint(text: str) -> Tuple[int, int]:
-        """Cheap identity of a raw log (length + CRC-32 of the text).
-
-        Deliberately *not* the builtin ``hash``: that one is salted by
-        ``PYTHONHASHSEED``, so its fingerprints are process-local and
-        would spuriously mismatch across worker restarts or resumed
-        sessions.
-        """
-        return (len(text), zlib.crc32(text.encode("utf-8")))
-
-    def _record_parsed_stats(
-        self,
-        key: Tuple[str, int, int, int],
-        text: str,
-        records: Sequence[object],
-    ) -> None:
-        """Cache run counts for :meth:`abnormal_run_fraction`."""
-        normal = frozenset({EffectType.NO})
-        abnormal = sum(
-            1 for record in records if record.effects != normal
-        )
-        self._parsed_stats[key] = (
-            self._log_fingerprint(text), len(records), abnormal
-        )
-
     def abnormal_run_fraction(self) -> float:
-        """Fraction of logged runs with any abnormal effect (diagnostics).
-
-        Parsed-run statistics are cached per raw log (and validated
-        against the log text), so repeated diagnostics calls never
-        re-parse the raw text; a new campaign only parses its own log.
-        """
+        """Fraction of logged runs with any abnormal effect (diagnostics),
+        counted from :attr:`raw_logs` when called."""
         total = abnormal = 0
-        for key, text in self.raw_logs.items():
-            cached = self._parsed_stats.get(key)
-            if cached is None or cached[0] != self._log_fingerprint(text):
-                # A run is abnormal unless its one effect is NO.
-                log = count_log(text, ParseMemo())
-                runs = sum(log.run_counts.values())
-                normal = sum(
-                    slot[EffectType.NO] for slot in log.counts.values()
-                )
-                cached = (self._log_fingerprint(text), runs, runs - normal)
-                self._parsed_stats[key] = cached
-            total += cached[1]
-            abnormal += cached[2]
+        memo = ParseMemo()
+        for text in self.raw_logs.values():
+            # A run is abnormal unless its one effect is NO.
+            log = count_log(text, memo)
+            runs = sum(log.run_counts.values())
+            total += runs
+            abnormal += runs - sum(
+                slot[EffectType.NO] for slot in log.counts.values()
+            )
         return abnormal / total if total else 0.0

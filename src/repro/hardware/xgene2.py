@@ -34,7 +34,7 @@ from ..units import (
     FREQ_MAX_MHZ,
     PMD_NOMINAL_MV,
 )
-from ..workloads.benchmark import Benchmark, Program
+from ..workloads.benchmark import Program, as_program
 from ..workloads.execution import (
     corrupted_output,
     reference_output,
@@ -369,7 +369,7 @@ class XGene2Machine:
             raise ConfigurationError(f"core index must be 0..{NUM_CORES - 1}")
         from ..core.kernel import compile_voltage_table
 
-        program = self._as_program(workload)
+        program = as_program(workload)
         sampler = self._sampler_for(program, core, PMD_NOMINAL_MV, freq_mhz)
         return compile_voltage_table(
             sampler,
@@ -560,7 +560,7 @@ class XGene2Machine:
             raise MachineStateError("machine is powered off")
         if not 0 <= core < NUM_CORES:
             raise ConfigurationError(f"core index must be 0..{NUM_CORES - 1}")
-        program = self._as_program(program)
+        program = as_program(program)
 
         voltage_mv = self.regulator.core_voltage_mv(core)
         freq_mhz = self.clocks.core_frequency_mhz(core)
@@ -663,7 +663,7 @@ class XGene2Machine:
         PMU snapshot (Section 4.1's ``perf`` collection step)."""
         if self._state is not MachineState.RUNNING:
             raise MachineStateError("machine must be running to profile")
-        program = self._as_program(program)
+        program = as_program(program)
         if self.regulator.core_voltage_mv(core) != PMD_NOMINAL_MV:
             raise MachineStateError(
                 "profiling must happen at nominal voltage (Section 4.1)"
@@ -698,13 +698,3 @@ class XGene2Machine:
                            count: int) -> None:
         shared = location in ("L3",)
         self.edac.report(kind, location, -1 if shared else core, count)
-
-    @staticmethod
-    def _as_program(workload: object) -> Program:
-        if isinstance(workload, Program):
-            return workload
-        if isinstance(workload, Benchmark):
-            return workload.programs()[0]
-        raise ConfigurationError(
-            f"expected a Program or Benchmark, got {type(workload).__name__}"
-        )

@@ -36,7 +36,6 @@ from .tasks import (
     CampaignTaskResult,
     MachineSpec,
     derive_task_seed,
-    run_campaign_task,
 )
 
 __all__ = [
@@ -52,6 +51,5 @@ __all__ = [
     "ProgressReporter",
     "ProgressTracker",
     "derive_task_seed",
-    "run_campaign_task",
     "run_fleet",
 ]

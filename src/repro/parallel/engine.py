@@ -13,8 +13,13 @@ from the parent seed and the task's stable coordinates (see
 results for any worker count or chunking -- ``jobs=4`` equals
 ``jobs=1`` equals any future run of the same grid.
 
+A worker returns each campaign's journal line
+(:class:`~repro.store.records.StoredCampaign`); the engine appends it
+to the store as it is, and a resume replays the journaled lines
+themselves, so a campaign has one record from worker to journal.
+
 Scheduling is chunked (one pickle round-trip per chunk, not per
-campaign), worker crashes are retried once by re-running the lost chunk
+campaign, and whole cells per chunk), worker crashes are retried once by re-running the lost chunk
 in-process, and a :class:`~repro.parallel.progress.ProgressReporter`
 hook surfaces completed/total/ETA to the CLI and examples.
 """
@@ -25,16 +30,17 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..core.campaign import CampaignResult, CharacterizationResult
 from ..core.config import FrameworkConfig
-from ..core.effects import effect_counts
+from ..core.effects import book_effects
 from ..errors import CampaignError, ConfigurationError
 from ..machines import MachineSpec, as_machine_spec
 from ..store import AnyStore, CampaignStore, open_store, store_exists
-from ..workloads.benchmark import Benchmark, Program
+from ..store.records import StoredCampaign
+from ..workloads.benchmark import as_program
 from .progress import NULL_PROGRESS, ProgressReporter, ProgressTracker
 from .tasks import (
     CampaignTask,
@@ -135,7 +141,7 @@ class ParallelCampaignEngine:
         """
         tasks: List[CampaignTask] = []
         for workload in workloads:
-            program = self._as_program(workload)
+            program = as_program(workload)
             for core in cores:
                 for campaign_index in range(1, self.config.campaigns + 1):
                     tasks.append(
@@ -177,7 +183,7 @@ class ParallelCampaignEngine:
             raise ConfigurationError("empty grid: no workloads or no cores")
         journal = self._prepare_store(store, tasks, cores, resume)
         replayed = self._replay_journal(journal, tasks) if resume else []
-        done = {(o.benchmark, o.core, o.campaign_index) for o in replayed}
+        done = {line.key for line in replayed}
         pending = [
             task for task in tasks
             if (task.program.name, task.core, task.campaign_index) not in done
@@ -203,30 +209,22 @@ class ParallelCampaignEngine:
                     )
                     telemetry.event("engine.replay", tasks=len(replayed))
                 self._sample_tsdb(journal)
-                checkpoint = self._checkpointer(journal)
                 chunks = self._chunk(pending)
                 retried = 0
                 if executor is None:
-                    outcomes: List[CampaignTaskResult] = []
+                    lines: List[StoredCampaign] = []
                     for chunk in chunks:
-                        chunk_started = telemetry.clock()
-                        chunk_outcomes = run_campaign_chunk(
+                        started = telemetry.clock()
+                        outcomes = run_campaign_chunk(
                             self.spec, self.config, chunk, collect,
                             self.use_kernel,
                         )
-                        telemetry.observe(
-                            telemetry.M_CHUNK_SECONDS,
-                            telemetry.clock() - chunk_started,
+                        lines += self._finish_chunk(
+                            outcomes, started, journal, tracker
                         )
-                        checkpoint(chunk, chunk_outcomes)
-                        self._record_outcomes(chunk_outcomes)
-                        self._sample_tsdb(journal)
-                        outcomes.extend(chunk_outcomes)
-                        tracker.advance(len(chunk))
                 else:
-                    outcomes, retried = self._run_pool(
-                        executor, chunks, tracker, checkpoint, collect,
-                        journal=journal,
+                    lines, retried = self._run_pool(
+                        executor, chunks, collect, journal, tracker
                     )
                 tracker.finish()
                 # Final snapshot after finish() so the run's published
@@ -236,7 +234,7 @@ class ParallelCampaignEngine:
             if executor is not None:
                 executor.shutdown(wait=False, cancel_futures=True)
         return self._assemble(
-            tasks, replayed + outcomes, backend, retried,
+            tasks, replayed + lines, backend, retried,
             tasks_skipped=len(replayed),
         )
 
@@ -288,8 +286,8 @@ class ParallelCampaignEngine:
 
     def _replay_journal(
         self, journal: Optional[CampaignStore], tasks: List[CampaignTask]
-    ) -> List[CampaignTaskResult]:
-        """Journaled campaigns as task results, seeds re-verified.
+    ) -> List[StoredCampaign]:
+        """Journaled campaign lines, seeds re-verified.
 
         Replayed lines must carry exactly the seed this engine would
         derive for the task today; anything else means the journal was
@@ -298,49 +296,42 @@ class ParallelCampaignEngine:
         """
         if journal is None:
             return []
-        by_key = {
-            (t.program.name, t.core, t.campaign_index): t for t in tasks
+        seeds = {
+            (t.program.name, t.core, t.campaign_index): t.seed for t in tasks
         }
-        replayed: List[CampaignTaskResult] = []
-        for stored in journal.campaigns():
-            task = by_key[stored.key]
-            if stored.seed != task.seed:
+        replayed = journal.campaigns()
+        for stored in replayed:
+            if stored.seed != seeds[stored.key]:
                 raise CampaignError(
                     f"journaled task {stored.key!r} ran with seed "
-                    f"{stored.seed}, but this grid derives {task.seed}; "
-                    f"the store belongs to different seed material"
+                    f"{stored.seed}, but this grid derives "
+                    f"{seeds[stored.key]}; the store belongs to different "
+                    f"seed material"
                 )
-            replayed.append(
-                CampaignTaskResult(
-                    benchmark=stored.benchmark,
-                    core=stored.core,
-                    campaign_index=stored.campaign_index,
-                    result=stored.campaign_result(),
-                    raw_log=stored.raw_log,
-                    freq_mhz=stored.freq_mhz,
-                    interventions=stored.interventions,
-                )
-            )
         return replayed
 
-    def _checkpointer(
-        self, journal: Optional[CampaignStore]
-    ) -> Callable[[Tuple[CampaignTask, ...], Tuple[CampaignTaskResult, ...]], None]:
-        """Journal a completed chunk's outcomes (no-op without a store)."""
-        def checkpoint(
-            chunk: Tuple[CampaignTask, ...],
-            outcomes: Tuple[CampaignTaskResult, ...],
-        ) -> None:
-            if journal is None:
-                return
-            for task, outcome in zip(chunk, outcomes):
-                journal.append_campaign(
-                    outcome.result,
-                    outcome.raw_log,
-                    task.seed,
-                    outcome.interventions,
-                )
-        return checkpoint
+    def _finish_chunk(
+        self,
+        outcomes: Sequence[CampaignTaskResult],
+        started: float,
+        journal: Optional[CampaignStore],
+        tracker: ProgressTracker,
+    ) -> List[StoredCampaign]:
+        """Finish one executed chunk, serial or pooled, and return its
+        lines: observe its latency since ``started``, journal each line
+        as the worker built it, book parent-side telemetry, sample the
+        tsdb and advance progress."""
+        telemetry.observe(
+            telemetry.M_CHUNK_SECONDS, telemetry.clock() - started
+        )
+        lines = [outcome.line for outcome in outcomes]
+        if journal is not None:
+            for line in lines:
+                journal.append_campaign(line)
+        self._record_outcomes(outcomes)
+        self._sample_tsdb(journal)
+        tracker.advance(len(lines))
+        return lines
 
     @staticmethod
     def _tracing_enabled() -> bool:
@@ -360,7 +351,7 @@ class ParallelCampaignEngine:
             telemetry.sample_tsdb(journal.directory)
 
     @staticmethod
-    def _record_outcomes(outcomes: Tuple[CampaignTaskResult, ...]) -> None:
+    def _record_outcomes(outcomes: Sequence[CampaignTaskResult]) -> None:
         """Parent-side telemetry for freshly executed outcomes.
 
         Workers run under a local (or shielded) session, so all metric
@@ -374,23 +365,22 @@ class ParallelCampaignEngine:
         """
         for outcome in outcomes:
             telemetry.emit_spans(outcome.spans)
-            if outcome.interventions:
+            line = outcome.line
+            if line.interventions:
                 telemetry.inc_counter(
-                    telemetry.M_INTERVENTIONS, amount=outcome.interventions
+                    telemetry.M_INTERVENTIONS, amount=line.interventions
                 )
-            counts = effect_counts(
-                record.effects for record in outcome.result.records
-            )
-            for effect, amount in counts.items():
-                if amount:
-                    telemetry.inc_counter(
-                        telemetry.M_EFFECTS, effect=effect.value, amount=amount
-                    )
+            book_effects(record.effects for record in line.records)
 
     def _chunk(self, tasks: List[CampaignTask]) -> List[Tuple[CampaignTask, ...]]:
+        """Scheduling chunks of ``tasks``.  The default size is a whole
+        number of cells (rounded up from ~four chunks per worker), so a
+        grid's cells never straddle two chunks: a cell's campaigns share
+        one compiled table only within a chunk."""
         size = self.chunk_size
         if size is None:
-            size = max(1, len(tasks) // (self.jobs * 4))
+            cell = self.config.campaigns
+            size = -(-max(1, len(tasks) // (self.jobs * 4)) // cell) * cell
         return [
             tuple(tasks[i:i + size]) for i in range(0, len(tasks), size)
         ]
@@ -429,14 +419,11 @@ class ParallelCampaignEngine:
         self,
         executor: Executor,
         chunks: List[Tuple[CampaignTask, ...]],
+        collect: bool,
+        journal: Optional[CampaignStore],
         tracker: ProgressTracker,
-        checkpoint: Callable[
-            [Tuple[CampaignTask, ...], Tuple[CampaignTaskResult, ...]], None
-        ],
-        collect: bool = False,
-        journal: Optional[CampaignStore] = None,
-    ) -> Tuple[List[CampaignTaskResult], int]:
-        outcomes: List[CampaignTaskResult] = []
+    ) -> Tuple[List[StoredCampaign], int]:
+        lines: List[StoredCampaign] = []
         retried = 0
         pending: Dict[Future, Tuple[CampaignTask, ...]] = {
             executor.submit(
@@ -451,7 +438,7 @@ class ParallelCampaignEngine:
             for future in done:
                 chunk = pending.pop(future)
                 try:
-                    chunk_outcomes = tuple(future.result())
+                    outcomes = future.result()
                 except Exception as exc:
                     # Retry-once policy: a lost worker (OOM kill,
                     # BrokenProcessPool, pickling trouble) must not
@@ -472,45 +459,37 @@ class ParallelCampaignEngine:
                         tasks=len(chunk),
                         error=repr(exc),
                     )
-                    chunk_outcomes = run_campaign_chunk(
+                    outcomes = run_campaign_chunk(
                         self.spec, self.config, chunk, collect,
                         self.use_kernel,
                     )
                 # Submit-to-drain latency: includes queue wait, which
                 # is the number that matters for pool sizing.
-                telemetry.observe(
-                    telemetry.M_CHUNK_SECONDS,
-                    telemetry.clock() - submitted[future],
+                lines += self._finish_chunk(
+                    outcomes, submitted[future], journal, tracker
                 )
-                checkpoint(chunk, chunk_outcomes)
-                self._record_outcomes(chunk_outcomes)
-                self._sample_tsdb(journal)
-                outcomes.extend(chunk_outcomes)
-                tracker.advance(len(chunk))
-        return outcomes, retried
+        return lines, retried
 
     # -- assembly ---------------------------------------------------------
 
     def _assemble(
         self,
         tasks: List[CampaignTask],
-        outcomes: List[CampaignTaskResult],
+        lines: List[StoredCampaign],
         backend: str,
         retried: int,
         tasks_skipped: int = 0,
     ) -> EngineReport:
         """Deterministic grid assembly, independent of completion order."""
-        by_task: Dict[Tuple[str, int, int], CampaignTaskResult] = {
-            (o.benchmark, o.core, o.campaign_index): o for o in outcomes
-        }
+        by_task = {line.key: line for line in lines}
         grid: Dict[Tuple[str, int], List[CampaignResult]] = {}
         raw_logs: Dict[Tuple[str, int, int, int], str] = {}
         interventions = 0
         for task in tasks:  # reference order: (workload, core, campaign)
-            outcome = by_task[(task.program.name, task.core, task.campaign_index)]
-            grid.setdefault(outcome.grid_key, []).append(outcome.result)
-            raw_logs[outcome.raw_log_key] = outcome.raw_log
-            interventions += outcome.interventions
+            line = by_task[(task.program.name, task.core, task.campaign_index)]
+            grid.setdefault(task.grid_key, []).append(line.result)
+            raw_logs[line.raw_log_key] = line.raw_log
+            interventions += line.interventions
         results = {
             key: CharacterizationResult(campaigns=tuple(campaigns))
             for key, campaigns in grid.items()
@@ -524,14 +503,4 @@ class ParallelCampaignEngine:
             backend=backend,
             jobs=1 if backend == "serial" else self.jobs,
             tasks_skipped=tasks_skipped,
-        )
-
-    @staticmethod
-    def _as_program(workload: object) -> Program:
-        if isinstance(workload, Program):
-            return workload
-        if isinstance(workload, Benchmark):
-            return workload.programs()[0]
-        raise ConfigurationError(
-            f"expected a Program or Benchmark, got {type(workload).__name__}"
         )

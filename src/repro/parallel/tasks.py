@@ -24,19 +24,24 @@ follow:
   ``SeedSequence`` spawn guarantee), so campaign repetitions do not
   accidentally correlate.
 
+**Results.**  A worker returns, per task, the campaign's journal line
+(:class:`~repro.store.records.StoredCampaign`, task seed included),
+which the parent engine appends to the store as it is.  The pickled
+line carries the run's own :class:`~repro.core.campaign.CampaignResult`,
+so the parent never re-parses the raw log.
+
 **Telemetry.**  Ambient telemetry contexts do not cross process
 boundaries, so each task runs under its own local session: when span
-collection is on, a fresh tracer records the task's spans into the
-``spans`` field of the result, and the parent engine forwards them to
-its sink; when it is off, the task runs *shielded* so framework-level
-instrumentation can never fire into an inherited session (serial
-execution in the parent) and double-count with the parent's
-outcome-based metric aggregation.
+collection is on, a fresh tracer records the task's spans, which
+travel beside the line (never journaled), and the parent engine
+forwards them to its sink; when it is off, the task runs *shielded*
+so framework-level instrumentation can never fire into an inherited
+session (serial execution in the parent) and double-count with the
+parent's outcome-based metric aggregation.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -44,6 +49,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..machines import MachineSpec
+from ..store.records import StoredCampaign
 from ..telemetry import SpanRecord, Tracer, shielded, task_trace, telemetry_session
 from ..workloads.benchmark import Program
 
@@ -52,7 +58,6 @@ __all__ = [
     "CampaignTaskResult",
     "MachineSpec",
     "derive_task_seed",
-    "run_campaign_task",
     "run_campaign_chunk",
 ]
 
@@ -96,29 +101,13 @@ class CampaignTask:
 
 @dataclass(frozen=True)
 class CampaignTaskResult:
-    """Everything a worker reports back for one task."""
+    """What a worker reports back for one task."""
 
-    benchmark: str
-    core: int
-    campaign_index: int
-    result: "CampaignResult"  # noqa: F821 -- imported lazily below
-    #: Raw log text, so the parent framework's log store stays complete.
-    raw_log: str
-    freq_mhz: int
-    #: Watchdog recoveries the worker performed during this campaign.
-    interventions: int
+    #: The campaign's journal line, as the store appends it.
+    line: StoredCampaign
     #: Spans the worker recorded under its local tracer (empty unless
-    #: the engine requested span collection); the existing result
-    #: channel carries them back to the parent.
+    #: the engine requested span collection): not journaled.
     spans: Tuple[SpanRecord, ...] = ()
-
-    @property
-    def grid_key(self) -> Tuple[str, int]:
-        return (self.benchmark, self.core)
-
-    @property
-    def raw_log_key(self) -> Tuple[str, int, int, int]:
-        return (self.benchmark, self.core, self.freq_mhz, self.campaign_index)
 
 
 #: What a task hands the next task of its chunk: the surface token and
@@ -130,7 +119,7 @@ _SharedTable = Tuple[str, "VoltageTable"]  # noqa: F821
 def _execute_task(
     spec: MachineSpec, config: "FrameworkConfig", task: CampaignTask,  # noqa: F821
     use_kernel: bool, shared: Optional[_SharedTable],
-) -> Tuple[CampaignTaskResult, Optional[_SharedTable]]:
+) -> Tuple[StoredCampaign, Optional[_SharedTable]]:
     from ..core.framework import CharacterizationFramework
 
     machine = spec.build(seed=task.seed)
@@ -143,14 +132,11 @@ def _execute_task(
         task.program, task.core, campaign_index=task.campaign_index
     )
     log_key = (task.program.name, task.core, config.freq_mhz, task.campaign_index)
-    return CampaignTaskResult(
-        benchmark=task.program.name,
-        core=task.core,
-        campaign_index=task.campaign_index,
-        result=result,
-        raw_log=framework.raw_logs[log_key],
-        freq_mhz=config.freq_mhz,
-        interventions=framework.watchdog.intervention_count,
+    return StoredCampaign.from_result(
+        result,
+        framework.raw_logs[log_key],
+        task.seed,
+        framework.watchdog.intervention_count,
     ), framework.compiled_table(task.program, task.core)
 
 
@@ -164,26 +150,16 @@ def _run_task(
 ) -> Tuple[CampaignTaskResult, Optional[_SharedTable]]:
     if not collect_spans:
         with shielded():
-            return _execute_task(spec, config, task, use_kernel, shared)
+            line, shared = _execute_task(spec, config, task, use_kernel, shared)
+        return CampaignTaskResult(line), shared
     spans: List[SpanRecord] = []
     tracer = Tracer(spans.append)
     with telemetry_session(tracer=tracer):
         with task_trace(
             task.program.name, task.core, task.campaign_index, seed=task.seed
         ):
-            result, shared = _execute_task(spec, config, task, use_kernel, shared)
-    return dataclasses.replace(result, spans=tuple(spans)), shared
-
-
-def run_campaign_task(
-    spec: MachineSpec,
-    config: "FrameworkConfig",  # noqa: F821
-    task: CampaignTask,
-    collect_spans: bool = False,
-    use_kernel: bool = True,
-) -> CampaignTaskResult:
-    """Execute one campaign on a freshly built machine (worker body)."""
-    return _run_task(spec, config, task, collect_spans, use_kernel, None)[0]
+            line, shared = _execute_task(spec, config, task, use_kernel, shared)
+    return CampaignTaskResult(line, tuple(spans)), shared
 
 
 def run_campaign_chunk(
@@ -193,7 +169,8 @@ def run_campaign_chunk(
     collect_spans: bool = False,
     use_kernel: bool = True,
 ) -> Tuple[CampaignTaskResult, ...]:
-    """Worker entry point: execute a scheduling chunk of tasks.
+    """Worker entry point: execute a scheduling chunk of tasks, and
+    return one :class:`CampaignTaskResult` per task, in task order.
 
     Tasks arrive in (workload, core, campaign) order, so the campaigns
     of one cell are neighbours: each task hands its compiled

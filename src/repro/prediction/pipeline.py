@@ -37,9 +37,9 @@ from ..core.campaign import CharacterizationResult
 from ..core.config import FrameworkConfig
 from ..core.framework import CharacterizationFramework
 from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
-from ..errors import DatasetError, PredictionError
+from ..errors import DatasetError
 from ..machines import Machine
-from ..workloads.benchmark import Benchmark, Program
+from ..workloads.benchmark import as_program
 from .dataset import RegressionDataset, train_test_split
 from .features import VOLTAGE_FEATURE, FeatureAssembler
 from .linreg import OrdinaryLeastSquares
@@ -132,7 +132,7 @@ class PredictionPipeline:
 
     def profile(self, program: object) -> Mapping[str, float]:
         """Nominal-conditions PMU profile of one program (cached)."""
-        program = self._as_program(program)
+        program = as_program(program)
         if program.name not in self._profile_cache:
             with telemetry.span("prediction.profile", benchmark=program.name):
                 if self.machine.state.value != "running":
@@ -147,7 +147,7 @@ class PredictionPipeline:
 
     def characterize(self, program: object, core: int) -> CharacterizationResult:
         """Characterization result of one program on one core (cached)."""
-        program = self._as_program(program)
+        program = as_program(program)
         key = (program.name, core)
         if key not in self._characterization_cache:
             with telemetry.span(
@@ -170,7 +170,7 @@ class PredictionPipeline:
         self, programs: Sequence[object], core: int
     ) -> RegressionDataset:
         """One sample per program: counters -> observed safe Vmin."""
-        programs = [self._as_program(p) for p in programs]
+        programs = [as_program(p) for p in programs]
         snapshots = [self.profile(p) for p in programs]
         targets = [
             float(self.characterize(p, core).highest_vmin_mv) for p in programs
@@ -195,7 +195,7 @@ class PredictionPipeline:
         region).  A deterministic shuffle truncates to ``max_samples``
         without biasing toward any depth.
         """
-        programs = [self._as_program(p) for p in programs]
+        programs = [as_program(p) for p in programs]
         rows: List[Tuple[Mapping[str, float], int, float, str]] = []
         for prog in programs:
             result = self.characterize(prog, core)
@@ -317,18 +317,6 @@ class PredictionPipeline:
         return self.evaluate(
             dataset, target="severity", core=core,
             forced_features=(VOLTAGE_FEATURE,),
-        )
-
-    # -- misc ---------------------------------------------------------------------------------
-
-    @staticmethod
-    def _as_program(workload: object) -> Program:
-        if isinstance(workload, Program):
-            return workload
-        if isinstance(workload, Benchmark):
-            return workload.programs()[0]
-        raise PredictionError(
-            f"expected a Program or Benchmark, got {type(workload).__name__}"
         )
 
 

@@ -47,7 +47,7 @@ from typing import (
 )
 
 from .. import telemetry
-from ..core.campaign import CampaignResult, CharacterizationResult
+from ..core.campaign import CharacterizationResult
 from ..core.config import FrameworkConfig
 from ..core.parser import ParseMemo
 from ..core.results import ResultStore
@@ -325,24 +325,9 @@ class CampaignStore:
 
     # -- append side -------------------------------------------------------
 
-    def append_campaign(
-        self,
-        result: CampaignResult,
-        raw_log: str,
-        seed: int,
-        interventions: int,
-    ) -> StoredCampaign:
-        """Journal one completed campaign (flush + fsync before return)."""
-        stored = StoredCampaign(
-            benchmark=result.benchmark,
-            core=result.core,
-            campaign_index=result.campaign_index,
-            seed=seed,
-            freq_mhz=result.freq_mhz,
-            interventions=interventions,
-            raw_log=raw_log,
-            result=result,
-        )
+    def append_campaign(self, stored: StoredCampaign) -> StoredCampaign:
+        """Journal one completed campaign's line as it is (flush + fsync
+        before return)."""
         if stored.key not in self._expected:
             raise CampaignError(
                 f"task {stored.key!r} is not part of this store's grid"

@@ -3,13 +3,15 @@
 One journal line is one completed campaign: the raw log text plus the
 provenance a resume needs to prove bit-identity -- the derived machine
 seed the campaign ran with and the watchdog intervention count.  The
-raw log is the only persisted form of the runs: reading a line runs the
-framework's parsing phase on it, as the paper's framework derives every
-result from its raw logs.  The read validates every run block and
-keeps only the per-voltage counts (:func:`repro.core.parser.count_log`);
-the run records are parsed (:func:`repro.core.parser.parse_records`)
-when something first asks for them.  Replaying a journal never re-runs
-anything.
+worker that runs a campaign builds its line
+(:meth:`StoredCampaign.from_result`), and the store appends that line
+as it is.  The raw log is the only persisted form of the runs: reading
+a line runs the framework's parsing phase on it, as the paper's
+framework derives every result from its raw logs.  The read validates
+every run block and keeps only the per-voltage counts
+(:func:`repro.core.parser.count_log`); the run records are parsed
+(:func:`repro.core.parser.parse_records`) when something first asks
+for them.  Replaying a journal never re-runs anything.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ class StoredCampaign:
     freq_mhz: int
     #: Watchdog recoveries performed during this campaign.
     interventions: int
-    #: The campaign aggregate, never journaled: the kernel's own on
-    #: append; on read, the counts of :attr:`raw_log` with its records
+    #: The campaign aggregate, never journaled: the one the run built
+    #: with its raw log (kernel or parsing phase) on a line a worker
+    #: made; on read, the counts of :attr:`raw_log` with its records
     #: parsed on first access.
     result: CampaignResult
 
@@ -127,6 +130,24 @@ class StoredCampaign:
         """The in-memory campaign aggregate, one per line, so every
         index over it shares one per-voltage aggregation."""
         return self.result
+
+    @classmethod
+    def from_result(
+        cls, result: CampaignResult, raw_log: str, seed: int,
+        interventions: int,
+    ) -> "StoredCampaign":
+        """The line of a campaign just run: ``result`` is the aggregate
+        built with ``raw_log`` on a machine of seed ``seed``."""
+        return cls(
+            benchmark=result.benchmark,
+            core=result.core,
+            campaign_index=result.campaign_index,
+            seed=seed,
+            freq_mhz=result.freq_mhz,
+            interventions=interventions,
+            raw_log=raw_log,
+            result=result,
+        )
 
     # -- JSONL codec -------------------------------------------------------
 

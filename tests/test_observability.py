@@ -79,8 +79,9 @@ CORES = [0]
 TOTAL_TASKS = 1 * len(CORES) * CFG.campaigns
 
 #: Serial sampling cadence: one snapshot after replay, one per chunk
-#: (chunk_size = max(1, tasks//(jobs*4)) = 1 -> 2 chunks), one final.
-EXPECTED_SNAPSHOTS = 1 + TOTAL_TASKS + 1
+#: (max(1, tasks//(jobs*4)) = 1, rounded up to the cell's 2 campaigns
+#: -> 1 chunk), one final.
+EXPECTED_SNAPSHOTS = 1 + 1 + 1
 
 
 def run_grid(store=None, resume=False, **kwargs):

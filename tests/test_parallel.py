@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import io
+import json
 import multiprocessing
 import pickle
 import re
@@ -36,8 +37,8 @@ from repro.parallel import (
 )
 from repro.parallel import engine as engine_mod
 from repro.parallel.tasks import run_campaign_chunk
-from repro.store import JOURNAL_NAME
-from repro.workloads import get_benchmark
+from repro.store import JOURNAL_NAME, CampaignStore, StoredCampaign
+from repro.workloads import SPEC2006_SUITE, get_benchmark
 
 #: Small but watchdog-exercising configuration: the sweep starts right
 #: below bwaves/mcf Vmin and descends into the crash region.
@@ -337,6 +338,56 @@ class TestTableSharing:
             # Forked workers inherit the snapshotting wrapper.
             assert states["pool"] == states["default"]
 
+    @pytest.mark.parametrize("jobs", [2, 3, 4, 8])
+    def test_default_chunks_hold_whole_cells(self, jobs):
+        # The pool-sweep grid: 26 benchmarks x 4 cores x 2 campaigns.
+        engine = ParallelCampaignEngine(
+            SPEC, FrameworkConfig(campaigns=2), jobs=jobs)
+        tasks = engine.tasks_for(
+            [get_benchmark(name) for name in SPEC2006_SUITE], [0, 2, 4, 6])
+        assert len(tasks) == 208
+        chunks = engine._chunk(tasks)
+        assert [task for chunk in chunks for task in chunk] == tasks
+        cells = [{task.grid_key for task in chunk} for chunk in chunks]
+        for index, chunk_cells in enumerate(cells):
+            for other in cells[index + 1:]:
+                assert not chunk_cells & other
+
+
+class TestWorkerLines:
+    """The line a worker returns is the line the store journals."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_line_is_the_journal_line(self, jobs, tmp_path,
+                                             monkeypatch):
+        returned = []
+        finish = ParallelCampaignEngine._finish_chunk
+
+        def spying(self, outcomes, *args):
+            returned.extend(outcome.line for outcome in outcomes)
+            return finish(self, outcomes, *args)
+
+        monkeypatch.setattr(ParallelCampaignEngine, "_finish_chunk", spying)
+        report = grid_engine(jobs=jobs).run(
+            [get_benchmark("bwaves"), get_benchmark("mcf")], [0, 4],
+            store=tmp_path / "store")
+        assert report.backend == ("serial" if jobs == 1 else "process")
+        journaled = CampaignStore.open(tmp_path / "store").campaigns()
+        assert len(returned) == len(journaled) == 8
+        if jobs == 1:
+            assert returned == journaled
+        else:
+            # A pool finishes chunks in completion order.
+            def by_key(lines):
+                return sorted(lines, key=lambda line: line.key)
+
+            assert by_key(returned) == by_key(journaled)
+        for line in returned:
+            assert line.seed == derive_task_seed(SPEC.seed, *line.key)
+            decoded = StoredCampaign.from_json_dict(
+                json.loads(json.dumps(line.to_json_dict())))
+            assert decoded.records == line.records
+
 
 def _crashes_in_a_worker(spec, config, tasks, collect_spans=False,
                          use_kernel=True):
@@ -410,19 +461,18 @@ class TestFrameworkWiring:
         assert framework.last_engine_report.tasks_run == CFG.campaigns
         assert framework.last_engine_report.interventions > 0
 
-    def test_abnormal_fraction_served_from_cache(self, monkeypatch):
+    def test_abnormal_fraction_counts_the_raw_logs(self):
+        """Counted from the raw logs, the fraction equals the one the
+        grid's kernel-built records give."""
         framework = self._framework()
-        framework.characterize_many([get_benchmark("bwaves")], [0], jobs=1)
-        first = framework.abnormal_run_fraction()
-        assert 0.0 < first <= 1.0
-
-        from repro.core import framework as framework_mod
-
-        def exploding_parse(text, memo):
-            raise AssertionError("raw log was re-parsed")
-
-        monkeypatch.setattr(framework_mod, "count_log", exploding_parse)
-        assert framework.abnormal_run_fraction() == first
+        results = framework.characterize_many(
+            [get_benchmark("bwaves")], [0], jobs=1)
+        records = [record for campaign in results[("bwaves", 0)].campaigns
+                   for record in campaign.records]
+        normal = frozenset({EffectType.NO})
+        abnormal = sum(record.effects != normal for record in records)
+        assert 0.0 < framework.abnormal_run_fraction() == (
+            abnormal / len(records))
 
     def test_abnormal_fraction_invalidates_on_log_change(self):
         framework = self._framework()
@@ -578,9 +628,10 @@ class TestOutcomeMetrics:
             ParallelCampaignEngine._record_outcomes(outcomes)
         reference = MetricsRegistry()
         for outcome in outcomes:
-            if outcome.interventions:
-                reference.counter(M_INTERVENTIONS).inc(outcome.interventions)
-            for record in outcome.result.records:
+            if outcome.line.interventions:
+                reference.counter(M_INTERVENTIONS).inc(
+                    outcome.line.interventions)
+            for record in outcome.line.records:
                 for effect in record.effects:
                     reference.counter(M_EFFECTS, effect=effect.value).inc()
         assert registry.snapshot() == reference.snapshot()

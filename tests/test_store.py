@@ -524,9 +524,7 @@ class TestJournalRefresh:
         other = CampaignStore.open(target)
         appended = CampaignStore.open(full_store[0]).campaigns()[1:3]
         for stored in appended:
-            other.append_campaign(stored.campaign_result(), stored.raw_log,
-                                  seed=stored.seed,
-                                  interventions=stored.interventions)
+            other.append_campaign(stored)
         assert cached.refresh() == 2
         assert cached.refresh() == 0
         assert cached.campaigns() == CampaignStore.open(target).campaigns()
@@ -923,15 +921,18 @@ class TestJournalIntegrity:
     def test_duplicate_append_rejected(self, reference, tmp_path):
         store = CampaignStore.create(tmp_path, SPEC, CFG, ["bwaves"], CORES)
         campaign = reference.results[("bwaves", 0)].campaigns[0]
-        store.append_campaign(campaign, "log\n", seed=1, interventions=0)
+        line = StoredCampaign.from_result(campaign, "log\n", seed=1,
+                                          interventions=0)
+        store.append_campaign(line)
         with pytest.raises(CampaignError, match="already journaled"):
-            store.append_campaign(campaign, "log\n", seed=1, interventions=0)
+            store.append_campaign(line)
 
     def test_out_of_grid_append_rejected(self, reference, tmp_path):
         store = CampaignStore.create(tmp_path, SPEC, CFG, ["bwaves"], [0])
         stray = reference.results[("bwaves", 4)].campaigns[0]
         with pytest.raises(CampaignError, match="not part of this store"):
-            store.append_campaign(stray, "log\n", seed=1, interventions=0)
+            store.append_campaign(StoredCampaign.from_result(
+                stray, "log\n", seed=1, interventions=0))
 
     def test_validate_run_rejects_different_seed_material(self, full_store):
         store = CampaignStore.open(full_store[0])
