@@ -683,18 +683,17 @@ _SERIALIZER_PATHS = frozenset({
 #: Spec/figure/report serialization is fine -- those are different
 #: artifacts; what must not be serialized ad hoc is the run record
 #: stream the store journals -- and, since the fleet refactor, the
-#: fleet manifest and the warm index answers derived from it: a second
-#: writer of ``fleet.json`` or of index payloads would fork the schema
-#: exactly the way an ad-hoc run-record CSV would (indexes are only
+#: fleet manifest and the query answers derived from it: a second
+#: writer of ``fleet.json`` or of answer payloads would fork the schema
+#: exactly the way an ad-hoc run-record CSV would (answers are only
 #: provably reparse-identical while ``repro.store`` owns their bytes).
 _RUN_DATA_MARKERS = frozenset({
     "RunRecord", "StoredCampaign", "all_records", "csv_row",
     "from_csv_row", "RUN_FIELDS", "SEVERITY_FIELDS", "severity_by_voltage",
     # fleet manifest writers
     "FleetManifest", "ShardEntry", "FleetStore", "refresh_watermarks",
-    # warm index writers
-    "StoreIndexes", "FleetIndexes", "VminIndex", "SeverityIndex",
-    "PredictionFeatureIndex",
+    # query answer writers
+    "serialize_answers", "FleetIndexes",
 })
 
 #: The sanctioned homes of run-data serialization.

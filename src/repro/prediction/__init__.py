@@ -44,8 +44,6 @@ if TYPE_CHECKING:
         FittedModel,
         PredictionReport,
         PredictionPipeline,
-        SeverityStudy,
-        VminStudy,
         batch_fit,
         fit_severity_model_from_store,
         fit_vmin_model_from_store,
@@ -72,8 +70,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".features": ("FeatureAssembler", "VOLTAGE_FEATURE"),
     ".pipeline": (
-        "FittedModel", "PredictionReport", "PredictionPipeline",
-        "SeverityStudy", "VminStudy", "batch_fit",
+        "FittedModel", "PredictionReport", "PredictionPipeline", "batch_fit",
         "fit_severity_model_from_store", "fit_vmin_model_from_store",
     ),
     ".streaming": ("TRAINABLE_TARGETS", "StreamingTrainer"),
@@ -102,8 +99,6 @@ __all__ = [
     "FittedModel",
     "PredictionReport",
     "PredictionPipeline",
-    "SeverityStudy",
-    "VminStudy",
     "batch_fit",
     "fit_severity_model_from_store",
     "fit_vmin_model_from_store",

@@ -238,7 +238,6 @@ def severity_dataset_from_store(
     fleet contributes every shard's rows, in fleet manifest order.
     """
     from ..store import open_store
-    from .features import FeatureAssembler
 
     rows: List[Tuple[Mapping[str, float], int, float, str]] = []
     for _entry, journal in open_store(store).shards():
@@ -249,15 +248,28 @@ def severity_dataset_from_store(
             rows.extend(_severity_rows(
                 result, profiler.profile(prog), weights, prog.name
             ))
+    return _severity_dataset(rows, max_samples, seed)
+
+
+def _severity_dataset(
+    rows: Sequence[Tuple[Mapping[str, float], int, float, str]],
+    max_samples: Optional[int],
+    seed: int,
+) -> RegressionDataset:
+    """The (counters, voltage) -> severity dataset of ``rows``,
+    shuffled by ``seed`` and truncated to ``max_samples`` (``None``
+    keeps every row, in order)."""
+    from .features import FeatureAssembler
+
     if max_samples is None:
-        chosen = rows
+        chosen = list(rows)
     else:
         order = np.random.default_rng(seed).permutation(len(rows))
         chosen = [rows[i] for i in order[:max_samples]]
     if len(chosen) < 2:
         raise DatasetError(
-            "not enough unsafe-region samples in the store; deepen the "
-            "sweep or characterize more programs"
+            "not enough unsafe-region samples; deepen the sweep or "
+            "characterize more programs"
         )
     samples = [(snap, volt, sev) for snap, volt, sev, _tag in chosen]
     tags = [tag for _snap, _volt, _sev, tag in chosen]

@@ -100,21 +100,3 @@ class FeatureAssembler:
             feature_names=tuple(COUNTER_NAMES) + (VOLTAGE_FEATURE,),
             tags=tuple(tags) if tags else (),
         )
-
-
-def importance_report(
-    feature_names: Sequence[str], standardized_coef: Sequence[float]
-) -> List[Tuple[str, float]]:
-    """Features sorted by |standardised weight|, descending.
-
-    "Our model reports the impact of any architectural event that
-    contributes to prediction, classified by its importance"
-    (Section 4.2).
-    """
-    if len(feature_names) != len(standardized_coef):
-        raise DatasetError("names and coefficients must align")
-    pairs = [
-        (name, float(weight))
-        for name, weight in zip(feature_names, standardized_coef)
-    ]
-    return sorted(pairs, key=lambda pair: abs(pair[1]), reverse=True)

@@ -19,7 +19,7 @@ core (case 2) or the most robust core (case 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -37,10 +37,14 @@ from ..core.campaign import CharacterizationResult
 from ..core.config import FrameworkConfig
 from ..core.framework import CharacterizationFramework
 from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
-from ..errors import DatasetError
 from ..machines import Machine
 from ..workloads.benchmark import as_program
-from .dataset import RegressionDataset, train_test_split
+from .dataset import (
+    RegressionDataset,
+    _severity_dataset,
+    _severity_rows,
+    train_test_split,
+)
 from .features import VOLTAGE_FEATURE, FeatureAssembler
 from .linreg import OrdinaryLeastSquares
 from .metrics import r2_score, rmse
@@ -81,22 +85,6 @@ class PredictionReport:
             f"RMSE {self.rmse_model:.2f} (naive {self.rmse_naive:.2f}), "
             f"R^2 {self.r2:.2f}, features {', '.join(self.selected_features)}"
         )
-
-
-@dataclass
-class SeverityStudy:
-    """Configuration of a severity study (cases 2 and 3)."""
-
-    core: int
-    max_samples: int = 100
-    weights: SeverityWeights = field(default_factory=lambda: DEFAULT_WEIGHTS)
-
-
-@dataclass
-class VminStudy:
-    """Configuration of a Vmin study (case 1)."""
-
-    core: int
 
 
 class PredictionPipeline:
@@ -195,33 +183,13 @@ class PredictionPipeline:
         region).  A deterministic shuffle truncates to ``max_samples``
         without biasing toward any depth.
         """
-        programs = [as_program(p) for p in programs]
         rows: List[Tuple[Mapping[str, float], int, float, str]] = []
-        for prog in programs:
+        for prog in [as_program(p) for p in programs]:
             result = self.characterize(prog, core)
-            snapshot = self.profile(prog)
-            regions = result.pooled_regions()
-            severity = result.severity_by_voltage(weights)
-            floor = (
-                regions.crash_mv - 25
-                if regions.crash_mv is not None
-                else regions.lowest_tested_mv
+            rows.extend(
+                _severity_rows(result, self.profile(prog), weights, prog.name)
             )
-            for voltage in sorted(severity, reverse=True):
-                if voltage < regions.vmin_mv and voltage >= floor:
-                    rows.append(
-                        (snapshot, voltage, severity[voltage],
-                         f"{prog.name}@{voltage}mV")
-                    )
-        order = np.random.default_rng(self.split_seed).permutation(len(rows))
-        chosen = [rows[i] for i in order[:max_samples]]
-        if len(chosen) < 2:
-            raise DatasetError(
-                "not enough unsafe-region samples; widen the sweep or add programs"
-            )
-        samples = [(snap, volt, sev) for snap, volt, sev, _tag in chosen]
-        tags = [tag for _snap, _volt, _sev, tag in chosen]
-        return self.assembler.counters_voltage_dataset(samples, tags=tags)
+        return _severity_dataset(rows, max_samples, self.split_seed)
 
     # -- phases 3 & 4: training and evaluation --------------------------------------------
 
@@ -232,7 +200,8 @@ class PredictionPipeline:
         core: int,
         forced_features: Tuple[str, ...] = (),
     ) -> PredictionReport:
-        """RFE + OLS on the 80 % split, metrics on the held-out 20 %.
+        """:func:`batch_fit` on the 80 % split, metrics on the held-out
+        20 %.
 
         ``forced_features`` are excluded from elimination and always
         kept (the severity studies force the voltage feature; the five
@@ -242,37 +211,16 @@ class PredictionPipeline:
         train, test = train_test_split(
             dataset, test_fraction=self.test_fraction, seed=self.split_seed
         )
-        # Zero-variance columns (on the training split) carry no
-        # ranking signal and RFE refuses them; clear them first.
-        constant = set(train.constant_feature_names()) - set(forced_features)
-        eliminable = [
-            name
-            for name in dataset.feature_names
-            if name not in forced_features and name not in constant
-        ]
-        rfe = RecursiveFeatureElimination(
-            n_features=self.n_features, step=self.rfe_step
+        fitted = batch_fit(
+            train, target=target, core=core, n_features=self.n_features,
+            rfe_step=self.rfe_step, forced_features=forced_features,
         )
-        train_eliminable = train.select_features(eliminable)
-        result = rfe.fit(
-            train_eliminable.x, train_eliminable.y, train_eliminable.feature_names
-        )
-        selected = tuple(result.selected) + tuple(forced_features)
-
-        model = OrdinaryLeastSquares()
-        train_sel = train.select_features(selected)
-        test_sel = test.select_features(selected)
-        model.fit(train_sel.x, train_sel.y, feature_names=selected)
-        predictions = model.predict(test_sel.x)
-
-        naive = NaiveMeanPredictor().fit(train_sel.x, train_sel.y)
-        naive_predictions = naive.predict(test_sel.x)
-
+        predictions = fitted.predict(test)
         tags = test.tags if test.tags else tuple(
             f"sample-{i}" for i in range(len(test))
         )
-        r2 = r2_score(test_sel.y, predictions)
-        rmse_model = rmse(test_sel.y, predictions)
+        r2 = r2_score(test.y, predictions)
+        rmse_model = rmse(test.y, predictions)
         telemetry.event(
             "prediction.report",
             target=target,
@@ -284,15 +232,15 @@ class PredictionPipeline:
             target=target,
             chip=self.machine.chip.name,
             core=core,
-            selected_features=selected,
+            selected_features=fitted.selected_features,
             r2=r2,
             rmse_model=rmse_model,
-            rmse_naive=rmse(test_sel.y, naive_predictions),
-            n_train=len(train_sel.y),
-            n_test=len(test_sel.y),
+            rmse_naive=rmse(test.y, np.full(len(test), fitted.naive_mean)),
+            n_train=len(train),
+            n_test=len(test),
             test_points=tuple(
                 (tag, float(truth), float(pred))
-                for tag, truth, pred in zip(tags, test_sel.y, predictions)
+                for tag, truth, pred in zip(tags, test.y, predictions)
             ),
         )
 
@@ -333,8 +281,8 @@ class FittedModel:
     :class:`~repro.prediction.streaming.StreamingTrainer` fit: the
     trainer's online selection and coefficients must match a
     ``batch_fit`` on the same sample set to floating-point tolerance.
-    Unlike :meth:`PredictionPipeline.evaluate` there is no held-out
-    split -- a served model uses every journaled sample.
+    :meth:`PredictionPipeline.evaluate` fits one on its training split;
+    a served model uses every journaled sample.
     """
 
     target: str

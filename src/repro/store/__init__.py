@@ -10,8 +10,8 @@ campaign lands as its raw log (parsed back into typed records on
 open) under a manifest that pins the machine
 spec, grid, seed material and severity weights -- plus the fleet layer
 (``repro-fleet/v1``) that shards one journal per machine under an
-atomically written fleet manifest, and query indexes that answer
-Vmin/severity/prediction queries without re-parsing journals.
+atomically written fleet manifest, and one serializer of the
+Vmin/severity/prediction-feature answers every store query reads.
 
 * :class:`CampaignStore` -- create/open a store directory, append
   completed campaigns, reconstruct results, export the derived CSVs,
@@ -29,11 +29,11 @@ Vmin/severity/prediction queries without re-parsing journals.
   (:mod:`repro.store.fleet`).  A standalone store opens as a one-shard
   fleet, and :func:`open_store` turns any store argument (fleet,
   standalone store, or the directory of either) into that one shape.
-* :class:`VminIndex` / :class:`SeverityIndex` /
-  :class:`PredictionFeatureIndex` / :class:`StoreIndexes` /
-  :class:`FleetIndexes` -- query indexes that read their store at
-  query time; answers served from the count snapshot equal those of a
-  snapshot-free open (:mod:`repro.store.index`).
+* :func:`serialize_answers` / :class:`FleetIndexes` -- the canonical
+  bytes of a store's (or every fleet shard's) Vmin, severity and
+  feature-row answers, read from the store at call time; answers
+  served from the count snapshot equal those of a snapshot-free open
+  (:mod:`repro.store.index`).
 * :class:`ModelStore` / :class:`ModelArtifact` -- versioned
   ``repro-model/v1`` prediction-model artifacts under the same
   manifest (:mod:`repro.store.models`), the single sanctioned
@@ -68,14 +68,7 @@ if TYPE_CHECKING:
         open_store,
         store_exists,
     )
-    from .index import (
-        INDEX_FORMAT,
-        PredictionFeatureIndex,
-        SeverityIndex,
-        StoreIndexes,
-        VminIndex,
-        reparse_serialization,
-    )
+    from .index import INDEX_FORMAT, serialize_answers
     from .journal import (
         JOURNAL_NAME,
         MANIFEST_NAME,
@@ -101,10 +94,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "FleetIndexes", "FleetManifest", "FleetStore", "ShardEntry",
         "artifact_cursor", "open_store", "store_exists",
     ),
-    ".index": (
-        "INDEX_FORMAT", "PredictionFeatureIndex", "SeverityIndex",
-        "StoreIndexes", "VminIndex", "reparse_serialization",
-    ),
+    ".index": ("INDEX_FORMAT", "serialize_answers"),
     ".journal": (
         "JOURNAL_NAME", "MANIFEST_NAME", "STORE_FORMAT", "CampaignManifest",
         "CampaignStore", "TaskKey",
@@ -133,20 +123,16 @@ __all__ = [
     "MODELS_DIR",
     "ModelArtifact",
     "ModelStore",
-    "PredictionFeatureIndex",
     "SHARDS_DIR",
     "SNAPSHOT_NAME",
     "STORE_FORMAT",
-    "SeverityIndex",
     "ShardEntry",
     "StoreError",
-    "StoreIndexes",
     "StoredCampaign",
     "TaskKey",
-    "VminIndex",
     "artifact_cursor",
     "open_store",
-    "reparse_serialization",
+    "serialize_answers",
     "store_exists",
     "train_set_digest",
 ]

@@ -49,6 +49,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -62,7 +63,7 @@ from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
 from ..durable import atomic_write
 from ..errors import StoreError
 from ..machines import MachineSpec
-from .index import StoreIndexes
+from .index import serialize_answers
 from .journal import JOURNAL_NAME, MANIFEST_NAME, CampaignStore, TaskKey
 from .records import StoredCampaign
 
@@ -454,10 +455,10 @@ class FleetStore:
             for entry, store in self.shards()
         }
 
-    # -- query indexes -----------------------------------------------------
+    # -- query answers -----------------------------------------------------
 
     def indexes(self, feature_target: str = "vmin") -> "FleetIndexes":
-        """Query indexes over every shard, in manifest order."""
+        """Every shard's query answers, serialized in manifest order."""
         return FleetIndexes(self, feature_target=feature_target)
 
     # -- model artifacts ---------------------------------------------------
@@ -609,54 +610,33 @@ class FleetStore:
 
 
 class FleetIndexes:
-    """:class:`StoreIndexes` bundles for every fleet shard.
+    """Every fleet shard's query answers, in canonical bytes.
 
-    One bundle per cached shard store (manifest order), each reading
-    its store at query time: appends through the fleet's own shard
-    stores show at the next query, and :meth:`refresh` folds in later
-    on-disk appends by other processes (:meth:`CampaignStore.refresh`).
-    ``serialize()`` is canonical and shard-ordered, so the
-    index-equals-reparse contract is a byte comparison fleet-wide.
+    Holds only the fleet and the feature target: each call serializes
+    the fleet's shard stores as they stand
+    (:func:`~repro.store.index.serialize_answers`), so appends through
+    the fleet's own shard stores show at the next call and appends by
+    other processes after :meth:`FleetStore.refresh`.  The bytes are
+    shard-ordered, so the index-equals-reparse contract is a byte
+    comparison fleet-wide.
     """
 
     def __init__(self, fleet: FleetStore, feature_target: str = "vmin") -> None:
         self.fleet = fleet
         self.feature_target = feature_target
-        self._bundles: Dict[str, StoreIndexes] = {
-            entry.spec_digest: StoreIndexes(
-                fleet.shard(entry), feature_target=feature_target
-            )
-            for entry in fleet.manifest.shards
-        }
-        self.refresh()
 
-    def refresh(self) -> int:
-        """Fold in journal appends made since the last look, by this or
-        any other process; returns the number of new records."""
-        return self.fleet.refresh()
-
-    def bundle(self, shard: Union[str, ShardEntry]) -> StoreIndexes:
-        """The index bundle of one shard, by name or entry."""
-        entry = (
-            shard
-            if isinstance(shard, ShardEntry)
-            else self.fleet.manifest.entry_named(shard)
+    def _serialize(
+        self, shards: Iterable[Tuple[ShardEntry, CampaignStore]]
+    ) -> str:
+        return "".join(
+            f"# shard {entry.name} spec {entry.spec_digest}\n"
+            + serialize_answers(store, self.feature_target)
+            for entry, store in shards
         )
-        return self._bundles[entry.spec_digest]
-
-    def bundles(self) -> List[Tuple[ShardEntry, StoreIndexes]]:
-        return [
-            (entry, self._bundles[entry.spec_digest])
-            for entry in self.fleet.manifest.shards
-        ]
 
     def serialize(self) -> str:
         """Canonical byte form of every answer across the fleet."""
-        parts: List[str] = []
-        for entry, bundle in self.bundles():
-            parts.append(f"# shard {entry.name} spec {entry.spec_digest}\n")
-            parts.append(bundle.serialize())
-        return "".join(parts)
+        return self._serialize(self.fleet.shards())
 
     def serialize_reparse(self) -> str:
         """The same bytes recomputed through a full journal re-parse.
@@ -666,18 +646,11 @@ class FleetIndexes:
         reopened without its count snapshot, so every line is
         validated and every answer computed again.
         """
-        from .index import reparse_serialization
-
-        parts: List[str] = []
-        for entry in self.fleet.manifest.shards:
-            store = CampaignStore.open(
-                self.fleet.shard_path(entry), snapshot=False
-            )
-            parts.append(f"# shard {entry.name} spec {entry.spec_digest}\n")
-            parts.append(
-                reparse_serialization(store, self.feature_target)
-            )
-        return "".join(parts)
+        return self._serialize(
+            (entry, CampaignStore.open(
+                self.fleet.shard_path(entry), snapshot=False))
+            for entry in self.fleet.manifest.shards
+        )
 
 
 def open_store(store: AnyStore) -> FleetStore:

@@ -4,9 +4,9 @@
 standalone campaign store as its one-shard view -- and per shard
 tallies completed tasks, watchdog interventions, per-effect run counts
 and per-cell campaign counts from the journal, plus each completed
-cell's Vmin from the warm Vmin index.  Given a metrics JSON snapshot
-written by ``--metrics``, it also derives an ETA from the observed
-per-task latency histogram.  :func:`render_fleet_status` formats the
+cell's Vmin from the store's cell answers.  Given a metrics JSON
+snapshot written by ``--metrics``, it also derives an ETA from the
+observed per-task latency histogram.  :func:`render_fleet_status` formats the
 result for ``repro status``; :func:`model_statuses` lists the store's
 saved model artifacts for ``repro status --models``.
 """
@@ -118,7 +118,7 @@ def _format_eta(seconds: float) -> str:
 
 @dataclass(frozen=True)
 class FleetShardStatus:
-    """Progress, tallies and warm-index answers of one store shard."""
+    """Progress, tallies and per-cell Vmin answers of one store shard."""
 
     name: str
     spec_digest: str
@@ -132,7 +132,7 @@ class FleetShardStatus:
     #: (benchmark, core, completed campaigns) per grid cell, grid order.
     cells: Tuple[Tuple[str, int, int], ...]
     #: (benchmark, core, vmin_mv, crash_mv) per *completed* grid cell,
-    #: in manifest grid order, served from the warm Vmin index.
+    #: in manifest grid order, from :meth:`CampaignStore.answers`.
     vmin_cells: Tuple[Tuple[str, int, int, Optional[int]], ...]
 
     @property
@@ -188,10 +188,7 @@ class FleetStatus:
 def _shard_status(
     entry: "ShardEntry", store: "CampaignStore"
 ) -> FleetShardStatus:
-    """One shard's journal tallies plus its Vmin index answers."""
-    # Lazy: repro.store imports repro.telemetry at module level.
-    from ..store import VminIndex
-
+    """One shard's journal tallies plus its cells' Vmin answers."""
     manifest = store.manifest
     tallies: Dict[str, int] = {effect.value: 0 for effect in EFFECT_ORDER}
     interventions = 0
@@ -204,7 +201,6 @@ def _shard_status(
         for slot in stored.campaign_result().counts_by_voltage().values():
             for effect, runs in slot.items():
                 tallies[effect.value] += runs
-    vmin = VminIndex(store)
     chip = manifest.spec.chip
     chip_name = chip if isinstance(chip, str) else getattr(chip, "name", str(chip))
     return FleetShardStatus(
@@ -222,8 +218,8 @@ def _shard_status(
             (name, core, per_cell[(name, core)]) for name, core in per_cell
         ),
         vmin_cells=tuple(
-            (name, core, vmin.vmin_mv(name, core), vmin.crash_mv(name, core))
-            for name, core in vmin.cells()
+            (name, core, answer.vmin_mv, answer.crash_mv)
+            for (name, core), answer in store.answers().items()
         ),
     )
 
@@ -237,8 +233,8 @@ def fleet_status(
     Progress is re-derived from the shard journals on disk (a fleet
     manifest's watermarks may lag a concurrent appender); the per-cell
     Vmin answers come from each shard's
-    :class:`~repro.store.VminIndex`, built alone (status reads no
-    severity or feature answers).  Nothing is written to the store.
+    :meth:`~repro.store.CampaignStore.answers` (status builds no
+    feature rows).  Nothing is written to the store.
     """
     from ..store import open_store
 

@@ -458,7 +458,7 @@ class TestRPR007SinglePersistencePath:
             import json
 
             def answer(index):
-                return json.dumps(VminIndex.to_json_dict(index))
+                return json.dumps(serialize_answers(index))
         """, path="src/repro/analysis/fixture.py") == ["RPR007"]
 
     def test_watermark_rewrite_outside_store_flagged(self):
@@ -478,14 +478,14 @@ class TestRPR007SinglePersistencePath:
                 json.dump(FleetManifest.to_json_dict(manifest), handle)
 
             def serialize_index(index):
-                return json.dumps(StoreIndexes.to_json_dict(index))
+                return json.dumps(serialize_answers(index))
         """, path="src/repro/store/fixture.py") == []
 
     def test_index_reader_without_serializer_clean(self):
         assert lint_rules("""
             def answers(index):
-                return [VminIndex.vmin_mv(index, b, c)
-                        for b, c in VminIndex.cells(index)]
+                return [serialize_answers(index, b)
+                        for b in ("vmin", "severity")]
         """) == []
 
     def test_results_module_is_the_sanctioned_home(self):

@@ -31,8 +31,7 @@ from repro.store import (
     FleetStore,
     JOURNAL_NAME,
     ShardEntry,
-    StoreIndexes,
-    reparse_serialization,
+    serialize_answers,
 )
 from repro.workloads import get_benchmark
 
@@ -248,6 +247,16 @@ class TestFleetEquivalence:
         assert journal == standalone_journals[spec.seed]
 
 
+def answer_documents(store):
+    """The vmin, severity and feature documents of one store's bytes."""
+    text, end, documents = serialize_answers(store), 0, []
+    while end < len(text):
+        document, end = json.JSONDecoder().raw_decode(text, end)
+        documents.append(document)
+        end += 1  # the newline closing each document
+    return documents
+
+
 class TestIndexEqualsReparse:
     def test_fleetwide_warm_equals_reparse_bytes(self, complete_fleet):
         indexes = FleetStore.open(complete_fleet).indexes()
@@ -257,7 +266,7 @@ class TestIndexEqualsReparse:
 
     def test_every_kill_point_matches_reparse(self, complete_fleet, tmp_path):
         """Property-style: truncate one shard journal to every possible
-        prefix; at each kill point the bundle answers stay
+        prefix; at each kill point the serialized answers stay
         byte-identical to a second open's (served from the snapshot
         the first one wrote) and to a snapshot-free open's."""
         fleet = FleetStore.open(complete_fleet)
@@ -272,55 +281,52 @@ class TestIndexEqualsReparse:
             (shard_dir / "manifest.json").write_bytes(manifest_bytes)
             (shard_dir / JOURNAL_NAME).write_text("".join(lines[:keep]))
             store = CampaignStore.open(shard_dir)
-            warm = StoreIndexes(store).serialize()
-            assert warm == reparse_serialization(
-                CampaignStore.open(shard_dir))
-            assert warm == reparse_serialization(
+            warm = serialize_answers(store)
+            assert warm == serialize_answers(CampaignStore.open(shard_dir))
+            assert warm == serialize_answers(
                 CampaignStore.open(shard_dir, snapshot=False))
 
     def test_incremental_appends_match_bulk_rebuild(self, complete_fleet,
                                                     tmp_path):
-        """An index bundle made before any append answers for every
-        record appended through its store and still matches a cold
-        rebuild."""
+        """A store serialized before any append answers for every record
+        appended through it and still matches a cold rebuild."""
         source = FleetStore.open(complete_fleet)
         entry, complete_store = source.shards()[0]
         shard_dir = tmp_path / "incremental"
         store = CampaignStore.create(
             shard_dir, complete_store.manifest.spec, CFG, WORKLOADS, CORES)
-        live = StoreIndexes(store)
+        empty = serialize_answers(store)
         for stored in complete_store.campaigns():
             store.append_campaign(stored)
-        assert live.records_indexed() == SHARD_TASKS
-        assert live.serialize() == StoreIndexes.from_reparse(
-            CampaignStore.open(shard_dir)).serialize()
+        assert len(store.completed_keys()) == SHARD_TASKS
+        assert serialize_answers(store) != empty
+        assert serialize_answers(store) == serialize_answers(
+            CampaignStore.open(shard_dir, snapshot=False))
 
     def test_feature_index_matches_dataset_assembler(self, complete_fleet):
-        fleet = FleetStore.open(complete_fleet)
-        entry, store = fleet.shards()[0]
-        bundle = fleet.indexes().bundle(entry)
+        store = FleetStore.open(complete_fleet).shards()[0][1]
         classic = vmin_dataset_from_store(store, 0)
-        indexed = bundle.features.dataset(0)
-        assert indexed.feature_names == classic.feature_names
-        assert indexed.tags == classic.tags
-        assert (indexed.x == classic.x).all()
-        assert (indexed.y == classic.y).all()
+        features = answer_documents(store)[2]
+        rows = [row for cell in features["cells"] for row in cell["rows"]]
+        assert features["feature_names"] == list(classic.feature_names)
+        assert tuple(row["tag"] for row in rows) == classic.tags
+        assert [row["x"] for row in rows] == classic.x.tolist()
+        assert [row["y"] for row in rows] == classic.y.tolist()
 
     def test_vmin_index_answers(self, complete_fleet):
-        bundle = FleetStore.open(complete_fleet).indexes().bundles()[0][1]
-        assert bundle.vmin.cells() == [("mcf", 0)]
-        assert bundle.vmin.vmin_mv("mcf", 0) == 890
-        assert bundle.vmin.crash_mv("mcf", 0) == 880
-        with pytest.raises(StoreError, match="no completed cell"):
-            bundle.vmin.vmin_mv("mcf", 7)
+        store = FleetStore.open(complete_fleet).shards()[0][1]
+        assert list(store.answers()) == [("mcf", 0)]
+        assert store.answers()[("mcf", 0)][:2] == (890, 880)
+        assert answer_documents(store)[0]["cells"] == [
+            {"benchmark": "mcf", "core": 0, "crash_mv": 880, "vmin_mv": 890}]
 
     def test_severity_index_matches_result(self, complete_fleet):
-        fleet = FleetStore.open(complete_fleet)
-        entry, store = fleet.shards()[0]
-        bundle = fleet.indexes().bundle(entry)
+        store = FleetStore.open(complete_fleet).shards()[0][1]
         expected = store.results()[("mcf", 0)].severity_by_voltage(
             store.manifest.weights)
-        assert bundle.severity.severity_by_voltage("mcf", 0) == expected
+        assert dict(store.answers()[("mcf", 0)].severity) == expected
+        [cell] = answer_documents(store)[1]["cells"]
+        assert {v: s for v, s in cell["severity"]} == expected
 
 
 def _append_shard_worker(fleet_dir, seed):
@@ -451,9 +457,7 @@ class TestCachedShards:
 
         manifest = watcher.refresh_watermarks()
         assert [e.watermark for e in manifest.shards] == [0, SHARD_TASKS, 0]
-        assert indexes.refresh() == 0  # already folded in by the refresh
-        entry = manifest.entry_for(spec.digest())
-        assert indexes.bundle(entry).records_indexed() == SHARD_TASKS
+        assert watcher.refresh() == 0  # already folded in by the refresh
         assert indexes.serialize() == indexes.serialize_reparse()
         assert watcher.indexes().serialize() == indexes.serialize()
         assert "mcf" in indexes.serialize()
@@ -726,15 +730,15 @@ class TestFleetDerived:
         assert f"({len(SPECS)} shards)" in rendered
         assert rendered.count("mcf c0: Vmin 890 mV, crash 880") == len(SPECS)
 
-    def test_fleet_status_builds_only_the_vmin_index(
+    def test_fleet_status_builds_no_feature_rows(
             self, complete_fleet, monkeypatch):
         from repro import telemetry
-        from repro.store import index
+        from repro.prediction import dataset
 
-        def no_bundle(*_args, **_kwargs):
-            raise AssertionError("status built the whole index bundle")
+        def no_rows(*_args, **_kwargs):
+            raise AssertionError("status built feature rows")
 
-        monkeypatch.setattr(index.StoreIndexes, "__init__", no_bundle)
+        monkeypatch.setattr(dataset, "iter_journal_datasets", no_rows)
         status = telemetry.fleet_status(complete_fleet)
         assert all(len(shard.vmin_cells) == 1 for shard in status.shards)
 

@@ -5,8 +5,10 @@ prefix of its tasks, resume it, and get results -- and exported CSV
 bytes -- identical to the uninterrupted run.
 """
 
+import gzip
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,7 @@ from repro.store import (
     SNAPSHOT_NAME,
     STORE_FORMAT,
     StoredCampaign,
-    StoreIndexes,
+    serialize_answers,
 )
 from repro.telemetry import (
     M_LOG_MESSAGES,
@@ -453,7 +455,7 @@ class TestValidatingOpen:
 
 
 class TestWarmIndexBuild:
-    """One aggregate per journal line, one cursor walk per completed cell."""
+    """One aggregate per journal line, one journal walk per core."""
 
     def test_campaign_aggregates_are_built_once(self, full_store, monkeypatch):
         """Each line is counted once, by the validating parse at open
@@ -461,7 +463,6 @@ class TestWarmIndexBuild:
         and results reuse those counts, and neither aggregate nor parse
         a single run record."""
         from repro.core import campaign
-        from repro.store import StoreIndexes, reparse_serialization
         from repro.store import records
 
         counted = []
@@ -478,18 +479,18 @@ class TestWarmIndexBuild:
         monkeypatch.setattr(records, "parse_records", forbidden)
         monkeypatch.setattr(campaign, "_index_records", forbidden)
         store = CampaignStore.open(full_store[0], snapshot=False)
-        bundle = StoreIndexes(store)
         assert len(counted) == TOTAL_TASKS
         store.results()
         assert len(counted) == TOTAL_TASKS
-        assert bundle.serialize() == reparse_serialization(store)
+        cold = serialize_answers(store)
         warm = CampaignStore.open(full_store[0])
-        assert StoreIndexes(warm).serialize() == bundle.serialize()
+        assert serialize_answers(warm) == cold
         assert len(counted) == TOTAL_TASKS
 
     def test_completed_cell_walks_only_its_core(self, full_store, monkeypatch):
+        """Each serialization walks every core's journal once and keeps
+        nothing: the next one walks again."""
         from repro.prediction import dataset
-        from repro.store import StoreIndexes, reparse_serialization
 
         walked = []
         walk = dataset.iter_journal_datasets
@@ -500,14 +501,43 @@ class TestWarmIndexBuild:
 
         monkeypatch.setattr(dataset, "iter_journal_datasets", counting)
         store = CampaignStore.open(full_store[0])
-        bundle = StoreIndexes(store)
-        assert walked == []  # the bundle reads the store only when queried
-        bundle.features.cells()
-        assert walked == CORES  # one walk per completed cell
-        bundle.features.cells()
-        assert walked == CORES  # no record new since: no walk
+        first = serialize_answers(store)
+        assert walked == CORES  # one walk per core
+        assert serialize_answers(store) == first
+        assert walked == CORES * 2  # no cursor survives a call
         monkeypatch.undo()
-        assert bundle.serialize() == reparse_serialization(store)
+        assert serialize_answers(
+            CampaignStore.open(full_store[0], snapshot=False)) == first
+
+
+class TestQueryBytes:
+    """``fleet query --json`` bytes pinned across commits.
+
+    The fixture holds ``FleetStore.indexes(target).serialize()`` for
+    both feature targets, captured from the grid below; warm ≡ re-parse
+    tests compare two answers of one build, this one compares with the
+    bytes an earlier build wrote.
+    """
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "query-bytes-v1.json.gz"
+    CONFIG = FrameworkConfig(start_mv=930, campaigns=2, runs_per_level=3)
+
+    @pytest.fixture(scope="class")
+    def store_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("query-bytes")
+        ParallelCampaignEngine(SPEC, self.CONFIG).run(
+            [get_benchmark("mcf"), get_benchmark("bwaves")], CORES,
+            store=directory)
+        return directory
+
+    @pytest.mark.parametrize("target", ["vmin", "severity"])
+    def test_query_bytes_match_the_fixture(self, store_dir, target):
+        from repro.store import FleetStore
+
+        expected = json.loads(gzip.decompress(self.FIXTURE.read_bytes()))
+        indexes = FleetStore.open(store_dir).indexes(target)
+        assert indexes.serialize() == expected[target]
+        assert indexes.serialize_reparse() == expected[target]
 
 
 class TestJournalRefresh:
@@ -738,7 +768,7 @@ class TestCountSnapshot:
         from repro.store import FleetStore
 
         CampaignStore.open(store_dir)
-        before = StoreIndexes(CampaignStore.open(store_dir)).serialize()
+        before = serialize_answers(CampaignStore.open(store_dir))
         journal = store_dir / JOURNAL_NAME
         lines = journal.read_text().splitlines(keepends=True)
         (store_dir / "reversed").write_text("".join(reversed(lines)))
@@ -746,12 +776,11 @@ class TestCountSnapshot:
         store, reads = snapshot_reads(lambda: CampaignStore.open(store_dir))
         assert reads == {("miss", "inode"): 1}
         assert store.campaigns() == self.cold(store_dir)
-        assert StoreIndexes(store).serialize() == before
+        assert serialize_answers(store) == before
         fleet = FleetStore.open(store_dir)
         _, reads = snapshot_reads(fleet.compact)
         assert reads == {("miss", "inode"): 1}  # the compacted reload
-        assert StoreIndexes(CampaignStore.open(store_dir)).serialize() == \
-            before
+        assert serialize_answers(CampaignStore.open(store_dir)) == before
 
     def test_truncated_journal_takes_the_full_parse(self, store_dir):
         CampaignStore.open(store_dir)
@@ -820,7 +849,6 @@ class TestCountSnapshot:
         as from a validating one, and the snapshot keeps the other
         cells only."""
         from repro.cli import main
-        from repro.store import VminIndex
 
         journal = store_dir / JOURNAL_NAME
         lines = journal.read_text().splitlines(keepends=True)
@@ -835,15 +863,12 @@ class TestCountSnapshot:
             ("bwaves", core) for core in CORES if core != broken[1]]
         for store in (CampaignStore.open(store_dir),
                       CampaignStore.open(store_dir, snapshot=False)):
-            bundle = StoreIndexes(store)
-            for query in (bundle.vmin.cells, bundle.severity.serialize,
-                          lambda: bundle.vmin.vmin_mv(*broken),
-                          lambda: bundle.severity.severity_by_voltage(
-                              *broken)):
+            # Twice: a failed cell keeps no answer, so it raises again.
+            for query in (store.answers, store.answers,
+                          lambda: serialize_answers(store),
+                          lambda: serialize_answers(store, "severity")):
                 with pytest.raises(CampaignError, match="must share"):
                     query()
-            with pytest.raises(CampaignError, match="must share"):
-                VminIndex(store).crash_mv(*broken)
         for argv in (["fleet", "query", str(store_dir)],
                      ["fleet", "query", str(store_dir), "--json"],
                      ["fleet", "query", str(store_dir), "--json",
