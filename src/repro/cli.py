@@ -1027,7 +1027,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restrict to one benchmark")
     pf_query.add_argument("--core", type=int, default=None,
                           help="restrict to one core")
-    pf_query.add_argument("--target", default="vmin",
+    pf_query.add_argument("--target", choices=TRAINABLE_TARGETS,
+                          default="vmin",
                           help="prediction feature target (default vmin)")
     pf_query.add_argument("--json", action="store_true",
                           help="emit the canonical index serialization")

@@ -19,6 +19,7 @@ lets the parallel engine hammer these paths at fleet scale.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from typing import (
     TYPE_CHECKING,
@@ -34,7 +35,12 @@ from typing import (
 from ..effects import EffectType
 from ..errors import CampaignError
 from .memo import frozen_cached_property
-from .regions import OperatingRegions, merge_counts, regions_from_counts
+from .regions import (
+    OperatingRegions,
+    counts_from_pairs,
+    merge_counts,
+    regions_from_counts,
+)
 from .runs import RunRecord
 from .severity import DEFAULT_WEIGHTS, SeverityWeights, severity_value
 
@@ -56,19 +62,12 @@ class _VoltageIndex(NamedTuple):
 
 
 def _index_records(records: Tuple[RunRecord, ...]) -> _VoltageIndex:
-    """Build the per-voltage index in one pass over the records."""
-    counts: Dict[int, Dict[EffectType, int]] = {}
-    run_counts: Dict[int, int] = {}
-    for record in records:
-        voltage = record.setup.voltage_mv
-        slot = counts.get(voltage)
-        if slot is None:
-            slot = counts[voltage] = {effect: 0 for effect in EffectType}
-            run_counts[voltage] = 0
-        run_counts[voltage] += 1
-        for effect in record.effects:
-            slot[effect] += 1
-    return _VoltageIndex(counts=counts, run_counts=run_counts)
+    """Build the per-voltage index in one pass over the records: a
+    campaign holds a handful of distinct (voltage, effect set) pairs,
+    so each is counted once and then expanded."""
+    return _VoltageIndex(*counts_from_pairs(Counter(
+        (record.setup.voltage_mv, record.effects) for record in records
+    )))
 
 
 class CampaignResult:

@@ -10,7 +10,8 @@ effects; for instance, in a run both SDC and CE can be observed").
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, Optional
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
 from ..effects import EffectType, normalize_effects
 
@@ -77,14 +78,18 @@ def effect_counts(
     return counts
 
 
-def book_effects(runs: Iterable[FrozenSet[EffectType]]) -> None:
-    """Add :func:`effect_counts` of ``runs`` to the effects counter:
-    one increment per effect class the runs show."""
+def book_effects(counts: Iterable[Mapping[EffectType, int]]) -> None:
+    """Add per-effect run counts, each keyed by every effect class
+    (:func:`effect_counts` of some runs, or one voltage level of a
+    campaign's counts), to the effects counter: one increment per
+    effect class the counts show."""
     # Imported here: classification and parsing (cold CLI verbs such
     # as ``tables``) do not load the telemetry stack.
     from .. import telemetry
 
-    for effect, amount in effect_counts(runs).items():
+    parts = list(counts)
+    for effect in EffectType:
+        amount = sum(map(itemgetter(effect), parts))
         if amount:
             telemetry.inc_counter(
                 telemetry.M_EFFECTS, effect=effect.value, amount=amount

@@ -30,7 +30,7 @@ from ..hardware import MachineState
 from ..machines import Machine, machine_to_spec
 from .campaign import CampaignResult, CharacterizationResult
 from .config import FrameworkConfig  # re-exported: the old import path stays valid
-from .effects import book_effects
+from .effects import book_effects, effect_counts
 from .kernel import CampaignKernel, VoltageTable
 from .parser import ParseMemo, count_log, format_run_block, parse_records
 from .watchdog import WatchdogAction, WatchdogMonitor
@@ -290,7 +290,7 @@ class CharacterizationFramework:
         """Parse-phase counters: runs parsed, and one increment per
         effect class by the runs that show it."""
         telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(records))
-        book_effects(record.effects for record in records)
+        book_effects([effect_counts(record.effects for record in records)])
 
     def _parse_campaign(self, log_text: str, campaign_index: int) -> CampaignResult:
         records = parse_records(log_text)

@@ -32,6 +32,7 @@ from .. import telemetry
 from ..effects import EffectType
 from ..errors import ParseError
 from .effects import classify_run
+from .regions import counts_from_pairs
 from .runs import CharacterizationSetup, RunRecord
 
 _LOG = telemetry.get_logger("repro.core.parser")
@@ -323,16 +324,7 @@ def count_log(text: str, memo: ParseMemo) -> LogCounts:
             chip = head.chip
         pair = (head.setup.voltage_mv, body.effects)
         pairs[pair] = pairs.get(pair, 0) + 1
-    counts: Dict[int, Dict[EffectType, int]] = {}
-    run_counts: Dict[int, int] = {}
-    for (voltage, effects), runs in pairs.items():
-        slot = counts.get(voltage)
-        if slot is None:
-            slot = counts[voltage] = {effect: 0 for effect in EffectType}
-            run_counts[voltage] = 0
-        run_counts[voltage] += runs
-        for effect in effects:
-            slot[effect] += runs
+    counts, run_counts = counts_from_pairs(pairs)
     return LogCounts(chip=chip, counts=counts, run_counts=run_counts)
 
 

@@ -155,6 +155,25 @@ def merge_counts(
     return merged
 
 
+def counts_from_pairs(
+    pairs: Mapping[Tuple[int, FrozenSet[EffectType]], int],
+) -> Tuple[Dict[int, Dict[EffectType, int]], Dict[int, int]]:
+    """Per-voltage effect counts and run counts from how many runs
+    showed each distinct (voltage, effect set) pair; voltages keep the
+    order the pairs first show them in."""
+    counts: Dict[int, Dict[EffectType, int]] = {}
+    run_counts: Dict[int, int] = {}
+    for (voltage, effects), runs in pairs.items():
+        slot = counts.get(voltage)
+        if slot is None:
+            slot = counts[voltage] = _ZERO_COUNTS.copy()
+            run_counts[voltage] = 0
+        run_counts[voltage] += runs
+        for effect in effects:
+            slot[effect] += runs
+    return counts, run_counts
+
+
 def tested_voltages(
     counts_by_voltage: Mapping[int, Mapping[EffectType, int]],
 ) -> Tuple[int, ...]:

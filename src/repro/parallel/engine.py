@@ -16,12 +16,17 @@ results for any worker count or chunking -- ``jobs=4`` equals
 A worker returns each campaign's journal line
 (:class:`~repro.store.records.StoredCampaign`); the engine appends it
 to the store as it is, and a resume replays the journaled lines
-themselves, so a campaign has one record from worker to journal.
+themselves, so a campaign has one record from worker to journal.  A
+journaled run keeps the line the store returns, which holds the raw log
+and its per-voltage counts but not the worker's run records: a run
+holds the records of the chunk in flight, not of the whole grid.
 
-Scheduling is chunked (one pickle round-trip per chunk, not per
-campaign, and whole cells per chunk), worker crashes are retried once by re-running the lost chunk
-in-process, and a :class:`~repro.parallel.progress.ProgressReporter`
-hook surfaces completed/total/ETA to the CLI and examples.
+Scheduling is chunked (whole cells per chunk: one cell when serial,
+and on a pool about four chunks per worker, so one pickle round-trip
+covers many campaigns), worker crashes are retried once by re-running
+the lost chunk in-process, and a
+:class:`~repro.parallel.progress.ProgressReporter` hook surfaces
+completed/total/ETA to the CLI and examples.
 """
 
 from __future__ import annotations
@@ -94,9 +99,11 @@ class ParallelCampaignEngine:
         start (restricted environments) degrades to serial execution
         with a :class:`RuntimeWarning`.
     chunk_size:
-        Tasks per scheduling chunk; ``None`` sizes chunks to roughly
-        four per worker, which keeps the pool busy without paying one
-        IPC round-trip per campaign.
+        Tasks per scheduling chunk; ``None`` makes each chunk whole
+        cells: one cell when ``jobs == 1`` (no IPC cost to spread, and
+        a killed run loses one cell), and on a pool roughly four chunks
+        per worker, which keeps the pool busy without paying one IPC
+        round-trip per campaign.
     progress:
         Optional :class:`ProgressReporter`; the default is a no-op.
     use_kernel:
@@ -319,15 +326,16 @@ class ParallelCampaignEngine:
     ) -> List[StoredCampaign]:
         """Finish one executed chunk, serial or pooled, and return its
         lines: observe its latency since ``started``, journal each line
-        as the worker built it, book parent-side telemetry, sample the
-        tsdb and advance progress."""
+        as the worker built it, book parent-side telemetry from the
+        worker's lines, sample the tsdb and advance progress.  A
+        journaled chunk returns the lines the store keeps."""
         telemetry.observe(
             telemetry.M_CHUNK_SECONDS, telemetry.clock() - started
         )
         lines = [outcome.line for outcome in outcomes]
         if journal is not None:
-            for line in lines:
-                journal.append_campaign(line)
+            # Keep the store's count-backed lines, not the worker's.
+            lines = [journal.append_campaign(line) for line in lines]
         self._record_outcomes(outcomes)
         self._sample_tsdb(journal)
         tracker.advance(len(lines))
@@ -355,11 +363,12 @@ class ParallelCampaignEngine:
         """Parent-side telemetry for freshly executed outcomes.
 
         Workers run under a local (or shielded) session, so all metric
-        aggregation happens here, once per outcome, from the outcome
-        payload itself -- identical serially and on the pool, for every
-        worker count.
-        Effects are counted per outcome and added with one increment
-        per effect class.
+        aggregation happens here, from the outcome payloads themselves
+        -- identical serially and on the pool, for every worker count.
+        Effects are read from each worker line's per-voltage counts
+        (the index the store's append already built, not a second walk
+        over the records) and added with one increment per effect class
+        per chunk.
         Replayed journal lines are *not* routed through this: metrics
         describe the current run; ``repro status`` covers the store.
         """
@@ -370,17 +379,24 @@ class ParallelCampaignEngine:
                 telemetry.inc_counter(
                     telemetry.M_INTERVENTIONS, amount=line.interventions
                 )
-            book_effects(record.effects for record in line.records)
+        book_effects(
+            counts
+            for outcome in outcomes
+            for counts in outcome.line.result.counts_by_voltage().values()
+        )
 
     def _chunk(self, tasks: List[CampaignTask]) -> List[Tuple[CampaignTask, ...]]:
         """Scheduling chunks of ``tasks``.  The default size is a whole
-        number of cells (rounded up from ~four chunks per worker), so a
-        grid's cells never straddle two chunks: a cell's campaigns share
-        one compiled table only within a chunk."""
+        number of cells, so a grid's cells never straddle two chunks: a
+        cell's campaigns share one compiled table only within a chunk.
+        Serially it is one cell; on a pool it is rounded up from ~four
+        chunks per worker."""
         size = self.chunk_size
         if size is None:
             cell = self.config.campaigns
-            size = -(-max(1, len(tasks) // (self.jobs * 4)) // cell) * cell
+            size = cell if self.jobs == 1 else (
+                -(-max(1, len(tasks) // (self.jobs * 4)) // cell) * cell
+            )
         return [
             tuple(tasks[i:i + size]) for i in range(0, len(tasks), size)
         ]
@@ -432,10 +448,14 @@ class ParallelCampaignEngine:
             ): chunk
             for chunk in chunks
         }
-        submitted = {future: telemetry.clock() for future in pending}
+        submitted = telemetry.clock()
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
+            while done:
+                # Each finished future (which holds its outcomes) is
+                # dropped as it is taken, so only the chunk in hand
+                # keeps its worker-built records.
+                future = done.pop()
                 chunk = pending.pop(future)
                 try:
                     outcomes = future.result()
@@ -466,7 +486,7 @@ class ParallelCampaignEngine:
                 # Submit-to-drain latency: includes queue wait, which
                 # is the number that matters for pool sizing.
                 lines += self._finish_chunk(
-                    outcomes, submitted[future], journal, tracker
+                    outcomes, submitted, journal, tracker
                 )
         return lines, retried
 

@@ -327,7 +327,11 @@ class CampaignStore:
 
     def append_campaign(self, stored: StoredCampaign) -> StoredCampaign:
         """Journal one completed campaign's line as it is (flush + fsync
-        before return)."""
+        before return), and keep and return the line in the form a read
+        builds: the raw log plus its per-voltage counts, with the
+        records parsed through this store's :class:`ParseMemo` on first
+        access.  The run records ``stored`` carries are not kept, so a
+        writer holds what a reader of its journal holds."""
         if stored.key not in self._expected:
             raise CampaignError(
                 f"task {stored.key!r} is not part of this store's grid"
@@ -356,9 +360,10 @@ class CampaignStore:
             telemetry.M_JOURNAL_FSYNC_SECONDS, telemetry.clock() - fsync_started
         )
         telemetry.inc_counter(telemetry.M_JOURNAL_APPENDS)
-        self._campaigns.append(stored)
-        self._completed.add(stored.key)
-        return stored
+        kept = stored.counted(self._memo)
+        self._campaigns.append(kept)
+        self._completed.add(kept.key)
+        return kept
 
     # -- progress ----------------------------------------------------------
 

@@ -11,7 +11,9 @@ framework derives every result from its raw logs.  The read validates
 every run block and keeps only the per-voltage counts
 (:func:`repro.core.parser.count_log`); the run records are parsed
 (:func:`repro.core.parser.parse_records`) when something first asks
-for them.  Replaying a journal never re-runs anything.
+for them.  A store keeps the line it appends in that same form
+(:meth:`StoredCampaign.counted`), so it never holds a campaign's
+records unless asked.  Replaying a journal never re-runs anything.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class StoredCampaign:
     interventions: int
     #: The campaign aggregate, never journaled: the one the run built
     #: with its raw log (kernel or parsing phase) on a line a worker
-    #: made; on read, the counts of :attr:`raw_log` with its records
-    #: parsed on first access.
+    #: made; on a line a store holds (read or appended), the counts of
+    #: :attr:`raw_log` with its records parsed on first access.
     result: CampaignResult
 
     def __init__(
@@ -147,6 +149,19 @@ class StoredCampaign:
             interventions=interventions,
             raw_log=raw_log,
             result=result,
+        )
+
+    def counted(self, memo: ParseMemo) -> "StoredCampaign":
+        """This line in the form a read builds (:meth:`from_counts`):
+        its raw log and per-voltage counts, with the records parsed
+        through ``memo`` when first asked for.  Equal to this line."""
+        result = self.result
+        return self.from_counts(
+            self.benchmark, self.core, self.campaign_index, self.seed,
+            self.freq_mhz, self.interventions, self.__dict__["_raw_log"],
+            LogCounts(result.chip, result.counts_by_voltage(),
+                      result.run_counts_by_voltage()),
+            memo,
         )
 
     # -- JSONL codec -------------------------------------------------------

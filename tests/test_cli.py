@@ -282,6 +282,18 @@ class TestFleetStore:
         assert warm == cold
         assert warm.count("# shard ") == 2
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]],
+                             ids=["text", "json"])
+    def test_query_rejects_unknown_target(self, capsys, fleet_dir,
+                                          json_flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "query", str(fleet_dir), "--target", "bogus",
+                  *json_flag])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro fleet query" in err
+        assert "invalid choice: 'bogus'" in err
+
     def test_compact_then_answers_unchanged(self, capsys, fleet_dir):
         assert main(["fleet", "query", str(fleet_dir), "--json"]) == 0
         before = capsys.readouterr().out

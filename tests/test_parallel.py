@@ -7,6 +7,7 @@ import multiprocessing
 import pickle
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -338,7 +339,7 @@ class TestTableSharing:
             # Forked workers inherit the snapshotting wrapper.
             assert states["pool"] == states["default"]
 
-    @pytest.mark.parametrize("jobs", [2, 3, 4, 8])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 8])
     def test_default_chunks_hold_whole_cells(self, jobs):
         # The pool-sweep grid: 26 benchmarks x 4 cores x 2 campaigns.
         engine = ParallelCampaignEngine(
@@ -352,6 +353,11 @@ class TestTableSharing:
         for index, chunk_cells in enumerate(cells):
             for other in cells[index + 1:]:
                 assert not chunk_cells & other
+        if jobs == 1:
+            # Serially every chunk is exactly one cell.
+            assert len(chunks) == 104
+            assert all(len(chunk) == 2 and len(chunk_cells) == 1
+                       for chunk, chunk_cells in zip(chunks, cells))
 
 
 class TestWorkerLines:
@@ -387,6 +393,60 @@ class TestWorkerLines:
             decoded = StoredCampaign.from_json_dict(
                 json.loads(json.dumps(line.to_json_dict())))
             assert decoded.records == line.records
+
+
+class TestCountBackedLines:
+    """A journaled run keeps each campaign as the store reads it back:
+    raw log plus per-voltage counts, its records parsed on demand."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_journaled_run_keeps_what_a_reader_builds(self, jobs, tmp_path,
+                                                      monkeypatch):
+        built, alive = [], []
+        finish = ParallelCampaignEngine._finish_chunk
+
+        def spying(self, outcomes, *args):
+            # Lines of earlier chunks are held by the store alone.
+            alive.append(sum(ref() is not None for ref in built))
+            built.extend(
+                ref for outcome in outcomes
+                for ref in (weakref.ref(outcome.line),
+                            weakref.ref(outcome.line.result))
+            )
+            return finish(self, outcomes, *args)
+
+        monkeypatch.setattr(ParallelCampaignEngine, "_finish_chunk", spying)
+        workloads = [get_benchmark("bwaves"), get_benchmark("mcf")]
+        store = CampaignStore.create(tmp_path / "store", SPEC, CFG,
+                                     ["bwaves", "mcf"], [0, 4])
+        report = grid_engine(jobs=jobs).run(workloads, [0, 4], store=store)
+        assert report.backend == ("serial" if jobs == 1 else "process")
+        # The worker-built lines and their records are gone as soon as
+        # their chunk is finished.
+        assert len(alive) > 1 and alive == [0] * len(alive)
+        assert len(built) == 16
+        assert [ref() for ref in built] == [None] * 16
+        held = store.campaigns()
+        assert len(held) == 8
+        assert all(line.result.__dict__["_records"] is None for line in held)
+        # The report's campaigns are the store's own objects.
+        for line in held:
+            cell = report.results[(line.benchmark, line.core)]
+            assert cell.campaigns[line.campaign_index - 1] is line.result
+        fresh = {line.key: line
+                 for line in CampaignStore.open(store.directory).campaigns()}
+        assert dict(store.answers()) == dict(
+            CampaignStore.open(store.directory).answers())
+        assert all(line.result.__dict__["_records"] is None for line in held)
+        for line in held:
+            reread = fresh[line.key]
+            assert line.raw_log == reread.raw_log
+            assert line.result.counts_by_voltage() == \
+                reread.result.counts_by_voltage()
+            assert line.result.run_counts_by_voltage() == \
+                reread.result.run_counts_by_voltage()
+            assert line.records == reread.records
+            assert line == reread
 
 
 def _crashes_in_a_worker(spec, config, tasks, collect_spans=False,
@@ -607,7 +667,7 @@ class TestAggregationCaching:
 
 
 class TestOutcomeMetrics:
-    """The parent books each outcome's effects with one increment per
+    """The parent books a chunk's effects with one increment per
     effect class; the registry totals equal one increment per record
     and effect."""
 
