@@ -65,23 +65,32 @@ def make_characterization(n_campaigns=10, n_levels=50, runs_per_level=10):
     return CharacterizationResult(campaigns=campaigns)
 
 
-def severity_cost_s(n_levels, repeats=5):
-    """Best-of-N cost of one cold severity_by_voltage aggregation."""
-    record_sets = [
-        tuple(
-            CampaignResult(chip="TTT", benchmark="synth", core=0,
-                           freq_mhz=2400, campaign_index=i,
-                           records=make_records(n_levels, 10, i))
-            for i in range(1, 11)
-        )
-        for _ in range(repeats)
-    ]
-    best = float("inf")
-    for campaigns in record_sets:
-        result = CharacterizationResult(campaigns=campaigns)
-        start = time.perf_counter()
-        result.severity_by_voltage()
-        best = min(best, time.perf_counter() - start)
+def severity_costs_s(level_counts=(25, 50), repeats=25):
+    """Best-of-N cost of one cold severity_by_voltage aggregation, per
+    level count.
+
+    The sizes are measured in alternation, so a stretch of machine
+    noise lands on both of them rather than on one size's whole
+    series.  Each repetition wraps the shared records in fresh
+    campaigns: the per-voltage index is cached on the campaign, so
+    fresh campaigns make every measurement a cold one.
+    """
+    records = {
+        n: [make_records(n, 10, i) for i in range(1, 11)]
+        for n in level_counts
+    }
+    best = dict.fromkeys(level_counts, float("inf"))
+    for _ in range(repeats):
+        for n in level_counts:
+            result = CharacterizationResult(campaigns=tuple(
+                CampaignResult(chip="TTT", benchmark="synth", core=0,
+                               freq_mhz=2400, campaign_index=i,
+                               records=campaign_records)
+                for i, campaign_records in enumerate(records[n], start=1)
+            ))
+            start = time.perf_counter()
+            result.severity_by_voltage()
+            best[n] = min(best[n], time.perf_counter() - start)
     return best
 
 
@@ -93,8 +102,8 @@ def test_severity_by_voltage_not_quadratic():
     level fixed); the single-pass index costs ~ records (2x).  3.2x is
     the generous dividing line.
     """
-    small = severity_cost_s(n_levels=25)
-    large = severity_cost_s(n_levels=50)
+    costs = severity_costs_s()
+    small, large = costs[25], costs[50]
     assert large < 3.2 * max(small, 1e-6), (
         f"severity_by_voltage scaled superlinearly: "
         f"{small * 1e6:.0f}us -> {large * 1e6:.0f}us"

@@ -17,8 +17,6 @@ this package machine-checks them on every commit.
   findings).
 * :mod:`repro.analysis.lint.cache` -- the incremental per-file result
   cache keyed on content SHA-256.
-* :mod:`repro.analysis.lint.sarif` -- SARIF 2.1.0 rendering for
-  GitHub code scanning.
 * :mod:`repro.analysis.lint.runner` -- file discovery, per-file
   analysis and aggregation.
 * :mod:`repro.analysis.lint.cli` -- the ``repro lint`` /
@@ -31,17 +29,13 @@ from ..._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .diagnostics import Diagnostic
-    from .registry import FileContext, Rule, all_rules, get_rule, register_rule
+    from .registry import FileContext, Rule, all_rules, register_rule
     from .runner import LintReport, lint_paths, lint_source
-    from .sarif import render_sarif
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".diagnostics": ("Diagnostic",),
-    ".registry": (
-        "FileContext", "Rule", "all_rules", "get_rule", "register_rule",
-    ),
+    ".registry": ("FileContext", "Rule", "all_rules", "register_rule"),
     ".runner": ("LintReport", "lint_paths", "lint_source"),
-    ".sarif": ("render_sarif",),
 })
 
 __all__ = [
@@ -50,9 +44,7 @@ __all__ = [
     "LintReport",
     "Rule",
     "all_rules",
-    "get_rule",
     "lint_paths",
     "lint_source",
     "register_rule",
-    "render_sarif",
 ]

@@ -6,18 +6,16 @@ package is installed).  Exit codes follow the classic linter contract:
 
 * ``0`` -- every checked file is clean;
 * ``1`` -- findings were reported;
-* ``2`` -- usage error (unknown path, unknown rule id, bad flags).
+* ``2`` -- usage error (unknown path, bad flags).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from ...durable import atomic_write
 from ...errors import ConfigurationError
 
 #: Default lint targets when none are given, filtered to what exists.
@@ -35,27 +33,11 @@ def build_lint_parser(
         parser = argparse.ArgumentParser(
             prog="reprolint",
             description="AST-based checker for the repo's "
-                        "determinism, unit-safety, machine-protocol and "
-                        "parallel-purity invariants (rules "
-                        "RPR001-RPR010).",
+                        "invariants (docs/linting.md lists the rules).",
         )
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to lint (default: src tests examples)",
-    )
-    parser.add_argument(
-        "--select", default=None, metavar="RPR00x[,RPR00y]",
-        help="run only these rule ids (disables the cache and the "
-             "stale-suppression check)",
-    )
-    parser.add_argument(
-        "--format", dest="output_format", choices=("text", "json"),
-        default="text", help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--sarif", default=None, metavar="FILE",
-        help="also write the findings as a SARIF 2.1.0 document "
-             "(for GitHub code scanning)",
     )
     parser.add_argument(
         "--stats", action="store_true",
@@ -70,25 +52,13 @@ def build_lint_parser(
         "--no-cache", action="store_true",
         help="analyze every file fresh; neither read nor write the cache",
     )
-    parser.add_argument(
-        "--no-stale-check", action="store_true",
-        help="do not report disable= suppressions that shielded nothing",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
-    )
     return parser
 
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the exit code."""
-    from .runner import lint_paths, render_rule_catalog
-    from .sarif import render_sarif
+    from .runner import lint_paths
 
-    if args.list_rules:
-        print(render_rule_catalog())
-        return 0
     paths: List[str] = list(args.paths)
     if not paths:
         paths = [p for p in DEFAULT_PATHS if Path(p).exists()]
@@ -96,31 +66,13 @@ def run_lint(args: argparse.Namespace) -> int:
             print("error: no PATH given and no default target "
                   "(src/tests/examples) exists here", file=sys.stderr)
             return 2
-    select = None
-    if args.select:
-        select = [s.strip() for s in args.select.split(",") if s.strip()]
     cache_path = None if args.no_cache else args.cache
     try:
-        report = lint_paths(
-            paths, select=select, cache_path=cache_path,
-            stale_check=not args.no_stale_check,
-        )
+        report = lint_paths(paths, cache_path=cache_path)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.sarif:
-        try:
-            atomic_write(
-                args.sarif,
-                json.dumps(render_sarif(report.diagnostics), indent=2),
-            )
-        except OSError as exc:
-            print(f"error: cannot write SARIF file: {exc}", file=sys.stderr)
-            return 2
-    if args.output_format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        print(report.render_text())
+    print(report.render_text())
     if args.stats:
         print(report.render_stats())
     return 0 if report.clean else 1

@@ -34,7 +34,7 @@ class Diagnostic:
         )
 
     def to_json_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for ``--format json`` output."""
+        """Plain-dict form (the result-cache format)."""
         return {
             "path": self.path,
             "line": self.line,
@@ -46,7 +46,7 @@ class Diagnostic:
 
     @classmethod
     def from_json_dict(cls, payload: Dict[str, Any]) -> "Diagnostic":
-        """Inverse of :meth:`to_json_dict` (the result-cache format)."""
+        """Inverse of :meth:`to_json_dict`."""
         return cls(
             path=payload["path"], line=payload["line"], col=payload["col"],
             rule=payload["rule"], name=payload["name"],

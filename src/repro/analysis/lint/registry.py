@@ -1,15 +1,14 @@
 """Rule registry and the per-file analysis context.
 
 A rule is a class with a stable ``rule_id`` (``RPR00x``), a short
-``name``, a human ``description`` and a ``check(ctx)`` generator that
-yields :class:`~repro.analysis.lint.diagnostics.Diagnostic` records.
+``name`` and a ``check(ctx)`` generator that yields
+:class:`~repro.analysis.lint.diagnostics.Diagnostic` records.
 Registration is declarative::
 
     @register_rule
     class MyRule(Rule):
         rule_id = "RPR042"
         name = "my-invariant"
-        description = "..."
 
         def check(self, ctx):
             ...
@@ -61,11 +60,6 @@ class FileContext:
     def in_dirs(self, *names: str) -> bool:
         """True when any directory segment of the path is in ``names``."""
         return any(part in names for part in self.path_parts[:-1])
-
-    @property
-    def is_test_file(self) -> bool:
-        filename = self.path_parts[-1]
-        return self.in_dirs("tests") or filename.startswith("test_")
 
     # -- import resolution -------------------------------------------------
 
@@ -130,9 +124,6 @@ class Rule:
 
     rule_id: str = ""
     name: str = ""
-    description: str = ""
-    #: The paper/repo artifact the rule protects (shown in the catalog).
-    protects: str = ""
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         raise NotImplementedError
@@ -179,14 +170,3 @@ def all_rules() -> List[Rule]:
     _load_builtin_rules()
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
-
-def get_rule(rule_id: str) -> Rule:
-    """Instantiate one rule by id; raises for unknown ids."""
-    _load_builtin_rules()
-    try:
-        return _REGISTRY[rule_id]()
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ConfigurationError(
-            f"unknown rule id {rule_id!r} (known: {known})"
-        ) from None

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Optional, Set
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ...effects import SEVERITY_WEIGHTS, EffectType
 from ...units import VOLTAGE_STEP_MV
@@ -127,12 +127,6 @@ def _call_is_unseeded(node: ast.Call) -> bool:
 class UnseededRandomness(Rule):
     rule_id = "RPR001"
     name = "unseeded-randomness"
-    description = (
-        "src/repro must draw every random number from an explicitly "
-        "seeded generator; module-level np.random.* / random.* and "
-        "default_rng() without a seed break bit-reproducibility"
-    )
-    protects = "SeedSequence determinism (jobs=N == jobs=1)"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if not _is_repro_module(ctx):
@@ -200,12 +194,6 @@ _BANNED_CLOCK_PATHS = frozenset({
 class WallClockSource(Rule):
     rule_id = "RPR002"
     name = "wall-clock-source"
-    description = (
-        "simulation/characterization paths must not read wall clocks "
-        "or entropy sources (time.time, datetime.now, os.urandom, "
-        "uuid.uuid4, ...); time is logical and randomness is seeded"
-    )
-    protects = "bit-identical reruns of every campaign"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if _module_package(ctx) not in SIMULATION_PACKAGES:
@@ -237,12 +225,6 @@ _CONCRETE_NAME = "XGene2Machine"
 class MachineProtocolBoundary(Rule):
     rule_id = "RPR003"
     name = "machine-protocol-boundary"
-    description = (
-        "outside hardware/ and machines/, code must stay on the "
-        "Machine protocol: importing repro.hardware.xgene2 or binding "
-        "XGene2Machine re-couples consumers to one concrete machine"
-    )
-    protects = "the Machine protocol decoupling (PR 2)"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.in_dirs("hardware", "machines"):
@@ -367,13 +349,6 @@ def _volt_scale_literal(node: ast.AST) -> bool:
 class UnitSafety(Rule):
     rule_id = "RPR004"
     name = "unit-safety"
-    description = (
-        "voltages are integer millivolts on the regulator grid; "
-        "volt-scale floats in *_mv slots, bare *1000//1000 "
-        "conversions, V-with-mV arithmetic and hardcoded 5 mV steps "
-        "must flow through repro.units helpers"
-    )
-    protects = "the 5 mV regulator-step discipline (Section 2.1)"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.module == "repro.units":
@@ -497,12 +472,6 @@ def _numeric_const(node: ast.AST) -> Optional[float]:
 class CanonicalEffectConstants(Rule):
     rule_id = "RPR005"
     name = "canonical-effect-constants"
-    description = (
-        "Table-3 effect classes and Table-4 severity weights have one "
-        "home (repro.effects); re-hardcoding the vocabulary or the "
-        "16/8/4/2/1/0 weight table lets copies drift from the paper"
-    )
-    protects = "Table 3 classification and Table 4 weights"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.module in ("repro.effects", "repro.analysis.lint.rules"):
@@ -603,13 +572,6 @@ def _engine_call_name(node: ast.Call) -> Optional[str]:
 class ParallelSafety(Rule):
     rule_id = "RPR006"
     name = "parallel-safety"
-    description = (
-        "callables handed to the parallel engine must be module-level "
-        "(lambdas/closures do not pickle and silently pin the run to "
-        "one worker semantics), and task functions must not mutate "
-        "module globals (workers never share them back)"
-    )
-    protects = "serial/parallel bit-equivalence of the engine"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
@@ -707,65 +669,61 @@ def _in_persistence_layer(ctx: FileContext) -> bool:
     )
 
 
+def _enclosing_scope(tree: ast.AST, node: ast.AST) -> ast.AST:
+    """Innermost function containing ``node`` (module tree if none).
+
+    Nested functions start on later lines than their enclosers, so
+    the latest-starting container is the innermost scope.
+    """
+    best = tree
+    best_line = -1
+    for candidate in ast.walk(tree):
+        if not isinstance(candidate, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if candidate.lineno <= best_line:
+            continue
+        if any(sub is node for sub in ast.walk(candidate)):
+            best = candidate
+            best_line = candidate.lineno
+    return best
+
+
+def _marked_serializer_calls(
+    ctx: FileContext, serializers: FrozenSet[str], markers: FrozenSet[str]
+) -> Iterator[Tuple[ast.Call, str, str]]:
+    """``(call, serializer path, marker)`` for each call to one of
+    ``serializers`` whose enclosing scope mentions one of ``markers``
+    (the first the scope mentions)."""
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        path = ctx.resolve(node.func)
+        if path is None or path not in serializers:
+            continue
+        for sub in ast.walk(_enclosing_scope(ctx.tree, node)):
+            name = _attr_or_name(sub)
+            if name is not None and name in markers:
+                yield node, path, name
+                break
+
+
 @register_rule
 class SinglePersistencePath(Rule):
     rule_id = "RPR007"
     name = "single-persistence-path"
-    description = (
-        "run data has one persistence path (repro.store journals, "
-        "repro.core.results derived CSVs); ad-hoc csv.writer/json.dump "
-        "of run records elsewhere forks the schema and breaks resume "
-        "and cross-box analysis"
-    )
-    protects = "the repro-campaign/v1 journal as the single source of truth"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if not _is_repro_module(ctx) or _in_persistence_layer(ctx):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            path = ctx.resolve(node.func)
-            if path not in _SERIALIZER_PATHS:
-                continue
-            scope = self._enclosing_scope(ctx.tree, node)
-            marker = self._run_data_marker(scope)
-            if marker is not None:
-                yield self.diagnostic(
-                    ctx, node,
-                    f"{path} in a scope handling run data ({marker}); "
-                    "persist through repro.store.CampaignStore (or the "
-                    "derived repro.core.results.ResultStore exports)",
-                )
-
-    @staticmethod
-    def _enclosing_scope(tree: ast.AST, node: ast.AST) -> ast.AST:
-        """Innermost function containing ``node`` (module tree if none).
-
-        Nested functions start on later lines than their enclosers, so
-        the latest-starting container is the innermost scope.
-        """
-        best = tree
-        best_line = -1
-        for candidate in ast.walk(tree):
-            if not isinstance(candidate, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if candidate.lineno <= best_line:
-                continue
-            if any(sub is node for sub in ast.walk(candidate)):
-                best = candidate
-                best_line = candidate.lineno
-        return best
-
-    @staticmethod
-    def _run_data_marker(scope: ast.AST) -> Optional[str]:
-        """First run-data identifier the scope mentions, if any."""
-        for sub in ast.walk(scope):
-            if isinstance(sub, ast.Name) and sub.id in _RUN_DATA_MARKERS:
-                return sub.id
-            if isinstance(sub, ast.Attribute) and sub.attr in _RUN_DATA_MARKERS:
-                return sub.attr
-        return None
+        for node, path, marker in _marked_serializer_calls(
+            ctx, _SERIALIZER_PATHS, _RUN_DATA_MARKERS
+        ):
+            yield self.diagnostic(
+                ctx, node,
+                f"{path} in a scope handling run data ({marker}); "
+                "persist through repro.store.CampaignStore (or the "
+                "derived repro.core.results.ResultStore exports)",
+            )
 
 
 #: Modules whose job *is* console output (RPR008 exemptions, besides
@@ -789,11 +747,6 @@ class NoBarePrint(Rule):
 
     rule_id = "RPR008"
     name = "no-bare-print"
-    description = (
-        "bare print() in library code; route diagnostics through "
-        "repro.telemetry (structured logger / tracer / metrics)"
-    )
-    protects = "observability: every signal reaches the telemetry layer"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if not _is_repro_module(ctx):
@@ -846,43 +799,20 @@ _MODEL_STORE_MODULE = "repro.store.models"
 class SingleModelPath(Rule):
     rule_id = "RPR010"
     name = "single-model-path"
-    description = (
-        "fitted models have one serialization path (repro.store.models "
-        "repro-model/v1 artifacts); ad-hoc json.dump/pickle of "
-        "coefficients elsewhere forks the artifact schema and loses "
-        "versioning, digests and journal offsets"
-    )
-    protects = "the repro-model/v1 artifact series as the single model source"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if not _is_repro_module(ctx) or ctx.module == _MODEL_STORE_MODULE:
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            path = ctx.resolve(node.func)
-            if path not in _MODEL_SERIALIZER_PATHS:
-                continue
-            scope = SinglePersistencePath._enclosing_scope(ctx.tree, node)
-            marker = self._model_marker(scope)
-            if marker is not None:
-                yield self.diagnostic(
-                    ctx, node,
-                    f"{path} in a scope handling fitted-model state "
-                    f"({marker}); persist models through "
-                    "repro.store.models.ModelStore (repro-model/v1 "
-                    "artifacts)",
-                )
-
-    @staticmethod
-    def _model_marker(scope: ast.AST) -> Optional[str]:
-        """First fitted-model identifier the scope mentions, if any."""
-        for sub in ast.walk(scope):
-            if isinstance(sub, ast.Name) and sub.id in _MODEL_DATA_MARKERS:
-                return sub.id
-            if isinstance(sub, ast.Attribute) and sub.attr in _MODEL_DATA_MARKERS:
-                return sub.attr
-        return None
+        for node, path, marker in _marked_serializer_calls(
+            ctx, _MODEL_SERIALIZER_PATHS, _MODEL_DATA_MARKERS
+        ):
+            yield self.diagnostic(
+                ctx, node,
+                f"{path} in a scope handling fitted-model state "
+                f"({marker}); persist models through "
+                "repro.store.models.ModelStore (repro-model/v1 "
+                "artifacts)",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -938,12 +868,6 @@ class CurveEvalInRunLoop(Rule):
 
     rule_id = "RPR009"
     name = "no-curve-eval-in-run-loop"
-    description = (
-        "voltage-curve evaluation inside a per-run loop; hoist it out "
-        "of the loop or compile a VoltageTable (repro.core.kernel) "
-        "once per campaign"
-    )
-    protects = "throughput: the batch kernel's compile-once contract"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if _module_package(ctx) not in _RUN_LOOP_PACKAGES:

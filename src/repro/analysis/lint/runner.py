@@ -5,9 +5,9 @@ each requested file, serves it from the cache
 (:mod:`repro.analysis.lint.cache`) when the record stored for that
 path has the same content SHA-256, and otherwise parses it, runs the
 rules and scans its suppression comments (:func:`analyze_file`).  The
-findings are then suppression-filtered and -- on full runs --
-suppressions that shielded nothing are reported as stale.  ``--stats``
-reports the wall time of this ``parse`` phase.
+findings are then suppression-filtered, and suppressions that
+shielded nothing are reported as stale.  ``--stats`` reports the wall
+time of this ``parse`` phase.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import ast
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...errors import ConfigurationError
 from .cache import FileAnalysis, content_sha, load_cache, rule_fingerprint, save_cache
 from .diagnostics import META_RULE_ID, Diagnostic
-from .registry import FileContext, Rule, all_rules, get_rule
+from .registry import FileContext, Rule, all_rules
 from .suppressions import SuppressionTable, scan_suppressions
 
 #: Directory names never descended into.
@@ -84,17 +84,6 @@ class LintReport:
         lines.append("phase wall time:")
         lines.append(f"  parse: {self.timings.get('parse', 0.0) * 1000.0:.1f} ms")
         return "\n".join(lines)
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "version": 1,
-            "files_checked": self.files_checked,
-            "files_analyzed": self.files_analyzed,
-            "files_cached": self.files_cached,
-            "timings": {k: round(v, 6) for k, v in self.timings.items()},
-            "findings": [d.to_json_dict() for d in self.diagnostics],
-            "summary": self.counts_by_rule(),
-        }
 
 
 def module_name_for(path: Path) -> Optional[str]:
@@ -222,7 +211,6 @@ def _assemble_file(
 def lint_source(
     source: str,
     path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
     stale_check: bool = False,
 ) -> List[Diagnostic]:
     """Lint one source string; the unit-test/fixture entry point.
@@ -233,8 +221,7 @@ def lint_source(
     default here -- fixtures routinely carry suppressions for rules
     they deliberately do not trigger.
     """
-    selected = list(rules) if rules is not None else all_rules()
-    analysis = analyze_file(path, source, selected)
+    analysis = analyze_file(path, source, all_rules())
     return sorted(_assemble_file(analysis, stale_check))
 
 
@@ -265,35 +252,22 @@ def discover_files(paths: Iterable[str]) -> List[Path]:
     return deduped
 
 
-def resolve_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
-    """The rule set a run uses; ``select`` narrows by id."""
-    if not select:
-        return all_rules()
-    return [get_rule(rule_id) for rule_id in select]
-
-
 def lint_paths(
     paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
     cache_path: Optional[str] = None,
     stale_check: bool = True,
 ) -> LintReport:
     """Lint files and directories; the CLI entry point.
 
-    ``cache_path`` enables the incremental cache (None disables it).
-    Both the cache and the stale-suppression check only apply to
-    full-rule-set runs: under ``--select``, cached records would have
-    been produced by a different rule inventory, and suppressions for
-    unselected rules would all look stale.
+    ``cache_path`` enables the incremental cache (None disables it);
+    ``stale_check`` reports suppressions that shielded nothing.
     """
-    rules = resolve_rules(select)
-    full_run = not select
-    use_cache = cache_path is not None and full_run
-    check_stale = stale_check and full_run
+    rules = all_rules()
+    use_cache = cache_path is not None
     report = LintReport()
 
     started = time.perf_counter()
-    fingerprint = rule_fingerprint(all_rules())
+    fingerprint = rule_fingerprint(rules)
     # Records are keyed on *resolved* paths so a run that spells the
     # same file differently (relative from the repo root, absolute from
     # a hook) still matches; the caller's spelling is the display label.
@@ -329,7 +303,7 @@ def lint_paths(
             analysis = analyze_file(label, source, rules)
             records[key] = _relabel(analysis, key)
             report.files_analyzed += 1
-        report.diagnostics.extend(_assemble_file(analysis, check_stale))
+        report.diagnostics.extend(_assemble_file(analysis, stale_check))
     report.timings["parse"] = time.perf_counter() - started
 
     if use_cache:
@@ -343,20 +317,3 @@ def lint_paths(
         })
     report.diagnostics.sort()
     return report
-
-
-def _columns(rows: List[Tuple[str, ...]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    )
-
-
-def render_rule_catalog() -> str:
-    """The ``--list-rules`` table (also embedded in docs/linting.md)."""
-    rows = [("ID", "NAME", "PROTECTS")]
-    rows += [
-        (rule.rule_id, rule.name, rule.protects) for rule in all_rules()
-    ]
-    return _columns(rows)

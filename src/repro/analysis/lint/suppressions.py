@@ -14,9 +14,9 @@ Syntax::
 
 There is deliberately no file-level or block-level disable.  And a
 suppression must *earn its keep*: the runner records which entries
-actually shielded a diagnostic, and (unless ``--no-stale-check``) a
-``disable=`` clause that suppressed nothing is itself reported --
-stale suppressions hide future regressions behind dead comments.
+actually shielded a diagnostic, and a ``disable=`` clause that
+suppressed nothing is itself reported -- stale suppressions hide
+future regressions behind dead comments.
 """
 
 from __future__ import annotations

@@ -1079,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash.set_defaults(func=_cmd_dash)
 
     p_lint = sub.add_parser(
-        "lint", help="check the repo's reprolint invariants (RPR001-013)")
+        "lint", help="check the repo's reprolint invariants")
     build_lint_parser(p_lint)
     p_lint.set_defaults(func=run_lint)
 

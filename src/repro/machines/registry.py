@@ -18,6 +18,12 @@ A codec maps one component *class* to
   The defaults cover frozen dataclasses of plain data
   (``dataclasses.asdict`` / ``cls(**payload)``).
 
+The built-in codecs register on first use of any public function
+here, not at import: reading a store's spec needs no extension model
+module (:mod:`repro.hardware.dynamics` and friends), and the order
+(built-ins first, then user codecs) and the duplicate checks are the
+same as if they had registered at import.
+
 Lookup is by *exact* type: a subclass of a registered model is a
 different model (it may override behaviour the payload cannot
 express) and must register itself.  Cloning through the codec
@@ -30,6 +36,7 @@ across machines.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -75,6 +82,17 @@ def register_component(
     (``dataclasses.asdict`` / ``cls(**payload)``); models that are not
     plain dataclasses must provide both.
     """
+    _builtins()
+    return _register(kind, cls, slot, to_payload, from_payload)
+
+
+def _register(
+    kind: str,
+    cls: type,
+    slot: str,
+    to_payload: Optional[Callable[[Any], Dict[str, Any]]] = None,
+    from_payload: Optional[Callable[[Mapping[str, Any]], Any]] = None,
+) -> ComponentCodec:
     if slot not in COMPONENT_SLOTS:
         raise ConfigurationError(
             f"slot must be one of {COMPONENT_SLOTS}, got {slot!r}"
@@ -105,6 +123,7 @@ def register_component(
 
 def unregister_component(kind: str) -> None:
     """Remove a registration (primarily for tests and plugin teardown)."""
+    _builtins()
     codec = _BY_KIND.pop(kind, None)
     if codec is None:
         raise ConfigurationError(f"component kind {kind!r} is not registered")
@@ -113,16 +132,19 @@ def unregister_component(kind: str) -> None:
 
 def registered_components() -> Tuple[ComponentCodec, ...]:
     """All registered codecs, in registration order."""
+    _builtins()
     return tuple(_BY_KIND.values())
 
 
 def is_registered(cls: type) -> bool:
     """Whether a component class has a codec (exact type match)."""
+    _builtins()
     return cls in _BY_CLASS
 
 
 def codec_for(model: Any) -> ComponentCodec:
     """Codec of a component instance; raises for unregistered types."""
+    _builtins()
     codec = _BY_CLASS.get(type(model))
     if codec is None:
         raise ConfigurationError(
@@ -142,6 +164,7 @@ def component_to_spec(model: Any) -> Dict[str, Any]:
 
 def component_from_spec(data: Mapping[str, Any]) -> Any:
     """Rebuild a component instance from a spec dict."""
+    _builtins()
     try:
         kind = data["kind"]
     except KeyError:
@@ -170,7 +193,10 @@ def clone_component(model: Any) -> Any:
 
 # -- built-in registrations ------------------------------------------------
 
-def _register_builtins() -> None:
+@functools.lru_cache(maxsize=None)
+def _builtins() -> None:
+    """Register the built-in codecs, once, the first time any public
+    function here runs."""
     from ..faults.injection import FaultInjector, Injection
     from ..faults.models import FunctionalUnit
     from ..hardware.dynamics import (
@@ -181,16 +207,14 @@ def _register_builtins() -> None:
         TemperatureSensitivity,
     )
 
-    register_component("supply_droop", SupplyDroopModel, slot="droop_model")
-    register_component(
-        "adaptive_clocking", AdaptiveClockingUnit, slot="adaptive_clock"
-    )
-    register_component(
+    _register("supply_droop", SupplyDroopModel, slot="droop_model")
+    _register("adaptive_clocking", AdaptiveClockingUnit, slot="adaptive_clock")
+    _register(
         "temperature_sensitivity", TemperatureSensitivity,
         slot="temperature_sensitivity",
     )
-    register_component("aging", AgingModel, slot="aging_model")
-    register_component("rollback", RollbackUnit, slot="rollback_unit")
+    _register("aging", AgingModel, slot="aging_model")
+    _register("rollback", RollbackUnit, slot="rollback_unit")
 
     def injector_payload(injector: FaultInjector) -> Dict[str, Any]:
         return {
@@ -214,10 +238,7 @@ def _register_builtins() -> None:
             for entry in payload.get("injections", ())
         )
 
-    register_component(
+    _register(
         "fault_injector", FaultInjector, slot="injector",
         to_payload=injector_payload, from_payload=injector_from_payload,
     )
-
-
-_register_builtins()

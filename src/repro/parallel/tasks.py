@@ -28,7 +28,9 @@ follow:
 (:class:`~repro.store.records.StoredCampaign`, task seed included),
 which the parent engine appends to the store as it is.  The pickled
 line carries the run's own :class:`~repro.core.campaign.CampaignResult`,
-so the parent never re-parses the raw log.
+so journaling and booking a task's effects parse nothing; the raw log
+is parsed in the parent only when something asks for the run records
+(for example ``repro grid --store S --out D`` writing ``runs.csv``).
 
 **Telemetry.**  Ambient telemetry contexts do not cross process
 boundaries, so each task runs under its own local session: when span

@@ -259,12 +259,6 @@ def _figure3(d):
     FigureExporter(d).figure3()
 
 
-def _lint_sarif(d):
-    (d / "clean.py").write_text("VALUE = 1\n")
-    main(["lint", str(d / "clean.py"), "--no-cache",
-          "--sarif", str(d / "lint.sarif")])
-
-
 ATOMIC = {
     "campaign-manifest": AtomicCase(
         prepare=lambda d: None,
@@ -335,11 +329,6 @@ ATOMIC = {
         prepare=lambda d: (d / "figure3_vmin.csv").write_text("stale\n"),
         write=_figure3,
         observe=_text("figure3_vmin.csv"),
-    ),
-    "lint-sarif": AtomicCase(
-        prepare=lambda d: (d / "lint.sarif").write_text("stale\n"),
-        write=_lint_sarif,
-        observe=_text("lint.sarif"),
     ),
 }
 
