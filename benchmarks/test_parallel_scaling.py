@@ -65,7 +65,7 @@ def make_characterization(n_campaigns=10, n_levels=50, runs_per_level=10):
     return CharacterizationResult(campaigns=campaigns)
 
 
-def severity_costs_s(level_counts=(25, 50), repeats=25):
+def severity_costs_s(level_counts=(14, 56), repeats=25):
     """Best-of-N cost of one cold severity_by_voltage aggregation, per
     level count.
 
@@ -95,16 +95,21 @@ def severity_costs_s(level_counts=(25, 50), repeats=25):
 
 
 def test_severity_by_voltage_not_quadratic():
-    """Doubling the voltage levels must not quadruple the cost.
+    """Quadrupling the voltage levels must not cost ~16x.
 
     The old implementation rescanned every record once per voltage
-    (cost ~ records x voltages: 4x when levels double, with runs per
-    level fixed); the single-pass index costs ~ records (2x).  3.2x is
-    the generous dividing line.
+    (cost ~ records x voltages, with runs per level fixed); the
+    single-pass index costs ~ records.  Each record also has a linear
+    cost (~430 ns) that dwarfs a rescan's (~35 ns per record per
+    level) at few levels, so the sizes are far apart: 14 and 56
+    levels, the widest 4x span the 700-980 mV regulator grid (57
+    levels) holds.  Measured on a 2-vCPU VM: the index scales
+    3.5-3.6x and two rescans (per campaign index, per pooled
+    severity) 8.0-9.5x; 5.5x is the dividing line.
     """
     costs = severity_costs_s()
-    small, large = costs[25], costs[50]
-    assert large < 3.2 * max(small, 1e-6), (
+    small, large = costs[14], costs[56]
+    assert large < 5.5 * max(small, 1e-6), (
         f"severity_by_voltage scaled superlinearly: "
         f"{small * 1e6:.0f}us -> {large * 1e6:.0f}us"
     )

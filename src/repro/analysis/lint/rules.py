@@ -336,6 +336,23 @@ def _is_const(node: ast.AST, *values: float) -> bool:
     )
 
 
+def _step_offset(node: ast.AST) -> bool:
+    """``<expr> + 5`` or ``<expr> - 5``: a hardcoded regulator step."""
+    step = float(VOLTAGE_STEP_MV)
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.Add, ast.Sub))
+        and (_is_const(node.left, step) or _is_const(node.right, step))
+    )
+
+
+_STEP_MESSAGE = (
+    f"hardcoded {VOLTAGE_STEP_MV} mV regulator step; use "
+    "repro.units.VOLTAGE_STEP_MV / voltage_sweep so the "
+    "grid stays in one place"
+)
+
+
 def _volt_scale_literal(node: ast.AST) -> bool:
     """A float literal in volt magnitude (0 < x < 2.0)."""
     return (
@@ -378,7 +395,22 @@ class UnitSafety(Rule):
             pairs = [(node.target, node.value)]
         elif isinstance(node, ast.keyword) and node.arg is not None:
             pairs = [(ast.Name(id=node.arg, ctx=ast.Store()), node.value)]
+        elif (
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.op, (ast.Add, ast.Sub))
+            and _mv_named(node.target)
+            and _is_const(node.value, float(VOLTAGE_STEP_MV))
+        ):
+            yield self.diagnostic(ctx, node, _STEP_MESSAGE)
         for target, value in pairs:
+            if (
+                isinstance(value, ast.BinOp)
+                and _mv_named(target)
+                and _step_offset(value)
+                # an mV-named operand: _check_binop reports it already
+                and not (_mv_named(value.left) or _mv_named(value.right))
+            ):
+                yield self.diagnostic(ctx, value, _STEP_MESSAGE)
             if (
                 _mv_level_named(target)
                 and isinstance(value, ast.Constant)
@@ -407,16 +439,8 @@ class UnitSafety(Rule):
                 "value; keep voltages in integer mV end to end "
                 "(repro.units)",
             )
-        if isinstance(node.op, (ast.Add, ast.Sub)) and mv_side and (
-            _is_const(left, float(VOLTAGE_STEP_MV))
-            or _is_const(right, float(VOLTAGE_STEP_MV))
-        ):
-            yield self.diagnostic(
-                ctx, node,
-                f"hardcoded {VOLTAGE_STEP_MV} mV regulator step; use "
-                "repro.units.VOLTAGE_STEP_MV / voltage_sweep so the "
-                "grid stays in one place",
-            )
+        if mv_side and _step_offset(node):
+            yield self.diagnostic(ctx, node, _STEP_MESSAGE)
         if (_mv_named(left) and _volt_named(right)) or (
             _volt_named(left) and _mv_named(right)
         ):
@@ -832,9 +856,14 @@ _CURVE_EVAL_METHODS = frozenset({
 _RUN_LOOP_PACKAGES = frozenset({"core", "hardware"})
 
 
+def _rng_named(name: str) -> bool:
+    return name == "rng" or name.endswith("_rng")
+
+
 def _function_uses_rng(node: ast.AST) -> bool:
-    """True when a function takes or references an ``rng`` -- the
-    signature of a per-*run* body rather than per-campaign setup."""
+    """True when a function takes or references an ``rng`` (or a
+    ``*_rng``, such as the kernel's ``fresh_rng``) -- the signature of
+    a per-*run* body rather than per-campaign setup."""
     args = getattr(node, "args", None)
     if args is not None:
         every = (
@@ -842,12 +871,12 @@ def _function_uses_rng(node: ast.AST) -> bool:
             + list(args.kwonlyargs)
             + [a for a in (args.vararg, args.kwarg) if a is not None]
         )
-        if any(arg.arg == "rng" for arg in every):
+        if any(_rng_named(arg.arg) for arg in every):
             return True
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id == "rng":
+        if isinstance(sub, ast.Name) and _rng_named(sub.id):
             return True
-        if isinstance(sub, ast.Attribute) and sub.attr == "rng":
+        if isinstance(sub, ast.Attribute) and _rng_named(sub.attr):
             return True
     return False
 

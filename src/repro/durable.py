@@ -119,6 +119,11 @@ class AppendLog:
         """Lines before :attr:`end`, blank ones included."""
         return self._lines
 
+    @property
+    def identity(self) -> Optional[Tuple[int, int]]:
+        """(device, inode) of the file :attr:`end` was measured in."""
+        return self._identity
+
     def _load(self, start: int, rewind: bool) -> LogView:
         """The file's bytes from offset ``base`` on, the number of lines
         before ``start`` and the file's identity; ``rewind`` turns a
@@ -178,20 +183,23 @@ class AppendLog:
                 os.fsync(handle.fileno())
             self._torn_at = None
 
-    def append(self, line: str) -> None:
-        """Heal, then write ``line`` + newline, flush and fsync; a newly
-        created file also gets its directory fsynced.
+    def append(self, *lines: str) -> int:
+        """Heal, then write every one of ``lines`` + newline, flush and
+        fsync once (a group commit: a crash keeps a prefix of them, the
+        last one possibly torn); a newly created file also gets its
+        directory fsynced.  Returns the offset the first line landed
+        at.
 
         When the file ended exactly at :attr:`end`, :attr:`end` moves
-        past the new line, so a later read continuing from it does not
-        see this line again.
+        past the new lines, so a later read continuing from it does not
+        see them again.
         """
         self.heal()
         created = not self.path.exists()
-        data = line.encode("utf-8") + b"\n"
+        data = [line.encode("utf-8") + b"\n" for line in lines]
         with open(self.path, "ab") as handle:
             at = handle.tell()
-            handle.write(data)
+            handle.writelines(data)
             handle.flush()
             os.fsync(handle.fileno())
             info = os.fstat(handle.fileno())
@@ -200,5 +208,7 @@ class AppendLog:
         identity = (info.st_dev, info.st_ino)
         first = self._identity is None and self.end == 0
         if at == self.end and (identity == self._identity or first):
-            self.end, self._identity = at + len(data), identity
-            self._lines += data.count(b"\n")
+            self.end = at + sum(map(len, data))
+            self._identity = identity
+            self._lines += sum(chunk.count(b"\n") for chunk in data)
+        return at

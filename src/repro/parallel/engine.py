@@ -175,9 +175,12 @@ class ParallelCampaignEngine:
     ) -> EngineReport:
         """Characterize every workload on every core.
 
-        With ``store`` the run is journaled: each completed (workload,
-        core, campaign) task is appended to the campaign store as it
-        finishes, so a killed run loses at most the in-flight chunk.
+        With ``store`` the run is journaled: each finished chunk's
+        (workload, core, campaign) lines are appended to the campaign
+        store in one commit, so a killed run loses at most the chunk in
+        flight (a host crash, the chunk being committed too), and a
+        session that appended lines leaves the store's count snapshot
+        covering its whole journal.
         A :class:`~repro.store.FleetStore` routes the journal to the
         shard owning this engine's machine spec.
         With ``resume=True`` journaled tasks are replayed from the
@@ -233,6 +236,10 @@ class ParallelCampaignEngine:
                     lines, retried = self._run_pool(
                         executor, chunks, collect, journal, tracker
                     )
+                if journal is not None and lines:
+                    # Once per session, from what the store kept while
+                    # appending: the first read after the run is warm.
+                    journal.save_snapshot()
                 tracker.finish()
                 # Final snapshot after finish() so the run's published
                 # throughput gauge lands in the time-series journal.
@@ -325,17 +332,19 @@ class ParallelCampaignEngine:
         tracker: ProgressTracker,
     ) -> List[StoredCampaign]:
         """Finish one executed chunk, serial or pooled, and return its
-        lines: observe its latency since ``started``, journal each line
-        as the worker built it, book parent-side telemetry from the
-        worker's lines, sample the tsdb and advance progress.  A
-        journaled chunk returns the lines the store keeps."""
+        lines: observe its latency since ``started``, journal the lines
+        as the worker built them (one write, one fsync), book
+        parent-side telemetry from the worker's lines, sample the tsdb
+        and advance progress.  A journaled chunk returns the lines the
+        store keeps."""
         telemetry.observe(
             telemetry.M_CHUNK_SECONDS, telemetry.clock() - started
         )
         lines = [outcome.line for outcome in outcomes]
         if journal is not None:
-            # Keep the store's count-backed lines, not the worker's.
-            lines = [journal.append_campaign(line) for line in lines]
+            # One group commit per chunk; keep the store's count-backed
+            # lines, not the worker's.
+            lines = journal.append_campaign(*lines)
         self._record_outcomes(outcomes)
         self._sample_tsdb(journal)
         tracker.advance(len(lines))

@@ -305,6 +305,7 @@ def iter_journal_datasets(
     start: int = 0,
     stop: Optional[int] = None,
     target: str = "vmin",
+    profiler: Optional[_ProgramProfiler] = None,
 ) -> Iterator[JournalBatch]:
     """Incremental datasets from one shard's journal, resumable by offset.
 
@@ -324,6 +325,9 @@ def iter_journal_datasets(
     counters->Vmin sample per completed cell; ``"severity"`` yields
     every unsafe-band (counters, voltage)->severity sample of the cell
     (matching ``severity_dataset_from_store(..., max_samples=None)``).
+
+    ``profiler`` shares one store's program profiles across walks (one
+    per core); by default each walk profiles afresh.
     """
     from .features import FeatureAssembler
 
@@ -337,7 +341,8 @@ def iter_journal_datasets(
         )
     end = len(records) if stop is None else min(stop, len(records))
     needed = journal.manifest.config.campaigns
-    profiler = _ProgramProfiler(journal)
+    if profiler is None:
+        profiler = _ProgramProfiler(journal)
     assembler = FeatureAssembler()
     programs = {p.name: p for p in journal.manifest.programs()}
 

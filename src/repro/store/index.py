@@ -9,8 +9,9 @@ them; :func:`serialize_answers` writes those answers, plus each
 completed cell's training feature rows, in one canonical byte form.
 The feature rows come from the *same*
 :func:`~repro.prediction.dataset.iter_journal_datasets` walk the
-streaming trainer consumes, one walk per core per call, so a query and
-a training run can never disagree about what the journal says.
+streaming trainer consumes, one walk per core per call with each
+program profiled once per call, so a query and a training run can never
+disagree about what the journal says.
 
 Nothing here holds state: every call reads the store as it stands, so
 answers served from the count snapshot equal the answers of a store
@@ -94,14 +95,18 @@ def _serialize(payload: Dict[str, Any]) -> str:
 
 def _feature_document(store: "CampaignStore", target: str) -> Dict[str, Any]:
     """Every completed cell's (tag, x, y) training rows, in manifest
-    grid order, from one journal walk per core."""
-    from ..prediction.dataset import iter_journal_datasets
+    grid order, from one journal walk per core, with each program
+    profiled once."""
+    from ..prediction.dataset import _ProgramProfiler, iter_journal_datasets
 
     manifest = store.manifest
+    profiler = _ProgramProfiler(store)
     datasets = {
         (batch.benchmark, core): batch.dataset
         for core in manifest.cores
-        for batch in iter_journal_datasets(store, core, target=target)
+        for batch in iter_journal_datasets(
+            store, core, target=target, profiler=profiler
+        )
     }
     cells = [
         (name, core, datasets[name, core])

@@ -18,9 +18,10 @@ A campaign store is a directory with two files of record:
   skipped.
 
 Beside them sits one derived, discardable file, ``journal.snapshot.json``
-(:mod:`repro.store.snapshot`): the counts a validating read of a journal
-prefix found, keyed on the sha256 of exactly those bytes, so a later
-read validates only the lines past it.  Deleting it changes no answer.
+(:mod:`repro.store.snapshot`): the counts of a journal prefix, keyed on
+the sha256 of exactly those bytes, so a later read validates only the
+lines past it.  A validating read writes it, and so does the engine
+when a session that appended lines ends.  Deleting it changes no answer.
 Model artifacts, when trained, live under ``models/``.
 
 The store is the single durable persistence path of the stack; the
@@ -31,6 +32,7 @@ paper's Section-2.2 CSV artifacts are *derived* from it via
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 from typing import (
@@ -171,6 +173,13 @@ class CampaignStore:
         #: Whether loads read and write the count snapshot.
         self._snapshot = snapshot
         self._campaigns: List[StoredCampaign] = []
+        #: The byte span of each of :attr:`_campaigns` in the journal.
+        self._spans: List[Span] = []
+        #: sha256 state over the journal bytes the store holds, the
+        #: lines before ``self._log.end``, kept as they are read or
+        #: appended; ``None`` without a snapshot, or once an append
+        #: landed past bytes this store never read.
+        self._digest: Any = hashlib.sha256() if snapshot else None
         # The grid is fixed at manifest time and appends are per-task,
         # so membership checks run off cached sets instead of rebuilding
         # the expected/completed sets O(grid) on every append.
@@ -274,7 +283,8 @@ class CampaignStore:
 
         A load from byte 0 takes the prefix the count snapshot covers
         from it when the snapshot matches the journal, and rewrites the
-        snapshot when it validated lines past that prefix.
+        snapshot (:meth:`save_snapshot`) when it validated lines past
+        that prefix.
         """
         view = self._log.follow()
         reload = not view.start
@@ -311,58 +321,99 @@ class CampaignStore:
         campaigns = [stored for stored, _span in loaded]
         new = len(keys - self._completed)
         if reload:
-            self._campaigns, self._completed = [], set()
+            self._campaigns, self._spans, self._completed = [], [], set()
             self._answers = {} if covered is None else covered.answers
             self._answered = -1
+            if self._snapshot:
+                self._digest = (
+                    hashlib.sha256() if covered is None else covered.digest
+                )
+        if self._digest is not None:
+            self._digest.update(memoryview(view.data)[
+                view.start - view.base:self._log.end - view.base])
         self._campaigns.extend(campaigns)
+        self._spans.extend(span for _stored, span in loaded)
         self._completed |= keys
         if reload and self._snapshot and len(loaded) > reused:
-            from . import snapshot
-
-            snapshot.save(self, view, covered, loaded, self._log.end,
-                          self._log.lines)
+            self.save_snapshot()
         return new
+
+    def save_snapshot(self) -> bool:
+        """Write the count snapshot of every line this store holds, from
+        the byte spans and the hash kept as they were read or appended:
+        the journal is never read back for it.  Returns False, writing
+        nothing, when the store keeps no snapshot or an append landed
+        past journal bytes it never read (a concurrent writer)."""
+        if self._digest is None:
+            return False
+        from . import snapshot
+
+        snapshot.save(self, self._digest, zip(self._campaigns, self._spans),
+                      self._log.end, self._log.lines, self._log.identity)
+        return True
 
     # -- append side -------------------------------------------------------
 
-    def append_campaign(self, stored: StoredCampaign) -> StoredCampaign:
-        """Journal one completed campaign's line as it is (flush + fsync
-        before return), and keep and return the line in the form a read
-        builds: the raw log plus its per-voltage counts, with the
-        records parsed through this store's :class:`ParseMemo` on first
-        access.  The run records ``stored`` carries are not kept, so a
-        writer holds what a reader of its journal holds."""
-        if stored.key not in self._expected:
-            raise CampaignError(
-                f"task {stored.key!r} is not part of this store's grid"
-            )
+    def append_campaign(self, *lines: StoredCampaign) -> List[StoredCampaign]:
+        """Journal the lines of completed campaigns (one chunk) as they
+        are, in one write with one fsync before return, and keep and
+        return them in the form a read builds: the raw log plus its
+        per-voltage counts, with the records parsed through this
+        store's :class:`ParseMemo` on first access.  The run records
+        the lines carry are not kept, so a writer holds what a reader
+        of its journal holds.  A chunk with a task outside the grid or
+        already journaled writes nothing."""
+        for stored in lines:
+            if stored.key not in self._expected:
+                raise CampaignError(
+                    f"task {stored.key!r} is not part of this store's grid"
+                )
         # Catch up first: the duplicate check then holds against disk,
         # and the append lands exactly at the journal's known end.
         self.refresh()
-        if stored.key in self._completed:
-            raise CampaignError(f"task {stored.key!r} is already journaled")
-        line = json.dumps(stored.to_json_dict(), sort_keys=True)
+        keys: Set[TaskKey] = set()
+        for stored in lines:
+            if stored.key in self._completed or stored.key in keys:
+                raise CampaignError(
+                    f"task {stored.key!r} is already journaled"
+                )
+            keys.add(stored.key)
+        texts: List[str] = []
+        kept: List[StoredCampaign] = []
+        for stored in lines:
+            # A real span (not a point event) in the task's trace: the
+            # line's encoding, booked to the journal_append phase.
+            with telemetry.span(
+                "journal.append",
+                trace_id=telemetry.task_trace_id(
+                    stored.benchmark, stored.core, stored.campaign_index
+                ),
+                benchmark=stored.benchmark,
+                core=stored.core,
+                campaign=stored.campaign_index,
+            ):
+                texts.append(json.dumps(stored.to_json_dict(), sort_keys=True))
+                kept.append(stored.counted(self._memo))
         fsync_started = telemetry.clock()
-        # A real span (not a point event) so trace analytics can
-        # attribute the write+fsync time to the journal_append phase.
-        with telemetry.span(
-            "journal.append",
-            trace_id=telemetry.task_trace_id(
-                stored.benchmark, stored.core, stored.campaign_index
-            ),
-            benchmark=stored.benchmark,
-            core=stored.core,
-            campaign=stored.campaign_index,
-            bytes=len(line) + 1,
-        ):
-            self._log.append(line)
+        with telemetry.span("journal.fsync", lines=len(texts),
+                            bytes=sum(len(text) + 1 for text in texts)):
+            at = self._log.append(*texts)
         telemetry.observe(
             telemetry.M_JOURNAL_FSYNC_SECONDS, telemetry.clock() - fsync_started
         )
-        telemetry.inc_counter(telemetry.M_JOURNAL_APPENDS)
-        kept = stored.counted(self._memo)
-        self._campaigns.append(kept)
-        self._completed.add(kept.key)
+        telemetry.inc_counter(telemetry.M_JOURNAL_APPENDS, amount=len(texts))
+        end = at
+        for text in texts:  # json.dumps writes ASCII: one byte a char
+            self._spans.append((end, end + len(text) + 1))
+            end += len(text) + 1
+        if self._digest is not None:
+            if self._log.end == end:
+                for text in texts:
+                    self._digest.update(f"{text}\n".encode("ascii"))
+            else:
+                self._digest = None  # bytes landed before ours unread
+        self._campaigns.extend(kept)
+        self._completed |= keys
         return kept
 
     # -- progress ----------------------------------------------------------

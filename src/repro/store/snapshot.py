@@ -20,11 +20,18 @@ A load of the journal from byte 0 (:meth:`CampaignStore.refresh
 <repro.store.CampaignStore.refresh>`) hashes the prefix; on a full
 match it takes the lines from here, decoding a raw log from its bytes
 only when something asks for it, and validates only the tail.  Any
-mismatch falls back to the full validating parse.  An open that
-validated at least one line past the snapshot rewrites it, covering
-the bytes it validated (never a re-read, so bytes a concurrent writer
-appended meanwhile stay uncovered).  Loading imports only :mod:`json`
-and :mod:`hashlib`.
+mismatch falls back to the full validating parse.
+
+Two writers save it, both through
+:meth:`CampaignStore.save_snapshot
+<repro.store.CampaignStore.save_snapshot>`, from the byte spans and the
+sha256 state the store kept while it read and appended its lines (never
+a re-read, so bytes a concurrent writer appended meanwhile stay
+uncovered): an open that validated at least one line past the snapshot,
+and the engine, once, when a session that appended lines ends, so the
+first read after a run finds a warm store.  A store whose append landed
+past bytes it never read saves nothing.  Loading imports only
+:mod:`json` and :mod:`hashlib`.
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterable,
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -202,31 +209,26 @@ def _entry(stored: StoredCampaign, span: Span) -> Dict[str, Any]:
 
 def save(
     store: "CampaignStore",
-    view: LogView,
-    covered: Optional[Covered],
-    campaigns: Sequence[Tuple[StoredCampaign, Span]],
+    digest: Any,
+    campaigns: Iterable[Tuple[StoredCampaign, Span]],
     end: int,
     lines: int,
+    identity: Optional[Tuple[int, int]],
 ) -> None:
-    """Cover ``view.data[:end]`` (``lines`` lines, the journal bytes the
-    open validated: ``campaigns``, all the store holds) with a fresh
-    snapshot.
+    """Cover the journal's first ``end`` bytes (``lines`` lines, whose
+    sha256 state is ``digest``: ``campaigns``, all the store holds, in
+    journal order) with a fresh snapshot.
 
     It persists :meth:`CampaignStore.answers`, which computes the cells
     the store has no answer for yet; a cell whose answer raises keeps
     none.  A failed write (a read-only directory, a full disk) is logged
     and otherwise ignored: the snapshot only ever saves time.
     """
-    if covered is None:
-        digest = hashlib.sha256(memoryview(view.data)[:end])
-    else:
-        digest = covered.digest.copy()
-        digest.update(memoryview(view.data)[covered.end:end])
     try:
         store.answers()
     except CampaignError:
         pass  # the cell that raised keeps no answer; queries raise it again
-    dev, ino = view.identity or (None, None)
+    dev, ino = identity or (None, None)
     payload = {
         "format": SNAPSHOT_FORMAT,
         "version": __version__,

@@ -6,7 +6,8 @@ left behind into the questions an operator actually asks:
 * **Per-phase time attribution** -- how much of the session went to
   voltage stepping, log parsing, journal appends, worker overhead and
   engine overhead.  Attribution is a boundary sweep over every task
-  trace's innermost-span segments, clipped to the ``engine.run``
+  trace's innermost-span segments (plus the session trace's per-chunk
+  ``journal.fsync`` commits), clipped to the ``engine.run``
   session window(s); concurrent segments share their elementary
   interval equally, and uncovered session time books to
   ``engine_overhead`` -- so the phases sum to the total session span
@@ -48,6 +49,7 @@ _PHASE_OF = {
     "voltage_step": "voltage_step",
     "parse": "parse",
     "journal.append": "journal_append",
+    "journal.fsync": "journal_append",
     "watchdog.recovery": "watchdog",
 }
 
@@ -351,6 +353,10 @@ def analyze_trace_dir(directory: Union[str, Path]) -> TraceAnalysis:
             continue
         tasks.append(summary)
         all_segments.extend(_innermost_segments(by_trace[trace_id]))
+    # A chunk's journal commit is the parent's, outside any task trace.
+    all_segments.extend(_innermost_segments(
+        [s for s in session_spans if s.name in _PHASE_OF]
+    ))
 
     phases = _fair_share_attribution(windows, all_segments)
     durations = sorted(task.duration_s for task in tasks)

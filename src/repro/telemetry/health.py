@@ -213,7 +213,7 @@ def default_health_rules(
             stat="p99",
             bound=0.25,
             op="<=",
-            description="journal append write+fsync p99 latency (s)",
+            description="journal commit (one chunk) write+fsync p99 latency (s)",
         ),
         HealthRule(
             name="model-drift",

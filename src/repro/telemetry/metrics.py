@@ -116,7 +116,7 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     M_WATCHDOG: MetricSpec("counter", "Watchdog recovery actions by kind."),
     M_JOURNAL_APPENDS: MetricSpec("counter", "Campaign records appended to the store journal."),
     M_JOURNAL_FSYNC_SECONDS: MetricSpec(
-        "histogram", "Journal append write+fsync latency.", buckets=FSYNC_BUCKETS
+        "histogram", "Journal commit write+fsync latency, one per chunk.", buckets=FSYNC_BUCKETS
     ),
     M_SNAPSHOT_READS: MetricSpec("counter", "Journal loads from byte 0 by count-snapshot outcome (hit/miss) and reason."),
     M_PARSER_RUNS: MetricSpec("counter", "Run blocks parsed from characterization logs."),

@@ -332,6 +332,35 @@ class TestRPR004UnitSafety:
         # widths/scales (no voltage-level stem) may be sub-volt floats
         assert lint_rules("scale_mv = 1.0\n") == []
 
+    def test_regulator_step_bound_to_mv_name_flagged(self):
+        # No operand is mV-named: the target is.
+        assert lint_rules("""
+            def first_safe(abnormal_levels):
+                vmin_mv = max(abnormal_levels) + 5
+                return vmin_mv
+        """) == ["RPR004"]
+
+    def test_regulator_step_augmented_assignment_flagged(self):
+        assert lint_rules("""
+            def step_down(level_mv):
+                level_mv -= 5
+                return level_mv
+        """) == ["RPR004"]
+
+    def test_step_on_mv_operand_reported_once(self):
+        assert lint_rules("level_mv = start_mv - 5\n") == ["RPR004"]
+
+    def test_other_offsets_bound_to_mv_names_clean(self):
+        assert lint_rules("""
+            from repro.units import VOLTAGE_STEP_MV
+
+            def bounds(levels):
+                vmin_mv = max(levels) + VOLTAGE_STEP_MV
+                stop_mv = min(levels) - 25
+                count_mv = len(levels) + 5 * 0
+                return vmin_mv, stop_mv, count_mv
+        """) == []
+
 
 class TestRPR005CanonicalEffectConstants:
     def test_weight_table_rehardcode_flagged(self):
@@ -636,6 +665,29 @@ class TestRPR009CurveEvalInRunLoop:
                 for v in voltages:
                     yield curves.probability(v) + rng.random()
         """, path="src/repro/analysis/fixture.py") == []
+
+    def test_kernel_body_with_fresh_rng_flagged(self):
+        """The batch kernel's per-run body names its generator source
+        ``fresh_rng``: rebuilding the plan and the probability table on
+        every run inside ``execute`` is the regression this rule is
+        for."""
+        assert lint_rules("""
+            def execute(self, schedule, campaign_index):
+                table = self.table
+                fresh_rng = lambda: self.activate(campaign_index)
+                for voltage_mv in schedule:
+                    probs = table.sampler.probability_table((voltage_mv,))
+                    plan = build_plan(probs, voltage_mv)
+                    table.sample_u(plan, fresh_rng)
+        """) == ["RPR009"]
+
+    def test_rng_named_parameter_flagged(self):
+        assert lint_rules("""
+            def sample_u(self, plan, row, fresh_rng):
+                for effect in plan.effects:
+                    if row[0] < self.sampler.probability(effect):
+                        return fresh_rng()
+        """, path="src/repro/core/fixture.py") == ["RPR009"]
 
     def test_unrelated_method_name_clean(self):
         assert lint_rules("""

@@ -9,6 +9,11 @@ torn trailing line, a parseable one without its newline included, reads
 as the complete lines before it.  Either way a reader sees the old
 complete state or the new one, a leftover ``*.tmp`` never breaks it,
 and the next write or append succeeds.
+
+The engine commits each chunk's journal lines with one fsync and saves
+the count snapshot once a session ends; it is killed between a chunk's
+write and its fsync (with any prefix of the chunk surviving) and
+between its last commit and the snapshot, and resumed.
 """
 
 import json
@@ -29,6 +34,7 @@ from repro.core.results import ResultStore
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
 from repro.machines import MachineSpec, load_machine_spec, save_machine_spec
+from repro.parallel import ParallelCampaignEngine
 from repro.store import (
     JOURNAL_NAME,
     MANIFEST_NAME,
@@ -38,8 +44,10 @@ from repro.store import (
     ModelArtifact,
     ModelStore,
     StoredCampaign,
+    serialize_answers,
 )
 from repro.telemetry import (
+    M_SNAPSHOT_READS,
     TSDB_NAME,
     MetricsRegistry,
     SpanRecord,
@@ -47,7 +55,9 @@ from repro.telemetry import (
     TsdbCursor,
     TsdbWriter,
     load_spans,
+    telemetry_session,
 )
+from repro.workloads import get_benchmark
 
 SPEC = MachineSpec(chip="TTT", seed=2017)
 OTHER_SPEC = MachineSpec(chip="TTT", seed=2018)
@@ -79,10 +89,15 @@ def raw_log(index):
     )
 
 
+def line(index):
+    return StoredCampaign.from_result(
+        campaign(index), raw_log(index), seed=index, interventions=0)
+
+
 def journal(store, *indexes):
+    """Append each task in a commit of its own."""
     for index in indexes:
-        store.append_campaign(StoredCampaign.from_result(
-            campaign(index), raw_log(index), seed=index, interventions=0))
+        store.append_campaign(line(index))
 
 
 def artifact(offset):
@@ -351,6 +366,12 @@ def _journal_build(d):
     return d / JOURNAL_NAME
 
 
+def _commit_build(d):
+    CampaignStore.create(d, SPEC, CFG, *GRID).append_campaign(
+        line(1), line(2))
+    return d / JOURNAL_NAME
+
+
 def _tsdb_build(d):
     writer = TsdbWriter(d / TSDB_NAME)
     for t_s in (1.0, 2.0):
@@ -374,6 +395,14 @@ def _spans_build(d):
 LOGS = {
     "campaign-journal": LogCase(
         build=_journal_build,
+        records=lambda d: [c.campaign_index
+                           for c in CampaignStore.open(d).campaigns()],
+        append=lambda d: journal(CampaignStore.open(d), 3),
+        after=lambda prefix: prefix + [3],
+    ),
+    # Two lines in one group commit: a crash keeps a prefix of them.
+    "campaign-commit": LogCase(
+        build=_commit_build,
         records=lambda d: [c.campaign_index
                            for c in CampaignStore.open(d).campaigns()],
         append=lambda d: journal(CampaignStore.open(d), 3),
@@ -533,3 +562,178 @@ def test_creates_fsync_the_file_and_its_directory(tmp_path, monkeypatch):
     journal(shard, 1)
     assert identity(shard.journal_path) in synced
     assert identity(shard.directory) in synced
+
+
+# ---------------------------------------------------------------------------
+# the engine: one commit per chunk, a warm store when the session ends
+# ---------------------------------------------------------------------------
+
+#: Two cells of three campaigns: two serial chunks (one cell each).
+ENGINE_GRID = (["bwaves"], [0, 4])
+
+
+def _run(d, resume=False, jobs=1):
+    names, cores = ENGINE_GRID
+    return ParallelCampaignEngine(SPEC, CFG, jobs=jobs).run(
+        [get_benchmark(name) for name in names], cores, store=d,
+        resume=resume)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """An uninterrupted journaled run: its report and its directory."""
+    d = tmp_path_factory.mktemp("uninterrupted")
+    return _run(d), d
+
+
+class JournalFsyncKill:
+    """``repro.durable``'s ``os``, killing the run at the ``nth`` fsync
+    of the journal file: its chunk's lines are written, not synced."""
+
+    def __init__(self, journal_path, nth):
+        self.journal_path = journal_path
+        self.nth = nth
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def fsync(self, fd):
+        if os.path.exists(self.journal_path) and (
+                os.path.samestat(os.fstat(fd), os.stat(self.journal_path))):
+            self.nth -= 1
+            if not self.nth:
+                raise Crash
+        os.fsync(fd)
+
+
+def _snapshot_payload(d):
+    """The count snapshot, less the journal's (device, inode)."""
+    payload = json.loads((d / SNAPSHOT_NAME).read_text())
+    del payload["journal"]["dev"], payload["journal"]["ino"]
+    return payload
+
+
+def _same_as_uninterrupted(report, d, uninterrupted):
+    expected, reference = uninterrupted
+    assert report.results == expected.results
+    assert report.raw_logs == expected.raw_logs
+    # Serial chunks journal in grid order, resumed or not.
+    assert (d / JOURNAL_NAME).read_bytes() == \
+        (reference / JOURNAL_NAME).read_bytes()
+    assert _snapshot_payload(d) == _snapshot_payload(reference)
+    assert serialize_answers(CampaignStore.open(d)) == serialize_answers(
+        CampaignStore.open(d, snapshot=False))
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_kill_between_a_chunks_write_and_its_fsync(
+        tmp_path, monkeypatch, uninterrupted, chunk):
+    """A kill keeps the chunk's written lines; a host crash keeps any
+    prefix of them, a torn line included.  Either way the resume runs
+    what is missing and lands on the uninterrupted run's bytes."""
+    crashed = tmp_path / "crashed"
+    monkeypatch.setattr(durable, "os",
+                        JournalFsyncKill(crashed / JOURNAL_NAME, chunk))
+    with pytest.raises(Crash):
+        _run(crashed)
+    monkeypatch.setattr(durable, "os", os)
+    assert not (crashed / SNAPSHOT_NAME).exists()
+    data = (crashed / JOURNAL_NAME).read_bytes()
+    lines = data.splitlines(keepends=True)
+    assert len(lines) == 3 * chunk  # the whole chunk was written
+    committed = sum(map(len, lines[:3 * (chunk - 1)]))
+    boundaries = [committed + sum(map(len, lines[3 * (chunk - 1):i]))
+                  for i in range(3 * (chunk - 1), 3 * chunk + 1)]
+    cuts = sorted(set(boundaries) | {b + 7 for b in boundaries[:-1]})
+    for cut in cuts:
+        work = tmp_path / f"cut-{cut}"
+        work.mkdir()
+        for name in (MANIFEST_NAME, JOURNAL_NAME):
+            (work / name).write_bytes((crashed / name).read_bytes())
+        (work / JOURNAL_NAME).write_bytes(data[:cut])
+        kept = data[:cut].count(b"\n")
+        report = _run(work, resume=True)
+        assert report.tasks_skipped == kept, f"cut at byte {cut}"
+        _same_as_uninterrupted(report, work, uninterrupted)
+
+
+@pytest.mark.parametrize("prior", ["missing", "stale"])
+def test_kill_between_the_last_commit_and_the_snapshot(
+        tmp_path, monkeypatch, uninterrupted, prior):
+    """The journal is whole, the snapshot missing or covering only a
+    prefix: a read validates what it does not cover, and a resume
+    replays everything."""
+    d = tmp_path / "store"
+    if prior == "stale":
+        _run(d)
+        journal_path = d / JOURNAL_NAME
+        lines = journal_path.read_bytes().splitlines(keepends=True)
+        (d / SNAPSHOT_NAME).unlink()
+        journal_path.write_bytes(b"".join(lines[:2]))
+        CampaignStore.open(d)  # a snapshot of the first two lines
+        stale = (d / SNAPSHOT_NAME).read_bytes()
+        assert len(json.loads(stale)["campaigns"]) == 2
+    original = CampaignStore.save_snapshot
+
+    def killed(store):
+        raise Crash
+
+    monkeypatch.setattr(CampaignStore, "save_snapshot", killed)
+    with pytest.raises(Crash):
+        _run(d, resume=prior == "stale")
+    monkeypatch.setattr(CampaignStore, "save_snapshot", original)
+    if prior == "missing":
+        assert not (d / SNAPSHOT_NAME).exists()
+    else:
+        assert (d / SNAPSHOT_NAME).read_bytes() == stale
+    expected, reference = uninterrupted
+    assert (d / JOURNAL_NAME).read_bytes() == \
+        (reference / JOURNAL_NAME).read_bytes()
+    assert serialize_answers(CampaignStore.open(d)) == serialize_answers(
+        CampaignStore.open(d, snapshot=False))
+    report = _run(d, resume=True)
+    assert report.tasks_skipped == 6
+    _same_as_uninterrupted(report, d, uninterrupted)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_writer_snapshot_is_the_readers(tmp_path, jobs):
+    """The snapshot a run leaves is the one a cold open writes once it
+    is deleted, byte for byte, and the next read validates no line."""
+    d = tmp_path / "store"
+    _run(d, jobs=jobs)
+    written = (d / SNAPSHOT_NAME).read_bytes()
+    (d / SNAPSHOT_NAME).unlink()
+    CampaignStore.open(d)
+    assert (d / SNAPSHOT_NAME).read_bytes() == written
+    registry = MetricsRegistry()
+    with telemetry_session(metrics=registry):
+        CampaignStore.open(d)
+    assert registry.counter(M_SNAPSHOT_READS, outcome="hit",
+                            reason="match").value == 1
+
+
+def test_concurrent_append_leaves_no_writer_snapshot(tmp_path):
+    """A line another writer appends between a store's catch-up and its
+    commit is bytes that store never hashed: it saves no snapshot,
+    rather than a wrong one."""
+    d = tmp_path / "store"
+    writer = CampaignStore.create(d, SPEC, CFG, *GRID)
+    writer.append_campaign(line(1))
+    other = CampaignStore.open(d)  # snapshots line 1
+    before = (d / SNAPSHOT_NAME).read_bytes()
+    catch_up = writer.refresh
+
+    def raced():
+        new = catch_up()
+        other.append_campaign(line(2))
+        return new
+
+    writer.refresh = raced
+    writer.append_campaign(line(3))
+    assert not writer.save_snapshot()
+    assert (d / SNAPSHOT_NAME).read_bytes() == before
+    reopened = CampaignStore.open(d)
+    assert [c.campaign_index for c in reopened.campaigns()] == [1, 2, 3]
+    assert serialize_answers(reopened) == serialize_answers(
+        CampaignStore.open(d, snapshot=False))

@@ -555,6 +555,23 @@ class TestAnalytics:
         analysis = analyze_trace_dir(tmp_path)
         assert analysis.stragglers == ("c:c0:k1",)
 
+    def test_chunk_commits_book_to_journal_append(self, tmp_path):
+        """The parent commits a chunk's lines under the session trace,
+        outside every task: that time is journal_append, not engine
+        overhead."""
+        writer = TraceWriter(tmp_path)
+        for span_id, (trace_id, name, start, end) in enumerate([
+            ("session", "engine.run", 0.0, 10.0),
+            ("a:c0:k1", "task", 0.0, 5.0),
+            ("session", "journal.fsync", 6.0, 8.0),
+        ], start=1):
+            writer(SpanRecord(trace_id=trace_id, name=name, span_id=span_id,
+                              parent_id=None, start_s=start, end_s=end))
+        phases = dict(analyze_trace_dir(tmp_path).phase_seconds)
+        assert phases["journal_append"] == pytest.approx(2.0)
+        assert phases["worker_overhead"] == pytest.approx(5.0)
+        assert phases["engine_overhead"] == pytest.approx(3.0)
+
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no trace"):
             analyze_trace_dir(tmp_path)

@@ -509,6 +509,24 @@ class TestWarmIndexBuild:
         assert serialize_answers(
             CampaignStore.open(full_store[0], snapshot=False)) == first
 
+    def test_each_program_profiled_once_per_call(self, full_store,
+                                                 monkeypatch):
+        """The per-core walks of one serialization share its program
+        profiles: one machine build per program, not per core."""
+        store = CampaignStore.open(full_store[0])
+        first = serialize_answers(store)
+        built = []
+        build = MachineSpec.build
+
+        def counting(spec, *args, **kwargs):
+            built.append(spec.seed)
+            return build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(MachineSpec, "build", counting)
+        assert serialize_answers(store) == first
+        assert len(built) == len(store.manifest.workloads) < len(
+            store.manifest.workloads) * len(CORES)
+
 
 class TestQueryBytes:
     """``fleet query --json`` bytes pinned across commits.
