@@ -686,7 +686,7 @@ def test_kill_between_the_last_commit_and_the_snapshot(
         assert not (d / SNAPSHOT_NAME).exists()
     else:
         assert (d / SNAPSHOT_NAME).read_bytes() == stale
-    expected, reference = uninterrupted
+    _expected, reference = uninterrupted
     assert (d / JOURNAL_NAME).read_bytes() == \
         (reference / JOURNAL_NAME).read_bytes()
     assert serialize_answers(CampaignStore.open(d)) == serialize_answers(
