@@ -19,7 +19,8 @@ the watchdog's buttons.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..effects import EffectType
@@ -110,14 +111,17 @@ class CharacterizationFramework:
     ) -> CampaignResult:
         """Execute one campaign: the full voltage schedule once.
 
-        Returns the parsed :class:`CampaignResult`; the raw log text is
-        kept in :attr:`raw_logs`.
+        Returns the :class:`CampaignResult`; the raw log text is kept in
+        :attr:`raw_logs`.
 
         When the machine's components are table-compilable (and
         :attr:`use_kernel` is set) the campaign executes on the batch
-        kernel (:mod:`repro.core.kernel`) -- bit-identical records and
-        raw logs, an order of magnitude faster; otherwise it falls back
-        to the scalar loop below.  :attr:`last_campaign_path` and the
+        kernel (:mod:`repro.core.kernel`) -- bit-identical raw logs, an
+        order of magnitude faster -- and the result holds the kernel's
+        per-voltage counts, parsing its records from the log only when
+        something asks for them; otherwise it falls back to the scalar
+        loop below, which parses the log it wrote.
+        :attr:`last_campaign_path` and the
         ``repro_kernel_campaigns_total`` counter record which path ran.
         """
         program = as_program(workload)
@@ -141,14 +145,25 @@ class CharacterizationFramework:
                 telemetry.M_KERNEL_CAMPAIGNS, path=self.last_campaign_path
             )
             if kernel is not None:
-                log_text, result = kernel.execute(schedule, campaign_index)
+                log_text, log = kernel.execute(schedule, campaign_index)
                 key = (program.name, core, cfg.freq_mhz, campaign_index)
                 self.raw_logs[key] = log_text
                 with telemetry.span("parse", campaign=campaign_index):
-                    # The kernel already built the records; the
+                    # The kernel already counted the log; the
                     # parse-phase counters are the scalar path's.
-                    self._count_parsed(result.records)
-                return result
+                    self._count_parsed(
+                        sum(log.run_counts.values()), log.counts.values()
+                    )
+                return CampaignResult.from_counts(
+                    chip=log.chip,
+                    benchmark=program.name,
+                    core=core,
+                    freq_mhz=cfg.freq_mhz,
+                    campaign_index=campaign_index,
+                    counts=log.counts,
+                    run_counts=log.run_counts,
+                    load=partial(parse_records, log_text),
+                )
             for voltage_mv in schedule:
                 level_all_crashed = True
                 with telemetry.span(
@@ -286,15 +301,20 @@ class CharacterizationFramework:
     # -- phase 3: parsing ----------------------------------------------------
 
     @staticmethod
-    def _count_parsed(records: Sequence[object]) -> None:
-        """Parse-phase counters: runs parsed, and one increment per
-        effect class by the runs that show it."""
-        telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(records))
-        book_effects([effect_counts(record.effects for record in records)])
+    def _count_parsed(
+        runs: int, counts: Iterable[Mapping[EffectType, int]]
+    ) -> None:
+        """Parse-phase counters: ``runs`` runs parsed, and one
+        increment per effect class by the runs that show it (``counts``
+        as :func:`~repro.core.effects.book_effects` takes them)."""
+        telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=runs)
+        book_effects(counts)
 
     def _parse_campaign(self, log_text: str, campaign_index: int) -> CampaignResult:
         records = parse_records(log_text)
-        self._count_parsed(records)
+        self._count_parsed(
+            len(records), [effect_counts(record.effects for record in records)]
+        )
         if not records:
             raise CampaignError("campaign produced no runs")
         first = records[0]

@@ -18,9 +18,10 @@ loop against O(1) table lookups.
 Bit-identical randomness
 ------------------------
 
-The contract is that the batch path produces **bit-identical**
-:class:`~repro.core.runs.RunRecord` streams (and raw log bytes) to the
-scalar path.  Every run draws from the same per-run ``Generator`` the
+The contract is that the batch path produces **bit-identical** raw
+log bytes to the scalar path (and so the same records once the log is
+parsed), with the per-voltage counts of that log.  Every run draws
+from the same per-run ``Generator`` the
 machine would have built (same SHA-256 digest of
 ``seed|chip|program|core|voltage|freq|run_counter``, same PCG64
 stream), reproduced without per-run ``default_rng`` construction by
@@ -69,8 +70,8 @@ run that draws an EDAC event or would replay.
   performs their prepare/restore rounds (one real round, the rest's
   I2C traffic repeated), :meth:`XGene2Machine.kernel_clean_runs`
   advances the run counter, power estimate, tick and heartbeat, the
-  log blocks come from per-class templates and the records share
-  per-class classifications.
+  log blocks come from per-class templates and the counts take each
+  class's classification once per stretch.
 * System crashes in a row at a level run the first crash for real; the
   reset that recovers it reboots the board to the same state every
   time, so the others repeat its recorded deltas
@@ -118,9 +119,9 @@ from ..effects import EffectType, normalize_effects
 from ..errors import CampaignError
 from ..units import CHARACTERIZATION_TEMP_C, PMD_NOMINAL_MV, VOLTAGE_FLOOR_MV, VOLTAGE_STEP_MV
 from ..workloads.execution import corrupted_output
-from .campaign import CampaignResult
 from .effects import classify_run
-from .runs import CharacterizationSetup, RunRecord
+from .parser import LogCounts
+from .regions import counts_from_pairs
 from .watchdog import WatchdogAction
 
 __all__ = [
@@ -958,10 +959,11 @@ class CampaignKernel:
     Reproduces :meth:`CharacterizationFramework.run_campaign` exactly:
     the same machine preparation and safe-state restore per run, the
     same watchdog recovery, the same ``voltage_step`` telemetry spans,
-    the same raw log text, the same crash-level stop rule -- but builds
-    the :class:`RunRecord` stream directly (through the same
-    :func:`classify_run` the parser applies) instead of re-parsing the
-    log it just formatted.
+    the same raw log text, the same crash-level stop rule -- and counts
+    the log's runs per voltage as it writes them (through the same
+    :func:`classify_run` the parser applies), so nothing re-parses the
+    log it just formatted and no run record is built: the execution
+    phase writes the log, and the parsing phase reads it on demand.
 
     One vectorized pass gives every run its outcome class
     (:meth:`_row_classes`), and only runs with an EDAC event or a
@@ -1045,8 +1047,10 @@ class CampaignKernel:
 
     def execute(
         self, schedule: Sequence[int], campaign_index: int
-    ) -> Tuple[str, CampaignResult]:
-        """Run the schedule; returns ``(raw_log_text, CampaignResult)``."""
+    ) -> Tuple[str, LogCounts]:
+        """Run the schedule; returns ``(raw_log_text, counts)``, the
+        counts equal to :func:`~repro.core.parser.count_log` of the
+        text."""
         cfg = self.config
         machine = self.machine
         table = self.table
@@ -1079,7 +1083,6 @@ class CampaignKernel:
         ensure_alive = watchdog.ensure_alive
         no_action = WatchdogAction.NONE
         reset = WatchdogAction.RESET
-        new_record = RunRecord.__new__
         ac_exit = machine.APP_CRASH_EXIT_CODE
         # What a quiet run logs after its run index (an SDC run's
         # corrupted output goes between ``sdc_head`` and ``sdc_tail``):
@@ -1096,42 +1099,29 @@ class CampaignKernel:
             f" ===\nexit_code={ac_exit}\nedac_ce=0 edac_ue=0\n"
             f"status=app_crash\nwatchdog={no_action.value}\n"
         )
-        # The record fields every run of a class shares, in RunRecord
-        # field order; ``setup`` is set per level, ``run_index`` and a
-        # fresh detail dict per record.  Classifications go through the
-        # same classify_run the parser applies, fed each class's
+        # The effects of each quiet or crash class, through the same
+        # classify_run the parser applies, fed each class's
         # parser-visible observables.
-        templates = {}
-        for row_class, exit_code, output, responsive in (
-            (_CLEAN, 0, expected, True),
-            (_SDC, 0, "", True),
-            (_AC, ac_exit, None, True),
-            (_SC, None, None, False),
-        ):
-            templates[row_class] = dict(
-                chip=chip,
-                benchmark=benchmark,
-                setup=None,
-                campaign_index=campaign_index,
-                run_index=0,
-                effects=classify_run(
-                    responsive=responsive,
-                    exit_code=exit_code,
-                    output=output,
-                    expected_output=expected if output is not None else "",
-                ),
+        class_effects = {
+            row_class: classify_run(
+                responsive=responsive,
                 exit_code=exit_code,
-                output_matches=None if output is None else output == expected,
-                edac_ce=0,
-                edac_ue=0,
-                watchdog_intervened=not responsive,
-                detail=None,
+                output=output,
+                expected_output=expected if output is not None else "",
             )
+            for row_class, exit_code, output, responsive in (
+                (_CLEAN, 0, expected, True),
+                (_SDC, 0, "", True),
+                (_AC, ac_exit, None, True),
+                (_SC, None, None, False),
+            )
+        }
 
         log_parts: List[str] = []
         log_append = log_parts.append
-        records: List[RunRecord] = []
-        record_append = records.append
+        # How many runs showed each (voltage, effect set): count_log's
+        # tally, turned into per-voltage counts the same way.
+        pairs: Dict[Tuple[int, FrozenSet[EffectType]], int] = {}
         consecutive_crash_levels = 0
         sample_u = table.sample_u
         run_global = 0
@@ -1156,11 +1146,6 @@ class CampaignKernel:
                 block = factory.uniform_block(limbs, width)
                 classes = self._row_classes(block, chunk_plans, runs_per_level)
             row_base = (level_index - chunk_start) * runs_per_level - 1
-            setup = CharacterizationSetup(
-                voltage_mv=voltage_mv, freq_mhz=freq_mhz, core=core
-            )
-            for fields in templates.values():
-                fields["setup"] = setup
             # Every block of this level shares its header up to the run
             # index; the bodies below must stay byte-for-byte in
             # lockstep with :func:`format_run_block` (parity is pinned
@@ -1218,6 +1203,7 @@ class CampaignKernel:
                                 f"{head}{i}{tail}"
                                 for i in range(run_index, last + 1)
                             ]
+                            stretch = {_SC: last - run_index + 1}
                         else:
                             # One prepare/restore call, one machine
                             # update, templated logs.  The machine
@@ -1229,8 +1215,10 @@ class CampaignKernel:
                             clean_cycles(core, freq_mhz, voltage_mv, n_quiet)
                             kernel_clean_runs(table, vidx, n_quiet)
                             blocks = []
+                            stretch = dict.fromkeys((_CLEAN, _SDC, _AC), 0)
                             for i in range(run_index, last + 1):
                                 row_class = classes[row_base + i]
+                                stretch[row_class] += 1
                                 if row_class == _CLEAN:
                                     blocks.append(f"{head}{i}{clean_tail}")
                                 elif row_class == _SDC:
@@ -1244,13 +1232,10 @@ class CampaignKernel:
                                 else:
                                     blocks.append(f"{head}{i}{ac_tail}")
                         log_append("".join(blocks))
-                        for i in range(run_index, last + 1):
-                            record = new_record(RunRecord)
-                            attrs = record.__dict__
-                            attrs.update(templates[classes[row_base + i]])
-                            attrs["run_index"] = i
-                            attrs["detail"] = {}
-                            record_append(record)
+                        for row_class, runs in stretch.items():
+                            if runs:
+                                pair = (voltage_mv, class_effects[row_class])
+                                pairs[pair] = pairs.get(pair, 0) + runs
                         run_index = last + 1
                         continue
                     # The per-run path: an EDAC event or a replay (never
@@ -1295,46 +1280,16 @@ class CampaignKernel:
                     # Classification goes through the same classify_run
                     # the log parser applies, fed the parser-visible
                     # observables (an unflushed output line parses as
-                    # output=None/expected="").  The record is laid out
-                    # directly into a fresh instance: RunRecord is a
-                    # frozen dataclass, whose generated __init__ pays
-                    # one object.__setattr__ per field -- the dominant
-                    # cost of record construction at this scale.
-                    # ``locations`` is a fresh dict owned by this run;
-                    # the parser sees its entries in formatted (sorted)
-                    # order, which only needs an explicit sort past one
-                    # entry.
-                    record = new_record(RunRecord)
-                    record.__dict__.update(
-                        chip=chip,
-                        benchmark=benchmark,
-                        setup=setup,
-                        campaign_index=campaign_index,
-                        run_index=run_index,
-                        effects=classify_run(
-                            responsive=True,
-                            exit_code=exit_code,
-                            output=output,
-                            expected_output=(
-                                expected if output is not None else ""
-                            ),
-                            edac_ce=edac_ce,
-                            edac_ue=edac_ue,
-                        ),
+                    # output=None/expected="").
+                    pair = (voltage_mv, classify_run(
+                        responsive=True,
                         exit_code=exit_code,
-                        output_matches=(
-                            None if output is None else output == expected
-                        ),
+                        output=output,
+                        expected_output=expected if output is not None else "",
                         edac_ce=edac_ce,
                         edac_ue=edac_ue,
-                        watchdog_intervened=False,
-                        detail=(
-                            locations
-                            if len(locations) < 2
-                            else dict(sorted(locations.items()))
-                        ),
-                    )
-                    record_append(record)
+                    ))
+                    pairs[pair] = pairs.get(pair, 0) + 1
                     run_index += 1
             if level_all_crashed:
                 consecutive_crash_levels += 1
@@ -1346,14 +1301,6 @@ class CampaignKernel:
             else:
                 consecutive_crash_levels = 0
 
-        if not records:
+        if not pairs:
             raise CampaignError("campaign produced no runs")
-        result = CampaignResult(
-            chip=chip,
-            benchmark=benchmark,
-            core=core,
-            freq_mhz=freq_mhz,
-            campaign_index=campaign_index,
-            records=tuple(records),
-        )
-        return "".join(log_parts), result
+        return "".join(log_parts), LogCounts(chip, *counts_from_pairs(pairs))

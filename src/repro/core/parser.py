@@ -15,7 +15,6 @@ a telemetry session is active) instead of the :mod:`logging` module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -48,28 +47,6 @@ _HEADER_RE = re.compile(
 _KV_RE = re.compile(r"(\w+)=(\S+)")
 #: The ASCII line boundaries :meth:`str.splitlines` knows besides ``\n``.
 _ODD_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
-
-
-@dataclass(frozen=True)
-class ParsedRun:
-    """One run block, parsed and classified."""
-
-    chip: str
-    benchmark: str
-    core: int
-    voltage_mv: int
-    freq_mhz: int
-    campaign_index: int
-    run_index: int
-    effects: FrozenSet[EffectType]
-    exit_code: Optional[int]
-    output_matches: Optional[bool]
-    edac_ce: int
-    edac_ue: int
-    watchdog_action: str
-    #: Per-location error attribution (``{"ce_L2": 1, ...}``) from the
-    #: execution phase's logging (Section 2.2's parser extension).
-    edac_locations: Mapping[str, int] = field(default_factory=dict)
 
 
 def format_run_block(
@@ -185,27 +162,6 @@ def _parse_body(header: str, lines: Sequence[str]) -> _Body:
     )
 
 
-def _parse_block(lines: List[str]) -> ParsedRun:
-    header = _parse_header(lines[0])
-    body = _parse_body(lines[0], lines[1:])
-    return ParsedRun(
-        chip=header["chip"],
-        benchmark=header["benchmark"],
-        core=int(header["core"]),
-        voltage_mv=int(header["voltage"]),
-        freq_mhz=int(header["freq"]),
-        campaign_index=int(header["campaign"]),
-        run_index=int(header["run"]),
-        effects=body.effects,
-        exit_code=body.exit_code,
-        output_matches=body.output_matches,
-        edac_ce=body.edac_ce,
-        edac_ue=body.edac_ue,
-        watchdog_action=body.watchdog_action,
-        edac_locations=body.edac_locations,
-    )
-
-
 def _blocks(text: str) -> List[str]:
     """Each run block of a log as its text past :data:`RUN_HEADER`:
     the rest of the header line, then its body lines, newline-joined.
@@ -223,17 +179,6 @@ def _blocks(text: str) -> List[str]:
         if line.strip():
             raise ParseError(f"content before first run header: {line!r}")
     return blocks
-
-
-def parse_log(text: str) -> List[ParsedRun]:
-    """Parse a whole campaign log into classified runs."""
-    runs = [
-        _parse_block((RUN_HEADER + block).split("\n"))
-        for block in _blocks(text)
-    ]
-    telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(runs))
-    _LOG.debug("parsed campaign log", runs=len(runs))
-    return runs
 
 
 class _Head(NamedTuple):
@@ -265,10 +210,10 @@ class ParseMemo:
 def _runs(text: str, memo: ParseMemo) -> Iterator[Tuple[_Head, str, _Body]]:
     """(header fields, run index text, body fields) of every block.
 
-    Blocks, header/body checks and classification are
-    :func:`parse_log`'s, so every malformed block raises as it does
-    there; the memo spares re-parsing a text it has seen, and the run
-    index is checked per block.
+    Every block is split (:func:`_blocks`), its header and body checked
+    and classified (:func:`_parse_header`, :func:`_parse_body`), so every
+    malformed block raises; the memo spares re-parsing a text it has
+    seen, and the run index is checked per block.
     """
     heads, bodies = memo.heads, memo.bodies
     for block in _blocks(text):
@@ -334,9 +279,8 @@ def parse_records(
     """Parse a whole campaign log straight into :class:`RunRecord` s.
 
     The framework's parsing phase and every record a journal read
-    materializes go through here.  Blocks, checks and classification
-    are :func:`parse_log`'s, each distinct header prefix and body
-    parsed once per ``memo`` (a fresh one by default).  Counts no
+    materializes go through here.  Each distinct header prefix and body
+    is parsed once per ``memo`` (a fresh one by default).  Counts no
     metric: the framework's parsing phase books its own, journal reads
     book none.
     """

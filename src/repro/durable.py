@@ -38,6 +38,18 @@ class LogView(NamedTuple):
     identity: Optional[Tuple[int, int]]
 
 
+class Appended(NamedTuple):
+    """Where one :meth:`AppendLog.append` landed."""
+
+    #: Offset of the first line written.
+    offset: int
+    #: Lines before it, or ``None`` when the log did not know the
+    #: file up to there (see :meth:`AppendLog.lines_before`).
+    line: Optional[int]
+    #: (device, inode) of the file written to.
+    identity: Tuple[int, int]
+
+
 def _fsync_directory(directory: Union[str, Path]) -> None:
     fd = os.open(directory, os.O_RDONLY)
     try:
@@ -183,16 +195,19 @@ class AppendLog:
                 os.fsync(handle.fileno())
             self._torn_at = None
 
-    def append(self, *lines: str) -> int:
+    def append(self, *lines: str) -> Appended:
         """Heal, then write every one of ``lines`` + newline, flush and
         fsync once (a group commit: a crash keeps a prefix of them, the
         last one possibly torn); a newly created file also gets its
-        directory fsynced.  Returns the offset the first line landed
-        at.
+        directory fsynced.  Returns where the first line landed.
 
         When the file ended exactly at :attr:`end`, :attr:`end` moves
         past the new lines, so a later read continuing from it does not
-        see them again.
+        see them again.  When it did not (another writer appended past
+        :attr:`end` meanwhile), the log forgets the prefix it knew: the
+        next :meth:`follow` reads the file from byte 0, in on-disk
+        order, rather than continue at a stale offset and meet these
+        lines again.
         """
         self.heal()
         created = not self.path.exists()
@@ -207,8 +222,18 @@ class AppendLog:
             _fsync_directory(self.path.parent)
         identity = (info.st_dev, info.st_ino)
         first = self._identity is None and self.end == 0
+        before: Optional[int] = None
         if at == self.end and (identity == self._identity or first):
+            before = self._lines
             self.end = at + sum(map(len, data))
             self._identity = identity
             self._lines += sum(chunk.count(b"\n") for chunk in data)
-        return at
+        else:
+            self.end, self._lines, self._identity = 0, 0, None
+        return Appended(at, before, identity)
+
+    def lines_before(self, offset: int) -> int:
+        """Lines before byte ``offset`` of the file, counted from its
+        bytes."""
+        with open(self.path, "rb") as handle:
+            return handle.read(offset).count(b"\n")

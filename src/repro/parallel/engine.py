@@ -14,12 +14,14 @@ results for any worker count or chunking -- ``jobs=4`` equals
 ``jobs=1`` equals any future run of the same grid.
 
 A worker returns each campaign's journal line
-(:class:`~repro.store.records.StoredCampaign`); the engine appends it
-to the store as it is, and a resume replays the journaled lines
-themselves, so a campaign has one record from worker to journal.  A
-journaled run keeps the line the store returns, which holds the raw log
-and its per-voltage counts but not the worker's run records: a run
-holds the records of the chunk in flight, not of the whole grid.
+(:class:`~repro.store.records.StoredCampaign`: the raw log and its
+per-voltage counts, no run records); the engine appends it to the store
+as it is, and a resume replays the journaled lines themselves, so a
+campaign has one form from worker to journal.  A journaled run keeps
+the line the store returns, which holds the counts and the raw log's
+byte span in the journal, not its text: a run holds the text of the
+chunk in flight, not of the whole grid, and the report reads a log back
+only when it is asked for (:attr:`EngineReport.raw_logs`).
 
 Scheduling is chunked (whole cells per chunk: one cell when serial,
 and on a pool about four chunks per worker, so one pickle round-trip
@@ -35,7 +37,7 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..core.campaign import CampaignResult, CharacterizationResult
@@ -54,6 +56,27 @@ from .tasks import (
     run_campaign_chunk,
 )
 
+#: Key of a raw log: (benchmark, core, frequency, campaign).
+LogKey = Tuple[str, int, int, int]
+
+
+class _LineLogs(Mapping[LogKey, str]):
+    """Raw logs keyed like :attr:`CharacterizationFramework.raw_logs`,
+    each taken from its journal line when accessed."""
+
+    def __init__(self, lines: Dict[LogKey, StoredCampaign]) -> None:
+        self._lines = lines
+
+    def __getitem__(self, key: LogKey) -> str:
+        return self._lines[key].raw_log
+
+    def __iter__(self) -> Iterator[LogKey]:
+        return iter(self._lines)
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+
 @dataclass(frozen=True)
 class EngineReport:
     """Outcome of one engine run: the grid plus execution metadata."""
@@ -61,8 +84,9 @@ class EngineReport:
     #: (benchmark, core) -> the assembled characterization.
     results: Dict[Tuple[str, int], CharacterizationResult]
     #: Raw campaign logs keyed like
-    #: :attr:`CharacterizationFramework.raw_logs`.
-    raw_logs: Dict[Tuple[str, int, int, int], str]
+    #: :attr:`CharacterizationFramework.raw_logs`: a mapping that reads
+    #: each log when accessed (a journaled line's from the journal).
+    raw_logs: Mapping[LogKey, str]
     #: Total watchdog recoveries performed by the workers.
     interventions: int
     #: Number of campaign tasks executed.
@@ -463,7 +487,7 @@ class ParallelCampaignEngine:
             while done:
                 # Each finished future (which holds its outcomes) is
                 # dropped as it is taken, so only the chunk in hand
-                # keeps its worker-built records.
+                # keeps its worker-built lines' log text.
                 future = done.pop()
                 chunk = pending.pop(future)
                 try:
@@ -512,12 +536,12 @@ class ParallelCampaignEngine:
         """Deterministic grid assembly, independent of completion order."""
         by_task = {line.key: line for line in lines}
         grid: Dict[Tuple[str, int], List[CampaignResult]] = {}
-        raw_logs: Dict[Tuple[str, int, int, int], str] = {}
+        logs: Dict[LogKey, StoredCampaign] = {}
         interventions = 0
         for task in tasks:  # reference order: (workload, core, campaign)
             line = by_task[(task.program.name, task.core, task.campaign_index)]
             grid.setdefault(task.grid_key, []).append(line.result)
-            raw_logs[line.raw_log_key] = line.raw_log
+            logs[line.raw_log_key] = line
             interventions += line.interventions
         results = {
             key: CharacterizationResult(campaigns=tuple(campaigns))
@@ -525,7 +549,7 @@ class ParallelCampaignEngine:
         }
         return EngineReport(
             results=results,
-            raw_logs=raw_logs,
+            raw_logs=_LineLogs(logs),
             interventions=interventions,
             tasks_run=len(tasks) - tasks_skipped,
             chunks_retried=retried,

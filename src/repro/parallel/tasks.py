@@ -27,10 +27,11 @@ follow:
 **Results.**  A worker returns, per task, the campaign's journal line
 (:class:`~repro.store.records.StoredCampaign`, task seed included),
 which the parent engine appends to the store as it is.  The pickled
-line carries the run's own :class:`~repro.core.campaign.CampaignResult`,
-so journaling and booking a task's effects parse nothing; the raw log
-is parsed in the parent only when something asks for the run records
-(for example ``repro grid --store S --out D`` writing ``runs.csv``).
+line carries the raw log and its per-voltage counts, never run records
+(the kernel builds none), so journaling and booking a task's effects
+parse nothing; the raw log is parsed in the parent only when something
+asks for the run records (for example ``repro grid --store S --out D``
+writing ``runs.csv``).
 
 **Telemetry.**  Ambient telemetry contexts do not cross process
 boundaries, so each task runs under its own local session: when span
@@ -134,11 +135,15 @@ def _execute_task(
         task.program, task.core, campaign_index=task.campaign_index
     )
     log_key = (task.program.name, task.core, config.freq_mhz, task.campaign_index)
-    return StoredCampaign.from_result(
-        result,
-        framework.raw_logs[log_key],
-        task.seed,
-        framework.watchdog.intervention_count,
+    return StoredCampaign(
+        benchmark=task.program.name,
+        core=task.core,
+        campaign_index=task.campaign_index,
+        seed=task.seed,
+        freq_mhz=config.freq_mhz,
+        interventions=framework.watchdog.intervention_count,
+        raw_log=framework.raw_logs[log_key],
+        result=result,
     ), framework.compiled_table(task.program, task.core)
 
 

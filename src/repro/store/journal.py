@@ -59,7 +59,7 @@ from ..errors import CampaignError, ConfigurationError, StoreError
 from ..machines import MachineSpec
 from ..workloads import get_program
 from ..workloads.benchmark import Program
-from .records import StoredCampaign
+from .records import LineSpan, StoredCampaign
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .index import CellAnswers
@@ -269,17 +269,19 @@ class CampaignStore:
 
         Reads from the journal's last known end offset, so appends by
         other store objects or processes cost only their own bytes;
-        each new line's raw log is validated and counted here, its
-        records parsed only when first asked for.  A
+        each new line's raw log is validated and counted here, and kept
+        as its byte span (read back when first asked for), its records
+        parsed only when first asked for.  A
         torn tail is left for later (the task simply reruns); a line
         that lacks a key or whose raw log does not parse raises
         :class:`~repro.errors.StoreError` naming the file and line, and
         a task outside the manifest grid or a duplicate raises
         :class:`~repro.errors.CampaignError`; either way the store is
         left as it was.  If the journal was replaced (compacted by another
-        process) or shrank, the store reloads it from byte 0 and takes
-        the on-disk order; a reload counts none of the records the store
-        already held as new.
+        process) or shrank, or another writer appended between this
+        store's catch-up and its commit, the store reloads it from byte
+        0 and takes the on-disk order; a reload counts none of the
+        records the store already held as new.
 
         A load from byte 0 takes the prefix the count snapshot covers
         from it when the snapshot matches the journal, and rewrites the
@@ -300,9 +302,13 @@ class CampaignStore:
         known = set() if reload else self._completed
         keys: Set[TaskKey] = {stored.key for stored, _span in loaded}
         reused = len(loaded)
+        path = self.journal_path
         for line, data, span in self._log.scan(view):
             try:
-                campaign = StoredCampaign.from_json_dict(data, self._memo)
+                campaign = StoredCampaign.from_json_dict(
+                    data, self._memo,
+                    LineSpan(path, view.identity, *span, line),
+                )
             except CampaignError as exc:
                 raise StoreError(
                     f"journal line {line} in {self.journal_path}: {exc}"
@@ -357,12 +363,13 @@ class CampaignStore:
     def append_campaign(self, *lines: StoredCampaign) -> List[StoredCampaign]:
         """Journal the lines of completed campaigns (one chunk) as they
         are, in one write with one fsync before return, and keep and
-        return them in the form a read builds: the raw log plus its
-        per-voltage counts, with the records parsed through this
-        store's :class:`ParseMemo` on first access.  The run records
-        the lines carry are not kept, so a writer holds what a reader
-        of its journal holds.  A chunk with a task outside the grid or
-        already journaled writes nothing."""
+        return them in the form a read builds: the per-voltage counts,
+        the raw log as its byte span in the journal (read back on first
+        access) and the records parsed through this store's
+        :class:`ParseMemo` on first access.  Neither the text nor any
+        run record the lines carry is kept, so a writer holds what a
+        reader of its journal holds.  A chunk with a task outside the
+        grid or already journaled writes nothing."""
         for stored in lines:
             if stored.key not in self._expected:
                 raise CampaignError(
@@ -379,7 +386,6 @@ class CampaignStore:
                 )
             keys.add(stored.key)
         texts: List[str] = []
-        kept: List[StoredCampaign] = []
         for stored in lines:
             # A real span (not a point event) in the task's trace: the
             # line's encoding, booked to the journal_append phase.
@@ -393,25 +399,34 @@ class CampaignStore:
                 campaign=stored.campaign_index,
             ):
                 texts.append(json.dumps(stored.to_json_dict(), sort_keys=True))
-                kept.append(stored.counted(self._memo))
         fsync_started = telemetry.clock()
         with telemetry.span("journal.fsync", lines=len(texts),
                             bytes=sum(len(text) + 1 for text in texts)):
-            at = self._log.append(*texts)
+            appended = self._log.append(*texts)
         telemetry.observe(
             telemetry.M_JOURNAL_FSYNC_SECONDS, telemetry.clock() - fsync_started
         )
         telemetry.inc_counter(telemetry.M_JOURNAL_APPENDS, amount=len(texts))
-        end = at
-        for text in texts:  # json.dumps writes ASCII: one byte a char
-            self._spans.append((end, end + len(text) + 1))
-            end += len(text) + 1
+        end, line = appended.offset, appended.line
+        raced = line is None  # bytes landed before ours unread
+        if line is None:
+            line = self._log.lines_before(end)
+        kept: List[StoredCampaign] = []
+        path = self.journal_path
+        for stored, text in zip(lines, texts):
+            # json.dumps writes ASCII: one byte a char.
+            span = (end, end + len(text) + 1)
+            end, line = span[1], line + 1
+            self._spans.append(span)
+            kept.append(stored.journaled(
+                LineSpan(path, appended.identity, *span, line), self._memo,
+            ))
         if self._digest is not None:
-            if self._log.end == end:
+            if raced:
+                self._digest = None
+            else:
                 for text in texts:
                     self._digest.update(f"{text}\n".encode("ascii"))
-            else:
-                self._digest = None  # bytes landed before ours unread
         self._campaigns.extend(kept)
         self._completed |= keys
         return kept
@@ -553,7 +568,8 @@ class CampaignStore:
         )
 
     def raw_logs(self) -> Dict[Tuple[str, int, int, int], str]:
-        """Raw campaign logs keyed like the framework's log mapping."""
+        """Raw campaign logs keyed like the framework's log mapping,
+        each read back from the journal."""
         logs: Dict[Tuple[str, int, int, int], str] = {}
         for name in self.manifest.workloads:
             for core in self.manifest.cores:

@@ -201,8 +201,14 @@ class ModelArtifact:
             raise CampaignError(f"malformed model artifact: {exc}")
 
     def serialize(self) -> str:
-        """Canonical file payload; stable bytes for a given artifact."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """Canonical file payload; stable bytes for a given artifact.
+
+        Compact, so the C encoder writes it (an indented dump runs the
+        pure-Python one); files written indented by older versions
+        load all the same."""
+        return json.dumps(
+            self.to_json_dict(), sort_keys=True, separators=(",", ":")
+        ) + "\n"
 
 
 class ModelStore:

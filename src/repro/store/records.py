@@ -3,32 +3,121 @@
 One journal line is one completed campaign: the raw log text plus the
 provenance a resume needs to prove bit-identity -- the derived machine
 seed the campaign ran with and the watchdog intervention count.  The
-worker that runs a campaign builds its line
-(:meth:`StoredCampaign.from_result`), and the store appends that line
-as it is.  The raw log is the only persisted form of the runs: reading
-a line runs the framework's parsing phase on it, as the paper's
-framework derives every result from its raw logs.  The read validates
-every run block and keeps only the per-voltage counts
-(:func:`repro.core.parser.count_log`); the run records are parsed
-(:func:`repro.core.parser.parse_records`) when something first asks
-for them.  A store keeps the line it appends in that same form
-(:meth:`StoredCampaign.counted`), so it never holds a campaign's
-records unless asked.  Replaying a journal never re-runs anything.
+raw log is the only persisted form of the runs, and every result is
+derived from it, as the paper's framework derives its results from raw
+logs in a separate parsing phase.
+
+A line holds its raw log and the per-voltage counts of that log
+(:class:`~repro.core.parser.LogCounts`), never its run records: those
+are parsed (:func:`repro.core.parser.parse_records`) when something
+first asks for them.  The worker that runs a campaign builds its line
+from the kernel's counts (or, on the scalar path, from the records it
+parsed), and a pickled line carries the raw log and the counts
+(:meth:`StoredCampaign.__reduce__`).  The store appends that line as it
+is.  Once journaled, a line's raw log has one form: a
+:class:`JournalText` over the line's byte span in the journal, which
+reads and decodes the text the first time it is called.  Lines the store
+appends, lines a validating read loads and lines a count-snapshot read
+loads all hold one.  Replaying a journal never re-runs anything.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import FrozenInstanceError
 from functools import partial
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from pathlib import Path
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..core.campaign import CampaignResult
 from ..core.parser import LogCounts, ParseMemo, count_log, parse_records
 from ..core.runs import RunRecord
-from ..errors import CampaignError, ConfigurationError, ParseError
+from ..errors import CampaignError, ConfigurationError, ParseError, StoreError
 
 #: A raw log, or a callable that returns it when first asked for.
 RawLog = Union[str, Callable[[], str]]
+
+
+class LineSpan(NamedTuple):
+    """Where one journal line's bytes sit."""
+
+    path: Path
+    #: (device, inode) of the journal the span was measured in.
+    identity: Optional[Tuple[int, int]]
+    #: Offset of the line's first byte.
+    begin: int
+    #: Offset past the line's newline.
+    end: int
+    #: The line's number in the journal (from 1).
+    line: int
+
+
+class JournalText:
+    """The raw log of one journal line, read back from its bytes.
+
+    The first call reads the line's span from the journal and decodes
+    it; the text is kept, so a line is decoded at most once.  A journal
+    replaced since the span was measured (compacted, or rewritten by any
+    atomic write) raises :class:`~repro.errors.StoreError` naming the
+    journal and the line, and so do bytes at the span that are not this
+    task's line: a reader never returns another line's text.
+    """
+
+    __slots__ = ("where", "task", "_text")
+
+    def __init__(
+        self, where: LineSpan, task: Tuple[str, int, int, int]
+    ) -> None:
+        self.where = where
+        #: (benchmark, core, campaign, seed) of the line.
+        self.task = task
+        self._text: Optional[str] = None
+
+    def __call__(self) -> str:
+        if self._text is None:
+            self._text = self._read()
+        return self._text
+
+    def _read(self) -> str:
+        where = self.where
+        line = f"journal line {where.line} of {where.path}"
+        try:
+            with open(where.path, "rb") as handle:
+                info = os.fstat(handle.fileno())
+                if (info.st_dev, info.st_ino) != where.identity:
+                    raise StoreError(
+                        f"{line} cannot be read back: the journal was "
+                        f"replaced since the line was read"
+                    )
+                handle.seek(where.begin)
+                data = handle.read(where.end - where.begin)
+        except OSError as exc:
+            raise StoreError(f"{line} cannot be read back: {exc}")
+        task: Optional[Tuple[Any, ...]] = None
+        text: Any = None
+        try:
+            value = json.loads(data)
+            task = (value["benchmark"], value["core"], value["campaign"],
+                    value["seed"])
+            text = value["raw_log"]
+        except (ValueError, KeyError, TypeError):
+            pass
+        if task != self.task or not isinstance(text, str):
+            raise StoreError(
+                f"{line} cannot be read back: bytes {where.begin}-"
+                f"{where.end} no longer hold task {self.task[:3]!r}"
+            )
+        return text
 
 
 class StoredCampaign:
@@ -51,9 +140,10 @@ class StoredCampaign:
     #: Watchdog recoveries performed during this campaign.
     interventions: int
     #: The campaign aggregate, never journaled: the one the run built
-    #: with its raw log (kernel or parsing phase) on a line a worker
-    #: made; on a line a store holds (read or appended), the counts of
-    #: :attr:`raw_log` with its records parsed on first access.
+    #: with its raw log (the kernel's counts, or the scalar path's
+    #: records) on a line a worker made; on a line a store holds (read
+    #: or appended) or an unpickled one, the counts of :attr:`raw_log`
+    #: with its records parsed on first access.
     result: CampaignResult
 
     def __init__(
@@ -79,18 +169,22 @@ class StoredCampaign:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # A pickled line carries its raw log, never the loader.
-        return dict(self.__dict__, _raw_log=self.raw_log)
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # A pickled line is its raw log and counts: no run record, no
+        # journal reader; it parses its records afresh when asked.
+        return (self.from_counts, (*self._provenance(), self.raw_log,
+                                   self.counts()))
 
-    def _fields(self) -> Tuple[Any, ...]:
+    def _provenance(self) -> Tuple[str, int, int, int, int, int]:
         return (self.benchmark, self.core, self.campaign_index, self.seed,
-                self.freq_mhz, self.interventions, self.raw_log, self.result)
+                self.freq_mhz, self.interventions)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StoredCampaign):
             return NotImplemented
-        return self._fields() == other._fields()
+        return (self._provenance() == other._provenance()
+                and self.raw_log == other.raw_log
+                and self.result == other.result)
 
     def __repr__(self) -> str:
         return (
@@ -104,13 +198,10 @@ class StoredCampaign:
     def raw_log(self) -> str:
         """Raw campaign log text: the journaled form of the runs, and
         the source of the derived CSV/log exports of a resumed grid.
-        A line read through a count snapshot decodes it on first
+        A journaled line reads it back from the journal on first
         access."""
         raw: RawLog = self.__dict__["_raw_log"]
-        if not isinstance(raw, str):
-            raw = raw()
-            self.__dict__["_raw_log"] = raw
-        return raw
+        return raw if isinstance(raw, str) else raw()
 
     @property
     def key(self) -> Tuple[str, int, int]:
@@ -125,7 +216,7 @@ class StoredCampaign:
     @property
     def records(self) -> Tuple[RunRecord, ...]:
         """The classified runs (parsed from :attr:`raw_log` on first
-        access after a read)."""
+        access, except on a scalar-path worker's line)."""
         return self.result.records
 
     def campaign_result(self) -> CampaignResult:
@@ -133,34 +224,19 @@ class StoredCampaign:
         index over it shares one per-voltage aggregation."""
         return self.result
 
-    @classmethod
-    def from_result(
-        cls, result: CampaignResult, raw_log: str, seed: int,
-        interventions: int,
-    ) -> "StoredCampaign":
-        """The line of a campaign just run: ``result`` is the aggregate
-        built with ``raw_log`` on a machine of seed ``seed``."""
-        return cls(
-            benchmark=result.benchmark,
-            core=result.core,
-            campaign_index=result.campaign_index,
-            seed=seed,
-            freq_mhz=result.freq_mhz,
-            interventions=interventions,
-            raw_log=raw_log,
-            result=result,
-        )
-
-    def counted(self, memo: ParseMemo) -> "StoredCampaign":
-        """This line in the form a read builds (:meth:`from_counts`):
-        its raw log and per-voltage counts, with the records parsed
-        through ``memo`` when first asked for.  Equal to this line."""
+    def counts(self) -> LogCounts:
+        """The per-voltage counts of :attr:`raw_log` (copies)."""
         result = self.result
+        return LogCounts(result.chip, result.counts_by_voltage(),
+                         result.run_counts_by_voltage())
+
+    def journaled(self, where: LineSpan, memo: ParseMemo) -> "StoredCampaign":
+        """This line as a store keeps it once its bytes sit at
+        ``where``: its counts, its raw log read back from the journal
+        on first access, its records parsed through ``memo``."""
+        provenance = self._provenance()
         return self.from_counts(
-            self.benchmark, self.core, self.campaign_index, self.seed,
-            self.freq_mhz, self.interventions, self.__dict__["_raw_log"],
-            LogCounts(result.chip, result.counts_by_voltage(),
-                      result.run_counts_by_voltage()),
+            *provenance, JournalText(where, provenance[:4]), self.counts(),
             memo,
         )
 
@@ -180,14 +256,19 @@ class StoredCampaign:
 
     @classmethod
     def from_json_dict(
-        cls, data: Mapping[str, Any], memo: Optional[ParseMemo] = None
+        cls,
+        data: Mapping[str, Any],
+        memo: Optional[ParseMemo] = None,
+        where: Optional[LineSpan] = None,
     ) -> "StoredCampaign":
         """Inverse of :meth:`to_json_dict`.
 
         Every run block of ``raw_log`` is validated here, and its
         per-voltage counts kept; the records are parsed through the
         same ``memo`` (a fresh one by default) when first asked for.
-        A ``records`` key (written by older versions) is never read.
+        With ``where`` (the line's bytes in its journal) the line keeps
+        a :class:`JournalText` there instead of the decoded text.  A
+        ``records`` key (written by older versions) is never read.
         """
         memo = ParseMemo() if memo is None else memo
         try:
@@ -206,6 +287,9 @@ class StoredCampaign:
             ConfigurationError,
         ) as exc:
             raise CampaignError(f"malformed journal campaign line: {exc}")
+        if where is not None:
+            raw_log = JournalText(where, (benchmark, core, campaign_index,
+                                          seed))
         return cls.from_counts(
             benchmark, core, campaign_index, seed, freq_mhz, interventions,
             raw_log, log, memo,
@@ -222,11 +306,11 @@ class StoredCampaign:
         interventions: int,
         raw_log: RawLog,
         log: LogCounts,
-        memo: ParseMemo,
+        memo: Optional[ParseMemo] = None,
     ) -> "StoredCampaign":
-        """A line known by the counts a validating read of its raw log
-        found; its records are parsed through ``memo`` when first asked
-        for."""
+        """A line known by the per-voltage counts of its raw log (which
+        it owns from here on); its records are parsed through ``memo``
+        (a fresh one by default) when first asked for."""
         return cls(
             benchmark=benchmark,
             core=core,
@@ -248,6 +332,8 @@ class StoredCampaign:
         )
 
 
-def _parse(raw_log: RawLog, memo: ParseMemo) -> Tuple[RunRecord, ...]:
+def _parse(
+    raw_log: RawLog, memo: Optional[ParseMemo]
+) -> Tuple[RunRecord, ...]:
     return parse_records(raw_log if isinstance(raw_log, str) else raw_log(),
                          memo)

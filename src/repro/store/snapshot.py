@@ -18,8 +18,9 @@ validated line by line,
 
 A load of the journal from byte 0 (:meth:`CampaignStore.refresh
 <repro.store.CampaignStore.refresh>`) hashes the prefix; on a full
-match it takes the lines from here, decoding a raw log from its bytes
-only when something asks for it, and validates only the tail.  Any
+match it takes the lines from here, each raw log kept as its byte span
+in the journal (:class:`~repro.store.records.JournalText`, read back
+only when something asks for it), and validates only the tail.  Any
 mismatch falls back to the full validating parse.
 
 Two writers save it, both through
@@ -57,7 +58,7 @@ from ..durable import LogView, atomic_write
 from ..effects import EffectType
 from ..errors import CampaignError
 from .index import CellAnswers, CellKey
-from .records import StoredCampaign
+from .records import JournalText, LineSpan, StoredCampaign
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .journal import CampaignStore
@@ -84,22 +85,6 @@ class Covered(NamedTuple):
     #: The covered lines, in journal order, each with its byte span.
     campaigns: List[Tuple[StoredCampaign, Span]]
     answers: Dict[CellKey, CellAnswers]
-
-
-class _LineText:
-    """The raw log of one journal line, decoded from its bytes on the
-    first call."""
-
-    def __init__(self, data: bytes, span: Span) -> None:
-        self._source: Optional[Tuple[bytes, Span]] = (data, span)
-        self._text = ""
-
-    def __call__(self) -> str:
-        if self._source is not None:
-            data, (begin, end) = self._source
-            self._text = json.loads(data[begin:end])["raw_log"]
-            self._source = None
-        return self._text
 
 
 def _manifest_digest(store: "CampaignStore") -> str:
@@ -143,10 +128,18 @@ def _match(store: "CampaignStore", view: LogView) -> Tuple[str, Optional[Covered
         digest = hashlib.sha256(memoryview(view.data)[:end])
         if digest.hexdigest() != journal["sha256"]:
             return "hash", None
-        campaigns = [
-            (_campaign(entry, view.data, store), tuple(entry["span"]))
-            for entry in payload["campaigns"]
-        ]
+        campaigns = []
+        path, data, line, pos = store.journal_path, view.data, 0, 0
+        for entry in payload["campaigns"]:
+            begin, stop = entry["span"]
+            if not pos <= begin < stop <= end:
+                return "unreadable", None
+            # The line's number: blank lines since the last one, then
+            # this one (a span holds one line, hashed above).
+            line += data.count(b"\n", pos, begin) + 1
+            pos = stop
+            where = LineSpan(path, view.identity, begin, stop, line)
+            campaigns.append((_campaign(entry, where, store), (begin, stop)))
         keys = {stored.key for stored, _span in campaigns}
         if len(keys) != len(campaigns) or not keys <= store._expected:
             return "unreadable", None
@@ -165,7 +158,7 @@ def _match(store: "CampaignStore", view: LogView) -> Tuple[str, Optional[Covered
 
 
 def _campaign(
-    entry: Dict[str, Any], data: bytes, store: "CampaignStore"
+    entry: Dict[str, Any], where: LineSpan, store: "CampaignStore"
 ) -> StoredCampaign:
     counts: Dict[int, Dict[EffectType, int]] = {}
     run_counts: Dict[int, int] = {}
@@ -175,14 +168,13 @@ def _campaign(
             if count:
                 slot[effect] = count
         run_counts[voltage] = runs
+    task = (entry["benchmark"], entry["core"], entry["campaign"],
+            entry["seed"])
     return StoredCampaign.from_counts(
-        entry["benchmark"],
-        entry["core"],
-        entry["campaign"],
-        entry["seed"],
+        *task,
         entry["freq_mhz"],
         entry["interventions"],
-        _LineText(data, tuple(entry["span"])),
+        JournalText(where, task),
         LogCounts(entry["chip"], counts, run_counts),
         store._memo,
     )

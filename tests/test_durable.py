@@ -90,8 +90,10 @@ def raw_log(index):
 
 
 def line(index):
-    return StoredCampaign.from_result(
-        campaign(index), raw_log(index), seed=index, interventions=0)
+    return StoredCampaign(
+        benchmark="bwaves", core=0, campaign_index=index, seed=index,
+        freq_mhz=2400, interventions=0, raw_log=raw_log(index),
+        result=campaign(index))
 
 
 def journal(store, *indexes):
@@ -737,3 +739,37 @@ def test_concurrent_append_leaves_no_writer_snapshot(tmp_path):
     assert [c.campaign_index for c in reopened.campaigns()] == [1, 2, 3]
     assert serialize_answers(reopened) == serialize_answers(
         CampaignStore.open(d, snapshot=False))
+
+
+def test_raced_writer_reloads_in_disk_order(tmp_path):
+    """After the race above, the writer's next refresh reloads the
+    journal from byte 0 in on-disk order instead of meeting its own
+    lines again at a stale offset; it still writes no snapshot."""
+    d = tmp_path / "store"
+    writer = CampaignStore.create(d, SPEC, CFG, *GRID)
+    writer.append_campaign(line(1))
+    other = CampaignStore.open(d)
+    before = (d / SNAPSHOT_NAME).read_bytes()
+    catch_up = writer.refresh
+
+    def raced():
+        new = catch_up()
+        other.append_campaign(line(2))
+        return new
+
+    writer.refresh = raced
+    writer.append_campaign(line(3))
+    assert not writer.save_snapshot()
+    assert (d / SNAPSHOT_NAME).read_bytes() == before
+    reopened = CampaignStore.open(d)
+    assert [c.campaign_index for c in reopened.campaigns()] == [1, 2, 3]
+    saved = os.stat(d / SNAPSHOT_NAME)
+
+    assert catch_up() == 1  # line 2 is new to the writer
+    assert [c.campaign_index for c in writer.campaigns()] == [1, 2, 3]
+    assert writer.campaigns() == reopened.campaigns()
+    assert writer.completed_keys() == reopened.completed_keys()
+    after = os.stat(d / SNAPSHOT_NAME)
+    assert (after.st_ino, after.st_mtime_ns) == (saved.st_ino,
+                                                 saved.st_mtime_ns)
+    assert catch_up() == 0

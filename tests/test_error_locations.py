@@ -4,12 +4,14 @@ import pytest
 
 from repro.analysis.error_locations import location_profiles, onset_table
 from repro.core import CharacterizationFramework, FrameworkConfig
-from repro.core.parser import format_run_block, parse_log
+from repro.core.parser import format_run_block
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
 from repro.errors import CampaignError, ParseError
 from repro.machines import MachineSpec, build_machine
 from repro.workloads import get_benchmark
+
+from .log_oracle import parse_log
 
 
 class TestLogRoundTrip:

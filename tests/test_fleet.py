@@ -14,6 +14,7 @@ The acceptance contracts under test:
 import dataclasses
 import json
 import multiprocessing
+import re
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.store import (
     FleetStore,
     JOURNAL_NAME,
     ShardEntry,
+    StoredCampaign,
     serialize_answers,
 )
 from repro.workloads import get_benchmark
@@ -385,8 +387,12 @@ class TestWatermarkRace:
         _copy_fleet(complete_fleet, fleet_dir)
         victim = FleetStore.open(fleet_dir).manifest.shards[1]
         journal = fleet_dir / victim.path / JOURNAL_NAME
-        last = CampaignStore.open(fleet_dir / victim.path).campaigns()[-1]
-        journal.write_text(journal.read_text().splitlines(keepends=True)[0])
+        # The last line as a worker hands it over, its text in hand: a
+        # journaled line reads its raw log back from the journal, which
+        # the rewrite below truncates.
+        lines = journal.read_text().splitlines(keepends=True)
+        last = StoredCampaign.from_json_dict(json.loads(lines[-1]))
+        journal.write_text(lines[0])
 
         refresher_a = FleetStore.open(fleet_dir)
         real_write = fleet_module.atomic_write
@@ -539,6 +545,41 @@ class TestCompaction:
         assert [c.key for c in store.campaigns()] == store.expected_keys()
         assert fleet.indexes().serialize() == answers_before
         assert all(e.compacted for e in fleet.manifest.shards)
+
+    def test_line_held_across_compaction_raises(self, fleet_copy):
+        """A line read before a compaction keeps a byte span of the
+        journal the compaction replaced: reading its raw log raises,
+        naming the journal and the line, instead of reading the new
+        file's bytes there."""
+        entry = FleetStore.open(fleet_copy).manifest.shards[0]
+        journal = fleet_copy / entry.path / JOURNAL_NAME
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text("".join(reversed(lines)))  # off grid order
+        held = CampaignStore.open(fleet_copy / entry.path).campaigns()
+        assert FleetStore.open(fleet_copy).compact() != []
+        for number, line in enumerate(held, 1):
+            with pytest.raises(StoreError, match=(
+                    rf"journal line {number} of {re.escape(str(journal))}"
+                    rf" cannot be read back: the journal was replaced")):
+                line.raw_log
+            with pytest.raises(StoreError):
+                line.records
+        fresh = CampaignStore.open(fleet_copy / entry.path).campaigns()
+        assert sorted(line.raw_log for line in fresh) == sorted(
+            json.loads(text)["raw_log"] for text in lines)
+
+    def test_line_never_reads_another_lines_bytes(self, fleet_copy):
+        """A journal rewritten in place keeps its inode; a held line's
+        span then covers other bytes, which it refuses."""
+        entry = FleetStore.open(fleet_copy).manifest.shards[0]
+        journal = fleet_copy / entry.path / JOURNAL_NAME
+        held = CampaignStore.open(fleet_copy / entry.path).campaigns()
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text("".join(reversed(lines)))
+        with pytest.raises(StoreError, match=(
+                rf"journal line 1 of {re.escape(str(journal))} cannot be "
+                rf"read back: bytes 0-\d+ no longer hold task")):
+            held[0].raw_log
 
     def test_compaction_is_idempotent(self, fleet_copy):
         fleet = FleetStore.open(fleet_copy)

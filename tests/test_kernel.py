@@ -2,11 +2,13 @@
 
 The kernel's contract (``repro.core.kernel``) is that a campaign run
 through the compiled :class:`VoltageTable` produces **bit-identical**
-observables to the scalar path: the same :class:`RunRecord` stream, the
-same raw log bytes, the same machine state trajectory.  These tests pin
-that contract at every layer -- the vectorized ``default_rng`` replay,
-the per-run sampling, whole campaigns (property-swept over seeds,
-chips and schedules), and the per-extension fallback matrix of
+observables to the scalar path: the same raw log bytes (so the same
+:class:`RunRecord` stream once parsed), the same machine state
+trajectory, and per-voltage counts equal to those of its log.  These
+tests pin that contract at every layer -- the vectorized
+``default_rng`` replay, the per-run sampling, whole campaigns
+(property-swept over seeds, chips and schedules), and the
+per-extension fallback matrix of
 :meth:`XGene2Machine.compile_batch_table`.
 """
 
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core import CharacterizationFramework, FrameworkConfig
 from repro.core import kernel as kernel_mod
 from repro.core.kernel import RunGeneratorFactory, VoltageTable
+from repro.core.parser import ParseMemo, count_log, parse_records
 from repro.core.watchdog import WatchdogAction, WatchdogMonitor
 from repro.effects import EffectType
 from repro.faults.injection import FaultInjector, Injection
@@ -78,6 +81,20 @@ def _machine_state(machine, framework):
     }
 
 
+def _check_kernel_counts(framework, campaign):
+    """A kernel campaign holds the counts of its raw log and no records:
+    its records are parsed from that log when first asked for."""
+    log = framework.raw_logs[(campaign.benchmark, campaign.core,
+                              campaign.freq_mhz, campaign.campaign_index)]
+    counted = count_log(log, ParseMemo())
+    assert campaign.__dict__["_records"] is None
+    assert campaign.chip == counted.chip
+    assert campaign.counts_by_voltage() == counted.counts
+    assert list(campaign.counts_by_voltage()) == list(counted.counts)
+    assert campaign.run_counts_by_voltage() == counted.run_counts
+    assert campaign.records == parse_records(log)
+
+
 def _campaign_observables(
     machine, config, use_kernel, bench="mcf", core=0, watchdog=None
 ):
@@ -85,6 +102,9 @@ def _campaign_observables(
         machine, config, watchdog=watchdog, use_kernel=use_kernel
     )
     result = framework.characterize(get_benchmark(bench), core=core)
+    for campaign in result.campaigns:
+        if campaign.__dict__["_load"] is not None:
+            _check_kernel_counts(framework, campaign)
     records = tuple(
         record.csv_row()
         for campaign in result.campaigns
@@ -207,7 +227,13 @@ class TestRunGeneratorFactory:
 
 
 class TestCampaignBitIdentity:
-    """Whole campaigns: batch output == scalar output, byte for byte."""
+    """Whole campaigns: batch output == scalar output, byte for byte.
+
+    The kernel returns its raw log and per-voltage counts: every
+    comparison checks those counts against ``count_log`` of the log
+    (:func:`_check_kernel_counts`), and compares records parsed from
+    the kernel's log (``parse_records``) with the scalar path's, beside
+    the log bytes and the machine state."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -394,6 +394,21 @@ class TestWorkerLines:
                 json.loads(json.dumps(line.to_json_dict())))
             assert decoded.records == line.records
 
+    @pytest.mark.parametrize("use_kernel", [True, False])
+    def test_pickled_task_result_carries_no_record(self, use_kernel):
+        """A worker ships each line as its raw log and per-voltage
+        counts, on either path: the pickle holds no run record, and
+        the parent parses the records from the log when asked."""
+        task = grid_engine().tasks_for([get_benchmark("mcf")], [0])[0]
+        (outcome,) = run_campaign_chunk(SPEC, CFG, (task,),
+                                        use_kernel=use_kernel)
+        payload = pickle.dumps(outcome)
+        assert b"RunRecord" not in payload
+        restored = pickle.loads(payload)
+        assert restored.line.result.__dict__["_records"] is None
+        assert restored.line.counts() == outcome.line.counts()
+        assert restored == outcome
+
 
 class TestCountBackedLines:
     """A journaled run keeps each campaign as the store reads it back:

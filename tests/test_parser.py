@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from repro.core import CharacterizationFramework, FrameworkConfig
 from repro.core.campaign import _index_records
 from repro.core.parser import (
-    ParsedRun,
     ParseMemo,
     count_log,
     format_run_block,
-    parse_log,
     parse_records,
 )
 from repro.core.runs import CharacterizationSetup, RunRecord
@@ -19,6 +17,8 @@ from repro.effects import EffectType
 from repro.errors import ConfigurationError, ParseError
 from repro.machines import MachineSpec, build_machine
 from repro.workloads import get_benchmark
+
+from .log_oracle import ParsedRun, parse_log
 
 
 def block(**overrides):

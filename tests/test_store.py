@@ -82,6 +82,15 @@ def full_store(tmp_path_factory):
     return directory, baseline
 
 
+def worker_line(campaign, raw_log, seed):
+    """The line a worker would return for ``campaign`` with ``raw_log``."""
+    return StoredCampaign(
+        benchmark=campaign.benchmark, core=campaign.core,
+        campaign_index=campaign.campaign_index, seed=seed,
+        freq_mhz=campaign.freq_mhz, interventions=0, raw_log=raw_log,
+        result=campaign)
+
+
 def truncated_copy(full_store_dir, tmp_path, keep):
     """A store directory whose journal holds only the first ``keep`` lines,
     simulating a run killed after that many completed tasks."""
@@ -454,6 +463,90 @@ class TestValidatingOpen:
         assert "missing status line" in err
 
 
+@pytest.fixture(scope="module")
+def trainable_store(tmp_path_factory):
+    """A complete store with three cells on core 0, enough to train."""
+    from repro.cli import main
+
+    directory = tmp_path_factory.mktemp("trainable") / "store"
+    assert main(["grid", "TTT", "--benchmarks", "bwaves,mcf,namd",
+                 "--cores", "0,4", "--campaigns", "2", "--runs-per-level",
+                 "3", "--start-mv", "910", "--store", str(directory)]) == 0
+    return directory
+
+
+def counting_decodes(monkeypatch):
+    """Count every journal read-back, by journal and line."""
+    from collections import Counter
+
+    from repro.store.records import JournalText
+
+    decodes = Counter()
+    read = JournalText._read
+
+    def counting(self):
+        decodes[(self.where.path, self.where.line)] += 1
+        return read(self)
+
+    monkeypatch.setattr(JournalText, "_read", counting)
+    return decodes
+
+
+class TestJournalText:
+    """A journaled line keeps its raw log as a byte span of the journal
+    and reads it back at most once."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "query", "{store}", "--json"],
+        ["dash", "{store}", "--once"],
+        ["train", "{store}", "--core", "0"],
+        ["resume", "{store}"],
+    ], ids=["fleet query --json", "dash", "train", "resume"])
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_a_command_decodes_each_line_at_most_once(
+            self, argv, warm, trainable_store, tmp_path, monkeypatch,
+            capsys):
+        from repro.cli import main
+
+        target = tmp_path / "store"
+        target.mkdir()
+        for name in (MANIFEST_NAME, JOURNAL_NAME):
+            (target / name).write_bytes((trainable_store / name).read_bytes())
+        if warm:
+            CampaignStore.open(target)  # writes the count snapshot
+        decodes = counting_decodes(monkeypatch)
+        assert main([arg.format(store=target) for arg in argv]) == 0
+        assert max(decodes.values(), default=0) <= 1
+        if argv[0] == "resume":
+            # Its CSV export parses every line's records.
+            assert len(decodes) == 12
+
+    def test_records_and_text_share_one_decode(self, full_store,
+                                               monkeypatch):
+        store = CampaignStore.open(full_store[0])
+        decodes = counting_decodes(monkeypatch)
+        lines = store.campaigns()
+        assert lines[0].records and lines[0].raw_log
+        assert store.raw_logs()
+        assert [line.records for line in lines]
+        assert sorted(decodes.values()) == [1] * len(lines)
+
+    def test_append_keeps_spans_not_text(self, reference, tmp_path,
+                                         monkeypatch):
+        """The store returns appended lines that read their text back
+        from the journal, equal to the lines a read builds."""
+        store = CampaignStore.create(tmp_path, SPEC, CFG, ["bwaves"], CORES)
+        campaign = reference.results[("bwaves", 0)].campaigns[0]
+        text = reference.raw_logs[("bwaves", 0, campaign.freq_mhz, 1)]
+        (kept,) = store.append_campaign(worker_line(campaign, text, seed=1))
+        assert not isinstance(kept.__dict__["_raw_log"], str)
+        decodes = counting_decodes(monkeypatch)
+        assert kept.raw_log == text
+        assert kept.records == campaign.records
+        assert decodes == {(tmp_path / JOURNAL_NAME, 1): 1}
+        assert kept == CampaignStore.open(tmp_path).campaigns()[0]
+
+
 class TestWarmIndexBuild:
     """One aggregate per journal line, one journal walk per core."""
 
@@ -696,6 +789,24 @@ class TestCountSnapshot:
         assert [c.records for c in warm.campaigns()] == [
             c.records for c in self.cold(store_dir)]
         assert warm.raw_logs() == store.raw_logs()
+
+    def test_covered_lines_keep_their_journal_line_numbers(self, store_dir):
+        """A line taken from the snapshot reads its raw log back from
+        the same bytes, and names the same journal line, as a validating
+        read of it, blank lines included."""
+        journal = store_dir / JOURNAL_NAME
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(b"\n" + b"".join(
+            line + (b"  \n" if index % 3 == 0 else b"")
+            for index, line in enumerate(lines)))
+        CampaignStore.open(store_dir)
+        warm, reads = snapshot_reads(lambda: CampaignStore.open(store_dir))
+        assert reads == {("hit", "match"): 1}
+        spans = [c.__dict__["_raw_log"].where for c in warm.campaigns()]
+        assert spans == [c.__dict__["_raw_log"].where
+                         for c in CampaignStore.open(
+                             store_dir, snapshot=False).campaigns()]
+        assert [where.line for where in spans] == [2, 4, 5, 6]
 
     def test_deleting_it_changes_no_output(self, store_dir, tmp_path,
                                            capsys):
@@ -964,8 +1075,7 @@ class TestJournalIntegrity:
     def test_duplicate_append_rejected(self, reference, tmp_path):
         store = CampaignStore.create(tmp_path, SPEC, CFG, ["bwaves"], CORES)
         campaign = reference.results[("bwaves", 0)].campaigns[0]
-        line = StoredCampaign.from_result(campaign, "log\n", seed=1,
-                                          interventions=0)
+        line = worker_line(campaign, "log\n", seed=1)
         store.append_campaign(line)
         with pytest.raises(CampaignError, match="already journaled"):
             store.append_campaign(line)
@@ -974,8 +1084,7 @@ class TestJournalIntegrity:
         store = CampaignStore.create(tmp_path, SPEC, CFG, ["bwaves"], [0])
         stray = reference.results[("bwaves", 4)].campaigns[0]
         with pytest.raises(CampaignError, match="not part of this store"):
-            store.append_campaign(StoredCampaign.from_result(
-                stray, "log\n", seed=1, interventions=0))
+            store.append_campaign(worker_line(stray, "log\n", seed=1))
 
     def test_validate_run_rejects_different_seed_material(self, full_store):
         store = CampaignStore.open(full_store[0])

@@ -429,6 +429,28 @@ class TestModelStore:
         assert loaded.serialize().encode("utf-8") == path.read_bytes()
         assert loaded == saved
 
+    def test_indented_artifact_loads_and_round_trips(self, store, tmp_path):
+        """Artifacts are written compact; one written indented (as older
+        versions did) loads equal, and saves back compact."""
+        trainer = StreamingTrainer(store, core=0, target="vmin")
+        trainer.consume()
+        models = ModelStore(tmp_path)
+        saved = models.save(trainer.fit())
+        path = models.path_for("vmin", 0, saved.version)
+        compact = path.read_bytes()
+        assert b"\n" not in compact[:-1]
+        indented = json.dumps(saved.to_json_dict(), indent=2, sort_keys=True)
+        path.write_text(indented + "\n")
+        loaded = models.load("vmin", 0, saved.version)
+        assert loaded == saved
+        assert loaded.serialize().encode("utf-8") == compact
+        assert json.loads(compact) == json.loads(indented)
+        resaved = models.save(loaded)
+        assert models.path_for(
+            "vmin", 0, resaved.version).read_bytes() == resaved.serialize(
+            ).encode("utf-8")
+        assert models.load("vmin", 0, resaved.version) == resaved
+
     def test_versions_are_monotonic(self, store, tmp_path):
         trainer = StreamingTrainer(store, core=0, target="vmin")
         trainer.consume(stop=6)
