@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import CharacterizationFramework, FrameworkConfig
 from repro.hardware import XGene2Machine
+from repro.parallel import MachineSpec, ParallelCampaignEngine
 from repro.workloads import get_benchmark
 
 #: Minimum batch-kernel speedup over the scalar path (the PR's
@@ -134,15 +135,15 @@ def test_grid_throughput(benchmark):
     Exercises the kernel cache across (program, core) setups the way
     real sweeps do -- every grid cell compiles at most once.
     """
-    machine = XGene2Machine("TTT", seed=55)
-    framework = CharacterizationFramework(
-        machine, FrameworkConfig(start_mv=915, campaigns=1)
+    engine = ParallelCampaignEngine(
+        MachineSpec(chip="TTT", seed=55),
+        FrameworkConfig(start_mv=915, campaigns=1),
     )
     workloads = [get_benchmark("mcf"), get_benchmark("namd")]
     cores = [0, 3]
 
     def grid():
-        return framework.characterize_many(workloads, cores)
+        return engine.run(workloads, cores).results
 
     gc.disable()
     try:

@@ -19,11 +19,10 @@ import time
 
 import pytest
 
-from repro.core import CharacterizationFramework, FrameworkConfig
+from repro.core import FrameworkConfig
 from repro.core.campaign import CampaignResult, CharacterizationResult
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
-from repro.hardware import XGene2Machine
 from repro.parallel import MachineSpec, ParallelCampaignEngine
 from repro.workloads import get_benchmark
 
@@ -184,14 +183,8 @@ def test_parallel_speedup_over_serial():
 
 def test_characterize_many_parallel_matches_serial_aggregates():
     """End-to-end guard run on every host, CPU count regardless."""
-    def fresh():
-        machine = XGene2Machine("TTT", seed=2017)
-        machine.power_on()
-        return CharacterizationFramework(machine, GRID_CFG)
-
-    benchmarks = [get_benchmark(b) for b in GRID_BENCHMARKS]
-    serial = fresh().characterize_many(benchmarks, list(GRID_CORES), jobs=1)
-    parallel = fresh().characterize_many(benchmarks, list(GRID_CORES), jobs=4)
+    serial = run_grid(jobs=1).results
+    parallel = run_grid(jobs=4).results
     assert serial == parallel
     for key in serial:
         assert serial[key].severity_by_voltage() == \

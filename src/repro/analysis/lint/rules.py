@@ -582,9 +582,7 @@ class CanonicalEffectConstants(Rule):
 
 #: Call targets whose callable/workload arguments cross (potential)
 #: process boundaries and therefore must be picklable.
-_ENGINE_APIS = frozenset({
-    "ParallelCampaignEngine", "characterize_many", "submit",
-})
+_ENGINE_APIS = frozenset({"ParallelCampaignEngine", "submit"})
 
 
 def _engine_call_name(node: ast.Call) -> Optional[str]:
@@ -847,9 +845,8 @@ class SingleModelPath(Rule):
 #: voltage argument, so inside a per-run loop every call after the
 #: first recomputes a value the batch kernel compiles exactly once.
 _CURVE_EVAL_METHODS = frozenset({
-    "probability", "effect_probabilities", "probability_table",
-    "single_event_rate", "double_event_rate", "poisson_rate_table",
-    "event_rate_table",
+    "probability", "probability_table", "single_event_rate",
+    "double_event_rate", "poisson_rate_table", "event_rate_table",
 })
 
 #: Packages where per-run loops are hot paths (campaign execution).

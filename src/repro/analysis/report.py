@@ -187,7 +187,7 @@ def store_report(store: "AnyStore") -> str:
         f"{len(manifest.cores)} core(s) x {manifest.config.campaigns} "
         f"campaign(s)",
         f"- progress: {done}/{total} tasks journaled"
-        + ("" if done == total else " (resumable with `repro resume`)"),
+        + ("" if done == total else " (resumable with `repro fleet run`)"),
     ]
     for entry, shard in fleet.shards():
         chip = shard.manifest.spec.chip

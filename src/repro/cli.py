@@ -4,11 +4,8 @@ One subcommand per workflow::
 
     repro tables [N]                  render Tables 1-4
     repro claims                      check every model-derived claim
-    repro characterize CHIP BENCH     run an undervolting campaign
+    repro grid CHIP                   benchmark x core grid on the engine
                                       (or --machine spec.json)
-    repro grid CHIP                   benchmark x core grid in parallel
-    repro resume STORE                continue a journaled grid (every
-                                      shard of a fleet), export CSVs
     repro status STORE [--models]     progress, tallies, Vmin per cell,
                                       ETA, and saved model artifacts
     repro tradeoffs                   the Figure-9 ladder + headlines
@@ -18,7 +15,8 @@ One subcommand per workflow::
                                       shard's journal
     repro variation                   generated-population Vmin statistics
     repro fleet init FLEET_DIR        create a sharded fleet store
-    repro fleet run FLEET_DIR         run/resume every shard of a fleet
+    repro fleet run STORE             run/resume any store (every shard
+                                      of a fleet)
     repro fleet status FLEET_DIR      the same report as `repro status`
     repro fleet query STORE           Vmin/severity/feature queries
                                       (--json [--reparse] for the
@@ -39,11 +37,11 @@ its models in its own ``models/``.  Read verbs (``status``, ``query``,
 ``dash``, ``report``, ``predict --model``) write nothing into a store.
 
 All numbers are deterministic in ``--seed``.  Long runs should pass
-``--store DIR`` (``characterize``/``grid``): every completed campaign
-is journaled there, and a killed run continues with ``repro resume
-DIR`` -- ending bit-identical to an uninterrupted one.
+``--store DIR`` to ``grid``: every completed campaign is journaled
+there, and a killed run continues with ``repro fleet run DIR`` --
+ending bit-identical to an uninterrupted one.
 
-``characterize``/``grid``/``resume`` take ``--trace DIR`` (JSONL span
+``grid``/``fleet run``/``train`` take ``--trace DIR`` (JSONL span
 traces), ``--metrics FILE`` (metrics export; Prometheus text for
 ``.prom``/``.txt``, JSON snapshot otherwise) and ``--tsdb`` (append
 periodic registry snapshots to the store's ``tsdb.jsonl`` time-series
@@ -109,7 +107,7 @@ def _cmd_claims(_args: argparse.Namespace) -> int:
 
 
 def _characterization_spec(args: argparse.Namespace) -> Optional[MachineSpec]:
-    """Resolve a characterization subcommand's machine blueprint.
+    """Resolve ``repro grid``'s machine blueprint.
 
     A ``--machine spec.json`` file, a chip name, or both (the chip
     overrides the spec's); ``--seed`` always overrides.  Returns None
@@ -181,70 +179,6 @@ def _telemetry_scope(args: argparse.Namespace) -> Iterator[None]:
                 print(f"metrics exported to {metrics_path}", file=sys.stderr)
 
 
-def _cmd_characterize(args: argparse.Namespace) -> int:
-    with _telemetry_scope(args):
-        return _run_characterize(args)
-
-
-def _run_characterize(args: argparse.Namespace) -> int:
-    from .core import CharacterizationFramework, FrameworkConfig
-    from .core.results import ResultStore
-    from .machines import build_machine
-    from .parallel import ConsoleProgress
-    from .store import CampaignStore
-    from .workloads import get_benchmark
-
-    spec = _characterization_spec(args)
-    if spec is None:
-        return 2
-    machine = build_machine(spec)
-    framework = CharacterizationFramework(
-        machine,
-        FrameworkConfig(start_mv=args.start_mv, campaigns=args.campaigns),
-    )
-    bench = get_benchmark(args.benchmark)
-    print(f"characterizing {bench.name} on {machine.chip.name} "
-          f"core {args.core} ({args.campaigns} campaigns) ...")
-    if args.jobs is None and args.store is None:
-        # Legacy in-place sweep: one shared machine, serial campaigns.
-        result = framework.characterize(bench, core=args.core)
-        recoveries = framework.watchdog.intervention_count
-    else:
-        # Engine path: campaigns fan out over `--jobs` workers with
-        # per-campaign derived seeds (bit-identical for any job count).
-        # `--store` journals each completed campaign for `repro resume`.
-        try:
-            grid = framework.characterize_many(
-                [bench], [args.core], jobs=args.jobs or 1,
-                progress=ConsoleProgress(), store=args.store,
-            )
-        except CampaignError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result = grid[(bench.name, args.core)]
-        recoveries = framework.last_engine_report.interventions
-    regions = result.pooled_regions()
-    print(f"safe Vmin      : {result.highest_vmin_mv} mV")
-    print(f"crash level    : {result.highest_crash_mv} mV")
-    print(f"guardband      : {regions.guardband_mv(PMD_NOMINAL_MV)} mV")
-    print(f"recoveries     : {recoveries}")
-    print("severity:")
-    severity = result.severity_by_voltage()
-    for voltage in sorted(severity, reverse=True):
-        if severity[voltage] > 0:
-            print(f"  {voltage} mV  {severity[voltage]:6.2f}")
-    if args.store:
-        paths = CampaignStore.open(args.store).export_csv()
-        print(f"campaign store journaled at {args.store} "
-              f"(CSV: {', '.join(sorted(p.name for p in paths.values()))})")
-    if args.out:
-        store = ResultStore(args.out)
-        store.write_runs_csv([result])
-        store.write_severity_csv([result])
-        print(f"CSV results written to {args.out}")
-    return 0
-
-
 def _print_grid_summary(results) -> None:
     print(f"{'benchmark':<14} {'core':>4} {'Vmin':>6} {'crash':>6}")
     for (name, core), result in results.items():
@@ -260,11 +194,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _run_grid(args: argparse.Namespace) -> int:
-    from .core import CharacterizationFramework, FrameworkConfig
+    from .core.config import FrameworkConfig
     from .core.results import ResultStore
-    from .machines import build_machine
-    from .parallel import ConsoleProgress
-    from .store import CampaignStore
+    from .parallel import ConsoleProgress, ParallelCampaignEngine
     from .workloads import get_benchmark
 
     benchmarks = [get_benchmark(name) for name in args.benchmarks.split(",")]
@@ -272,79 +204,38 @@ def _run_grid(args: argparse.Namespace) -> int:
     spec = _characterization_spec(args)
     if spec is None:
         return 2
-    machine = build_machine(spec)
-    framework = CharacterizationFramework(
-        machine,
+    engine = ParallelCampaignEngine(
+        spec,
         FrameworkConfig(
             start_mv=args.start_mv,
             campaigns=args.campaigns,
             runs_per_level=args.runs_per_level,
         ),
+        jobs=args.jobs,
+        progress=ConsoleProgress(),
     )
     total = len(benchmarks) * len(cores) * args.campaigns
+    chip = spec.chip if isinstance(spec.chip, str) else spec.chip.name
     print(f"characterizing {len(benchmarks)} benchmark(s) x {len(cores)} "
           f"core(s) x {args.campaigns} campaign(s) = {total} campaigns "
-          f"on {machine.chip.name} (jobs={args.jobs}) ...")
+          f"on {chip} (jobs={args.jobs}) ...")
     try:
-        results = framework.characterize_many(
-            benchmarks, cores, jobs=args.jobs, progress=ConsoleProgress(),
-            store=args.store,
-        )
+        report = engine.run(benchmarks, cores, store=args.store)
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = framework.last_engine_report
     print(f"backend        : {report.backend} (jobs={report.jobs})")
     print(f"recoveries     : {report.interventions}")
     if report.chunks_retried:
         print(f"chunks retried : {report.chunks_retried}")
-    _print_grid_summary(results)
+    _print_grid_summary(report.results)
     if args.store:
-        CampaignStore.open(args.store).export_csv()
         print(f"campaign store journaled at {args.store}")
     if args.out:
         store = ResultStore(args.out)
-        store.write_runs_csv(results.values())
-        store.write_severity_csv(results.values())
+        store.write_runs_csv(report.results.values())
+        store.write_severity_csv(report.results.values())
         print(f"CSV results written to {args.out}")
-    return 0
-
-
-def _cmd_resume(args: argparse.Namespace) -> int:
-    """Continue a journaled grid: replay the prefix, run the remainder."""
-    with _telemetry_scope(args):
-        return _run_resume(args)
-
-
-def _run_resume(args: argparse.Namespace) -> int:
-    from .parallel import ConsoleProgress, run_fleet
-    from .store import open_store
-
-    try:
-        fleet = open_store(args.store)
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    done = sum(len(shard.completed_keys()) for _, shard in fleet.shards())
-    total = fleet.manifest.tasks_total()
-    print(f"resuming campaign store {args.store}: {done}/{total} tasks "
-          f"journaled, {total - done} to run (jobs={args.jobs}) ...")
-    try:
-        report = run_fleet(fleet, jobs=args.jobs, progress=ConsoleProgress())
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for name, shard_report in report.reports.items():
-        print(f"shard {name}:")
-        print(f"backend        : {shard_report.backend} "
-              f"(jobs={shard_report.jobs})")
-        print(f"replayed       : {shard_report.tasks_skipped} "
-              f"journaled task(s)")
-        print(f"executed       : {shard_report.tasks_run} task(s)")
-        print(f"recoveries     : {shard_report.interventions}")
-        _print_grid_summary(shard_report.results)
-    fleet.export_csv()
-    print(f"CSV artifacts exported to {args.store}")
     return 0
 
 
@@ -638,7 +529,7 @@ def _cmd_fleet_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    """Run (or resume) every shard of a fleet to completion."""
+    """Run (or resume) every shard of any store to completion."""
     with _telemetry_scope(args):
         return _run_fleet_cmd(args)
 
@@ -852,38 +743,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_claims = sub.add_parser("claims", help="check the model-derived claims")
     p_claims.set_defaults(func=_cmd_claims)
 
-    p_char = sub.add_parser("characterize", help="run a characterization")
-    p_char.add_argument("chip", nargs="?", type=_chip_name, default=None,
-                        help="part name; optional with --machine")
-    p_char.add_argument("benchmark")
-    p_char.add_argument("--machine", default=None, metavar="SPEC_JSON",
-                        help="machine spec file to build the board from "
-                             "(see repro.machines; extension models ride "
-                             "along)")
-    p_char.add_argument("--core", type=int, default=0)
-    p_char.add_argument("--campaigns", type=int, default=10)
-    p_char.add_argument("--start-mv", type=int, default=930)
-    p_char.add_argument("--seed", type=int, default=None,
-                        help="master seed (default 2017, or the spec's)")
-    p_char.add_argument("--out", default=None, help="CSV output directory")
-    p_char.add_argument("--store", default=None, metavar="DIR",
-                        help="journal every completed campaign into a "
-                             "resumable campaign store directory; like "
-                             "--jobs, this switches from the legacy "
-                             "in-place sweep to the engine path with "
-                             "per-campaign derived seeds")
-    p_char.add_argument("--jobs", type=_job_count, default=None,
-                        help="fan campaigns out over N workers (derived "
-                             "per-campaign seeds; identical for any N)")
-    _add_telemetry_flags(p_char)
-    p_char.set_defaults(func=_cmd_characterize)
-
     p_grid = sub.add_parser(
-        "grid", help="characterize a benchmark x core grid in parallel")
+        "grid", help="characterize a benchmark x core grid (one cell or "
+                     "many) on the campaign engine")
     p_grid.add_argument("chip", nargs="?", type=_chip_name, default=None,
                         help="part name; optional with --machine")
     p_grid.add_argument("--machine", default=None, metavar="SPEC_JSON",
-                        help="machine spec file to build the board from")
+                        help="machine spec file to build the board from "
+                             "(see repro.machines; extension models ride "
+                             "along)")
     p_grid.add_argument("--benchmarks", default="bwaves,mcf",
                         help="comma-separated benchmark names")
     p_grid.add_argument("--cores", default="0,4",
@@ -898,18 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--out", default=None, help="CSV output directory")
     p_grid.add_argument("--store", default=None, metavar="DIR",
                         help="journal every completed campaign into a "
-                             "resumable campaign store directory")
+                             "campaign store directory; continue a killed "
+                             "run with `repro fleet run DIR`")
     _add_telemetry_flags(p_grid)
     p_grid.set_defaults(func=_cmd_grid)
-
-    p_resume = sub.add_parser(
-        "resume", help="continue an interrupted --store campaign grid")
-    p_resume.add_argument("store", metavar="STORE",
-                          help="campaign store or fleet directory to resume")
-    p_resume.add_argument("--jobs", type=_job_count, default=1,
-                          help="worker count for the remaining tasks")
-    _add_telemetry_flags(p_resume)
-    p_resume.set_defaults(func=_cmd_resume)
 
     p_status = sub.add_parser(
         "status", help="report a store's progress, tallies and Vmin per cell")
@@ -1005,9 +865,10 @@ def build_parser() -> argparse.ArgumentParser:
     pf_init.set_defaults(func=_cmd_fleet_init)
 
     pf_run = fleet_sub.add_parser(
-        "run", help="run (or resume) every shard of a fleet store")
-    pf_run.add_argument("fleet_dir", metavar="FLEET_DIR",
-                        help="fleet store directory")
+        "run", help="run (or resume) any store: every shard of a fleet, "
+                    "or a plain campaign store")
+    pf_run.add_argument("fleet_dir", metavar="STORE",
+                        help="fleet or campaign store directory")
     pf_run.add_argument("--jobs", type=_job_count, default=1,
                         help="worker count per shard run")
     pf_run.add_argument("--shards", default=None, metavar="NAME1,NAME2,...",

@@ -20,7 +20,7 @@ the watchdog's buttons.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .. import telemetry
 from ..effects import EffectType
@@ -28,17 +28,24 @@ from ..errors import CampaignError
 from ..units import PMD_NOMINAL_MV, voltage_sweep
 from ..workloads.benchmark import Program, as_program
 from ..hardware import MachineState
-from ..machines import Machine, machine_to_spec
+from ..machines import Machine
 from .campaign import CampaignResult, CharacterizationResult
 from .config import FrameworkConfig  # re-exported: the old import path stays valid
 from .effects import book_effects, effect_counts
 from .kernel import CampaignKernel, VoltageTable
-from .parser import ParseMemo, count_log, format_run_block, parse_records
+from .parser import format_run_block, parse_records
 from .watchdog import WatchdogAction, WatchdogMonitor
 
 
 class CharacterizationFramework:
-    """Drives one machine through undervolting campaigns."""
+    """Drives one machine through undervolting campaigns.
+
+    A grid runs on :class:`~repro.parallel.ParallelCampaignEngine`,
+    which builds one framework per task on a fresh machine from the
+    task's derived seed (``repro grid``, ``repro fleet run``).
+    :meth:`characterize` is the in-place loop on this one machine, so
+    its result depends on the campaigns run on the machine before it.
+    """
 
     def __init__(
         self,
@@ -61,9 +68,6 @@ class CharacterizationFramework:
         #: Raw log text of every campaign, keyed by
         #: (benchmark, core, freq, campaign_index).
         self.raw_logs: Dict[Tuple[str, int, int, int], str] = {}
-        #: Execution metadata of the last engine-backed
-        #: :meth:`characterize_many` (None until one has run).
-        self.last_engine_report = None
         #: Batch kernels compiled this characterization, keyed by
         #: (benchmark, core, freq) -> (surface token, kernel); see
         #: :meth:`_compile_kernel`.
@@ -336,66 +340,3 @@ class CharacterizationFramework:
             for i in range(1, self.config.campaigns + 1)
         )
         return CharacterizationResult(campaigns=campaigns)
-
-    def characterize_many(
-        self,
-        workloads: Sequence[object],
-        cores: Sequence[int],
-        jobs: int = 1,
-        progress=None,
-        chunk_size: Optional[int] = None,
-        store=None,
-        resume: bool = False,
-    ) -> Dict[Tuple[str, int], CharacterizationResult]:
-        """Full grid: every workload on every core (Figure 4's sweep).
-
-        The grid runs on the :class:`~repro.parallel.ParallelCampaignEngine`:
-        every (workload, core, campaign) task executes on a fresh
-        machine rebuilt from this machine's spec, with a seed derived
-        from this machine's seed and the task's coordinates, so the
-        result is **bit-identical for any ``jobs``** -- ``jobs=1`` runs
-        the same tasks serially in process; ``jobs>1`` fans them out
-        over a worker pool.
-
-        ``store`` journals the grid into a campaign store directory
-        (:mod:`repro.store`) as tasks complete; ``resume=True`` replays
-        the journaled prefix and executes only the remainder, ending in
-        the same results as an uninterrupted run.
-
-        Extension models (droop, aging, adaptive clocking, rollback,
-        injectors) ride along: they round-trip through the machine's
-        spec (see :mod:`repro.machines`).  Only machines carrying
-        *unregistered* third-party component models raise
-        :class:`~repro.errors.ConfigurationError`.
-        """
-        from ..parallel.engine import ParallelCampaignEngine
-        from ..parallel.progress import NULL_PROGRESS
-
-        spec = machine_to_spec(self.machine)
-        engine = ParallelCampaignEngine(
-            spec,
-            self.config,
-            jobs=jobs,
-            chunk_size=chunk_size,
-            progress=progress if progress is not None else NULL_PROGRESS,
-            use_kernel=self.use_kernel,
-        )
-        report = engine.run(workloads, cores, store=store, resume=resume)
-        self.raw_logs.update(report.raw_logs)
-        self.last_engine_report = report
-        return report.results
-
-    def abnormal_run_fraction(self) -> float:
-        """Fraction of logged runs with any abnormal effect (diagnostics),
-        counted from :attr:`raw_logs` when called."""
-        total = abnormal = 0
-        memo = ParseMemo()
-        for text in self.raw_logs.values():
-            # A run is abnormal unless its one effect is NO.
-            log = count_log(text, memo)
-            runs = sum(log.run_counts.values())
-            total += runs
-            abnormal += runs - sum(
-                slot[EffectType.NO] for slot in log.counts.values()
-            )
-        return abnormal / total if total else 0.0

@@ -144,27 +144,6 @@ class EffectSampler:
             table["ue"][i] = p_ue
         return table
 
-    def effect_probabilities(self, voltage_mv: float) -> Dict[EffectType, float]:
-        """Approximate marginal per-run probability of each effect.
-
-        Used by analysis/plotting; the exact run outcome distribution is
-        defined by :meth:`sample`.
-        """
-        p_sc = self.probability(FunctionalUnit.CLOCK_UNCORE, voltage_mv)
-        p_control = self.probability(FunctionalUnit.CONTROL, voltage_mv)
-        p_lsu = self.probability(FunctionalUnit.LSU, voltage_mv)
-        p_ac_timing = 1.0 - (1.0 - p_control) * (1.0 - p_lsu)
-        p_sdc_raw = self._sdc_probability(voltage_mv)
-        p_ce, p_ue = self._sram_probabilities(voltage_mv)
-        survive = 1.0 - p_sc
-        return {
-            EffectType.SC: p_sc,
-            EffectType.AC: survive * p_ac_timing,
-            EffectType.SDC: survive * (1.0 - p_ac_timing) * p_sdc_raw,
-            EffectType.CE: survive * p_ce,
-            EffectType.UE: survive * p_ue,
-        }
-
     def _sdc_probability(self, voltage_mv: float) -> float:
         p_alu = self.probability(FunctionalUnit.ALU, voltage_mv)
         p_fpu = self.probability(FunctionalUnit.FPU, voltage_mv)

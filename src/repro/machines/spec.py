@@ -9,7 +9,7 @@ hours, fan setpoint).  It is
   spec and rebuild their own machine (see :mod:`repro.parallel`);
 * **JSON-serializable** -- :meth:`to_json_dict`/:meth:`from_json_dict`
   round-trip through plain dicts, so specs live in config files
-  (``repro characterize --machine spec.json``);
+  (``repro grid --machine spec.json``);
 * **complete** -- ``spec.build().to_spec() == spec`` for every
   registered component model, which is what makes parallel
   characterization bit-identical to serial for *every* machine.

@@ -318,7 +318,7 @@ class ParallelCampaignEngine:
             raise CampaignError(
                 f"store at {journal.directory} already journals "
                 f"{len(journal.completed_keys())} tasks; pass resume=True "
-                f"(or run `repro resume`) to continue it"
+                f"(or run `repro fleet run`) to continue it"
             )
         return journal
 

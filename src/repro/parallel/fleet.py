@@ -44,9 +44,7 @@ class FleetRunReport:
 def run_fleet(
     fleet: AnyStore,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
     progress: ProgressReporter = NULL_PROGRESS,
-    use_kernel: bool = True,
     shards: Optional[Sequence[str]] = None,
 ) -> FleetRunReport:
     """Run (or resume) every shard of a store to completion.
@@ -79,9 +77,7 @@ def run_fleet(
             shard.manifest.spec,
             manifest.config,
             jobs=jobs,
-            chunk_size=chunk_size,
             progress=progress,
-            use_kernel=use_kernel,
         )
         reports[entry.name] = engine.run(
             programs, manifest.cores, store=shard, resume=True

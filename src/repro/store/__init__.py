@@ -14,8 +14,8 @@ atomically written fleet manifest, and one serializer of the
 Vmin/severity/prediction-feature answers every store query reads.
 
 * :class:`CampaignStore` -- create/open a store directory, append
-  completed campaigns, reconstruct results, export the derived CSVs,
-  and own every complete cell's Vmin/severity answers
+  completed campaigns, reconstruct results, and own every complete
+  cell's Vmin/severity answers
   (:meth:`CampaignStore.answers`, computed once per cell).
 * :class:`CampaignManifest` -- the grid definition embedded in
   ``manifest.json``.
@@ -41,8 +41,11 @@ Vmin/severity/prediction-feature answers every store query reads.
 
 The engine checkpoints into a store as tasks finish
 (``ParallelCampaignEngine.run(..., store=...)``) and resumes from one
-bit-identically (``resume=True`` / ``repro resume <store>``); a fleet
-run routes each machine's tasks to its shard through the same path.
+bit-identically (``resume=True`` / ``repro fleet run <store>``); a
+fleet run routes each machine's tasks to its shard through the same
+path.  A store directory holds one form of its runs -- the manifest,
+the journal and its count snapshot; CSVs are written only where asked
+for (``repro grid --out DIR``).
 The analysis and prediction layers read stores directly, so a grid can
 be characterized on one box and analyzed on another -- and the
 streaming prediction trainer persists its models next to the data they

@@ -588,26 +588,6 @@ class FleetStore:
                     f"finish training or pass force=True"
                 )
 
-    # -- derived exports ---------------------------------------------------
-
-    def export_csv(
-        self, directory: Optional[Union[str, Path]] = None
-    ) -> Dict[str, Dict[str, Path]]:
-        """Per-shard Section-2.2 CSV artifacts, keyed by shard name.
-
-        Each shard exports exactly what its standalone
-        :meth:`CampaignStore.export_csv` would -- into its own directory
-        by default (a standalone store's directory, for its one-shard
-        view), else under ``directory/<shard name>/``.  Fleet
-        aggregation never invents a new serialization of run data.
-        """
-        return {
-            entry.name: store.export_csv(
-                None if directory is None else Path(directory) / entry.name
-            )
-            for entry, store in self.shards()
-        }
-
 
 class FleetIndexes:
     """Every fleet shard's query answers, in canonical bytes.

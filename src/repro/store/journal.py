@@ -24,9 +24,10 @@ lines past it.  A validating read writes it, and so does the engine
 when a session that appended lines ends.  Deleting it changes no answer.
 Model artifacts, when trained, live under ``models/``.
 
-The store is the single durable persistence path of the stack; the
-paper's Section-2.2 CSV artifacts are *derived* from it via
-:meth:`CampaignStore.export_csv`.
+The store is the single durable persistence path of the stack, and the
+journal its only record of the runs: the paper's Section-2.2 CSVs are
+written where someone asks for them (``repro grid --out DIR``), never
+into a store.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .. import telemetry
 from ..core.campaign import CharacterizationResult
 from ..core.config import FrameworkConfig
 from ..core.parser import ParseMemo
-from ..core.results import ResultStore
 from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
 from ..durable import AppendLog, atomic_write
 from ..errors import CampaignError, ConfigurationError, StoreError
@@ -595,28 +595,3 @@ class CampaignStore:
             self.directory,
             expected_spec_digest=self.manifest.spec.digest(),
         )
-
-    # -- derived exports ---------------------------------------------------
-
-    def export_csv(
-        self, directory: Optional[Union[str, Path]] = None
-    ) -> Dict[str, Path]:
-        """Write the paper's Section-2.2 CSV artifacts from the journal.
-
-        Results are emitted in manifest grid order regardless of the
-        order tasks were journaled in, so an interrupted-and-resumed
-        grid exports byte-identical files to an uninterrupted one.  The
-        raw logs are not copied out: the journal already holds them
-        (:meth:`raw_logs`), and
-        :meth:`~repro.core.results.ResultStore.write_all_raw_logs`
-        writes them on explicit request.
-        """
-        store = ResultStore(self.directory if directory is None else directory)
-        results = list(self.results().values())
-        paths = {
-            "runs": store.write_runs_csv(results),
-            "severity": store.write_severity_csv(
-                results, weights=self.manifest.weights
-            ),
-        }
-        return paths

@@ -398,13 +398,13 @@ class TestRPR006ParallelSafety:
 
     def test_closure_into_engine_flagged(self):
         assert lint_rules("""
-            from repro.parallel import characterize_many
+            from repro.parallel import ParallelCampaignEngine
 
             def run(specs):
                 def task(machine):
                     return machine
 
-                return characterize_many(specs, task)
+                return ParallelCampaignEngine(specs, task)
         """) == ["RPR006"]
 
     def test_global_mutation_in_repro_task_flagged(self):
@@ -418,13 +418,13 @@ class TestRPR006ParallelSafety:
 
     def test_module_level_task_clean(self):
         assert lint_rules("""
-            from repro.parallel import characterize_many
+            from repro.parallel import ParallelCampaignEngine
 
             def task(machine):
                 return machine
 
             def run(specs):
-                return characterize_many(specs, task)
+                return ParallelCampaignEngine(specs, task)
         """) == []
 
     def test_lambda_to_ordinary_call_clean(self):
@@ -650,7 +650,7 @@ class TestRPR009CurveEvalInRunLoop:
         # Per-campaign compilation legitimately loops over voltages.
         assert lint_rules("""
             def compile_table(sampler, voltages):
-                return [sampler.effect_probabilities(v) for v in voltages]
+                return [sampler.probability_table([v]) for v in voltages]
 
             def compile_rows(stack, voltages):
                 rows = []

@@ -52,65 +52,6 @@ class TestClaims:
         assert "FAIL" not in out
 
 
-class TestCharacterize:
-    def test_quick_campaign_with_csv(self, capsys, tmp_path):
-        code = main([
-            "characterize", "TTT", "mcf", "--campaigns", "2",
-            "--start-mv", "910", "--out", str(tmp_path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "safe Vmin" in out
-        assert (tmp_path / "runs.csv").exists()
-        assert (tmp_path / "severity.csv").exists()
-
-    def test_unknown_chip_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["characterize", "XXX", "mcf"])
-
-    def test_jobs_flag_uses_engine(self, capsys):
-        code = main([
-            "characterize", "TTT", "mcf", "--campaigns", "2",
-            "--start-mv", "910", "--jobs", "2",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "safe Vmin" in out and "recoveries" in out
-
-    def test_machine_spec_file(self, capsys, tmp_path):
-        spec = MachineSpec(chip="TFF", seed=7,
-                           droop_model=SupplyDroopModel())
-        path = save_machine_spec(spec, tmp_path / "machine.json")
-        code = main([
-            "characterize", "mcf", "--machine", str(path),
-            "--campaigns", "2", "--start-mv", "930", "--jobs", "2",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "on TFF" in out and "safe Vmin" in out
-
-    def test_no_chip_and_no_machine_rejected(self, capsys):
-        assert main(["characterize", "mcf"]) == 2
-        assert "--machine" in capsys.readouterr().err
-
-    def test_bad_machine_spec_rejected(self, capsys, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert main(["characterize", "mcf", "--machine", str(path)]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_seed_overrides_spec(self, capsys, tmp_path):
-        path = save_machine_spec(MachineSpec(chip="TTT", seed=1),
-                                 tmp_path / "machine.json")
-        argv = ["characterize", "mcf", "--machine", str(path),
-                "--campaigns", "1", "--start-mv", "910"]
-        assert main(argv) == 0
-        base = capsys.readouterr().out
-        assert main(argv + ["--seed", "999"]) == 0
-        reseeded = capsys.readouterr().out
-        assert base != reseeded
-
-
 class TestGrid:
     def test_parallel_grid_with_csv(self, capsys, tmp_path):
         code = main([
@@ -139,7 +80,8 @@ class TestGrid:
 
     def test_grid_accepts_machine_spec(self, capsys, tmp_path):
         path = save_machine_spec(
-            MachineSpec(chip="TSS", seed=5), tmp_path / "machine.json")
+            MachineSpec(chip="TSS", seed=5, droop_model=SupplyDroopModel()),
+            tmp_path / "machine.json")
         code = main([
             "grid", "--machine", str(path), "--benchmarks", "mcf",
             "--cores", "0", "--campaigns", "2", "--runs-per-level", "3",
@@ -148,6 +90,33 @@ class TestGrid:
         assert code == 0
         out = capsys.readouterr().out
         assert "on TSS" in out and "backend" in out
+
+    def test_unknown_chip_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["grid", "XXX", "--benchmarks", "mcf"])
+
+    def test_no_chip_and_no_machine_rejected(self, capsys):
+        assert main(["grid", "--benchmarks", "mcf"]) == 2
+        assert "--machine" in capsys.readouterr().err
+
+    def test_bad_machine_spec_rejected(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert main(["grid", "--machine", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert "characterizing" not in captured.out
+
+    def test_seed_overrides_spec(self, capsys, tmp_path):
+        path = save_machine_spec(MachineSpec(chip="TTT", seed=1),
+                                 tmp_path / "machine.json")
+        argv = ["grid", "--machine", str(path), "--benchmarks", "mcf",
+                "--cores", "0", "--campaigns", "1", "--start-mv", "910"]
+        assert main(argv) == 0
+        base = capsys.readouterr().out
+        assert main(argv + ["--seed", "999"]) == 0
+        reseeded = capsys.readouterr().out
+        assert base != reseeded
 
 
 class TestStoreWorkflow:
@@ -159,21 +128,24 @@ class TestStoreWorkflow:
         assert main(["grid", "TTT", *self.GRID, "--jobs", "2",
                      "--store", str(store)]) == 0
         capsys.readouterr()
-        baseline_runs = (store / "runs.csv").read_bytes()
-        baseline_severity = (store / "severity.csv").read_bytes()
-        # simulate the kill: truncate the journal to one completed task
-        # and drop every derived artifact
+        # A pool journals in completion order, so the lines are
+        # compared as a set; the query bytes are in grid order.
         journal = store / "journal.jsonl"
+        baseline_lines = sorted(journal.read_bytes().splitlines())
+        assert main(["fleet", "query", str(store), "--json"]) == 0
+        baseline_query = capsys.readouterr().out
+        # simulate the kill: truncate the journal to one completed task
+        # and drop the derived count snapshot
         lines = journal.read_text().splitlines(keepends=True)
         journal.write_text("".join(lines[:1]))
-        (store / "runs.csv").unlink()
-        (store / "severity.csv").unlink()
-        assert main(["resume", str(store), "--jobs", "2"]) == 0
+        (store / "journal.snapshot.json").unlink()
+        assert main(["fleet", "run", str(store), "--jobs", "2"]) == 0
         out = capsys.readouterr().out
-        assert "resuming campaign store" in out
-        assert "1/4 tasks journaled" in out
-        assert (store / "runs.csv").read_bytes() == baseline_runs
-        assert (store / "severity.csv").read_bytes() == baseline_severity
+        assert "+3 task(s) executed, 1 replayed" in out
+        assert "4/4 task(s) journaled" in out
+        assert sorted(journal.read_bytes().splitlines()) == baseline_lines
+        assert main(["fleet", "query", str(store), "--json"]) == 0
+        assert capsys.readouterr().out == baseline_query
 
     def test_journaled_store_requires_resume(self, capsys, tmp_path):
         store = tmp_path / "store"
@@ -185,20 +157,24 @@ class TestStoreWorkflow:
         assert main(["report", "--store", str(store)]) == 0
         assert "Measured campaign store" in capsys.readouterr().out
         assert main(argv) == 2
-        assert "resume" in capsys.readouterr().err
+        assert "`repro fleet run`" in capsys.readouterr().err
+        assert main(["fleet", "run", str(store)]) == 0
+        assert "+0 task(s) executed, 2 replayed" in capsys.readouterr().out
 
     def test_characterize_store_journals_run(self, capsys, tmp_path):
+        """One cell, the whole job of the old ``characterize`` verb."""
         store = tmp_path / "store"
-        code = main(["characterize", "TTT", "mcf", "--campaigns", "2",
-                     "--start-mv", "910", "--store", str(store)])
+        code = main(["grid", "TTT", "--benchmarks", "mcf", "--cores", "0",
+                     "--campaigns", "2", "--start-mv", "910",
+                     "--store", str(store)])
         assert code == 0
         assert "campaign store journaled" in capsys.readouterr().out
         assert (store / "manifest.json").exists()
         assert (store / "journal.jsonl").exists()
-        assert (store / "severity.csv").exists()
+        assert not list(store.glob("*.csv"))
 
     def test_resume_missing_store_is_usage_error(self, capsys, tmp_path):
-        assert main(["resume", str(tmp_path / "nowhere")]) == 2
+        assert main(["fleet", "run", str(tmp_path / "nowhere")]) == 2
         assert "no campaign store" in capsys.readouterr().err
 
 
@@ -397,8 +373,7 @@ class TestTelemetryFlags:
 
     def test_metrics_json_snapshot(self, capsys, tmp_path):
         metrics = tmp_path / "metrics.json"
-        assert main(["characterize", "TTT", "mcf", "--campaigns", "2",
-                     "--start-mv", "910", "--metrics", str(metrics)]) == 0
+        assert main([*self.GRID, "--metrics", str(metrics)]) == 0
         capsys.readouterr()
         payload = json.loads(metrics.read_text())
         assert payload["format"] == "repro-metrics/v1"
@@ -501,17 +476,17 @@ class TestOneStoreShape:
         assert warm.count("# shard ") == 1
 
     def test_grid_store_keeps_logs_in_the_journal_only(self, plain_store):
-        """The raw logs persist once, in the journal: the exported
-        artifacts are the two CSVs, and ``raw_logs()`` hands back the
-        framework's logs byte for byte."""
+        """The runs persist once, in the journal: the store holds no log
+        files and no CSVs, and ``raw_logs()`` hands back the engine's
+        logs byte for byte."""
         from repro.core import FrameworkConfig
         from repro.parallel import ParallelCampaignEngine
         from repro.store import CampaignStore
         from repro.workloads import get_benchmark
 
-        assert not list(plain_store.glob("log_*.txt"))
-        assert {path.name for path in plain_store.glob("*.csv")} == {
-            "runs.csv", "severity.csv"}
+        files = {p.name for p in plain_store.iterdir() if p.is_file()}
+        assert files == {
+            "manifest.json", "journal.jsonl", "journal.snapshot.json"}
         report = ParallelCampaignEngine(
             MachineSpec(chip="TTT"),
             FrameworkConfig(start_mv=910, campaigns=2, runs_per_level=3),

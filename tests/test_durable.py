@@ -255,14 +255,6 @@ def _text(name):
     return observe
 
 
-def _export_prepare(d):
-    journal(CampaignStore.create(d, SPEC, CFG, *GRID), 1, 2, 3)
-    # The open lays down the count snapshot, so the first atomic write
-    # of the export is runs.csv.
-    CampaignStore.open(d)
-    (d / "runs.csv").write_text("stale\n")
-
-
 def _complete_cell():
     from repro.core.campaign import CharacterizationResult
 
@@ -333,8 +325,8 @@ ATOMIC = {
         observe=_report_text,
     ),
     "runs-csv": AtomicCase(
-        prepare=_export_prepare,
-        write=lambda d: CampaignStore.open(d).export_csv(),
+        prepare=lambda d: ResultStore(d).write_runs_csv([]),
+        write=lambda d: ResultStore(d).write_runs_csv([_complete_cell()]),
         observe=_text("runs.csv"),
     ),
     "severity-csv": AtomicCase(

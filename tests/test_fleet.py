@@ -794,18 +794,3 @@ class TestFleetDerived:
         assert f"digest `{fleet.fleet_digest()}`" in text
         for entry in fleet.manifest.shards:
             assert f"### Shard {entry.name}" in text
-
-    def test_fleet_export_matches_standalone_export(
-            self, complete_fleet, tmp_path, standalone_journals):
-        fleet = FleetStore.open(complete_fleet)
-        exports = fleet.export_csv(tmp_path / "fleet-out")
-
-        solo_dir = tmp_path / "solo"
-        run_shard_standalone(SPECS[0], solo_dir)
-        solo_exports = CampaignStore.open(solo_dir).export_csv(
-            tmp_path / "solo-out")
-
-        entry = fleet.manifest.shards[0]
-        assert set(exports[entry.name]) == set(solo_exports)
-        for key, path in solo_exports.items():
-            assert exports[entry.name][key].read_bytes() == path.read_bytes()

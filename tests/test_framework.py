@@ -134,20 +134,19 @@ class TestCharacterization:
         framework.characterize(get_benchmark("mcf"), core=0)
         assert framework.watchdog.intervention_count > 10
 
-    def test_abnormal_fraction_diagnostic(self, framework):
-        framework.run_campaign(get_benchmark("mcf"), core=0)
-        fraction = framework.abnormal_run_fraction()
-        assert 0.0 < fraction < 1.0
-
 
 class TestCharacterizeMany:
+    """A grid of cells runs on the engine, from the machine's spec."""
+
     def test_grid(self, machine):
-        framework = CharacterizationFramework(
+        from repro.parallel import ParallelCampaignEngine
+
+        engine = ParallelCampaignEngine(
             machine, FrameworkConfig(start_mv=900, campaigns=1,
                                      runs_per_level=3)
         )
-        grid = framework.characterize_many(
+        grid = engine.run(
             [get_benchmark("mcf"), get_benchmark("gromacs")], cores=[0, 4]
-        )
+        ).results
         assert set(grid) == {("mcf", 0), ("mcf", 4),
                              ("gromacs", 0), ("gromacs", 4)}

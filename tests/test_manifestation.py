@@ -114,13 +114,6 @@ class TestSampling(object):
                 break
         assert saw_ac_with_errors
 
-    def test_effect_probabilities_sum_reasonably(self, ttt):
-        sampler = make_sampler(ttt)
-        vmin = ttt.vmin_mv(0, 0.6)
-        probs = sampler.effect_probabilities(vmin - 15)
-        assert 0.0 <= min(probs.values())
-        assert probs[EffectType.SDC] > 0.5  # deep in the SDC band
-
     def test_missing_unit_rejected(self, ttt):
         models = build_unit_models(ttt, core=0, stress=0.5, smoothness=0.5)
         del models[FunctionalUnit.ALU]

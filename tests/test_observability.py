@@ -24,7 +24,7 @@ from repro.cli import main
 from repro.errors import CorruptLogError
 from repro.parallel import MachineSpec, ParallelCampaignEngine
 from repro.core import FrameworkConfig
-from repro.store import CampaignStore, FleetStore, JOURNAL_NAME
+from repro.store import FleetStore, JOURNAL_NAME
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     FSYNC_BUCKETS,
@@ -103,19 +103,17 @@ def observed_run(store, trace_dir=None, **kwargs):
 
 @pytest.fixture(scope="module")
 def baseline_store(tmp_path_factory):
-    """The telemetry-off reference store + exported CSVs."""
+    """The telemetry-off reference store."""
     directory = tmp_path_factory.mktemp("baseline-store")
     run_grid(store=directory, jobs=1)
-    CampaignStore.open(directory).export_csv()
     return directory
 
 
 @pytest.fixture(scope="module")
 def observed(tmp_path_factory):
-    """One fully-observed run: store + trace dir + tsdb journal + CSVs."""
+    """One fully-observed run: store + trace dir + tsdb journal."""
     root = tmp_path_factory.mktemp("observed")
     observed_run(root / "store", root / "trace", jobs=1)
-    CampaignStore.open(root / "store").export_csv()
     return root
 
 
@@ -441,9 +439,8 @@ class TestSamplerNeutrality:
     def test_store_bytes_match_telemetry_off(self, observed, baseline_store):
         store = observed / "store"
         assert (store / TSDB_NAME).exists()
-        for name in (JOURNAL_NAME, "runs.csv", "severity.csv"):
-            assert (store / name).read_bytes() == \
-                (baseline_store / name).read_bytes()
+        assert (store / JOURNAL_NAME).read_bytes() == \
+            (baseline_store / JOURNAL_NAME).read_bytes()
 
     def test_killed_and_resumed_with_sampler_matches(self, tmp_path,
                                                      baseline_store):
@@ -453,10 +450,8 @@ class TestSamplerNeutrality:
         (store / JOURNAL_NAME).write_text(lines[0])
         report, _reg = observed_run(store, jobs=1, resume=True)
         assert report.tasks_skipped == 1
-        CampaignStore.open(store).export_csv()
-        for name in (JOURNAL_NAME, "runs.csv", "severity.csv"):
-            assert (store / name).read_bytes() == \
-                (baseline_store / name).read_bytes()
+        assert (store / JOURNAL_NAME).read_bytes() == \
+            (baseline_store / JOURNAL_NAME).read_bytes()
         # The tsdb journal survived both sessions with monotonic seqs.
         cursor = TsdbCursor.from_reparse(store / TSDB_NAME)
         assert cursor.snapshots == cursor.last_seq

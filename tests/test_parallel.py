@@ -516,48 +516,29 @@ class TestEngineValidation:
 
 
 class TestFrameworkWiring:
-    def _framework(self):
+    """A built machine handed to the engine: every task runs on a fresh
+    machine rebuilt from the machine's spec."""
+
+    def _machine(self):
         machine = XGene2Machine("TTT", seed=2017)
         machine.power_on()
-        return CharacterizationFramework(machine, CFG)
+        return machine
 
     def test_characterize_many_jobs_equivalence(self):
-        serial = self._framework().characterize_many(
-            [get_benchmark("bwaves")], [0, 4], jobs=1)
-        parallel = self._framework().characterize_many(
-            [get_benchmark("bwaves")], [0, 4], jobs=4)
-        assert serial == parallel
+        serial = ParallelCampaignEngine(self._machine(), CFG, jobs=1).run(
+            [get_benchmark("bwaves")], [0, 4])
+        parallel = ParallelCampaignEngine(self._machine(), CFG, jobs=4).run(
+            [get_benchmark("bwaves")], [0, 4])
+        assert serial.results == parallel.results
 
     def test_raw_logs_and_report_populated(self):
-        framework = self._framework()
-        framework.characterize_many([get_benchmark("bwaves")], [0], jobs=2)
-        assert len(framework.raw_logs) == CFG.campaigns
-        assert framework.last_engine_report is not None
-        assert framework.last_engine_report.tasks_run == CFG.campaigns
-        assert framework.last_engine_report.interventions > 0
+        report = ParallelCampaignEngine(self._machine(), CFG, jobs=2).run(
+            [get_benchmark("bwaves")], [0])
+        assert len(report.raw_logs) == CFG.campaigns
+        assert report.tasks_run == CFG.campaigns
+        assert report.interventions > 0
 
-    def test_abnormal_fraction_counts_the_raw_logs(self):
-        """Counted from the raw logs, the fraction equals the one the
-        grid's kernel-built records give."""
-        framework = self._framework()
-        results = framework.characterize_many(
-            [get_benchmark("bwaves")], [0], jobs=1)
-        records = [record for campaign in results[("bwaves", 0)].campaigns
-                   for record in campaign.records]
-        normal = frozenset({EffectType.NO})
-        abnormal = sum(record.effects != normal for record in records)
-        assert 0.0 < framework.abnormal_run_fraction() == (
-            abnormal / len(records))
-
-    def test_abnormal_fraction_invalidates_on_log_change(self):
-        framework = self._framework()
-        framework.characterize_many([get_benchmark("bwaves")], [0], jobs=1)
-        key = next(iter(framework.raw_logs))
-        framework.raw_logs[key] = framework.raw_logs[key] * 2
-        doubled = framework.abnormal_run_fraction()
-        assert 0.0 < doubled <= 1.0
-
-    def _extension_framework(self, config=CFG):
+    def _extension_machine(self):
         machine = XGene2Machine(
             "TTT", seed=2017,
             droop_model=SupplyDroopModel(),
@@ -566,20 +547,20 @@ class TestFrameworkWiring:
         )
         machine.age(2000.0)
         machine.power_on()
-        return CharacterizationFramework(machine, config)
+        return machine
 
     def test_extension_machine_parallel_matches_serial(self):
         # The acceptance scenario: droop + aging + adaptive clocking,
         # jobs=4 bit-identical to jobs=1 (results AND raw logs).
-        serial = self._extension_framework()
-        serial_results = serial.characterize_many(
-            [get_benchmark("bwaves")], [0, 4], jobs=1)
-        parallel = self._extension_framework()
-        parallel_results = parallel.characterize_many(
-            [get_benchmark("bwaves")], [0, 4], jobs=4)
-        assert serial_results == parallel_results
+        serial = ParallelCampaignEngine(
+            self._extension_machine(), CFG, jobs=1).run(
+            [get_benchmark("bwaves")], [0, 4])
+        parallel = ParallelCampaignEngine(
+            self._extension_machine(), CFG, jobs=4).run(
+            [get_benchmark("bwaves")], [0, 4])
+        assert serial.results == parallel.results
         assert serial.raw_logs == parallel.raw_logs
-        assert parallel.last_engine_report.backend != "serial"
+        assert parallel.backend != "serial"
 
     def test_extension_models_shift_the_characterization(self):
         # The rebuilt machines must actually carry the models: an aged,
@@ -587,12 +568,11 @@ class TestFrameworkWiring:
         # nominal one.  The sweep starts at 930 mV because the shifted
         # Vmin climbs above the default 905 mV test start.
         cfg = FrameworkConfig(start_mv=930, campaigns=2, runs_per_level=3)
-        machine = XGene2Machine("TTT", seed=2017)
-        machine.power_on()
-        nominal = CharacterizationFramework(machine, cfg).characterize_many(
-            [get_benchmark("bwaves")], [0], jobs=2)
-        shifted = self._extension_framework(cfg).characterize_many(
-            [get_benchmark("bwaves")], [0], jobs=2)
+        nominal = ParallelCampaignEngine(self._machine(), cfg, jobs=2).run(
+            [get_benchmark("bwaves")], [0]).results
+        shifted = ParallelCampaignEngine(
+            self._extension_machine(), cfg, jobs=2).run(
+            [get_benchmark("bwaves")], [0]).results
         assert shifted[("bwaves", 0)].highest_vmin_mv > \
             nominal[("bwaves", 0)].highest_vmin_mv
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import CharacterizationFramework, FrameworkConfig
+from repro.core import FrameworkConfig
 from repro.core.campaign import CampaignResult, CharacterizationResult
 from repro.core.results import ResultStore
 from repro.core.runs import CharacterizationSetup, RunRecord
@@ -23,7 +23,6 @@ from repro.errors import (
     CorruptLogError,
     StoreError,
 )
-from repro.machines import build_machine
 from repro.parallel import (
     MachineSpec,
     ParallelCampaignEngine,
@@ -74,12 +73,10 @@ def reference():
 
 @pytest.fixture(scope="module")
 def full_store(tmp_path_factory):
-    """A completed journaled run plus its exported CSV baseline."""
+    """A completed journaled run plus its journal bytes."""
     directory = tmp_path_factory.mktemp("complete-store")
     run_grid(store=directory, jobs=1)
-    baseline = tmp_path_factory.mktemp("baseline-export")
-    CampaignStore.open(directory).export_csv(baseline)
-    return directory, baseline
+    return directory, (directory / JOURNAL_NAME).read_bytes()
 
 
 def worker_line(campaign, raw_log, seed):
@@ -313,7 +310,7 @@ class TestRawLogJournal:
 
     def test_legacy_lines_with_records_open_identically(
             self, full_store, tmp_path):
-        full_dir, baseline = full_store
+        full_dir = full_store[0]
         target = truncated_copy(full_dir, tmp_path, keep=0)
         current = CampaignStore.open(full_dir).campaigns()
         (target / JOURNAL_NAME).write_text(
@@ -322,11 +319,7 @@ class TestRawLogJournal:
         assert legacy.campaigns() == current
         assert [c.records for c in legacy.campaigns()] == [
             c.records for c in current]
-        exported = tmp_path / "export"
-        legacy.export_csv(exported)
-        for name in ("runs.csv", "severity.csv"):
-            assert (exported / name).read_bytes() == (
-                baseline / name).read_bytes()
+        assert legacy.answers() == CampaignStore.open(full_dir).answers()
 
     def test_legacy_fleet_answers_query_json_bytes(self, tmp_path, capsys):
         from repro.cli import main
@@ -500,8 +493,8 @@ class TestJournalText:
         ["fleet", "query", "{store}", "--json"],
         ["dash", "{store}", "--once"],
         ["train", "{store}", "--core", "0"],
-        ["resume", "{store}"],
-    ], ids=["fleet query --json", "dash", "train", "resume"])
+        ["fleet", "run", "{store}"],
+    ], ids=["fleet query --json", "dash", "train", "fleet run"])
     @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
     def test_a_command_decodes_each_line_at_most_once(
             self, argv, warm, trainable_store, tmp_path, monkeypatch,
@@ -517,9 +510,9 @@ class TestJournalText:
         decodes = counting_decodes(monkeypatch)
         assert main([arg.format(store=target) for arg in argv]) == 0
         assert max(decodes.values(), default=0) <= 1
-        if argv[0] == "resume":
-            # Its CSV export parses every line's records.
-            assert len(decodes) == 12
+        if argv[1] == "run":
+            # Replaying a complete store reads no log back.
+            assert not decodes
 
     def test_records_and_text_share_one_decode(self, full_store,
                                                monkeypatch):
@@ -1112,11 +1105,7 @@ class TestResumeDeterminism:
         assert report.results == reference.results
         assert report.raw_logs == reference.raw_logs
         assert report.interventions == reference.interventions > 0
-        export = tmp_path / "export"
-        CampaignStore.open(target).export_csv(export)
-        for name in ("runs.csv", "severity.csv"):
-            assert (export / name).read_bytes() == \
-                (baseline / name).read_bytes()
+        assert (target / JOURNAL_NAME).read_bytes() == baseline
 
     def test_torn_tail_then_resume_then_reopen(
             self, reference, full_store, tmp_path):
@@ -1133,11 +1122,7 @@ class TestResumeDeterminism:
         assert report.results == reference.results
         store = CampaignStore.open(target)  # would raise pre-truncation
         assert store.is_complete()
-        export = tmp_path / "export"
-        store.export_csv(export)
-        for name in ("runs.csv", "severity.csv"):
-            assert (export / name).read_bytes() == \
-                (baseline / name).read_bytes()
+        assert (target / JOURNAL_NAME).read_bytes() == baseline
 
     def test_resume_of_complete_store_replays_everything(
             self, reference, full_store, tmp_path):
@@ -1195,11 +1180,7 @@ class TestResumeDeterminism:
         assert 0 < len(survivor.completed_keys()) < TOTAL_TASKS
         report = run_grid(store=target, resume=True, jobs=1)
         assert report.results == reference.results
-        export = tmp_path / "export"
-        CampaignStore.open(target).export_csv(export)
-        for name in ("runs.csv", "severity.csv"):
-            assert (export / name).read_bytes() == \
-                (full_store[1] / name).read_bytes()
+        assert (target / JOURNAL_NAME).read_bytes() == full_store[1]
 
 
 class TestStoreConsumers:
@@ -1218,25 +1199,25 @@ class TestStoreConsumers:
             store.result_for("bwaves", 4)
 
     def test_exported_runs_csv_reads_back_typed(self, full_store, tmp_path):
-        CampaignStore.open(full_store[0]).export_csv(tmp_path)
+        results = CampaignStore.open(full_store[0]).results().values()
+        ResultStore(tmp_path).write_runs_csv(results)
         rows = ResultStore(tmp_path).read_runs_csv()
         assert rows and all(isinstance(row, RunRecord) for row in rows)
         assert {row.setup.core for row in rows} == set(CORES)
 
     def test_framework_characterize_many_journals_and_resumes(
             self, reference, tmp_path):
-        machine = build_machine(SPEC)
-        framework = CharacterizationFramework(machine, CFG)
-        first = framework.characterize_many(
-            [get_benchmark("bwaves")], CORES, jobs=1, store=tmp_path)
+        """The engine fed a built machine journals its grid and resumes
+        from it, as it does from a spec."""
+        first = ParallelCampaignEngine(SPEC.build(), CFG).run(
+            [get_benchmark("bwaves")], CORES, store=tmp_path)
         assert (tmp_path / MANIFEST_NAME).exists()
         assert CampaignStore.open(tmp_path).is_complete()
-        resumed = CharacterizationFramework(
-            build_machine(SPEC), CFG).characterize_many(
-            [get_benchmark("bwaves")], CORES, jobs=1,
-            store=tmp_path, resume=True)
-        assert first == resumed
-        assert resumed[("bwaves", 0)].severity_by_voltage() == \
+        resumed = ParallelCampaignEngine(SPEC.build(), CFG).run(
+            [get_benchmark("bwaves")], CORES, store=tmp_path, resume=True)
+        assert resumed.tasks_skipped == TOTAL_TASKS
+        assert first.results == resumed.results
+        assert resumed.results[("bwaves", 0)].severity_by_voltage() == \
             reference.results[("bwaves", 0)].severity_by_voltage()
 
 
