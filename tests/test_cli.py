@@ -52,6 +52,40 @@ class TestClaims:
         assert "FAIL" not in out
 
 
+class TestCharacterize:
+    """One campaign cell: the job the ``characterize`` verb did before
+    ``grid`` took it over."""
+
+    CELL = ["--benchmarks", "mcf", "--cores", "0", "--campaigns", "2"]
+
+    def test_quick_campaign_with_csv(self, capsys, tmp_path):
+        code = main(["grid", "TTT", *self.CELL, "--start-mv", "910",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Vmin" in out and "mcf" in out
+        assert (tmp_path / "runs.csv").exists()
+        assert (tmp_path / "severity.csv").exists()
+
+    def test_jobs_flag_uses_engine(self, capsys):
+        code = main(["grid", "TTT", *self.CELL, "--start-mv", "910",
+                     "--jobs", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Vmin" in out and "recoveries" in out
+        assert "process (jobs=2)" in out
+
+    def test_machine_spec_file(self, capsys, tmp_path):
+        spec = MachineSpec(chip="TFF", seed=7,
+                           droop_model=SupplyDroopModel())
+        path = save_machine_spec(spec, tmp_path / "machine.json")
+        code = main(["grid", "--machine", str(path), *self.CELL,
+                     "--start-mv", "930", "--jobs", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "on TFF" in out and "Vmin" in out
+
+
 class TestGrid:
     def test_parallel_grid_with_csv(self, capsys, tmp_path):
         code = main([
@@ -80,8 +114,7 @@ class TestGrid:
 
     def test_grid_accepts_machine_spec(self, capsys, tmp_path):
         path = save_machine_spec(
-            MachineSpec(chip="TSS", seed=5, droop_model=SupplyDroopModel()),
-            tmp_path / "machine.json")
+            MachineSpec(chip="TSS", seed=5), tmp_path / "machine.json")
         code = main([
             "grid", "--machine", str(path), "--benchmarks", "mcf",
             "--cores", "0", "--campaigns", "2", "--runs-per-level", "3",
